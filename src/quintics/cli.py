@@ -199,14 +199,13 @@ def cmd_homology(args) -> int:
     if cdim is not None:
         dual = poincare_dual(poly, cdim)
         body["dual_poincare"] = dual.format()
+    mats = induced_map(chain_map) if chain_map is not None else []
     if chain_map is not None:
-        mats = induced_map(chain_map)
         body["induced_map"] = [[[str(v) for v in row] for row in m] for m in mats]
     if args.model in _MODEL_EXPECTATIONS:
         exp_dual, exp_maps = _MODEL_EXPECTATIONS[args.model]
         results.append(_check("dual poincare polynomial", exp_dual,
                               dual.format() if dual is not None else None))
-        mats = induced_map(chain_map) if chain_map is not None else []
         for name, want in exp_maps.items():
             k = int(name[1:])
             got = mats[k] if k < len(mats) else ()

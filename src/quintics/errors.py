@@ -19,8 +19,9 @@ class SamplingError(RuntimeError):
 
 
 class TaxonomyError(AssertionError):
-    """Raised when the configuration classifier matches two distinct types.
+    """Raised by ``verify_taxonomy_table`` when the golden table is inconsistent.
 
-    The 42 recognized incidence patterns are mutually exclusive; a double
-    match signals a bug in the decision tree, not bad user input.
+    The table must have 42 entries, the endpoint dimensions 18 and 0, and
+    nonincreasing expected dimensions; a violation signals a bug in the
+    package, not bad user input.
     """

@@ -5,13 +5,16 @@ and prime fields ``GF(p)``.  Rationals are stored as ``fractions.Fraction``
 (always in lowest terms with positive denominator), prime-field elements as
 plain ints in ``[0, p)``.
 
-Rank over the rationals is computed by fraction-free Bareiss elimination on
-integerized rows, which keeps intermediate entries polynomial in the input
-instead of letting gcd-heavy Fraction arithmetic blow up.  Reduced row
-echelon form (used for kernels and canonical subspace bases) uses ordinary
-exact Gaussian elimination; over ``GF(p)`` everything is plain modular
-elimination.  All routines are deterministic: identical inputs give
-bit-identical outputs, so echelon bases are usable in regression tests.
+Each field has one elimination path.  Over the rationals, rank is computed
+by fraction-free Bareiss elimination on integerized rows, which keeps
+intermediate entries polynomial in the input instead of letting gcd-heavy
+Fraction arithmetic blow up; reduced row echelon form (used for kernels and
+canonical subspace bases) uses exact Fraction Gaussian elimination.  Over
+``GF(p)`` elimination runs on plain int rows with the reduction mod p
+inlined: rank is the forward pass alone, and reduced row echelon form is the
+same forward pass followed by back-substitution.  All routines are
+deterministic: identical inputs give bit-identical outputs, so echelon bases
+are usable in regression tests.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class RationalField(Field):
     name = "qq"
 
     def coerce(self, value) -> Fraction:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, float):
             raise InputError("floats are not exact; pass Fraction, int or str")
         return Fraction(value)
@@ -138,6 +143,8 @@ class PrimeField(Field):
         self.name = f"fp:{p}"
 
     def coerce(self, value) -> int:
+        if type(value) is int:
+            return value % self.p
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
@@ -279,9 +286,6 @@ class DenseMatrix:
         fld = tags.pop()
         return cls(fld, [[s.value for s in row] for row in rows], ncols)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self.rows[i][j])
-
     def transpose(self) -> "DenseMatrix":
         if self.nrows == 0:
             return DenseMatrix(self.field, [() for _ in range(self.ncols)], 0) \
@@ -371,10 +375,59 @@ class SubspaceBasis:
 # elimination cores
 
 
+def _fp_forward(p: int, rows: list) -> list[int]:
+    """In-place forward elimination mod p; returns the pivot columns.
+
+    ``rows`` are lists of ints in ``[0, p)``.  Afterwards the first
+    ``len(pivots)`` rows are in row echelon form with every pivot scaled to 1
+    and zeros below it, and the remaining rows are zero.
+    """
+    nrows = len(rows)
+    if not nrows:
+        return []
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(rows[0])):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        pr = rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            f = ri[c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _fp_back_substitute(p: int, rows: list, pivots: list[int]) -> None:
+    """Clear the entries above each pivot of a forward-eliminated matrix."""
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        pr = rows[k]
+        for i in range(k):
+            ri = rows[i]
+            f = ri[c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
+
+
 def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
     if not rows:
         return rows, []
+    if isinstance(field, PrimeField):
+        pivots = _fp_forward(field.p, rows)
+        _fp_back_substitute(field.p, rows, pivots)
+        return rows, pivots
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -455,8 +508,7 @@ def rank(m: DenseMatrix) -> int:
         return 0
     if isinstance(m.field, RationalField):
         return _bareiss_rank(_integerize(m.rows))
-    _, pivots = _rref(m.field, [list(r) for r in m.rows])
-    return len(pivots)
+    return len(_fp_forward(m.field.p, [list(r) for r in m.rows]))
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:

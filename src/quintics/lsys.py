@@ -3,9 +3,11 @@
 The dimension count at the center of the package works entirely in the
 coordinate space of degree-d forms in x, y, z: a configuration imposes three
 derivative rows per marked point, while a full line or conic component forces
-divisibility by the square of its equation.  The space of degree-5 curves
-singular along the configuration is then an exact kernel/intersection
-computation over the chosen field.
+divisibility by the square of its equation, which is imposed by the rows
+annihilating the forms divisible by that square.  All of these rows are
+stacked into one matrix per configuration, so the space of degree-5 curves
+singular along the configuration is its kernel, and its dimension is
+21 - rank, computed exactly over the chosen field.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field, grouping
@@ -26,8 +28,8 @@ from .exactalg import (
     Field,
     PrimeField,
     SubspaceBasis,
-    intersect,
     kernel,
+    rank,
     row_space,
 )
 from .projgeom import (
@@ -278,34 +280,43 @@ def constraint_matrix(cfg: Config, d: int = 5) -> DenseMatrix:
     return DenseMatrix(cfg.field, rows, space_dim(d))
 
 
+def _system_matrix(cfg: Config, d: int) -> DenseMatrix:
+    """One matrix whose kernel is the space of degree-d forms singular along ``cfg``.
+
+    The singularity rows of the marked points are stacked with, for each line
+    or conic component g, a basis of the annihilator of the forms divisible by
+    g^2.  Without components this is ``constraint_matrix`` itself.
+    """
+    m = constraint_matrix(cfg, d)
+    comps = [line_poly(ln) for ln in cfg.lines] + [conic_poly(qc) for qc in cfg.conics]
+    if not comps:
+        return m
+    rows = list(m.rows)
+    for g in comps:
+        rows.extend(kernel(divisibility_subspace(g, 2, d).to_matrix()).basis)
+    return DenseMatrix(cfg.field, rows, space_dim(d))
+
+
 def linear_system_dim(cfg: Config, d: int = 5) -> int:
     """Dimension of the space of degree-d forms singular along ``cfg``.
 
     Marked points contribute their three derivative rows; full line and conic
-    components force divisibility by the squared component equation.  The
-    whole-plane configuration is the one case with no matrix: only the zero
-    form is singular everywhere.
+    components force divisibility by the squared component equation.  Both
+    kinds of rows form one stacked matrix S, and the dimension is
+    ``space_dim(d) - rank(S)`` (21 - rank for quintics).  The whole-plane
+    configuration is the one case with no matrix: only the zero form is
+    singular everywhere.
     """
     if cfg.whole_plane:
         return 0
-    space = kernel(constraint_matrix(cfg, d))
-    for ln in cfg.lines:
-        space = intersect(space, divisibility_subspace(line_poly(ln), 2, d))
-    for qc in cfg.conics:
-        space = intersect(space, divisibility_subspace(conic_poly(qc), 2, d))
-    return space.dim
+    return space_dim(d) - rank(_system_matrix(cfg, d))
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     """Echelonized basis of the same space ``linear_system_dim`` measures."""
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
-    space = kernel(constraint_matrix(cfg, d))
-    for ln in cfg.lines:
-        space = intersect(space, divisibility_subspace(line_poly(ln), 2, d))
-    for qc in cfg.conics:
-        space = intersect(space, divisibility_subspace(conic_poly(qc), 2, d))
-    return space
+    return kernel(_system_matrix(cfg, d))
 
 
 def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:

@@ -39,9 +39,6 @@ class ProjPoint:
             raise InputError("a projective point needs 3 coordinates")
         object.__setattr__(self, "coords", _normalize(self.field, self.coords))
 
-    def scalars(self) -> tuple[Scalar, Scalar, Scalar]:
-        return tuple(Scalar(self.field, v) for v in self.coords)
-
 
 @dataclass(frozen=True)
 class ProjLine:

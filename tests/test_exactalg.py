@@ -99,17 +99,21 @@ def _random_matrix(field, rng, nrows, ncols):
     return DenseMatrix(field, rows, ncols)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(65521)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(7)])
 def test_rank_transpose_and_nullity(field):
     rng = SplitMix64(2024)
     for _ in range(40):
         m = _random_matrix(field, rng, rng.int_in(1, 6), rng.int_in(1, 7))
         r = rank(m)
         assert r == rank(m.transpose())
-        assert kernel(m).dim + r == m.ncols
+        ker = kernel(m)
+        assert ker.dim + r == m.ncols
+        # checked by multiplication, independently of any elimination
+        for vec in ker.basis:
+            assert not any(m.apply(vec)), vec
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(65521)])
+@pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(7)])
 def test_modular_law_for_subspace_dims(field):
     rng = SplitMix64(99)
     for _ in range(30):

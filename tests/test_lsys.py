@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from quintics.errors import InputError
-from quintics.exactalg import QQ, DenseMatrix, PrimeField, intersect, kernel, rank
+from quintics.exactalg import (
+    QQ,
+    DenseMatrix,
+    PrimeField,
+    SubspaceBasis,
+    intersect,
+    kernel,
+    rank,
+)
 from quintics.lsys import (
     GOLDEN_DIMS,
     HomogeneousPoly,
@@ -15,6 +23,7 @@ from quintics.lsys import (
     constraint_matrix,
     divisibility_subspace,
     line_poly,
+    linear_system_basis,
     linear_system_dim,
     monomial_basis,
     random_poly,
@@ -212,6 +221,47 @@ def test_point_on_forced_component_adds_nothing():
     bare = Config(QQ, lines=(ln,))
     marked = Config(QQ, points=(on_line,), lines=(ln,))
     assert linear_system_dim(bare) == linear_system_dim(marked) == 10
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "fp101"])
+def test_dim_component_edge_cases(field):
+    # configurations a user JSON file may describe; each squared component
+    # is imposed separately, so repeated and overlapping components are exact
+    x, y = ProjLine(field, (1, 0, 0)), ProjLine(field, (0, 1, 0))
+    z = ProjLine(field, (0, 0, 1))
+    line = ProjLine(field, (1, 2, 3))
+    conic = Conic(field, (1, 1, -1, 0, 0, 0))
+    xy = Conic(field, (0, 0, 0, 1, 0, 0))
+    assert linear_system_dim(Config(field, lines=(x, y, z))) == 0
+    assert linear_system_dim(Config(field, lines=(line, line))) == 10
+    assert linear_system_dim(Config(field, lines=(x,), conics=(xy,))) == 3
+    assert linear_system_dim(Config(field, lines=(line,), conics=(conic,))) == 0
+    with pytest.raises(InputError):
+        linear_system_dim(Config(field, lines=(line,)), 1)
+    with pytest.raises(InputError):
+        linear_system_dim(Config(field, conics=(conic,)), 3)
+
+
+def _reference_basis(cfg):
+    # kernel of the point rows, then one annihilator intersection per
+    # squared component, built only from the public elimination routines
+    if cfg.whole_plane:
+        return SubspaceBasis(cfg.field, 21, ())
+    space = kernel(constraint_matrix(cfg))
+    for ln in cfg.lines:
+        space = intersect(space, divisibility_subspace(line_poly(ln), 2, 5))
+    for qc in cfg.conics:
+        space = intersect(space, divisibility_subspace(conic_poly(qc), 2, 5))
+    return space
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "fp101"])
+def test_linear_system_basis_matches_reference_construction(field):
+    for type_id in range(1, 43):
+        cfg = sample_generic(type_id, field, 3)
+        got = linear_system_basis(cfg)
+        assert got == _reference_basis(cfg), type_id
+        assert got.dim == linear_system_dim(cfg) == GOLDEN_DIMS[type_id], type_id
 
 
 def test_classify_rejects_component_with_incident_point():
