@@ -85,7 +85,7 @@ def cmd_classify(args) -> int:
     p = args.prime
     field = PrimeField(p)
     if poly.field != field:
-        poly = _reduce_poly(poly, field)
+        poly = poly.reduce_to(field)
     if poly.degree % p == 0:
         raise InputError("the prime divides the degree; classification is undefined")
     sing = singular_set_bruteforce(poly, p)
@@ -110,13 +110,6 @@ def cmd_classify(args) -> int:
         "results": results,
     }
     return _finish(report, args.out)
-
-
-def _reduce_poly(poly, field):
-    from .lsys import HomogeneousPoly
-
-    return HomogeneousPoly(field, poly.degree,
-                           {e: field.coerce(c) for e, c in poly.terms.items()})
 
 
 def cmd_ledger(args) -> int:

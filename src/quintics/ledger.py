@@ -23,7 +23,7 @@ from .poincare import PoincarePoly, format_one_plus_powers, product_of_cyclotomi
 
 AMBIENT_DIM = 21  # complex dimension of the space of quintic forms
 
-NONDISCRETE_COLUMNS = (11, 17, 22, 29, 31, 33, 41, 42)
+NONDISCRETE_COLUMNS = tuple(t for t, k in K_POINTS.items() if k == "nondiscrete")
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,14 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _no_collinear_triple,
     collinear,
     conic_line_second_point,
     conic_through,
     incident,
     line_intersection,
     line_through,
+    on_common_conic,
     veronese,
 )
 from .rng import SplitMix64, derive_seed
@@ -63,11 +65,6 @@ def monomial_basis(d: int) -> tuple:
         for b in range(d - a, -1, -1):
             out.append((a, b, d - a - b))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _monomial_index(d: int) -> dict:
-    return {e: i for i, e in enumerate(monomial_basis(d))}
 
 
 def space_dim(d: int) -> int:
@@ -153,6 +150,11 @@ class HomogeneousPoly:
         for e, c in other.terms.items():
             acc[e] = f.add(acc.get(e, f.zero()), c)
         return HomogeneousPoly(f, self.degree, acc)
+
+    def reduce_to(self, field: Field) -> "HomogeneousPoly":
+        """The same form with every coefficient coerced into ``field``."""
+        return HomogeneousPoly(field, self.degree,
+                               {e: field.coerce(c) for e, c in self.terms.items()})
 
     def partial(self, var: int) -> "HomogeneousPoly":
         """Formal partial derivative with respect to variable 0, 1 or 2."""
@@ -391,36 +393,31 @@ def plane_points(p: int) -> tuple:
     return tuple(pts)
 
 
-@lru_cache(maxsize=8)
-def _monomial_value_table(p: int, d: int) -> tuple:
-    """Values of every degree-d monomial at every plane point over GF(p)."""
-    basis = monomial_basis(d)
-    table = []
-    for pt in plane_points(p):
-        x, y, z = pt.coords
-        xp = [1] * (d + 1)
-        yp = [1] * (d + 1)
-        zp = [1] * (d + 1)
-        for i in range(1, d + 1):
-            xp[i] = xp[i - 1] * x % p
-            yp[i] = yp[i - 1] * y % p
-            zp[i] = zp[i - 1] * z % p
-        table.append(tuple(xp[a] * yp[b] % p * zp[c] % p for (a, b, c) in basis))
-    return tuple(table)
-
-
-def _sparse_terms(poly: HomogeneousPoly) -> list:
-    index = _monomial_index(poly.degree)
-    return [(index[e], c) for e, c in sorted(poly.terms.items(), reverse=True)]
-
-
-# Enumeration is quadratic in p and caches a per-point monomial table, so the
-# brute force is capped at desk scale.
+# Enumeration visits all p^2 + p + 1 points, so the brute force is capped at
+# desk scale.
 MAX_BRUTEFORCE_PRIME = 251
 
 
+def _z_polynomial(g: HomogeneousPoly, x: int, y: int, p: int) -> list:
+    """g(x, y, z) over GF(p) as a polynomial in z, highest power first, with
+    leading zeros stripped (empty for the zero polynomial)."""
+    coeffs = [0] * (g.degree + 1)
+    for (a, b, c), coeff in g.terms.items():
+        coeffs[c] += coeff * x ** a * y ** b
+    coeffs = [v % p for v in reversed(coeffs)]
+    while coeffs and not coeffs[0]:
+        coeffs.pop(0)
+    return coeffs
+
+
 def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
-    """All projective points over GF(p) where every partial of f vanishes."""
+    """All projective points over GF(p) where every partial of f vanishes.
+
+    The plane is walked row by row in ``plane_points`` order: x = 1 with y
+    fixed, then x = 0, y = 1, then (0, 0, 1).  On a row each partial is a
+    polynomial in z of degree at most deg f - 1, evaluated by Horner's rule on
+    the z values still alive; a row is dropped at its first nonzero partial.
+    """
     field = PrimeField(p)
     if f.field != field:
         raise FieldMismatchError(f"form is not over GF({p})")
@@ -431,41 +428,78 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     if p > MAX_BRUTEFORCE_PRIME:
         raise InputError(f"brute force enumerates p^2+p+1 points; use p <= "
                          f"{MAX_BRUTEFORCE_PRIME}")
-    if f.is_zero():
-        return list(plane_points(p))
-    partials = [_sparse_terms(f.partial(v)) for v in range(3)]
-    values = _monomial_value_table(p, f.degree - 1)
     pts = plane_points(p)
+    if f.is_zero():
+        return list(pts)
+    partials = [f.partial(v) for v in range(3)]
+    # (x, y, the row's z values, its points indexed by z)
+    rows = [(1, y, range(p), pts[y * p:(y + 1) * p]) for y in range(p)]
+    rows.append((0, 1, range(p), pts[p * p:p * p + p]))
+    rows.append((0, 0, (1,), {1: pts[-1]}))
     out = []
-    for i, vals in enumerate(values):
-        hit = True
-        for terms in partials:
-            acc = 0
-            for j, c in terms:
-                acc += c * vals[j]
-            if acc % p:
-                hit = False
-                break
-        if hit:
-            out.append(pts[i])
+    for x, y, zs, row_points in rows:
+        alive = list(zs)
+        for g in partials:
+            coeffs = _z_polynomial(g, x, y, p)
+            if coeffs:
+                alive = _horner_zeros(coeffs, alive, p)
+                if not alive:
+                    break
+        out.extend(row_points[z] for z in alive)
     return out
 
 
+def _horner_zeros(coeffs: list, zs: list, p: int) -> list:
+    """The z in ``zs`` where the polynomial vanishes mod p, by Horner's rule
+    run on all of them at once."""
+    acc = [coeffs[0]] * len(zs)
+    for c in coeffs[1:]:
+        acc = [v * z + c for v, z in zip(acc, zs)]
+    return [z for z, v in zip(zs, acc) if v % p == 0]
+
+
 def _peel_line_components(points: list, p: int) -> tuple[list, list]:
-    """Split off every full line contained in the given point set."""
-    point_set = set(points)
-    pair_lines: dict = {}
-    pts = list(points)
-    for a, b in combinations(pts, 2):
-        ln = line_through(a, b)
-        pair_lines[ln] = pair_lines.get(ln, 0) + 1
-    full = p * (p + 1) // 2  # pair count of a complete line over GF(p)
-    lines = []
-    for ln, cnt in sorted(pair_lines.items(), key=lambda kv: kv[0].coeffs):
-        if cnt == full:
-            lines.append(ln)
-    remaining = [q for q in pts if not any(incident(q, ln) for ln in lines)]
-    assert len(point_set) == len(points)
+    """Split off every full line (all p + 1 points present) of the point set.
+
+    Each pivot is a point not yet on a found line; the other points are
+    grouped by their line through the pivot, keyed on its normalized
+    coefficient triple, and a group of p points closes a full line.  Pivoting
+    on uncovered points only is exact: another full line meets a full line L
+    in one point, and a nonzero form of degree d < p is singular along at
+    most d/2 full lines (each one's square divides it), fewer than the p + 1
+    points of L, so some point of L stays uncovered until L is found.
+    A pivot stops grouping once no group can still reach p points.
+    """
+    inverse = [0] + [pow(v, -1, p) for v in range(1, p)]
+    coords = [q.coords for q in points]
+    n = len(coords)
+    covered: set = set()
+    found: dict = {}
+    for i, (x1, y1, z1) in enumerate(coords):
+        if i in covered:
+            continue
+        groups: dict = {}
+        largest = 0
+        for j, (x2, y2, z2) in enumerate(coords):
+            if j == i:
+                continue
+            if largest + (n - j) < p:
+                break
+            a = (y1 * z2 - z1 * y2) % p
+            b = (z1 * x2 - x1 * z2) % p
+            c = (x1 * y2 - y1 * x2) % p
+            s = inverse[a or b or c]
+            key = (a * s % p, b * s % p, c * s % p)
+            members = groups.setdefault(key, [])
+            members.append(j)
+            largest = max(largest, len(members))
+        for key, members in groups.items():
+            if len(members) == p:
+                found[key] = ProjLine(points[i].field, key)
+                covered.add(i)
+                covered.update(members)
+    lines = [found[key] for key in sorted(found)]
+    remaining = [q for k, q in enumerate(points) if k not in covered]
     return lines, remaining
 
 
@@ -474,7 +508,10 @@ def _peel_conic_component(points: list, p: int) -> tuple[list, list]:
 
     A quintic form can carry at most one doubled conic, and its leftover
     isolated singularities number at most four, so scanning five-subsets of
-    the first twelve points always sees five points of the conic.
+    the first twelve points always sees five points of the conic.  A
+    nondegenerate conic over GF(p), p odd, has exactly p + 1 points (it is
+    isomorphic to the projective line), so it is full when all of them are in
+    the set.
     """
     if len(points) < p + 1:
         return [], points
@@ -485,11 +522,9 @@ def _peel_conic_component(points: list, p: int) -> tuple[list, list]:
         conic = conic_through(list(five))
         if conic is None or conic.is_degenerate():
             continue
-        on = [q for q in points if conic.contains(q)]
-        total = sum(1 for q in plane_points(p) if conic.contains(q))
-        if total == p + 1 and len(on) == total:
-            rest = [q for q in points if not conic.contains(q)]
-            return [conic], rest
+        on = {q for q in points if conic.contains(q)}
+        if len(on) == p + 1:
+            return [conic], [q for q in points if q not in on]
     return [], points
 
 
@@ -608,11 +643,6 @@ def _conic_containing(points: Sequence[ProjPoint]) -> Optional[Conic]:
     return Conic(points[0].field, basis[0])
 
 
-def _six_on_conic(points: Sequence[ProjPoint]) -> bool:
-    m = DenseMatrix(points[0].field, [veronese(q) for q in points], 6)
-    return kernel(m).dim > 0
-
-
 def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
     """Second cut of the line by the conic through the four base points and pt."""
     q = conic_through(list(base) + [pt])
@@ -708,7 +738,7 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         trio = _two_trio_partition(pts, sized)
         if trio:
             return 23
-        if _six_on_conic(pts):
+        if on_common_conic(pts):
             conic = _conic_containing(pts)
             if conic is not None and not conic.is_degenerate() \
                     and all(conic.contains(q) for q in pts):
@@ -761,14 +791,13 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
             return 34
         return None
     # m <= 3
-    conic = conic_through(list(pts[:5])) if _no_triple_in(pts[:5]) else None
+    conic = conic_through(list(pts[:5])) if _no_collinear_triple(pts[:5]) else None
     if conic is not None and not conic.is_degenerate() \
             and all(conic.contains(q) for q in pts):
         return 32
     trios = [set(p) for p in sized.values() if len(p) == 3]
     for s1, s2 in combinations(trios, 2):
         if not (s1 & s2) and len(s1 | s2) == 6:
-            (free,) = set(pts) - (s1 | s2)
             return 35
     for skip in range(7):
         six = [q for i, q in enumerate(pts) if i != skip]
@@ -782,10 +811,6 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
         if not conic.contains(pts[skip]):
             return 36
     return None
-
-
-def _no_triple_in(points) -> bool:
-    return all(not collinear(a, b, c) for a, b, c in combinations(points, 3))
 
 
 def _classify_eight(pts, sized, m) -> Optional[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, InputError
@@ -165,6 +166,10 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
     if len({p1, p2, p3}) != 3:
         raise InputError("collinearity is only defined for distinct points")
     return p1.field.is_zero(_det3(p1.field, (p1.coords, p2.coords, p3.coords)))
+
+
+def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
+    return all(not collinear(a, b, c) for a, b, c in combinations(points, 3))
 
 
 def _cross(f: Field, u: tuple, v: tuple) -> tuple:

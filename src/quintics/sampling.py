@@ -9,8 +9,10 @@ rational parametrization (s^2, s t, t^2) of a reference conic through a random
 invertible change of coordinates, so sampling works verbatim over the
 rationals, where finding points on an arbitrary conic would not be possible.
 
-Sampling that keeps failing its predicates gives up after ``MAX_ATTEMPTS``
-rejections; over a very small prime field this is the expected outcome.
+A type that needs more points on one line than a line over the field has is
+refused before any draw.  Sampling that keeps failing its predicates gives up
+after ``MAX_ATTEMPTS`` rejections; over a very small prime field this can
+still be the outcome.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _det3,
+    _no_collinear_triple,
     collinear,
     conic_line_second_point,
     conic_through,
@@ -49,6 +53,7 @@ class _Draw:
     def __init__(self, field: Field, rng: SplitMix64):
         self.field = field
         self.rng = rng
+        self._line_bases: dict = {}
 
     def coord(self):
         if isinstance(self.field, PrimeField):
@@ -71,7 +76,9 @@ class _Draw:
                 return ProjLine(self.field, c)
 
     def point_on(self, ln: ProjLine) -> ProjPoint:
-        u, v = points_on_line_basis(ln)
+        if ln not in self._line_bases:
+            self._line_bases[ln] = points_on_line_basis(ln)
+        u, v = self._line_bases[ln]
         f = self.field
         while True:
             s, t = self.coord(), self.coord()
@@ -101,10 +108,6 @@ class _Reject(Exception):
     """Internal signal: this attempt violated a genericity predicate."""
 
 
-def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
-    return all(not collinear(a, b, c) for a, b, c in combinations(points, 3))
-
-
 def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
     """Every collinear triple must lie on one of the allowed lines."""
     for a, b, c in combinations(points, 3):
@@ -113,10 +116,6 @@ def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjL
             if ln not in tuple(allowed):
                 return False
     return True
-
-
-def _on_some_conic(points: Sequence[ProjPoint]) -> bool:
-    return on_common_conic(points)
 
 
 def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]]:
@@ -155,15 +154,6 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
     return conic, points
 
 
-def _det3(f: Field, rows) -> object:
-    (a, b, c), (d, e, g), (h, i, j) = rows
-    return f.add(
-        f.sub(f.mul(a, f.sub(f.mul(e, j), f.mul(g, i))),
-              f.mul(b, f.sub(f.mul(d, j), f.mul(g, h)))),
-        f.mul(c, f.sub(f.mul(d, i), f.mul(e, h))),
-    )
-
-
 def _adjugate3(f: Field, m) -> list:
     def co(i, j):
         sub = [[m[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
@@ -173,21 +163,22 @@ def _adjugate3(f: Field, m) -> list:
     return [[co(j, i) for j in range(3)] for i in range(3)]
 
 
+def _sym(f: Field, a, b) -> tuple:
+    """The product of linear forms (a.x)(b.x) in the package conic ordering."""
+    return (
+        f.mul(a[0], b[0]),
+        f.mul(a[1], b[1]),
+        f.mul(a[2], b[2]),
+        f.add(f.mul(a[0], b[1]), f.mul(a[1], b[0])),
+        f.add(f.mul(a[0], b[2]), f.mul(a[2], b[0])),
+        f.add(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
+    )
+
+
 def _conic_from_forms(f: Field, u, v, w) -> Conic:
     """Conic (u.x)(v.x) - (w.x)^2 in the package coefficient ordering."""
-
-    def sym(a, b):
-        return (
-            f.mul(a[0], b[0]),
-            f.mul(a[1], b[1]),
-            f.mul(a[2], b[2]),
-            f.add(f.mul(a[0], b[1]), f.mul(a[1], b[0])),
-            f.add(f.mul(a[0], b[2]), f.mul(a[2], b[0])),
-            f.add(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
-        )
-
-    uv = sym(u, v)
-    ww = sym(w, w)
+    uv = _sym(f, u, v)
+    ww = _sym(f, w, w)
     return Conic(f, tuple(f.sub(a, b) for a, b in zip(uv, ww)))
 
 
@@ -434,7 +425,7 @@ def _generic_points(draw: _Draw, k: int, tid: int | str) -> Config:
         raise _Reject
     if k >= 6:
         for six in combinations(pts, 6):
-            if _on_some_conic(six):
+            if on_common_conic(six):
                 raise _Reject
     return _points_config(draw.field, pts, tid)
 
@@ -507,10 +498,30 @@ def _conic_component(draw: _Draw) -> Config:
         return Config(f, conics=(conic,), type_id=33)
 
 
+# The most distinct points of one line that the construction of a type uses,
+# counting the intersection points it must avoid there.  A line over GF(p)
+# has p + 1 points, so a larger count can never be met.
+_POINTS_ON_ONE_LINE = {
+    4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10,
+    13: 4, 14: 5, 15: 6, 16: 7, 19: 4, 20: 5, 21: 6,
+    23: 4, 25: 4, 27: 5, 28: 6, 29: 4, 30: 5, 34: 4,
+    35: 4, 37: 4, 38: 4, 39: 4, 40: 4,
+}
+
+
 def sample_generic(type_id: int, field: Field, seed: int) -> Config:
-    """Deterministically sample a generic configuration of the given type."""
+    """Deterministically sample a generic configuration of the given type.
+
+    A type whose construction needs more points on one line than a line over
+    the field has fails at once, before any draw.
+    """
     if not 1 <= type_id <= 42:
         raise InputError(f"type_id {type_id} out of range 1..42")
+    need = _POINTS_ON_ONE_LINE.get(type_id, 0)
+    if isinstance(field, PrimeField) and need > field.p + 1:
+        raise SamplingError(
+            f"type {type_id} needs {need} distinct points on one line, but a "
+            f"line over {field} has only {field.p + 1}")
     build = _builder(type_id)
     rng = SplitMix64(derive_seed(seed, type_id))
     draw = _Draw(field, rng)
@@ -585,20 +596,11 @@ def _transform_conic(m: list, c: Conic) -> Conic:
     adj = _adjugate3(f, m)
     a, b, cc, d, e, g = c.coeffs
     r0, r1, r2 = tuple(adj[0]), tuple(adj[1]), tuple(adj[2])
-
-    def sym(u, v):
-        return (
-            f.mul(u[0], v[0]), f.mul(u[1], v[1]), f.mul(u[2], v[2]),
-            f.add(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
-            f.add(f.mul(u[0], v[2]), f.mul(u[2], v[0])),
-            f.add(f.mul(u[1], v[2]), f.mul(u[2], v[1])),
-        )
-
     acc = [f.zero()] * 6
     for coef, (u, v) in (
         (a, (r0, r0)), (b, (r1, r1)), (cc, (r2, r2)),
         (d, (r0, r1)), (e, (r0, r2)), (g, (r1, r2)),
     ):
-        for i, val in enumerate(sym(u, v)):
+        for i, val in enumerate(_sym(f, u, v)):
             acc[i] = f.add(acc[i], f.mul(coef, val))
     return Conic(f, tuple(acc))

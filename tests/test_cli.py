@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,21 @@ def test_classify_line_times_nodal_cubic(tmp_path, capsys):
     assert report["classification"] == 17
     assert len(report["singular_set"]["lines"]) == 1
     assert len(report["singular_set"]["points"]) == 1
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic"])
+def test_classify_report_matches_stored(name, capsys, monkeypatch):
+    # line_triangle: a doubled line times a triangle with vertices (0:0:1),
+    # (0:1:3) and one in the chart x = 1 (type 41); double_conic: a rational
+    # doubled conic times a line, reduced to GF(101) (type 33)
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, "classify", "--poly", f"classify_{name}.json",
+                       "--prime", "101")
+    assert code == 0
+    assert out == (DATA / f"classify_{name}.expected.json").read_text(encoding="utf-8")
 
 
 def test_classify_rejects_degree_divisible_by_p(tmp_path, capsys):

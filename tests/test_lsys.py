@@ -16,6 +16,7 @@ from quintics.lsys import (
     GOLDEN_DIMS,
     HomogeneousPoly,
     K_POINTS,
+    SingularSet,
     check_conditions,
     classify,
     classify_points,
@@ -26,8 +27,10 @@ from quintics.lsys import (
     linear_system_basis,
     linear_system_dim,
     monomial_basis,
+    plane_points,
     random_poly,
     sample_quartic_contact_system,
+    singular_points_bruteforce,
     singular_set_bruteforce,
     singularity_rows,
     space_dim,
@@ -463,6 +466,102 @@ def test_random_nodal_quintic_is_type_1():
     assert len(ss.isolated_points) == 1
     assert not ss.line_components and not ss.conic_components
     assert classify(ss) == 1
+
+
+def _reference_singular_points(f, p):
+    """Whole-table enumeration: every monomial's value at every plane point."""
+    monomials = monomial_basis(f.degree - 1)
+    partials = [f.partial(v).to_vector() for v in range(3)]
+    out = []
+    for q in plane_points(p):
+        x, y, z = q.coords
+        vals = [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) for a, b, c in monomials]
+        if all(sum(c * v for c, v in zip(g, vals)) % p == 0 for g in partials):
+            out.append(q)
+    return out
+
+
+def _reference_singular_set(f, p):
+    """All-pairs line peel and a conic peel that counts the conic over the
+    whole plane."""
+    from collections import Counter
+    from itertools import combinations
+
+    from quintics.projgeom import conic_through, incident, line_through
+
+    pts = _reference_singular_points(f, p)
+    lines, rest = [], pts
+    if len(pts) >= p + 1 and p + 1 > f.degree:
+        pair_lines = Counter(line_through(a, b) for a, b in combinations(pts, 2))
+        lines = sorted((ln for ln, cnt in pair_lines.items() if cnt == p * (p + 1) // 2),
+                       key=lambda ln: ln.coeffs)
+        rest = [q for q in pts if not any(incident(q, ln) for ln in lines)]
+    conics = []
+    if p + 1 > 2 * f.degree and len(rest) >= p + 1:
+        for five in combinations(rest[:12], 5):
+            conic = conic_through(five)
+            if conic is None or conic.is_degenerate():
+                continue
+            total = sum(1 for q in plane_points(p) if conic.contains(q))
+            on = [q for q in rest if conic.contains(q)]
+            if total == p + 1 and len(on) == total:
+                conics = [conic]
+                rest = [q for q in rest if not conic.contains(q)]
+                break
+    return SingularSet(PrimeField(p), tuple(sorted(rest, key=lambda q: q.coords)),
+                       tuple(lines), tuple(conics))
+
+
+def _oracle_forms(p):
+    """Named quintic forms over GF(p) covering every branch of the oracle."""
+    fp = PrimeField(p)
+
+    def ln(*c):
+        return line_poly(ProjLine(fp, c))
+
+    conic = conic_poly(Conic(fp, (1, 1, -1, 0, 0, 3)))
+    forms = [(f"random {s}", random_poly(fp, 5, s)) for s in range(3)]
+    forms.append(("line^2 cubic", ln(1, 2, 3) ** 2 * random_poly(fp, 3, 5)))
+    forms.append(("line^2 nodal cubic", ln(0, 1, 1) ** 2 * HomogeneousPoly(
+        fp, 3, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1})))
+    forms.append(("crossing lines^2 line", ln(1, 2, 3) ** 2 * ln(2, 0, 1) ** 2 * ln(1, 1, 1)))
+    # both squared lines pass through (0:1:3), a point of the chart x = 0
+    forms.append(("lines^2 meeting at x=0, line",
+                  ln(1, 3, -1) ** 2 * ln(2, -3, 1) ** 2 * ln(5, 1, 4)))
+    forms.append(("line^2 conic line", ln(1, 2, 3) ** 2 * conic * ln(1, 1, 1)))
+    forms.append(("conic^2 line (type 33)", conic * conic * ln(1, 1, 5)))
+    # singular at (0:1:3), (0:0:1) and (1:2:4): members of their linear system
+    special = Config(fp, points=(ProjPoint(fp, (0, 1, 3)), ProjPoint(fp, (0, 0, 1)),
+                                 ProjPoint(fp, (1, 2, 4))))
+    basis = linear_system_basis(special).basis
+    for shift in range(2):
+        vec = [sum((i + shift + 1) * row[j] for i, row in enumerate(basis)) % p
+               for j in range(21)]
+        forms.append((f"singular at (0:1:3), (0:0:1) #{shift}",
+                      HomogeneousPoly.from_vector(fp, 5, vec)))
+    return forms
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_oracle_matches_reference_construction(p):
+    for name, f in _oracle_forms(p):
+        assert not f.is_zero(), name
+        want = _reference_singular_set(f, p)
+        assert singular_points_bruteforce(f, p) == _reference_singular_points(f, p), name
+        assert singular_set_bruteforce(f, p) == want, name
+
+
+def test_oracle_forms_reach_every_branch():
+    fp = PrimeField(101)
+    found = {name: singular_set_bruteforce(f, 101) for name, f in _oracle_forms(101)}
+    assert len(found["lines^2 meeting at x=0, line"].line_components) == 2
+    assert ProjPoint(fp, (0, 1, 3)) in set(found["singular at (0:1:3), (0:0:1) #0"]
+                                           .isolated_points)
+    assert ProjPoint(fp, (0, 0, 1)) in set(found["singular at (0:1:3), (0:0:1) #1"]
+                                           .isolated_points)
+    assert len(found["conic^2 line (type 33)"].conic_components) == 1
+    assert len(found["line^2 conic line"].line_components) == 1
+    assert classify(found["line^2 nodal cubic"]) == 17
 
 
 def test_zero_form_is_whole_plane():

@@ -193,6 +193,19 @@ def test_sampler_exhaustion_over_tiny_field():
         sample_generic(10, PrimeField(5), 0)
 
 
+@pytest.mark.parametrize("type_id,p", [(10, 5), (7, 5), (28, 3), (40, 2)])
+def test_sampler_refuses_too_many_points_on_a_line_before_any_draw(type_id, p, monkeypatch):
+    import quintics.sampling as sampling_mod
+    from quintics.errors import SamplingError
+
+    def no_draws(*args):
+        raise AssertionError("the sampler drew before refusing")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
+    with pytest.raises(SamplingError, match=f"type {type_id} .*fp:{p}"):
+        sample_generic(type_id, PrimeField(p), 0)
+
+
 def test_on_common_conic_requires_six_distinct_points():
     pts5 = _points_on_standard_conic([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
     with pytest.raises(InputError):
