@@ -12,7 +12,9 @@ Fraction arithmetic blow up; reduced row echelon form (used for kernels and
 canonical subspace bases) uses exact Fraction Gaussian elimination.  Over
 ``GF(p)`` elimination runs on plain int rows with the reduction mod p
 inlined: rank is the forward pass alone, and reduced row echelon form is the
-same forward pass followed by back-substitution.  All routines are
+same forward pass followed by back-substitution.  ``rank_rows`` ranks plain
+rows (ints or Fractions over QQ, residues over GF(p)) without building a
+``DenseMatrix``, and ``rank`` delegates to it.  All routines are
 deterministic: identical inputs give bit-identical outputs, so echelon bases
 are usable in regression tests.
 """
@@ -454,61 +456,73 @@ def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def _integerize(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        lcm = 1
-        for v in row:
-            d = v.denominator
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: an integer row spanning the
+    same line.  Entries may be ints or Fractions."""
+    lcm = 1
+    for v in row:
+        d = v.denominator
+        if d != 1:
             lcm = lcm // gcd(lcm, d) * d
-        out.append([int(v * lcm) for v in row])
-    return out
+    if lcm == 1:
+        return [v.numerator for v in row]
+    return [v.numerator * (lcm // v.denominator) for v in row]
 
 
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination."""
-    m = [row[:] for row in rows]
-    if not m:
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Bareiss elimination.
+
+    Works in place on the rows of ``m``.  After each step every entry below
+    the pivot rows is a minor of the input, so the division by the previous
+    pivot is exact.
+    """
+    nrows = len(m)
+    if not nrows:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
-    for c in range(ncols):
-        pivot_row = None
+    for c in range(len(m[0])):
         for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
+            if m[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
+        m[r], m[i] = m[i], m[r]
+        pr = m[r]
+        pivot = pr[c]
         for i in range(r + 1, nrows):
             mi = m[i]
-            mic = mi[c]
-            mr = m[r]
-            for j in range(c, ncols):
-                mi[j] = (pivot * mi[j] - mic * mr[j]) // prev
+            f = mi[c]
+            if f:
+                m[i] = [(pivot * a - f * b) // prev for a, b in zip(mi, pr)]
+            elif pivot != prev:
+                m[i] = [pivot * a // prev for a in mi]
         prev = pivot
-        rank += 1
         r += 1
         if r == nrows:
             break
-    return rank
+    return r
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
+def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
+    """Rank over ``field`` of equal-length rows, without building a DenseMatrix.
+
+    Over QQ the entries may be ints or Fractions; each row is cleared to
+    integers and the rows are ranked by Bareiss elimination.  Over GF(p) the
+    entries must be ints in ``[0, p)``.  The rows are left unchanged.
+    """
+    if isinstance(field, RationalField):
+        return _bareiss_rank([_integer_row(row) for row in rows])
+    return len(_fp_forward(field.p, list(rows)))
+
+
 def rank(m: DenseMatrix) -> int:
     """Rank of a dense matrix over its field."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    if isinstance(m.field, RationalField):
-        return _bareiss_rank(_integerize(m.rows))
-    return len(_fp_forward(m.field.p, [list(r) for r in m.rows]))
+    return rank_rows(m.field, m.rows)
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:

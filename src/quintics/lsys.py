@@ -2,12 +2,12 @@
 
 The dimension count at the center of the package works entirely in the
 coordinate space of degree-d forms in x, y, z: a configuration imposes three
-derivative rows per marked point, while a full line or conic component forces
-divisibility by the square of its equation, which is imposed by the rows
-annihilating the forms divisible by that square.  All of these rows are
-stacked into one matrix per configuration, so the space of degree-5 curves
-singular along the configuration is its kernel, and its dimension is
-21 - rank, computed exactly over the chosen field.
+derivative rows per marked point, while a full line or conic component g
+forces divisibility by g^2, which is imposed by the rows of the remainder map
+f -> f mod g^2.  All of these rows are assembled once per configuration as
+plain int rows, so the space of degree-5 curves singular along the
+configuration is their kernel, and its dimension is 21 - rank, computed
+exactly over the chosen field without building a matrix object.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field, grouping
@@ -28,8 +28,9 @@ from .exactalg import (
     Field,
     PrimeField,
     SubspaceBasis,
+    _integer_row,
     kernel,
-    rank,
+    rank_rows,
     row_space,
 )
 from .projgeom import (
@@ -214,21 +215,61 @@ def random_poly(field: Field, degree: int, seed: int) -> HomogeneousPoly:
 # constraint rows
 
 
-def _power_table(field: Field, coords: Sequence, top: int) -> list:
-    pows = [[field.one()] for _ in range(3)]
-    for i in range(3):
-        for _ in range(top):
-            pows[i].append(field.mul(pows[i][-1], coords[i]))
-    return pows
+@lru_cache(maxsize=None)
+def _derivative_table(d: int) -> tuple:
+    """Per variable, the (column, exponent e, index k) triples of its partial
+    derivative on degree-d forms: the monomial in column j, with exponent e in
+    that variable, differentiates to e times monomial k of degree d - 1."""
+    lower = {exps: k for k, exps in enumerate(monomial_basis(d - 1))} if d else {}
+    table = []
+    for var in range(3):
+        entries = []
+        for j, exps in enumerate(monomial_basis(d)):
+            e = exps[var]
+            if e:
+                shifted = list(exps)
+                shifted[var] = e - 1
+                entries.append((j, e, lower[tuple(shifted)]))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def _monomial_values(coords: Sequence, m: int, p: Optional[int]) -> list:
+    """The degree-m monomials at ``coords`` in ``monomial_basis(m)`` order,
+    as residues mod p, or exactly when p is None."""
+    pows = []
+    for v in coords:
+        col = [1]
+        for _ in range(m):
+            col.append(col[-1] * v % p if p else col[-1] * v)
+        pows.append(col)
+    px, py, pz = pows
+    vals = [px[a] * py[b] * pz[c] for a, b, c in monomial_basis(m)]
+    return [v % p for v in vals] if p else vals
+
+
+def _point_rows(coords: Sequence, d: int, p: Optional[int]) -> list:
+    """The three derivative rows at ``coords`` on degree-d forms, as residues
+    mod p, or exactly when p is None."""
+    mon = _monomial_values(coords, d - 1, p) if d else []
+    n = space_dim(d)
+    rows = []
+    for entries in _derivative_table(d):
+        row = [0] * n
+        for j, e, k in entries:
+            row[j] = e * mon[k]
+        rows.append([v % p for v in row] if p else row)
+    return rows
+
+
+def _modulus(field: Field) -> Optional[int]:
+    return field.p if isinstance(field, PrimeField) else None
 
 
 def vanishing_row(a: ProjPoint, d: int) -> DenseMatrix:
     """The single row expressing f(a) = 0 on degree-d coefficient vectors."""
-    f = a.field
-    pows = _power_table(f, a.coords, d)
-    row = [f.mul(pows[0][e0], f.mul(pows[1][e1], pows[2][e2]))
-           for (e0, e1, e2) in monomial_basis(d)]
-    return DenseMatrix(f, [row], space_dim(d))
+    row = _monomial_values(a.coords, d, _modulus(a.field))
+    return DenseMatrix(a.field, [row], space_dim(d))
 
 
 def singularity_rows(a: ProjPoint, d: int) -> DenseMatrix:
@@ -237,23 +278,7 @@ def singularity_rows(a: ProjPoint, d: int) -> DenseMatrix:
     The rows depend on the projective representative only up to scaling, so
     their row space, which is all downstream code uses, is well defined.
     """
-    f = a.field
-    pows = _power_table(f, a.coords, d)
-    rows = []
-    for var in range(3):
-        row = []
-        for exps in monomial_basis(d):
-            e = exps[var]
-            if e == 0:
-                row.append(f.zero())
-                continue
-            shifted = list(exps)
-            shifted[var] = e - 1
-            mono = f.mul(pows[0][shifted[0]],
-                         f.mul(pows[1][shifted[1]], pows[2][shifted[2]]))
-            row.append(f.mul(f.coerce(e), mono))
-        rows.append(row)
-    return DenseMatrix(f, rows, space_dim(d))
+    return DenseMatrix(a.field, _point_rows(a.coords, d, _modulus(a.field)), space_dim(d))
 
 
 def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
@@ -274,51 +299,119 @@ def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
     return row_space(DenseMatrix(f, rows, space_dim(d)))
 
 
+def _remainder_rows(g: HomogeneousPoly, d: int) -> list:
+    """Integer rows whose kernel is the space of degree-d forms divisible by g^2.
+
+    They are the rows of the remainder map f -> f mod g^2 in graded-lex
+    order, one per monomial not divisible by the leading monomial L of
+    G = g^2.  {G} is a Groebner basis of the ideal it generates, so a form
+    is divisible by G exactly when its remainder is zero, in every
+    characteristic.  The remainder of each monomial is found in one sweep in
+    increasing order: a monomial q * L reduces to the remainder of
+    q * (L - G / c), where c is the leading coefficient, whose monomials are
+    all smaller and already reduced.
+
+    Over GF(p) the entries are residues and G is made monic.  Over QQ, G is
+    squared from an integer multiple of g, and the remainder of a monomial
+    reached after h reductions is kept as c^h times itself, so no fraction
+    appears; the rows are then scaled by c^H, H the largest h.
+    """
+    if d < 2 * g.degree:
+        raise InputError("multiplicity times degree exceeds the ambient degree")
+    if g.is_zero():
+        raise InputError("cannot divide by the zero form")
+    p = _modulus(g.field)
+    if p is None:
+        g = HomogeneousPoly(g.field, g.degree,
+                            dict(zip(g.terms, _integer_row(g.terms.values()))))
+    square = {e: v.numerator for e, v in (g * g).terms.items()}
+    lead = max(square)
+    c = square.pop(lead)
+    if p:
+        inv = pow(c, -1, p)
+        tail = [(e, -v * inv % p) for e, v in square.items()]
+        c = 1
+    else:
+        tail = [(e, -v) for e, v in square.items()]
+    basis = monomial_basis(d)
+    index = {e: j for j, e in enumerate(basis)}
+    n = len(basis)
+    std = [j for j, e in enumerate(basis)
+           if e[0] < lead[0] or e[1] < lead[1] or e[2] < lead[2]]
+    reduced: list = [None] * n
+    depth = [0] * n
+    for i, j in enumerate(std):
+        unit = [0] * len(std)
+        unit[i] = 1
+        reduced[j] = unit
+    for j in range(n - 1, -1, -1):
+        if reduced[j] is not None:
+            continue
+        q = tuple(a - b for a, b in zip(basis[j], lead))
+        parts = [(v, index[(q[0] + e[0], q[1] + e[1], q[2] + e[2])]) for e, v in tail]
+        h = 1 + max((depth[k] for _, k in parts), default=0)
+        acc = [0] * len(std)
+        for v, k in parts:
+            s = v * c ** (h - 1 - depth[k])
+            acc = [a + s * b for a, b in zip(acc, reduced[k])]
+        reduced[j] = [a % p for a in acc] if p else acc
+        depth[j] = h
+    if c != 1:
+        top = max(depth)
+        reduced = [[v * c ** (top - h) for v in col] for col, h in zip(reduced, depth)]
+    return [list(row) for row in zip(*reduced)]
+
+
 def constraint_matrix(cfg: Config, d: int = 5) -> DenseMatrix:
     """Stacked singularity rows of all marked points of a configuration."""
+    p = _modulus(cfg.field)
     rows: list = []
     for pt in cfg.points:
-        rows.extend(singularity_rows(pt, d).rows)
+        rows.extend(_point_rows(pt.coords, d, p))
     return DenseMatrix(cfg.field, rows, space_dim(d))
 
 
-def _system_matrix(cfg: Config, d: int) -> DenseMatrix:
-    """One matrix whose kernel is the space of degree-d forms singular along ``cfg``.
+def _system_rows(cfg: Config, d: int) -> list:
+    """Rows whose kernel is the space of degree-d forms singular along ``cfg``.
 
-    The singularity rows of the marked points are stacked with, for each line
-    or conic component g, a basis of the annihilator of the forms divisible by
-    g^2.  Without components this is ``constraint_matrix`` itself.
+    The derivative rows of the marked points are stacked with the remainder
+    rows of each line or conic component.  Over GF(p) the entries are
+    residues; over QQ they are ints, the point rows taken at an integer
+    representative of each point (the row span does not depend on it).
     """
-    m = constraint_matrix(cfg, d)
-    comps = [line_poly(ln) for ln in cfg.lines] + [conic_poly(qc) for qc in cfg.conics]
-    if not comps:
-        return m
-    rows = list(m.rows)
-    for g in comps:
-        rows.extend(kernel(divisibility_subspace(g, 2, d).to_matrix()).basis)
-    return DenseMatrix(cfg.field, rows, space_dim(d))
+    p = _modulus(cfg.field)
+    rows: list = []
+    for pt in cfg.points:
+        rows.extend(_point_rows(pt.coords if p else _integer_row(pt.coords), d, p))
+    for ln in cfg.lines:
+        rows.extend(_remainder_rows(line_poly(ln), d))
+    for qc in cfg.conics:
+        rows.extend(_remainder_rows(conic_poly(qc), d))
+    return rows
 
 
 def linear_system_dim(cfg: Config, d: int = 5) -> int:
     """Dimension of the space of degree-d forms singular along ``cfg``.
 
-    Marked points contribute their three derivative rows; full line and conic
-    components force divisibility by the squared component equation.  Both
-    kinds of rows form one stacked matrix S, and the dimension is
-    ``space_dim(d) - rank(S)`` (21 - rank for quintics).  The whole-plane
-    configuration is the one case with no matrix: only the zero form is
-    singular everywhere.
+    Marked points contribute their three derivative rows; a full line or
+    conic component g contributes the rows of the remainder map modulo g^2,
+    whose kernel is the forms divisible by g^2.  Both kinds of rows are
+    assembled once as plain int rows S, and the dimension is
+    ``space_dim(d) - rank(S)`` (21 - rank for quintics), ranked by Bareiss
+    elimination over QQ and by elimination mod p over GF(p).  The
+    whole-plane configuration is the one case with no matrix: only the zero
+    form is singular everywhere.
     """
     if cfg.whole_plane:
         return 0
-    return space_dim(d) - rank(_system_matrix(cfg, d))
+    return space_dim(d) - rank_rows(cfg.field, _system_rows(cfg, d))
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     """Echelonized basis of the same space ``linear_system_dim`` measures."""
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
-    return kernel(_system_matrix(cfg, d))
+    return kernel(DenseMatrix(cfg.field, _system_rows(cfg, d), space_dim(d)))
 
 
 def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:

@@ -509,11 +509,20 @@ _POINTS_ON_ONE_LINE = {
 }
 
 
+# Type 36 needs a seventh point off a nondegenerate conic and off the 15
+# secants of six points on it.  Over GF(p), p <= 7, no six points of the conic
+# xz = y^2 leave such a point; every nondegenerate conic is projectively
+# equivalent to it and the condition is projectively invariant, so no conic
+# over these fields does.
+_TYPE36_MIN_PRIME = 11
+
+
 def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     """Deterministically sample a generic configuration of the given type.
 
     A type whose construction needs more points on one line than a line over
-    the field has fails at once, before any draw.
+    the field has, or type 36 over a field too small for it, fails at once,
+    before any draw.
     """
     if not 1 <= type_id <= 42:
         raise InputError(f"type_id {type_id} out of range 1..42")
@@ -522,6 +531,10 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
         raise SamplingError(
             f"type {type_id} needs {need} distinct points on one line, but a "
             f"line over {field} has only {field.p + 1}")
+    if type_id == 36 and isinstance(field, PrimeField) and field.p < _TYPE36_MIN_PRIME:
+        raise SamplingError(
+            f"type {type_id} needs a point off a conic and off every secant of "
+            f"six points on it, and no such point exists over {field}")
     build = _builder(type_id)
     rng = SplitMix64(derive_seed(seed, type_id))
     draw = _Draw(field, rng)

@@ -203,6 +203,16 @@ def test_classify_report_matches_stored(name, capsys, monkeypatch):
     assert out == (DATA / f"classify_{name}.expected.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("field,seeds,name", [
+    ("qq", "1", "dims_all_qq_seeds1"),
+    ("fp:101", "2", "dims_all_fp101_seeds2"),
+])
+def test_dims_report_matches_stored(field, seeds, name, capsys):
+    code, out, _ = run(capsys, "dims", "--type", "all", "--field", field, "--seeds", seeds)
+    assert code == 0
+    assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")
+
+
 def test_classify_rejects_degree_divisible_by_p(tmp_path, capsys):
     fp = PrimeField(7)
     # degree 5 over p = 5 is rejected before enumeration

@@ -15,6 +15,7 @@ from quintics.exactalg import (
     matrix_mod_p,
     parse_field,
     rank,
+    rank_rows,
     row_space,
     span_sum,
 )
@@ -148,6 +149,35 @@ def test_bareiss_rank_agrees_with_echelon_pivots():
         m = _random_matrix(QQ, rng, rng.int_in(1, 6), rng.int_in(1, 7))
         _, pivots = rref(m)
         assert rank(m) == len(pivots)
+
+
+def test_rank_rows_on_mixed_int_and_fraction_rows():
+    # rows as assembled without a DenseMatrix: ints and Fractions side by
+    # side, large and rank-deficient; the rows themselves are left unchanged
+    from quintics.exactalg import rref
+
+    big = 10 ** 12
+    cases = [
+        [[1, Fraction(1, 3), 2], [3, 1, Fraction(6)], [0, Fraction(2, 3), 0]],
+        [[Fraction(big, 7), -3, Fraction(1, big)], [big, Fraction(-21, 1), Fraction(7, big)]],
+        [[0, 0, 0], [Fraction(0), 0, 0]],
+        [[Fraction(5, 9), 2, 0, Fraction(-1, 10 ** 9)], [1, 0, 3, 4], [0, 0, 0, 1]],
+    ]
+    rng = SplitMix64(405)
+    for _ in range(30):
+        nrows, ncols = rng.int_in(1, 6), rng.int_in(1, 7)
+        cases.append([[rng.int_in(-5, 5) if rng.below(2) else
+                       Fraction(rng.int_in(-6, 6) * big, rng.int_in(1, 9))
+                       for _ in range(ncols)] for _ in range(nrows)])
+    for rows in cases:
+        before = [list(r) for r in rows]
+        m = DenseMatrix(QQ, rows)
+        assert rank_rows(QQ, rows) == rank(m) == len(rref(m)[1]), rows
+        assert rows == before
+    fp = PrimeField(7)
+    rows = [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
+    assert rank_rows(fp, rows) == rank(DenseMatrix(fp, rows)) == 2
+    assert rows == [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
 
 
 def test_kernel_bases_are_deterministic():

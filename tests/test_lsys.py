@@ -13,6 +13,7 @@ from quintics.exactalg import (
     rank,
 )
 from quintics.lsys import (
+    _remainder_rows,
     GOLDEN_DIMS,
     HomogeneousPoly,
     K_POINTS,
@@ -265,6 +266,59 @@ def test_linear_system_basis_matches_reference_construction(field):
         got = linear_system_basis(cfg)
         assert got == _reference_basis(cfg), type_id
         assert got.dim == linear_system_dim(cfg) == GOLDEN_DIMS[type_id], type_id
+
+
+def _component_cases(field):
+    # lines with zero leading coefficients, a nondegenerate conic (xz - y^2,
+    # no x^2 term), and the degenerate conics xy, x^2 and the line pair
+    # (x + y + z)(x + 2y + 3z), which passes through no coordinate point
+    return [
+        line_poly(ProjLine(field, (0, 1, 3))),
+        line_poly(ProjLine(field, (0, 0, 1))),
+        line_poly(ProjLine(field, (1, 2, 3))),
+        conic_poly(Conic(field, (0, -1, 0, 0, 1, 0))),
+        conic_poly(Conic(field, (0, 0, 0, 1, 0, 0))),
+        conic_poly(Conic(field, (1, 0, 0, 0, 0, 0))),
+        conic_poly(Conic(field, (1, 2, 3, 3, 4, 5))),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=["qq", "fp7", "fp101"])
+def test_remainder_rows_cut_out_divisibility_subspace(field):
+    for g in _component_cases(field):
+        for d in range(2 * g.degree, 7):
+            rows = _remainder_rows(g, d)
+            assert len(rows) == space_dim(d) - space_dim(d - 2 * g.degree), (g.terms, d)
+            got = kernel(DenseMatrix(field, rows, space_dim(d)))
+            assert got == divisibility_subspace(g, 2, d), (g.terms, d)
+    with pytest.raises(InputError):
+        _remainder_rows(_component_cases(field)[0], 1)
+    with pytest.raises(InputError):
+        _remainder_rows(_component_cases(field)[3], 3)
+    with pytest.raises(InputError):
+        _remainder_rows(HomogeneousPoly(field, 1, {}), 5)
+
+
+def test_integer_clearing_over_qq_with_large_coordinates():
+    big = 10 ** 12
+    points = (
+        pt(1, Fraction(big, 7), Fraction(-3, 10 ** 9)),
+        pt(Fraction(2, 3), Fraction(-5, 10 ** 11), 7),
+        pt(10 ** 9 + 7, 1, Fraction(13, 10 ** 10)),
+        pt(Fraction(1, 10 ** 8), 1, 1),
+        pt(3, Fraction(10 ** 10, 11), 1),
+    )
+    cfg = Config(QQ, points=points)
+    dim = linear_system_dim(cfg)
+    assert dim == space_dim(5) - rank(constraint_matrix(cfg)) == 6
+    assert linear_system_basis(cfg) == _reference_basis(cfg)
+    line = ProjLine(QQ, (Fraction(big, 7), 1, Fraction(-3, 10 ** 9)))
+    conic = Conic(QQ, (Fraction(1, 10 ** 9), 2, Fraction(-big, 13), 0, 1, 0))
+    for extra in (dict(lines=(line,)), dict(conics=(conic,))):
+        cfg = Config(QQ, points=points[:2], **extra)
+        assert linear_system_basis(cfg) == _reference_basis(cfg), extra
+        assert linear_system_basis(cfg).dim == linear_system_dim(cfg), extra
 
 
 def test_classify_rejects_component_with_incident_point():

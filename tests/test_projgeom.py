@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,45 @@ def test_sampler_refuses_too_many_points_on_a_line_before_any_draw(type_id, p, m
     monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
     with pytest.raises(SamplingError, match=f"type {type_id} .*fp:{p}"):
         sample_generic(type_id, PrimeField(p), 0)
+
+
+def _type36_feasible(p):
+    # exhaustive over the six-subsets of the conic xz = y^2: is there one with
+    # a point of the plane off the conic and off the 15 secants of the six?
+    conic = [(1, t, t * t % p) for t in range(p)] + [(0, 0, 1)]
+    plane = [(1, y, z) for y in range(p) for z in range(p)]
+    plane += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+    off_conic = [q for q in plane if (q[0] * q[2] - q[1] * q[1]) % p]
+
+    def has_seventh_point(six):
+        secants = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                    a[0] * b[1] - a[1] * b[0]) for a, b in combinations(six, 2)]
+        return any(all(sum(u * v for u, v in zip(q, s)) % p for s in secants)
+                   for q in off_conic)
+
+    return any(has_seventh_point(six) for six in combinations(conic, 6))
+
+
+def test_sampler_refuses_type36_over_small_primes_before_any_draw(monkeypatch):
+    import quintics.sampling as sampling_mod
+    from quintics.errors import SamplingError
+
+    # GF(2) and GF(3) have fewer than six conic points; GF(5) and GF(7) have
+    # six-subsets, none of which leaves a valid seventh point
+    feasible = {p: _type36_feasible(p) for p in (2, 3, 5, 7, 11)}
+    assert feasible == {2: False, 3: False, 5: False, 7: False, 11: True}
+
+    def no_draws(*args):
+        raise AssertionError("the sampler drew before refusing")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
+    for p, ok in feasible.items():
+        if ok:
+            with pytest.raises(AssertionError, match="drew"):
+                sample_generic(36, PrimeField(p), 0)
+        else:
+            with pytest.raises(SamplingError, match=f"type 36 .*fp:{p}"):
+                sample_generic(36, PrimeField(p), 0)
 
 
 def test_on_common_conic_requires_six_distinct_points():
