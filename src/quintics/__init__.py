@@ -53,6 +53,7 @@ from .projgeom import (
     collinear,
     hausdorff,
     incident,
+    line_groups,
     on_common_conic,
     tangent,
 )

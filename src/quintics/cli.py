@@ -17,9 +17,9 @@ from .errors import InputError, SamplingError
 from .exactalg import PrimeField, parse_field
 from .formats import config_to_json, load_model, load_poly
 from .ledger import (
-    alexander_dualize,
     apply_differentials,
     dataset_quintic,
+    quintic_poincare_pipeline,
     totalize,
 )
 from .lsys import GOLDEN_DIMS, classify, linear_system_dim, singular_set_bruteforce
@@ -117,9 +117,7 @@ def cmd_ledger(args) -> int:
     results = []
     body: dict = {}
     if args.dataset == "quintic5":
-        table = apply_differentials(data.e1, data.differentials)
-        sigma = totalize(table)
-        final = alexander_dualize(sigma, data.big_d)
+        final, sigma, table = quintic_poincare_pipeline()
         expected = data.expected_poincare()
         results.append(_check("poincare polynomial", expected.format(), final.format()))
         body = {

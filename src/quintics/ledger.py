@@ -3,11 +3,12 @@
 The discriminant of degree-5 plane curves carries a filtration indexed by the
 42 singular-configuration types.  A finite type with k points and fiber
 dimension d contributes its sign-twisted locally finite homology shifted up
-by 2d + (k - 1); nondiscrete types contribute nothing.  This module stores
-the resulting first-page table for the quintic sweep, applies declared
-differentials, totalizes pages into Poincaré polynomials, and converts the
-total of the discriminant into the Poincaré polynomial of the complement via
-the degree-reversing complement duality in ambient dimension 21.
+by 2d + (k - 1); nondiscrete types contribute nothing.  This module places
+these contributions into the first-page table of the quintic sweep, applies
+declared differentials, totalizes pages into Poincaré polynomials, and
+converts the total of the discriminant into the Poincaré polynomial of the
+complement via the degree-reversing complement duality in ambient
+dimension 21.
 
 Everything here is exact integer arithmetic; there are no tolerances.
 """
@@ -226,11 +227,12 @@ class AuxTable:
 class QuinticDataset:
     """All stored inputs of the quintic sweep.
 
-    ``e1`` is the main first page (it degenerates: no differentials).  The
-    column specs mirror the 42-type golden table; only the three point-count
-    columns carry nonzero bases.  Auxiliary tables document the internal
-    cancellations of the two hard columns, and ``twisted_values`` collects
-    the named twisted Poincaré polynomials consumed as inputs.
+    ``e1`` is the main first page (it degenerates: no differentials), placed
+    from the column contributions.  The column specs mirror the 42-type
+    golden table; only the three point-count columns carry nonzero bases.
+    Auxiliary tables document the internal cancellations of the two hard
+    columns, and ``twisted_values`` collects the named twisted Poincaré
+    polynomials consumed as inputs.
     """
 
     e1: E1Table
@@ -262,13 +264,11 @@ def _poly(d: Mapping[int, int]) -> PoincarePoly:
 
 
 def dataset_quintic() -> QuinticDataset:
-    """The stored quintic sweep: main table, columns, auxiliary tables, inputs."""
-    e1 = E1Table.from_dict({
-        (1, 35): 1, (1, 37): 1, (1, 39): 1,
-        (2, 31): 1, (2, 33): 1, (2, 35): 1,
-        (3, 29): 1,
-    })
+    """The quintic sweep: main table, columns, auxiliary tables, inputs.
 
+    The main first page is derived from the column specs: each term of
+    degree ``deg`` in a column's contribution sits at (index, deg - index).
+    """
     columns = []
     known_bases: Dict[int, PoincarePoly] = {
         1: grassmann_poincare(1, 2),                 # single points: the plane itself
@@ -278,6 +278,10 @@ def dataset_quintic() -> QuinticDataset:
     for index in range(1, 43):
         base = known_bases.get(index, PoincarePoly.zero())
         columns.append(ColumnSpec(index, K_POINTS[index], GOLDEN_DIMS[index], base))
+    e1 = E1Table.from_dict({
+        (spec.index, deg - spec.index): dim
+        for spec in columns for deg, dim in column_contribution(spec).coeffs
+    })
 
     aux_tables = (
         AuxTable(

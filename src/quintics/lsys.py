@@ -44,9 +44,7 @@ from .projgeom import (
     conic_line_second_point,
     conic_through,
     incident,
-    line_intersection,
-    line_through,
-    on_common_conic,
+    line_groups,
     veronese,
 )
 from .rng import SplitMix64, derive_seed
@@ -716,15 +714,9 @@ def type_record(type_id: int) -> ConfigTypeRecord:
 # classification
 
 
-def _line_groups(points: Sequence[ProjPoint]) -> dict:
-    """Map each line through at least two of the points to its incident points."""
-    groups: dict = {}
-    for a, b in combinations(points, 2):
-        ln = line_through(a, b)
-        if ln in groups:
-            continue
-        groups[ln] = tuple(q for q in points if incident(q, ln))
-    return groups
+# Callers that import the classifier's grouping from this module get the one
+# collinearity primitive.
+_line_groups = line_groups
 
 
 def _conic_containing(points: Sequence[ProjPoint]) -> Optional[Conic]:
@@ -749,7 +741,7 @@ def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> O
 
 def _classify_pencil_quadruple(on_line: Sequence[ProjPoint], rest: Sequence[ProjPoint],
                                ln: ProjLine) -> Optional[int]:
-    if not all(not collinear(a, b, c) for a, b, c in combinations(rest, 3)):
+    if not _no_collinear_triple(rest):
         return None
     partner = {}
     for pt in on_line:
@@ -784,8 +776,6 @@ def _classify_triangle_conic(points: Sequence[ProjPoint], groups: dict) -> Optio
     conic = _conic_containing(others)
     if conic is None:
         return None
-    if not all(conic.contains(q) for q in others):
-        return None
     if any(conic.contains(v) for v in vertices):
         return None
     return 39
@@ -796,7 +786,7 @@ def _classify_five_lines(points: Sequence[ProjPoint], groups: dict) -> Optional[
     if len(four_lines) != 5 or any(len(pts) > 4 for pts in groups.values()):
         return None
     for q in points:
-        if sum(1 for ln in four_lines if incident(q, ln)) != 2:
+        if sum(1 for ln in four_lines if q in groups[ln]) != 2:
             return None
     return 40
 
@@ -811,14 +801,14 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         return 1
     if k == 2:
         return 2
-    groups = _line_groups(pts)
+    groups = line_groups(pts)
     sized = {ln: p for ln, p in groups.items() if len(p) >= 3}
     m = max((len(p) for p in sized.values()), default=2)
     if k == 3:
         return 3
     if m == k:
-        # all points on one line
-        return {4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10}[k]
+        # all points on one line: types 4..10 are 4..10 collinear points
+        return k
     if k == 4:
         return 12
     if k == 5:
@@ -828,37 +818,34 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
             return 14
         if m == 4:
             return 19
-        trio = _two_trio_partition(pts, sized)
-        if trio:
+        if _disjoint_trios(sized):
             return 23
-        if on_common_conic(pts):
-            conic = _conic_containing(pts)
-            if conic is not None and not conic.is_degenerate() \
-                    and all(conic.contains(q) for q in pts):
-                return 24
-            return None
-        return 26
+        # No four of the six points are collinear, so at most one conic
+        # passes through them: two conics meeting in more than four points
+        # share a line L, and the points off L lie on both residual lines,
+        # which have one common point, so five points would lie on L.
+        conic = _conic_containing(pts)
+        if conic is None:
+            return 26
+        return None if conic.is_degenerate() else 24
     if k == 7:
         return _classify_seven(pts, sized, m)
     if k == 8:
         return _classify_eight(pts, sized, m)
     if k == 9:
-        if m == 9:
-            return 9
         return _classify_triangle_conic(pts, sized)
-    if k == 10:
-        if m == 10:
-            return 10
-        return _classify_five_lines(pts, sized)
-    return None
+    return _classify_five_lines(pts, sized)
 
 
-def _two_trio_partition(pts, sized) -> bool:
+def _disjoint_trios(sized: dict) -> bool:
+    """True iff two of the three-point lines share no point."""
     trios = [set(p) for p in sized.values() if len(p) == 3]
-    for s1, s2 in combinations(trios, 2):
-        if not (s1 & s2) and len(s1 | s2) == len(pts) == 6:
-            return True
-    return False
+    return any(not (s1 & s2) for s1, s2 in combinations(trios, 2))
+
+
+def _on_one_line(sized: dict, pts: set) -> bool:
+    """True iff the three or more points ``pts`` lie on one line of ``sized``."""
+    return any(pts <= set(on) for on in sized.values())
 
 
 def _classify_seven(pts, sized, m) -> Optional[int]:
@@ -867,41 +854,26 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
     if m == 5:
         return 20
     if m == 4:
-        four = {ln: set(p) for ln, p in sized.items() if len(p) == 4}
+        four = [set(p) for p in sized.values() if len(p) == 4]
         if len(four) == 2:
-            (l1, s1), (l2, s2) = four.items()
-            if len(s1 & s2) == 1 and len(s1 | s2) == 7:
-                return 25
-            return None
+            # two four-point lines among seven points meet in one of them
+            return 25
         if len(four) == 1:
-            (ln, on_line), = four.items()
-            rest = [q for q in pts if q not in on_line]
-            if collinear(*rest):
-                other = line_through(rest[0], rest[1])
-                if line_intersection(ln, other) not in pts:
-                    return 27
-                return None
-            return 34
+            # A line through the other three cannot meet the four-point line
+            # in a point of the set: that line would then carry four points.
+            return 27 if _on_one_line(sized, set(pts) - four[0]) else 34
         return None
     # m <= 3
     conic = conic_through(list(pts[:5])) if _no_collinear_triple(pts[:5]) else None
     if conic is not None and not conic.is_degenerate() \
             and all(conic.contains(q) for q in pts):
         return 32
-    trios = [set(p) for p in sized.values() if len(p) == 3]
-    for s1, s2 in combinations(trios, 2):
-        if not (s1 & s2) and len(s1 | s2) == 6:
-            return 35
+    if _disjoint_trios(sized):
+        return 35
     for skip in range(7):
-        six = [q for i, q in enumerate(pts) if i != skip]
-        m6 = DenseMatrix(pts[0].field, [veronese(q) for q in six], 6)
-        basis = kernel(m6).basis
-        if len(basis) != 1:
-            continue
-        conic = Conic(pts[0].field, basis[0])
-        if conic.is_degenerate():
-            continue
-        if not conic.contains(pts[skip]):
+        conic = _conic_containing([q for i, q in enumerate(pts) if i != skip])
+        if conic is not None and not conic.is_degenerate() \
+                and not conic.contains(pts[skip]):
             return 36
     return None
 
@@ -912,23 +884,16 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
     if m == 6:
         return 21
     if m == 5:
-        (ln, on_line), = ((ln, p) for ln, p in sized.items() if len(p) == 5)
-        rest = [q for q in pts if q not in on_line]
-        if collinear(*rest):
-            return 28
-        return None
+        (on_line,) = (set(p) for p in sized.values() if len(p) == 5)
+        return 28 if _on_one_line(sized, set(pts) - on_line) else None
     if m == 4:
         four = {ln: set(p) for ln, p in sized.items() if len(p) == 4}
         if len(four) == 2:
-            (l1, s1), (l2, s2) = four.items()
-            union = s1 | s2
-            if not (s1 & s2) and len(union) == 8:
-                return 30
-            if len(s1 & s2) == 1 and len(union) == 7:
-                (free,) = set(pts) - union
-                if not incident(free, l1) and not incident(free, l2):
-                    return 37
-            return None
+            # Two lines share at most one point; when they share one, the
+            # eighth point is on neither, since each group holds every point
+            # of its line.
+            s1, s2 = four.values()
+            return 37 if s1 & s2 else 30
         if len(four) == 1:
             (ln, on_line), = four.items()
             rest = [q for q in pts if q not in on_line]
@@ -978,13 +943,8 @@ def _classify_with_lines(cfg: Config) -> Optional[int]:
     if n == 2:
         return 22
     if n == 3:
-        if collinear(*pts):
-            other = line_through(pts[0], pts[1])
-            meet = line_intersection(comp, other)
-            if meet not in pts:
-                return 29
-            return None
-        return 41
+        # the points are off the component, so their line meets it off the set
+        return 29 if collinear(*pts) else 41
     return None
 
 

@@ -3,7 +3,9 @@
 Points, lines and conics are stored as normalized homogeneous coordinate
 tuples (first nonzero coordinate scaled to 1), which makes equality testing
 and hashing canonical.  The incidence and genericity predicates here are the
-primitives the configuration samplers and the classifier are built on, and
+primitives the configuration samplers and the classifier are built on;
+:func:`line_groups`, which groups a point set by the lines through its pairs,
+is the one place that decides which points of a set are collinear.
 :func:`hausdorff` is the exact metric on finite point sets used by the metric
 axiom tests.
 """
@@ -168,10 +170,6 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
     return p1.field.is_zero(_det3(p1.field, (p1.coords, p2.coords, p3.coords)))
 
 
-def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
-    return all(not collinear(a, b, c) for a, b, c in combinations(points, 3))
-
-
 def _cross(f: Field, u: tuple, v: tuple) -> tuple:
     return (
         f.sub(f.mul(u[1], v[2]), f.mul(u[2], v[1])),
@@ -185,6 +183,32 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     if p1 == p2:
         raise InputError("two coincident points do not span a line")
     return ProjLine(p1.field, _cross(p1.field, p1.coords, p2.coords))
+
+
+def line_groups(points: Sequence[ProjPoint]) -> dict:
+    """Map each line through at least two of the points to the points on it.
+
+    The points of each line are listed in input order, and the lines in the
+    order their first pair is met.  Only the line through each pair is
+    computed, with pairs in lexicographic index order: a line's first pair
+    joins its two first points, and the pairs joining the first point to the
+    others follow in increasing index order, so appending along them lists
+    the points in input order.  Repeated points raise :class:`InputError`.
+    """
+    pts = tuple(points)
+    groups: dict = {}
+    for i, j in combinations(range(len(pts)), 2):
+        ln = line_through(pts[i], pts[j])
+        members = groups.get(ln)
+        if members is None:
+            groups[ln] = [i, j]
+        elif members[0] == i:
+            members.append(j)
+    return {ln: tuple(pts[i] for i in members) for ln, members in groups.items()}
+
+
+def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
+    return all(len(on) < 3 for on in line_groups(points).values())
 
 
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:

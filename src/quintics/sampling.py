@@ -33,6 +33,7 @@ from .projgeom import (
     conic_line_second_point,
     conic_through,
     incident,
+    line_groups,
     line_intersection,
     line_through,
     on_common_conic,
@@ -109,13 +110,8 @@ class _Reject(Exception):
 
 
 def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
-    """Every collinear triple must lie on one of the allowed lines."""
-    for a, b, c in combinations(points, 3):
-        if collinear(a, b, c):
-            ln = line_through(a, b)
-            if ln not in tuple(allowed):
-                return False
-    return True
+    """Every line through three or more of the points must be an allowed line."""
+    return all(ln in allowed for ln, on in line_groups(points).items() if len(on) >= 3)
 
 
 def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]]:

@@ -238,15 +238,13 @@ def assemble(cw: CwComplex, system: LocalSystem) -> ChainComplex:
 
 
 def graph_complex(num_vertices: int, edges: Sequence) -> ChainComplex:
-    """Twisted complex of a graph; edges are (start, end, transport) triples."""
-    d1 = _zeros(num_vertices, len(edges))
-    for j, (start, end, t) in enumerate(edges):
-        tv = QQ.coerce(t)
-        if tv == 0:
-            raise InputError("transport scalars must be nonzero")
-        d1[end][j] += tv
-        d1[start][j] -= 1
-    return ChainComplex([num_vertices, len(edges)], [d1])
+    """Twisted complex of a graph; edges are (start, end, transport) triples.
+
+    Vertices are named 0..num_vertices-1 and edge j is named j.
+    """
+    cw = CwComplex(tuple(range(num_vertices)),
+                   tuple((j, start, end) for j, (start, end, _) in enumerate(edges)))
+    return assemble(cw, LocalSystem({j: t for j, (_, _, t) in enumerate(edges)}))
 
 
 def circle(twist=1) -> ChainComplex:

@@ -1,4 +1,7 @@
+import json
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from quintics.exactalg import (
     SubspaceBasis,
     intersect,
     kernel,
+    parse_field,
     rank,
 )
 from quintics.lsys import (
@@ -676,3 +680,40 @@ def test_check_conditions_flags_planted_violation():
     bad = Config(FP, points=cfg.points, type_id=3)
     report = check_conditions([bad])
     assert not report.ok
+
+
+# --- classification of every subset, against stored results --------------------
+
+SUBSET_CASES = (("fp:65521", (1, 2)), ("fp:101", (1, 2)), ("qq", (1,)))
+SUBSET_TYPES = Path(__file__).resolve().parent / "data" / "subset_types.expected.json"
+
+
+def _subset_types() -> dict:
+    """classify_points on every nonempty subset of sampled finite-type configurations.
+
+    Keys read "<field> seed <s> type <t>"; each value lists the results (None
+    when no type fits) for the subsets by size, each size in combinations
+    order.  The stored file was written by this function before the
+    classifier took its line groups from ``projgeom.line_groups``, one key
+    per line: ``json.dumps`` of each key and of its list (no spaces), joined
+    as a JSON object.
+    """
+    out = {}
+    for name, seeds in SUBSET_CASES:
+        field = parse_field(name)
+        for seed in seeds:
+            for t in range(1, 43):
+                cfg = sample_generic(t, field, seed)
+                if not cfg.is_finite():
+                    continue
+                pts = cfg.points
+                out[f"{name} seed {seed} type {t}"] = [
+                    classify_points(sub)
+                    for r in range(1, len(pts) + 1) for sub in combinations(pts, r)]
+    return out
+
+
+def test_subset_classification_matches_stored():
+    stored = json.loads(SUBSET_TYPES.read_text(encoding="utf-8"))
+    assert _subset_types() == stored
+    assert sum(len(v) for v in stored.values()) > 30000

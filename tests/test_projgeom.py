@@ -5,27 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quintics.errors import InputError
+from quintics.errors import InputError, SamplingError
 from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel
 from quintics.projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _no_collinear_triple,
     collinear,
     conic_line_second_point,
     conic_through,
     hausdorff,
     incident,
+    line_groups,
     line_through,
     on_common_conic,
     tangent,
     veronese,
 )
 from quintics.sampling import (
+    _only_allowed_collinear,
     apply_transform_to_point,
     conic_from_line_pair,
     random_projective_transform,
     sample_generic,
+    sample_generic_points,
 )
 
 FP = PrimeField(65521)
@@ -338,3 +342,66 @@ def test_hausdorff_triangle_inequality(k, l, m):
 def test_hausdorff_zero_iff_equal(k, l):
     value = hausdorff(k, l).value
     assert (value == 0) == (set(k) == set(l))
+
+
+# --- line groups: the one collinearity primitive -------------------------------
+
+def _reference_line_groups(points):
+    # the classifier's former construction: each pair's line, then a scan of
+    # every point for incidence
+    groups = {}
+    for a, b in combinations(points, 2):
+        line = line_through(a, b)
+        if line not in groups:
+            groups[line] = tuple(q for q in points if incident(q, line))
+    return groups
+
+
+def _reference_collinear_lines(points):
+    return {line_through(a, b) for a, b, c in combinations(points, 3) if collinear(a, b, c)}
+
+
+def _line_group_cases(field):
+    cases = []
+    for t in range(1, 43):
+        for seed in (1, 2):
+            try:
+                cfg = sample_generic(t, field, seed)
+            except SamplingError:
+                continue  # over GF(7) some types need more points than a line has
+            if cfg.is_finite():
+                cases.append(list(cfg.points))
+    # planted lines: five points on one line, four on another, more points off
+    # both; over GF(7) the union also picks up incidental collinear sets
+    for seed in range(4):
+        five = sample_generic(5, field, seed).points
+        four = sample_generic(4, field, 50 + seed).points
+        extra = sample_generic_points(3, field, 90 + seed).points
+        cases.append(list(dict.fromkeys(five + four + extra)))
+        cases.append(list(dict.fromkeys(extra + four + five)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(65521)],
+                         ids=["qq", "fp7", "fp65521"])
+def test_line_groups_matches_incidence_scan(field):
+    planted = 0
+    for points in _line_group_cases(field):
+        groups = line_groups(points)
+        assert list(groups.items()) == list(_reference_line_groups(points).items())
+        collinear_lines = _reference_collinear_lines(points)
+        assert _no_collinear_triple(points) == (not collinear_lines)
+        sized = [line for line, on in groups.items() if len(on) >= 3]
+        planted += any(len(on) == 5 for on in groups.values()) \
+            and any(len(on) == 4 for on in groups.values())
+        for allowed in (sized, sized[1:], sized[:-1], []):
+            assert _only_allowed_collinear(points, allowed) == (collinear_lines <= set(allowed))
+        if len(points) >= 2:
+            for bad in (points + [points[0]], [points[-1]] + points):
+                with pytest.raises(InputError):
+                    line_groups(bad)
+                with pytest.raises(InputError):
+                    _no_collinear_triple(bad)
+                with pytest.raises(InputError):
+                    _only_allowed_collinear(bad, sized)
+    assert planted >= 4
