@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quintics.errors import InputError, SamplingError
-from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel
+from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel, parse_field
+from quintics.formats import config_to_json
 from quintics.projgeom import (
     Conic,
     ProjLine,
@@ -25,6 +28,7 @@ from quintics.projgeom import (
 )
 from quintics.sampling import (
     _only_allowed_collinear,
+    apply_transform_to_config,
     apply_transform_to_point,
     conic_from_line_pair,
     random_projective_transform,
@@ -405,3 +409,43 @@ def test_line_groups_matches_incidence_scan(field):
                 with pytest.raises(InputError):
                     _only_allowed_collinear(bad, sized)
     assert planted >= 4
+
+
+# --- samples and their transforms, against stored results ----------------------
+
+SAMPLE_FIELDS = ("fp:65521", "fp:101", "qq")
+SAMPLES = Path(__file__).resolve().parent / "data" / "samples.expected.json"
+
+
+def _samples() -> dict:
+    """``sample_generic(t, field, 1)`` for every type and field, with its image
+    under ``random_projective_transform(field, 5)``.
+
+    Keys read "<field> type <t>"; a value holds the sample and its image as
+    ``config_to_json`` dicts, or the message of the ``SamplingError`` raised.
+    The stored file was written by this function before the field arithmetic
+    moved from ``Field`` methods to Python operators, one key per line:
+    ``json.dumps`` of each key and of its value (no spaces, sorted keys),
+    joined as a JSON object.
+    """
+    out = {}
+    for name in SAMPLE_FIELDS:
+        field = parse_field(name)
+        m = random_projective_transform(field, 5)
+        for t in range(1, 43):
+            try:
+                cfg = sample_generic(t, field, 1)
+            except SamplingError as exc:
+                out[f"{name} type {t}"] = {"SamplingError": str(exc)}
+                continue
+            out[f"{name} type {t}"] = {
+                "sample": config_to_json(cfg),
+                "image": config_to_json(apply_transform_to_config(m, cfg)),
+            }
+    return out
+
+
+def test_samples_and_transforms_match_stored():
+    stored = json.loads(SAMPLES.read_text(encoding="utf-8"))
+    assert _samples() == stored
+    assert len(stored) == 3 * 42
