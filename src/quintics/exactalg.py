@@ -3,20 +3,20 @@
 Two coefficient fields are supported: arbitrary-precision rationals (``QQ``)
 and prime fields ``GF(p)``.  Rationals are stored as ``fractions.Fraction``
 (always in lowest terms with positive denominator), prime-field elements as
-plain ints in ``[0, p)``.
+plain ints in ``[0, p)``.  Arithmetic on them is Python's own; a
+:class:`Field` supplies only what differs between the two fields.
 
-Each field has one elimination path.  Over the rationals, rank is computed
-by fraction-free Bareiss elimination on integerized rows, which keeps
-intermediate entries polynomial in the input instead of letting gcd-heavy
-Fraction arithmetic blow up; reduced row echelon form (used for kernels and
-canonical subspace bases) uses exact Fraction Gaussian elimination.  Over
-``GF(p)`` elimination runs on plain int rows with the reduction mod p
-inlined: rank is the forward pass alone, and reduced row echelon form is the
-same forward pass followed by back-substitution.  ``rank_rows`` ranks plain
-rows (ints or Fractions over QQ, residues over GF(p)) without building a
-``DenseMatrix``, and ``rank`` delegates to it.  All routines are
-deterministic: identical inputs give bit-identical outputs, so echelon bases
-are usable in regression tests.
+Over the rationals, rank is computed by fraction-free Bareiss elimination on
+integerized rows, which keeps intermediate entries polynomial in the input
+instead of letting gcd-heavy Fraction arithmetic blow up, while reduced row
+echelon form (used for kernels and canonical subspace bases) is exact
+Fraction Gauss-Jordan elimination.  Over ``GF(p)`` elimination runs on plain
+int rows with the reduction mod p inlined: rank is the forward pass alone,
+and reduced row echelon form is the same forward pass followed by
+back-substitution.  ``rank_rows`` ranks plain rows (ints or Fractions over
+QQ, residues over GF(p)) without building a ``DenseMatrix``, and ``rank``
+delegates to it.  All routines are deterministic: identical inputs give
+bit-identical outputs, so echelon bases are usable in regression tests.
 """
 
 from __future__ import annotations
@@ -31,18 +31,25 @@ from .errors import FieldMismatchError, InputError
 RawValue = Union[Fraction, int]
 
 
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3 * 10^24 with the standard witness set.
+# The primes up to 41 as Miller-Rabin witnesses decide primality of every n
+# below 3317044064679887385961981, the least strong pseudoprime to all of them
+# (Sorenson and Webster, 2017); PrimeField accepts no modulus at or above it.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for ``n < _PRIME_BOUND``."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -56,7 +63,16 @@ def _is_probable_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface of the two supported coefficient fields."""
+    """What differs between the two coefficient fields, and nothing more.
+
+    Arithmetic is Python's: ``+``, ``-``, ``*`` and negation act on the raw
+    values directly, Fractions over QQ and ints over GF(p), and division is
+    multiplication by ``inv``.  Over GF(p) the results are unreduced ints;
+    ``coerce`` maps them (or any int, Fraction or numeric string) to the
+    canonical value, a ``Fraction`` over QQ or a residue in ``[0, p)`` over
+    GF(p).  ``is_zero`` accepts unreduced values, and ``zero``/``one`` are
+    the canonical constants.  Fields compare and hash by name.
+    """
 
     name: str
 
@@ -64,31 +80,22 @@ class Field:
         raise NotImplementedError
 
     def zero(self) -> RawValue:
-        raise NotImplementedError
+        return self.coerce(0)
 
     def one(self) -> RawValue:
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
+        return self.coerce(1)
 
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         raise NotImplementedError
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Field) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return self.name
@@ -104,24 +111,6 @@ class RationalField(Field):
             raise InputError("floats are not exact; pass Fraction, int or str")
         return Fraction(value)
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -130,16 +119,13 @@ class RationalField(Field):
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("qq")
-
 
 class PrimeField(Field):
     def __init__(self, p: int):
-        if not _is_probable_prime(p):
+        if p >= _PRIME_BOUND:
+            raise InputError(f"modulus {p} is too large: primality is decided "
+                             f"only below {_PRIME_BOUND}")
+        if not _is_prime(p):
             raise InputError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"fp:{p}"
@@ -158,24 +144,6 @@ class PrimeField(Field):
             return self.coerce(Fraction(value))
         return int(value) % self.p
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -183,12 +151,6 @@ class PrimeField(Field):
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("fp", self.p))
 
 
 QQ = RationalField()
@@ -223,22 +185,22 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
+        return Scalar(self.field, self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
+        return Scalar(self.field, self.value - other.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
+        return Scalar(self.field, self.value * other.value)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.field, self.field.div(self.value, other.value))
+        return Scalar(self.field, self.value * self.field.inv(other.value))
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.field, self.field.neg(self.value))
+        return Scalar(self.field, -self.value)
 
     def is_zero(self) -> bool:
         return self.field.is_zero(self.value)
@@ -268,8 +230,6 @@ class DenseMatrix:
             ncols = inferred
         elif ncols is None:
             raise InputError("zero-row matrix needs an explicit column count")
-        if ncols == 0 and grid:
-            raise InputError("rows must have at least one column")
         self.field = field
         self.rows = grid
         self.nrows = len(grid)
@@ -289,10 +249,8 @@ class DenseMatrix:
         return cls(fld, [[s.value for s in row] for row in rows], ncols)
 
     def transpose(self) -> "DenseMatrix":
-        if self.nrows == 0:
-            return DenseMatrix(self.field, [() for _ in range(self.ncols)], 0) \
-                if self.ncols else DenseMatrix(self.field, [], 0)
-        return DenseMatrix(self.field, list(zip(*self.rows)), self.nrows)
+        return DenseMatrix(self.field, [[row[j] for row in self.rows] for j in range(self.ncols)],
+                           self.nrows)
 
     def stack(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.field != other.field:
@@ -307,13 +265,7 @@ class DenseMatrix:
             raise InputError("vector length does not match column count")
         f = self.field
         vec = [f.coerce(v) for v in vector]
-        out = []
-        for row in self.rows:
-            acc = f.zero()
-            for a, b in zip(row, vec):
-                acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple(f.coerce(sum(a * b for a, b in zip(row, vec))) for row in self.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DenseMatrix) and self.field == other.field
@@ -365,8 +317,7 @@ class SubspaceBasis:
             piv = next(j for j, v in enumerate(row) if not f.is_zero(v))
             coef = vec[piv]
             if not f.is_zero(coef):
-                for j in range(self.ambient_dim):
-                    vec[j] = f.sub(vec[j], f.mul(coef, row[j]))
+                vec = [f.coerce(a - coef * b) for a, b in zip(vec, row)]
         return all(f.is_zero(v) for v in vec)
 
     def to_matrix(self) -> DenseMatrix:
@@ -443,12 +394,11 @@ def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        rows[r] = [inv * v for v in rows[r]]
         for i in range(len(rows)):
             if i != r and not field.is_zero(rows[i][c]):
                 factor = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -547,7 +497,7 @@ def kernel(m: DenseMatrix) -> SubspaceBasis:
         vec = [field.zero()] * m.ncols
         vec[fc] = field.one()
         for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(reduced.rows[i][fc])
+            vec[pc] = field.coerce(-reduced.rows[i][fc])
         vectors.append(vec)
     echelon, _ = _rref(field, vectors)
     kept = tuple(tuple(row) for row in echelon

@@ -118,14 +118,12 @@ class HomogeneousPoly:
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         if self.field != other.field:
             raise FieldMismatchError("cannot multiply over different fields")
-        f = self.field
         acc: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prev = acc.get(key, f.zero())
-                acc[key] = f.add(prev, f.mul(c1, c2))
-        return HomogeneousPoly(f, self.degree + other.degree, acc)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return HomogeneousPoly(self.field, self.degree + other.degree, acc)
 
     def __pow__(self, n: int) -> "HomogeneousPoly":
         if n < 0:
@@ -136,19 +134,17 @@ class HomogeneousPoly:
         return out
 
     def scale(self, c) -> "HomogeneousPoly":
-        f = self.field
-        cc = f.coerce(c)
-        return HomogeneousPoly(f, self.degree,
-                               {e: f.mul(cc, v) for e, v in self.terms.items()})
+        cc = self.field.coerce(c)
+        return HomogeneousPoly(self.field, self.degree,
+                               {e: cc * v for e, v in self.terms.items()})
 
     def add(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         if self.degree != other.degree:
             raise InputError("cannot add forms of different degrees")
-        f = self.field
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = f.add(acc.get(e, f.zero()), c)
-        return HomogeneousPoly(f, self.degree, acc)
+            acc[e] = acc.get(e, 0) + c
+        return HomogeneousPoly(self.field, self.degree, acc)
 
     def reduce_to(self, field: Field) -> "HomogeneousPoly":
         """The same form with every coefficient coerced into ``field``."""
@@ -157,7 +153,6 @@ class HomogeneousPoly:
 
     def partial(self, var: int) -> "HomogeneousPoly":
         """Formal partial derivative with respect to variable 0, 1 or 2."""
-        f = self.field
         acc: dict = {}
         for exps, coeff in self.terms.items():
             e = exps[var]
@@ -165,21 +160,21 @@ class HomogeneousPoly:
                 continue
             key = list(exps)
             key[var] = e - 1
-            acc[tuple(key)] = f.mul(coeff, f.coerce(e))
-        return HomogeneousPoly(f, max(self.degree - 1, 0), acc)
+            acc[tuple(key)] = coeff * e
+        return HomogeneousPoly(self.field, max(self.degree - 1, 0), acc)
 
     def evaluate(self, coords: Sequence):
         f = self.field
-        d = self.degree
-        pows = [[f.one()] for _ in range(3)]
-        for i in range(3):
-            for _ in range(d):
-                pows[i].append(f.mul(pows[i][-1], f.coerce(coords[i])))
-        acc = f.zero()
-        for (a, b, c), coeff in self.terms.items():
-            term = f.mul(coeff, f.mul(pows[0][a], f.mul(pows[1][b], pows[2][c])))
-            acc = f.add(acc, term)
-        return acc
+        pows = []
+        for v in coords:
+            v = f.coerce(v)
+            col = [f.one()]
+            for _ in range(self.degree):
+                col.append(f.coerce(col[-1] * v))
+            pows.append(col)
+        px, py, pz = pows
+        return f.coerce(sum(coeff * px[a] * py[b] * pz[c]
+                            for (a, b, c), coeff in self.terms.items()))
 
     def gradient_at(self, pt: ProjPoint) -> tuple:
         return tuple(self.partial(v).evaluate(pt.coords) for v in range(3))
@@ -712,11 +707,6 @@ def type_record(type_id: int) -> ConfigTypeRecord:
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-# Callers that import the classifier's grouping from this module get the one
-# collinearity primitive.
-_line_groups = line_groups
 
 
 def _conic_containing(points: Sequence[ProjPoint]) -> Optional[Conic]:

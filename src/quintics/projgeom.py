@@ -27,7 +27,7 @@ def _normalize(field: Field, coords: Sequence) -> tuple:
     if lead is None:
         raise InputError("homogeneous coordinates must not all vanish")
     inv = field.inv(lead)
-    return tuple(field.mul(inv, v) for v in vals)
+    return tuple(field.coerce(inv * v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,14 @@ class Conic:
         _same_field(self.field, pt.field)
         a, b, c, d, e, g = self.coeffs
         x, y, z = pt.coords
-        f = self.field
-        terms = (
-            f.mul(a, f.mul(x, x)), f.mul(b, f.mul(y, y)), f.mul(c, f.mul(z, z)),
-            f.mul(d, f.mul(x, y)), f.mul(e, f.mul(x, z)), f.mul(g, f.mul(y, z)),
-        )
-        acc = f.zero()
-        for t in terms:
-            acc = f.add(acc, t)
-        return acc
+        return self.field.coerce(a * x * x + b * y * y + c * z * z
+                                 + d * x * y + e * x * z + g * y * z)
 
     def is_degenerate(self) -> bool:
         # Determinant of the doubled symmetric matrix; zero iff the conic
         # splits into lines (valid in any odd characteristic).
         a, b, c, d, e, g = self.coeffs
-        f = self.field
-        two_a, two_b, two_c = f.add(a, a), f.add(b, b), f.add(c, c)
-        det = f.sub(
-            f.add(
-                f.mul(two_a, f.sub(f.mul(two_b, two_c), f.mul(g, g))),
-                f.mul(e, f.sub(f.mul(d, g), f.mul(two_b, e))),
-            ),
-            f.mul(d, f.sub(f.mul(d, two_c), f.mul(g, e))),
-        )
-        return f.is_zero(det)
+        return self.field.is_zero(_det3(((2 * a, d, e), (d, 2 * b, g), (e, g, 2 * c))))
 
     def contains(self, pt: ProjPoint) -> bool:
         return self.field.is_zero(self.evaluate(pt))
@@ -145,20 +129,14 @@ def _same_field(a: Field, b: Field) -> None:
 def incident(pt: ProjPoint, ln: ProjLine) -> bool:
     """True iff the point lies on the line."""
     _same_field(pt.field, ln.field)
-    f = pt.field
-    acc = f.zero()
-    for a, b in zip(pt.coords, ln.coeffs):
-        acc = f.add(acc, f.mul(a, b))
-    return f.is_zero(acc)
+    (x, y, z), (a, b, c) = pt.coords, ln.coeffs
+    return pt.field.is_zero(a * x + b * y + c * z)
 
 
-def _det3(f: Field, rows) -> object:
+def _det3(rows) -> object:
+    """Determinant of a 3x3 matrix, unreduced over GF(p)."""
     (a, b, c), (d, e, g), (h, i, j) = rows
-    return f.add(
-        f.sub(f.mul(a, f.sub(f.mul(e, j), f.mul(g, i))),
-              f.mul(b, f.sub(f.mul(d, j), f.mul(g, h)))),
-        f.mul(c, f.sub(f.mul(d, i), f.mul(e, h))),
-    )
+    return a * (e * j - g * i) - b * (d * j - g * h) + c * (d * i - e * h)
 
 
 def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
@@ -167,22 +145,20 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
     _same_field(p1.field, p3.field)
     if len({p1, p2, p3}) != 3:
         raise InputError("collinearity is only defined for distinct points")
-    return p1.field.is_zero(_det3(p1.field, (p1.coords, p2.coords, p3.coords)))
+    return p1.field.is_zero(_det3((p1.coords, p2.coords, p3.coords)))
 
 
-def _cross(f: Field, u: tuple, v: tuple) -> tuple:
-    return (
-        f.sub(f.mul(u[1], v[2]), f.mul(u[2], v[1])),
-        f.sub(f.mul(u[2], v[0]), f.mul(u[0], v[2])),
-        f.sub(f.mul(u[0], v[1]), f.mul(u[1], v[0])),
-    )
+def _cross(u: tuple, v: tuple) -> tuple:
+    """Cross product, unreduced over GF(p); callers normalize it."""
+    (a, b, c), (d, e, g) = u, v
+    return (b * g - c * e, c * d - a * g, a * e - b * d)
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     _same_field(p1.field, p2.field)
     if p1 == p2:
         raise InputError("two coincident points do not span a line")
-    return ProjLine(p1.field, _cross(p1.field, p1.coords, p2.coords))
+    return ProjLine(p1.field, _cross(p1.coords, p2.coords))
 
 
 def line_groups(points: Sequence[ProjPoint]) -> dict:
@@ -215,7 +191,7 @@ def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     _same_field(l1.field, l2.field)
     if l1 == l2:
         raise InputError("coincident lines have no unique intersection")
-    return ProjPoint(l1.field, _cross(l1.field, l1.coeffs, l2.coeffs))
+    return ProjPoint(l1.field, _cross(l1.coeffs, l2.coeffs))
 
 
 def points_on_line_basis(ln: ProjLine) -> tuple[ProjPoint, ProjPoint]:
@@ -226,10 +202,8 @@ def points_on_line_basis(ln: ProjLine) -> tuple[ProjPoint, ProjPoint]:
 
 def veronese(pt: ProjPoint) -> tuple:
     """Degree-2 Veronese coordinates in the package conic ordering."""
-    f = pt.field
     x, y, z = pt.coords
-    return (f.mul(x, x), f.mul(y, y), f.mul(z, z),
-            f.mul(x, y), f.mul(x, z), f.mul(y, z))
+    return tuple(map(pt.field.coerce, (x * x, y * y, z * z, x * y, x * z, y * z)))
 
 
 def on_common_conic(pts: Sequence[ProjPoint]) -> bool:
@@ -270,23 +244,17 @@ def restrict_conic_to_line(c: Conic, ln: ProjLine) -> tuple:
 
 
 def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:
-    f = c.field
     a, b, cc, d, e, g = c.coeffs
     (x1, y1, z1), (x2, y2, z2) = p.coords, q.coords
 
     def val(x, y, z):
-        acc = f.zero()
-        for coef, term in ((a, f.mul(x, x)), (b, f.mul(y, y)), (cc, f.mul(z, z)),
-                           (d, f.mul(x, y)), (e, f.mul(x, z)), (g, f.mul(y, z))):
-            acc = f.add(acc, f.mul(coef, term))
-        return acc
+        return a * x * x + b * y * y + cc * z * z + d * x * y + e * x * z + g * y * z
 
     A = val(x1, y1, z1)
     C = val(x2, y2, z2)
     # B = c(p+q) - c(p) - c(q), the polarization of the quadratic form.
-    mixed = val(f.add(x1, x2), f.add(y1, y2), f.add(z1, z2))
-    B = f.sub(f.sub(mixed, A), C)
-    return (A, B, C)
+    B = val(x1 + x2, y1 + y2, z1 + z2) - A - C
+    return tuple(map(c.field.coerce, (A, B, C)))
 
 
 def tangent(c: Conic, ln: ProjLine) -> bool:
@@ -300,9 +268,7 @@ def tangent(c: Conic, ln: ProjLine) -> bool:
     f = c.field
     if f.is_zero(A) and f.is_zero(B) and f.is_zero(C):
         raise InputError("line is a component of the conic; restriction is not reduced")
-    four = f.add(f.add(f.one(), f.one()), f.add(f.one(), f.one()))
-    disc = f.sub(f.mul(B, B), f.mul(four, f.mul(A, C)))
-    return f.is_zero(disc)
+    return f.is_zero(B * B - 4 * A * C)
 
 
 def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoint | None:
@@ -331,9 +297,7 @@ def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoi
         if f.is_zero(C):
             raise InputError("line is a component of the conic")
         return None
-    x = tuple(f.sub(f.mul(C, pc), f.mul(B, qc)) for pc, qc in zip(p.coords, q.coords))
-    other = ProjPoint(f, x)
-    return other
+    return ProjPoint(f, tuple(C * pc - B * qc for pc, qc in zip(p.coords, q.coords)))
 
 
 # ---------------------------------------------------------------------------

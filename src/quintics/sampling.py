@@ -85,8 +85,7 @@ class _Draw:
             s, t = self.coord(), self.coord()
             if f.is_zero(s) and f.is_zero(t):
                 continue
-            coords = tuple(f.add(f.mul(s, a), f.mul(t, b))
-                           for a, b in zip(u.coords, v.coords))
+            coords = tuple(s * a + t * b for a, b in zip(u.coords, v.coords))
             if any(not f.is_zero(c) for c in coords):
                 return ProjPoint(f, coords)
 
@@ -124,10 +123,9 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
     f = draw.field
     while True:
         t_rows = [draw.coords(3) for _ in range(3)]
-        det = _det3(f, t_rows)
-        if not f.is_zero(det):
+        if not f.is_zero(_det3(t_rows)):
             break
-    inv = _adjugate3(f, t_rows)  # rows of T^{-1} up to the harmless factor det
+    inv = _adjugate3(t_rows)  # rows of T^{-1} up to the harmless factor det
     conic = _conic_from_forms(f, inv[0], inv[2], inv[1])
     params: set = set()
     guard = 0
@@ -140,49 +138,41 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
         if t in params:
             continue
         params.add(t)
-        base = (f.one(), t, f.mul(t, t))
-        pt = tuple(
-            f.add(f.add(f.mul(row[0], base[0]), f.mul(row[1], base[1])),
-                  f.mul(row[2], base[2]))
-            for row in t_rows
-        )
-        points.append(ProjPoint(f, pt))
+        points.append(ProjPoint(f, tuple(r0 + r1 * t + r2 * t * t for r0, r1, r2 in t_rows)))
     return conic, points
 
 
-def _adjugate3(f: Field, m) -> list:
+def _adjugate3(m) -> list:
+    """Adjugate of a 3x3 matrix, unreduced over GF(p)."""
     def co(i, j):
         sub = [[m[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
-        det2 = f.sub(f.mul(sub[0][0], sub[1][1]), f.mul(sub[0][1], sub[1][0]))
-        return det2 if (i + j) % 2 == 0 else f.neg(det2)
+        det2 = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+        return det2 if (i + j) % 2 == 0 else -det2
 
     return [[co(j, i) for j in range(3)] for i in range(3)]
 
 
-def _sym(f: Field, a, b) -> tuple:
-    """The product of linear forms (a.x)(b.x) in the package conic ordering."""
+def _sym(a, b) -> tuple:
+    """The product of linear forms (a.x)(b.x) in the package conic ordering,
+    unreduced over GF(p)."""
     return (
-        f.mul(a[0], b[0]),
-        f.mul(a[1], b[1]),
-        f.mul(a[2], b[2]),
-        f.add(f.mul(a[0], b[1]), f.mul(a[1], b[0])),
-        f.add(f.mul(a[0], b[2]), f.mul(a[2], b[0])),
-        f.add(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
+        a[0] * b[0],
+        a[1] * b[1],
+        a[2] * b[2],
+        a[0] * b[1] + a[1] * b[0],
+        a[0] * b[2] + a[2] * b[0],
+        a[1] * b[2] + a[2] * b[1],
     )
 
 
 def _conic_from_forms(f: Field, u, v, w) -> Conic:
     """Conic (u.x)(v.x) - (w.x)^2 in the package coefficient ordering."""
-    uv = _sym(f, u, v)
-    ww = _sym(f, w, w)
-    return Conic(f, tuple(f.sub(a, b) for a, b in zip(uv, ww)))
+    return Conic(f, tuple(a - b for a, b in zip(_sym(u, v), _sym(w, w))))
 
 
 def conic_from_line_pair(l1: ProjLine, l2: ProjLine) -> Conic:
     """The degenerate conic that is the union of two lines."""
-    f = l1.field
-    zero3 = (f.zero(), f.zero(), f.zero())
-    return _conic_from_forms(f, l1.coeffs, l2.coeffs, zero3)
+    return Conic(l1.field, _sym(l1.coeffs, l2.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -563,31 +553,21 @@ def random_projective_transform(field: Field, seed: int) -> list:
     draw = _Draw(field, SplitMix64(derive_seed(seed, 777)))
     while True:
         rows = [draw.coords(3) for _ in range(3)]
-        if not field.is_zero(_det3(field, rows)):
+        if not field.is_zero(_det3(rows)):
             return rows
 
 
 def apply_transform_to_point(m: list, pt: ProjPoint) -> ProjPoint:
-    f = pt.field
-    coords = tuple(
-        f.add(f.add(f.mul(row[0], pt.coords[0]), f.mul(row[1], pt.coords[1])),
-              f.mul(row[2], pt.coords[2]))
-        for row in m
-    )
-    return ProjPoint(f, coords)
+    x, y, z = pt.coords
+    return ProjPoint(pt.field, tuple(r0 * x + r1 * y + r2 * z for r0, r1, r2 in m))
 
 
 def apply_transform_to_line(m: list, ln: ProjLine) -> ProjLine:
     # Lines transform by the inverse transpose; the adjugate differs from it
     # by a nonzero determinant factor, which projective normalization kills.
-    f = ln.field
-    adj = _adjugate3(f, m)
-    coeffs = tuple(
-        f.add(f.add(f.mul(adj[0][i], ln.coeffs[0]), f.mul(adj[1][i], ln.coeffs[1])),
-              f.mul(adj[2][i], ln.coeffs[2]))
-        for i in range(3)
-    )
-    return ProjLine(f, coeffs)
+    a, b, c = ln.coeffs
+    return ProjLine(ln.field, tuple(a * c0 + b * c1 + c * c2
+                                    for c0, c1, c2 in zip(*_adjugate3(m))))
 
 
 def apply_transform_to_config(m: list, cfg: Config) -> Config:
@@ -601,15 +581,9 @@ def apply_transform_to_config(m: list, cfg: Config) -> Config:
 def _transform_conic(m: list, c: Conic) -> Conic:
     # Pull back the quadratic form along the adjugate (inverse up to scale):
     # q'(x) = q(Ax) with A = adjugate(m), expanded through the Veronese map.
-    f = c.field
-    adj = _adjugate3(f, m)
-    a, b, cc, d, e, g = c.coeffs
-    r0, r1, r2 = tuple(adj[0]), tuple(adj[1]), tuple(adj[2])
-    acc = [f.zero()] * 6
-    for coef, (u, v) in (
-        (a, (r0, r0)), (b, (r1, r1)), (cc, (r2, r2)),
-        (d, (r0, r1)), (e, (r0, r2)), (g, (r1, r2)),
-    ):
-        for i, val in enumerate(_sym(f, u, v)):
-            acc[i] = f.add(acc[i], f.mul(coef, val))
-    return Conic(f, tuple(acc))
+    r0, r1, r2 = _adjugate3(m)
+    acc = [0] * 6
+    for coef, (u, v) in zip(c.coeffs, ((r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2))):
+        for i, val in enumerate(_sym(u, v)):
+            acc[i] += coef * val
+    return Conic(c.field, tuple(acc))

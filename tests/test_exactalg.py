@@ -69,9 +69,26 @@ def test_scalar_arithmetic_and_mismatch():
     b = Scalar(QQ, "1/4")
     assert (a + b).value == 1
     assert (a * b).value == Fraction(3, 16)
+    assert (a - b).value == Fraction(1, 2)
+    assert (b - a).value == Fraction(-1, 2)
+    assert (a / b).value == 3
+    assert (-a).value == Fraction(-3, 4)
+    assert type((a - a).value) is Fraction
     fp = PrimeField(7)
     c = Scalar(fp, 10)
     assert c.value == 3
+    five, two = Scalar(fp, 5), Scalar(fp, 2)
+    assert (five + two).value == 0
+    assert (five + five).value == 3
+    assert (two - five).value == 4
+    assert (five * five).value == 4
+    assert (two / five).value == 6
+    assert (-two).value == 5
+    assert (-Scalar(fp, 0)).value == 0
+    with pytest.raises(ZeroDivisionError):
+        _ = five / Scalar(fp, 14)
+    with pytest.raises(ZeroDivisionError):
+        _ = a / Scalar(QQ, 0)
     with pytest.raises(FieldMismatchError):
         _ = a + c
 
@@ -82,6 +99,15 @@ def test_prime_field_rejects_composite():
     assert parse_field("fp:65521").p == 65521
     with pytest.raises(InputError):
         parse_field("fp:not-a-number")
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; psi_13 to every prime base up to 41
+    with pytest.raises(InputError, match="not prime"):
+        PrimeField(318665857834031151167461)
+    with pytest.raises(InputError, match="too large"):
+        PrimeField(3317044064679887385961981)
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    from quintics.cli import main
+    assert main(["dims", "--type", "1", "--field", "fp:318665857834031151167461"]) == 2
 
 
 def test_mixed_scalar_rows_rejected():
@@ -103,8 +129,9 @@ def _random_matrix(field, rng, nrows, ncols):
 @pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(7)])
 def test_rank_transpose_and_nullity(field):
     rng = SplitMix64(2024)
-    for _ in range(40):
-        m = _random_matrix(field, rng, rng.int_in(1, 6), rng.int_in(1, 7))
+    matrices = [_random_matrix(field, rng, rng.int_in(1, 6), rng.int_in(1, 7))
+                for _ in range(40)]
+    for m in matrices + [DenseMatrix(field, [], 3), DenseMatrix(field, [], 0)]:
         r = rank(m)
         assert r == rank(m.transpose())
         ker = kernel(m)
@@ -112,6 +139,16 @@ def test_rank_transpose_and_nullity(field):
         # checked by multiplication, independently of any elimination
         for vec in ker.basis:
             assert not any(m.apply(vec)), vec
+
+
+def test_transpose_shapes():
+    for nrows, ncols in ((0, 3), (3, 0), (0, 0), (2, 3)):
+        m = DenseMatrix(QQ, [[i + j for j in range(ncols)] for i in range(nrows)], ncols)
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (ncols, nrows)
+        assert t.transpose() == m
+        assert rank(t) == rank(m)
+    assert DenseMatrix(QQ, [[1, 2], [3, 4]]).transpose().rows == ((1, 3), (2, 4))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(7)])

@@ -446,7 +446,7 @@ def test_double_conic_times_line_is_conic_type():
 def test_five_line_product_realizes_type_40():
     fp101 = PrimeField(101)
     cfg = sample_generic(40, fp101, 3)
-    from quintics.lsys import _line_groups
+    from quintics.projgeom import line_groups as _line_groups
 
     lines = [ln for ln, pts in _line_groups(cfg.points).items() if len(pts) == 4]
     assert len(lines) == 5
@@ -474,7 +474,7 @@ def test_conic_pair_times_line_realizes_type_38():
     # line their product is singular exactly at the sampled configuration
     from itertools import combinations
 
-    from quintics.lsys import _line_groups
+    from quintics.projgeom import line_groups as _line_groups
     from quintics.projgeom import conic_through
 
     fp101 = PrimeField(101)
@@ -496,7 +496,7 @@ def test_conic_pair_times_line_realizes_type_38():
 def test_conic_times_triangle_realizes_type_39():
     from itertools import combinations
 
-    from quintics.lsys import _line_groups
+    from quintics.projgeom import line_groups as _line_groups
     from quintics.projgeom import conic_through
 
     fp101 = PrimeField(101)
