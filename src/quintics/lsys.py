@@ -166,8 +166,7 @@ class HomogeneousPoly:
     def evaluate(self, coords: Sequence):
         f = self.field
         pows = []
-        for v in coords:
-            v = f.coerce(v)
+        for v in map(f.coerce, coords):
             col = [f.one()]
             for _ in range(self.degree):
                 col.append(f.coerce(col[-1] * v))
