@@ -478,30 +478,21 @@ def plane_points(p: int) -> tuple:
     return tuple(pts)
 
 
-# Enumeration visits all p^2 + p + 1 points, so the brute force is capped at
-# desk scale.
+# The sieve runs Horner's rule over all p values of z only on a row whose gcd
+# has degree >= 3; the cap keeps that work, and the table of squares, small.
 MAX_BRUTEFORCE_PRIME = 251
-
-
-def _z_polynomial(g: HomogeneousPoly, x: int, y: int, p: int) -> list:
-    """g(x, y, z) over GF(p) as a polynomial in z, highest power first, with
-    leading zeros stripped (empty for the zero polynomial)."""
-    coeffs = [0] * (g.degree + 1)
-    for (a, b, c), coeff in g.terms.items():
-        coeffs[c] += coeff * x ** a * y ** b
-    coeffs = [v % p for v in reversed(coeffs)]
-    while coeffs and not coeffs[0]:
-        coeffs.pop(0)
-    return coeffs
 
 
 def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     """All projective points over GF(p) where every partial of f vanishes.
 
-    The plane is walked row by row in ``plane_points`` order: x = 1 with y
+    The plane is sieved row by row in ``plane_points`` order: x = 1 with y
     fixed, then x = 0, y = 1, then (0, 0, 1).  On a row each partial is a
-    polynomial in z of degree at most deg f - 1, evaluated by Horner's rule on
-    the z values still alive; a row is dropped at its first nonzero partial.
+    polynomial in z, and the singular z values are the roots in GF(p) of the
+    gcd of the nonzero ones, folded in one at a time until it is constant.
+    A gcd of degree 1 or 2 is solved in closed form, a higher one by Horner's
+    rule over every z; a row on which all three partials vanish is kept whole.
+    Only found points are built: no table of the plane is made unless f = 0.
     """
     field = PrimeField(p)
     if f.field != field:
@@ -513,25 +504,74 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     if p > MAX_BRUTEFORCE_PRIME:
         raise InputError(f"brute force enumerates p^2+p+1 points; use p <= "
                          f"{MAX_BRUTEFORCE_PRIME}")
-    pts = plane_points(p)
     if f.is_zero():
-        return list(pts)
-    partials = [f.partial(v) for v in range(3)]
-    # (x, y, the row's z values, its points indexed by z)
-    rows = [(1, y, range(p), pts[y * p:(y + 1) * p]) for y in range(p)]
-    rows.append((0, 1, range(p), pts[p * p:p * p + p]))
-    rows.append((0, 0, (1,), {1: pts[-1]}))
+        return list(plane_points(p))
+    n = f.degree
+    # each partial's (x-power, y-power, coeff) terms by z-power, highest first
+    tables = [[[] for _ in range(n)] for _ in range(3)]
+    for v, table in enumerate(tables):
+        for (a, b, c), coeff in f.partial(v).terms.items():
+            table[n - 1 - c].append((a, b, coeff))
     out = []
-    for x, y, zs, row_points in rows:
-        alive = list(zs)
-        for g in partials:
-            coeffs = _z_polynomial(g, x, y, p)
-            if coeffs:
-                alive = _horner_zeros(coeffs, alive, p)
-                if not alive:
-                    break
-        out.extend(row_points[z] for z in alive)
+    for y in range(p):
+        ys = [pow(y, b, p) for b in range(n)]
+        out.extend(ProjPoint(field, (1, y, z)) for z in _row_zeros(tables, ys, p))
+    # on x = 0 only the terms free of x survive
+    x_free = [[[t for t in terms if not t[0]] for terms in table] for table in tables]
+    out.extend(ProjPoint(field, (0, 1, z)) for z in _row_zeros(x_free, [1] * n, p))
+    # at (0:0:1) each partial is its coefficient of z^(n-1)
+    if not any(table[0] for table in tables):
+        out.append(ProjPoint(field, (0, 0, 1)))
     return out
+
+
+def _row_zeros(tables: list, ys: list, p: int):
+    """The z in GF(p), ascending, where every partial vanishes on a row whose
+    y has the powers ``ys``; x is 1 on every term left in ``tables``."""
+    gcd = None
+    for table in tables:
+        poly = [sum(coeff * ys[b] for _, b, coeff in terms) % p for terms in table]
+        while poly and not poly[0]:
+            poly.pop(0)
+        if poly:
+            gcd = poly if gcd is None else _gcd_mod(gcd, poly, p)
+            if len(gcd) == 1:
+                return ()
+    if gcd is None:
+        return range(p)
+    inv = pow(gcd[0], -1, p)
+    if len(gcd) == 2:
+        return (-gcd[1] * inv % p,)
+    if len(gcd) == 3:
+        b, c = gcd[1] * inv % p, gcd[2] * inv % p
+        root = _square_roots(p).get((b * b - 4 * c) % p)
+        if root is None:
+            return ()
+        half = (p + 1) // 2  # the inverse of 2
+        return sorted({(root - b) * half % p, (-root - b) * half % p})
+    return _horner_zeros(gcd, range(p), p)
+
+
+def _gcd_mod(u: list, v: list, p: int) -> list:
+    """A gcd of two nonzero polynomials over GF(p), highest power first."""
+    while len(v) > 1:
+        inv = pow(v[0], -1, p)
+        n = len(v)
+        while len(u) >= n:
+            q = u[0] * inv
+            u = [(a - q * b) % p for a, b in zip(u[1:n], v[1:])] + u[n:]
+            while u and not u[0]:
+                u.pop(0)
+        if not u:
+            return v
+        u, v = v, u
+    return v
+
+
+@lru_cache(maxsize=8)
+def _square_roots(p: int) -> dict:
+    """A square root mod p of every square mod p."""
+    return {v * v % p: v for v in range(p)}
 
 
 def _horner_zeros(coeffs: list, zs: list, p: int) -> list:

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatchError, InputError
-from .exactalg import QQ, DenseMatrix, Field, RationalField, Scalar, kernel
+from .exactalg import QQ, DenseMatrix, Field, PrimeField, RationalField, Scalar, kernel
 
 
 def _normalize(field: Field, coords: Sequence) -> tuple:
@@ -82,6 +82,7 @@ class Conic:
     def is_degenerate(self) -> bool:
         # Determinant of the doubled symmetric matrix; zero iff the conic
         # splits into lines (valid in any odd characteristic).
+        _odd_characteristic(self.field)
         a, b, c, d, e, g = self.coeffs
         return self.field.is_zero(_det3(((2 * a, d, e), (d, 2 * b, g), (e, g, 2 * c))))
 
@@ -120,6 +121,13 @@ class Config:
 def _same_field(a: Field, b: Field) -> None:
     if a != b:
         raise FieldMismatchError(f"mixed fields {a} and {b}")
+
+
+def _odd_characteristic(field: Field) -> None:
+    """Refuse GF(2), where the conic predicates' factors of 2 vanish."""
+    if isinstance(field, PrimeField) and field.p == 2:
+        raise InputError("conic degeneracy and tangency assume odd characteristic; "
+                         f"{field} has characteristic 2")
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +270,10 @@ def tangent(c: Conic, ln: ProjLine) -> bool:
 
     Tangency means the restriction of the conic to the line is a binary
     quadratic with vanishing discriminant B^2 - 4AC.  A line contained in the
-    conic makes the restriction identically zero and is rejected.
+    conic makes the restriction identically zero and is rejected, and so is
+    characteristic 2, where the discriminant is B^2 for every line.
     """
+    _odd_characteristic(c.field)
     (A, B, C), _ = restrict_conic_to_line(c, ln)
     f = c.field
     if f.is_zero(A) and f.is_zero(B) and f.is_zero(C):

@@ -9,10 +9,10 @@ rational parametrization (s^2, s t, t^2) of a reference conic through a random
 invertible change of coordinates, so sampling works verbatim over the
 rationals, where finding points on an arbitrary conic would not be possible.
 
-A type that needs more points on one line than a line over the field has is
-refused before any draw.  Sampling that keeps failing its predicates gives up
-after ``MAX_ATTEMPTS`` rejections; over a very small prime field this can
-still be the outcome.
+A type that needs more points on one line than a line over the field has, or
+a conic over GF(2), is refused before any draw.  Sampling that keeps failing
+its predicates gives up after ``MAX_ATTEMPTS`` rejections; over a very small
+prime field this can still be the outcome.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .projgeom import (
     ProjPoint,
     _det3,
     _no_collinear_triple,
+    _odd_characteristic,
     collinear,
     conic_line_second_point,
     conic_through,
@@ -503,12 +504,17 @@ _POINTS_ON_ONE_LINE = {
 _TYPE36_MIN_PRIME = 11
 
 
+# Types whose construction tests a conic for degeneracy, which the package
+# decides in odd characteristic only.
+_CONIC_TYPES = frozenset({24, 32, 33, 36, 38, 39})
+
+
 def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     """Deterministically sample a generic configuration of the given type.
 
     A type whose construction needs more points on one line than a line over
-    the field has, or type 36 over a field too small for it, fails at once,
-    before any draw.
+    the field has, type 36 over a field too small for it, or a type built on
+    a conic over GF(2), fails at once, before any draw.
     """
     if not 1 <= type_id <= 42:
         raise InputError(f"type_id {type_id} out of range 1..42")
@@ -521,6 +527,8 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
         raise SamplingError(
             f"type {type_id} needs a point off a conic and off every secant of "
             f"six points on it, and no such point exists over {field}")
+    if type_id in _CONIC_TYPES:
+        _odd_characteristic(field)
     build = _builder(type_id)
     rng = SplitMix64(derive_seed(seed, type_id))
     draw = _Draw(field, rng)

@@ -73,6 +73,20 @@ def test_dims_bad_type_is_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("type_id", [24, 32, 33])
+def test_dims_conic_types_refuse_characteristic_two(capsys, monkeypatch, type_id):
+    import quintics.sampling as sampling_mod
+
+    def no_draw(*args):
+        raise AssertionError("a conic type over fp:2 must fail before any draw")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draw)
+    code, out, err = run(capsys, "dims", "--type", str(type_id), "--field", "fp:2",
+                         "--seeds", "1")
+    assert code == 2 and out == ""
+    assert "characteristic 2" in err
+
+
 def test_ledger_quintic5(capsys):
     code, out, _ = run(capsys, "ledger", "--dataset", "quintic5", "--emit", "poincare")
     assert code == 0

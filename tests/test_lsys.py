@@ -622,6 +622,61 @@ def test_oracle_forms_reach_every_branch():
     assert classify(found["line^2 nodal cubic"]) == 17
 
 
+def _sieve_forms(p, d):
+    """Named forms of degree d over GF(p), each built to reach a branch of
+    the row sieve in ``singular_points_bruteforce``."""
+    fp = PrimeField(p)
+
+    def ln(*c):
+        return line_poly(ProjLine(fp, c))
+
+    def pad(g, seed):
+        return g if g.degree == d else g * random_poly(fp, d - g.degree, seed)
+
+    def member(*coords):
+        cfg = Config(fp, points=tuple(ProjPoint(fp, c) for c in coords))
+        basis = linear_system_basis(cfg, d).basis
+        vec = [sum((i + 1) * row[j] for i, row in enumerate(basis)) % p
+               for j in range(space_dim(d))]
+        return HomogeneousPoly.from_vector(fp, d, vec)
+
+    # (x - z)^2 + y (x + y + z): the row y = 0 touches it at (1:0:1), and
+    # the other rows meet it in two points or in none
+    conic = conic_poly(Conic(fp, (1, 1, 1, 1, -2, 1)))
+    return [
+        ("no z in f: the z-partial is zero, singular at (0:0:1)",
+         HomogeneousPoly(fp, d, {(d, 0, 0): 1, (0, d, 0): 1})),
+        ("doubled line: gcd of degree 1", pad(ln(1, 2, 3) ** 2, 1)),
+        ("two doubled lines: gcd of degree 2 with two roots",
+         pad(ln(1, 2, 3) ** 2 * ln(2, 1, 1) ** 2, 2)),
+        ("doubled conic: degree 2 with two, one or no roots", pad(conic ** 2, 3)),
+        ("doubled line x = 0: the whole row x = 0", pad(ln(1, 0, 0) ** 2, 4)),
+        ("three points on the row y = 2: gcd of degree >= 3",
+         member((1, 2, 0), (1, 2, 1), (1, 2, 3))),
+        ("four points on the row y = 2: the whole row when d = 4",
+         member((1, 2, 0), (1, 2, 1), (1, 2, 3), (1, 2, 4))),
+        ("singular on x = 0 and at (0:0:1)", member((0, 1, 3), (0, 0, 1), (1, 2, 4))),
+    ]
+
+
+@pytest.mark.parametrize("p,d", [(5, 4), (5, 6), (251, 4)])
+def test_sieve_matches_whole_table_reference(p, d):
+    for name, f in _sieve_forms(p, d):
+        assert not f.is_zero(), name
+        assert singular_points_bruteforce(f, p) == _reference_singular_points(f, p), name
+
+
+def test_bruteforce_builds_no_plane_table():
+    fp = PrimeField(101)
+    plane_points.cache_clear()
+    ss = singular_set_bruteforce(random_poly(fp, 5, 7049), 101)
+    assert len(ss.isolated_points) == 1
+    assert plane_points.cache_info().currsize == 0
+    plane = [ProjPoint(fp, (1, y, z)) for y in range(101) for z in range(101)]
+    plane += [ProjPoint(fp, (0, 1, z)) for z in range(101)] + [ProjPoint(fp, (0, 0, 1))]
+    assert singular_points_bruteforce(HomogeneousPoly(fp, 5, {}), 101) == plane
+
+
 def test_zero_form_is_whole_plane():
     fp11 = PrimeField(11)
     zero = HomogeneousPoly(fp11, 5, {})

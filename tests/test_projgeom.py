@@ -155,6 +155,18 @@ def test_line_inside_conic_rejected():
         tangent(pair, ln(0, 0, 1))
 
 
+def test_conic_predicates_refuse_characteristic_two():
+    # over GF(2) the doubled matrix has determinant 2deg = 0 for every conic
+    # and B^2 - 4AC reduces to B^2; xy + z^2 is smooth all the same
+    fp2 = PrimeField(2)
+    conic = Conic(fp2, (0, 0, 1, 1, 0, 0))
+    with pytest.raises(InputError, match="characteristic 2"):
+        conic.is_degenerate()
+    with pytest.raises(InputError, match="characteristic 2"):
+        tangent(conic, ProjLine(fp2, (1, 0, 0)))
+    assert not Conic(PrimeField(3), (0, 0, 1, 1, 0, 0)).is_degenerate()
+
+
 def test_conic_line_second_point():
     circle = Conic(QQ, (1, 1, -1, 0, 0, 0))
     chord = line_through(pt(1, 0, 1), pt(0, 1, 1))
