@@ -539,16 +539,15 @@ def _row_zeros(tables: list, ys: list, p: int):
                 return ()
     if gcd is None:
         return range(p)
-    inv = pow(gcd[0], -1, p)
     if len(gcd) == 2:
-        return (-gcd[1] * inv % p,)
+        return (-gcd[1] * pow(gcd[0], -1, p) % p,)
     if len(gcd) == 3:
-        b, c = gcd[1] * inv % p, gcd[2] * inv % p
-        root = _square_roots(p).get((b * b - 4 * c) % p)
+        a, b, c = gcd
+        root = _square_roots(p).get((b * b - 4 * a * c) % p)
         if root is None:
             return ()
-        half = (p + 1) // 2  # the inverse of 2
-        return sorted({(root - b) * half % p, (-root - b) * half % p})
+        inv = pow(2 * a, -1, p)
+        return sorted({(root - b) * inv % p, (-root - b) * inv % p})
     return _horner_zeros(gcd, range(p), p)
 
 
@@ -937,7 +936,8 @@ def classify(obj: Union[Config, SingularSet]) -> Optional[int]:
 
     Returns the unique matching type id, or None when no pattern fits.  The
     decision tree checks full components first, then maximal collinear
-    subsets, then conic membership, then intersection-point membership.
+    subsets, then conic membership, then intersection-point membership.  A
+    conic component over GF(2) raises ``InputError``, as ``is_degenerate`` does.
     """
     if isinstance(obj, SingularSet):
         cfg = obj.as_config()

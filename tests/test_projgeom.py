@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from quintics.errors import InputError, SamplingError
 from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel, parse_field
 from quintics.formats import config_to_json
+from quintics.lsys import classify
 from quintics.projgeom import (
+    Config,
     Conic,
     ProjLine,
     ProjPoint,
@@ -164,6 +166,8 @@ def test_conic_predicates_refuse_characteristic_two():
         conic.is_degenerate()
     with pytest.raises(InputError, match="characteristic 2"):
         tangent(conic, ProjLine(fp2, (1, 0, 0)))
+    with pytest.raises(InputError, match="characteristic 2"):
+        classify(Config(fp2, conics=(conic,)))
     assert not Conic(PrimeField(3), (0, 0, 1, 1, 0, 0)).is_degenerate()
 
 
