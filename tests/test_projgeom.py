@@ -431,37 +431,67 @@ def test_line_groups_matches_incidence_scan(field):
 
 SAMPLE_FIELDS = ("fp:65521", "fp:101", "qq")
 SAMPLES = Path(__file__).resolve().parent / "data" / "samples.expected.json"
+# Further seeds over the same fields, and seed 1 over two small primes where
+# rejections are frequent.
+WIDE_SAMPLE_RUNS = (("qq", (2, 3)), ("fp:65521", (2, 3)), ("fp:101", (2, 3)),
+                    ("fp:7", (1,)), ("fp:11", (1,)))
+WIDE_SAMPLES = Path(__file__).resolve().parent / "data" / "samples_wide.expected.json"
+
+
+def _sample_entries(runs, key) -> dict:
+    """``sample_generic(t, field, seed)`` for every type, field and seed of
+    ``runs``, with its image under ``random_projective_transform(field, 5)``.
+
+    A value holds the sample and its image as ``config_to_json`` dicts, or the
+    message of the ``SamplingError`` raised; ``key(name, seed, t)`` names it.
+    """
+    out = {}
+    for name, seeds in runs:
+        field = parse_field(name)
+        m = random_projective_transform(field, 5)
+        for seed in seeds:
+            for t in range(1, 43):
+                try:
+                    cfg = sample_generic(t, field, seed)
+                except SamplingError as exc:
+                    out[key(name, seed, t)] = {"SamplingError": str(exc)}
+                    continue
+                out[key(name, seed, t)] = {
+                    "sample": config_to_json(cfg),
+                    "image": config_to_json(apply_transform_to_config(m, cfg)),
+                }
+    return out
 
 
 def _samples() -> dict:
-    """``sample_generic(t, field, 1)`` for every type and field, with its image
-    under ``random_projective_transform(field, 5)``.
+    """Seed 1 over ``SAMPLE_FIELDS``, keyed "<field> type <t>".
 
-    Keys read "<field> type <t>"; a value holds the sample and its image as
-    ``config_to_json`` dicts, or the message of the ``SamplingError`` raised.
     The stored file was written by this function before the field arithmetic
     moved from ``Field`` methods to Python operators, one key per line:
     ``json.dumps`` of each key and of its value (no spaces, sorted keys),
     joined as a JSON object.
     """
-    out = {}
-    for name in SAMPLE_FIELDS:
-        field = parse_field(name)
-        m = random_projective_transform(field, 5)
-        for t in range(1, 43):
-            try:
-                cfg = sample_generic(t, field, 1)
-            except SamplingError as exc:
-                out[f"{name} type {t}"] = {"SamplingError": str(exc)}
-                continue
-            out[f"{name} type {t}"] = {
-                "sample": config_to_json(cfg),
-                "image": config_to_json(apply_transform_to_config(m, cfg)),
-            }
-    return out
+    return _sample_entries([(name, (1,)) for name in SAMPLE_FIELDS],
+                           lambda name, seed, t: f"{name} type {t}")
+
+
+def _wide_samples() -> dict:
+    """``WIDE_SAMPLE_RUNS``, keyed "<field> seed <s> type <t>".
+
+    The stored file was written in the same layout as ``samples.expected.json``
+    before the samplers' collinearity tests moved to integer line keys.
+    """
+    return _sample_entries(WIDE_SAMPLE_RUNS,
+                           lambda name, seed, t: f"{name} seed {seed} type {t}")
 
 
 def test_samples_and_transforms_match_stored():
     stored = json.loads(SAMPLES.read_text(encoding="utf-8"))
     assert _samples() == stored
     assert len(stored) == 3 * 42
+
+
+def test_wide_samples_and_transforms_match_stored():
+    stored = json.loads(WIDE_SAMPLES.read_text(encoding="utf-8"))
+    assert list(_wide_samples().items()) == list(stored.items())
+    assert len(stored) == 8 * 42
