@@ -3,9 +3,16 @@
 Points, lines and conics are stored as normalized homogeneous coordinate
 tuples (first nonzero coordinate scaled to 1), which makes equality testing
 and hashing canonical.  The incidence and genericity predicates here are the
-primitives the configuration samplers and the classifier are built on;
-:func:`line_groups`, which groups a point set by the lines through its pairs,
-is the one place that decides which points of a set are collinear.
+primitives the configuration samplers and the classifier are built on.
+
+Joins, intersections and determinants are taken on integer representatives:
+the residues over GF(p), and over QQ the coordinates times the lcm of their
+denominators, so no Fraction arithmetic happens inside them.  The line
+through two points then has a canonical integer key, its coefficients scaled
+to a leading 1 over GF(p) and made primitive with a positive leading entry
+over QQ.  :func:`_index_groups`, which groups a point set by the keys of the
+lines through its pairs, is the one place that decides which points of a set
+are collinear; :func:`line_groups` is its public form with ``ProjLine`` keys.
 :func:`hausdorff` is the exact metric on finite point sets used by the metric
 axiom tests.
 """
@@ -15,19 +22,82 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, InputError
-from .exactalg import QQ, DenseMatrix, Field, PrimeField, RationalField, Scalar, kernel
+from .exactalg import (
+    QQ,
+    DenseMatrix,
+    Field,
+    PrimeField,
+    RationalField,
+    Scalar,
+    _integer_row,
+    kernel,
+)
 
 
 def _normalize(field: Field, coords: Sequence) -> tuple:
+    if isinstance(field, RationalField):
+        ints = _integer_row([v if type(v) is int else field.coerce(v) for v in coords])
+        lead = next((v for v in ints if v), None)
+        if lead is None:
+            raise InputError("homogeneous coordinates must not all vanish")
+        return tuple(Fraction(v, lead) for v in ints)
     vals = [field.coerce(v) for v in coords]
-    lead = next((v for v in vals if not field.is_zero(v)), None)
+    lead = next((v for v in vals if v), None)
     if lead is None:
         raise InputError("homogeneous coordinates must not all vanish")
     inv = field.inv(lead)
-    return tuple(field.coerce(inv * v) for v in vals)
+    return tuple(inv * v % field.p for v in vals)
+
+
+def _int_rep(field: Field, coords: tuple):
+    """Integer coordinates of the same projective object: the residues over
+    GF(p), the coordinates times the lcm of their denominators over QQ."""
+    return coords if isinstance(field, PrimeField) else _integer_row(coords)
+
+
+def _modulus(field: Field) -> Optional[int]:
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
+    """Canonical key of the cross product of two integer triples, or None when
+    it vanishes (the two represent one projective object).
+
+    Over GF(p) the key is scaled to a leading 1; over QQ (``p`` None) it is
+    primitive with a positive leading entry.
+    """
+    (a, b, c), (d, e, g) = u, v
+    x, y, z = b * g - c * e, c * d - a * g, a * e - b * d
+    if p is None:
+        s = gcd(x, y, z)
+        if not s:
+            return None
+        if (x or y or z) < 0:
+            s = -s
+        return (x // s, y // s, z // s)
+    x, y, z = x % p, y % p, z % p
+    if x:
+        inv = pow(x, -1, p)
+        return (1, y * inv % p, z * inv % p)
+    if y:
+        return (0, 1, z * pow(y, -1, p) % p)
+    return (0, 0, 1) if z else None
+
+
+def _from_key(cls, field: Field, key: tuple):
+    """The point or line with integer key ``key``, normalized directly from it
+    without a second pass through ``__post_init__``."""
+    if isinstance(field, RationalField):
+        lead = next(v for v in key if v)
+        key = tuple(Fraction(v, lead) for v in key)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "field", field)
+    object.__setattr__(obj, "coords" if cls is ProjPoint else "coeffs", key)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -149,63 +219,114 @@ def _det3(rows) -> object:
 
 def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
     """True iff three distinct points lie on one line."""
-    _same_field(p1.field, p2.field)
-    _same_field(p1.field, p3.field)
+    f = p1.field
+    _same_field(f, p2.field)
+    _same_field(f, p3.field)
     if len({p1, p2, p3}) != 3:
         raise InputError("collinearity is only defined for distinct points")
-    return p1.field.is_zero(_det3((p1.coords, p2.coords, p3.coords)))
-
-
-def _cross(u: tuple, v: tuple) -> tuple:
-    """Cross product, unreduced over GF(p); callers normalize it."""
-    (a, b, c), (d, e, g) = u, v
-    return (b * g - c * e, c * d - a * g, a * e - b * d)
+    return f.is_zero(_det3([_int_rep(f, q.coords) for q in (p1, p2, p3)]))
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
-    _same_field(p1.field, p2.field)
-    if p1 == p2:
+    f = p1.field
+    _same_field(f, p2.field)
+    key = _join_key(_modulus(f), _int_rep(f, p1.coords), _int_rep(f, p2.coords))
+    if key is None:
         raise InputError("two coincident points do not span a line")
-    return ProjLine(p1.field, _cross(p1.coords, p2.coords))
+    return _from_key(ProjLine, f, key)
+
+
+def _line_key(ln: ProjLine) -> tuple:
+    """The integer key of a line, as :func:`_join_key` gives it for two of
+    its points (a normalized rational triple, cleared of denominators, is
+    already primitive with a positive lead)."""
+    return tuple(_int_rep(ln.field, ln.coeffs))
+
+
+def _index_groups(points: Sequence[ProjPoint]) -> dict:
+    """Map the integer key of each line through at least two of the points to
+    the indices of the points on it.
+
+    The indices of each line are increasing, and the lines come in the order
+    their first pair is met.  Only the key of each pair's join is computed,
+    with pairs in lexicographic index order: a line's first pair joins its
+    two first points, and the pairs joining the first point to the others
+    follow in increasing index order, so appending along them lists the
+    points in input order.  Repeated points raise :class:`InputError`, points
+    over different fields :class:`FieldMismatchError`.
+    """
+    pts = tuple(points)
+    if not pts:
+        return {}
+    f = pts[0].field
+    for q in pts[1:]:
+        _same_field(f, q.field)
+    p = _modulus(f)
+    reps = [_int_rep(f, q.coords) for q in pts]
+    groups: dict = {}
+    for i, j in combinations(range(len(pts)), 2):
+        key = _join_key(p, reps[i], reps[j])
+        if key is None:
+            raise InputError("two coincident points do not span a line")
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [i, j]
+        elif members[0] == i:
+            members.append(j)
+    return groups
 
 
 def line_groups(points: Sequence[ProjPoint]) -> dict:
     """Map each line through at least two of the points to the points on it.
 
     The points of each line are listed in input order, and the lines in the
-    order their first pair is met.  Only the line through each pair is
-    computed, with pairs in lexicographic index order: a line's first pair
-    joins its two first points, and the pairs joining the first point to the
-    others follow in increasing index order, so appending along them lists
-    the points in input order.  Repeated points raise :class:`InputError`.
+    order their first pair is met.  The grouping is :func:`_index_groups` on
+    integer line keys; one ``ProjLine`` is made per distinct key.  Repeated
+    points raise :class:`InputError`.
     """
     pts = tuple(points)
-    groups: dict = {}
-    for i, j in combinations(range(len(pts)), 2):
-        ln = line_through(pts[i], pts[j])
-        members = groups.get(ln)
-        if members is None:
-            groups[ln] = [i, j]
-        elif members[0] == i:
-            members.append(j)
-    return {ln: tuple(pts[i] for i in members) for ln, members in groups.items()}
+    groups = _index_groups(pts)
+    if not groups:
+        return {}
+    f = pts[0].field
+    return {_from_key(ProjLine, f, key): tuple(pts[i] for i in members)
+            for key, members in groups.items()}
 
 
 def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
-    return all(len(on) < 3 for on in line_groups(points).values())
+    return all(len(on) < 3 for on in _index_groups(points).values())
 
 
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    _same_field(l1.field, l2.field)
-    if l1 == l2:
+    f = l1.field
+    _same_field(f, l2.field)
+    key = _join_key(_modulus(f), _int_rep(f, l1.coeffs), _int_rep(f, l2.coeffs))
+    if key is None:
         raise InputError("coincident lines have no unique intersection")
-    return ProjPoint(l1.field, _cross(l1.coeffs, l2.coeffs))
+    return _from_key(ProjPoint, f, key)
+
+
+def _line_basis(ln: ProjLine) -> tuple[list, list]:
+    """Two integer vectors spanning the line: with l_f its last nonzero
+    coefficient, ``l_f e_q - l_q e_f`` for each other column q in increasing
+    order.  They are the echelon basis of the line's kernel, both scaled by
+    l_f."""
+    coeffs = _int_rep(ln.field, ln.coeffs)
+    f = 2 if coeffs[2] else 1 if coeffs[1] else 0
+    basis = []
+    for q in range(3):
+        if q != f:
+            vec = [0, 0, 0]
+            vec[q], vec[f] = coeffs[f], -coeffs[q]
+            basis.append(vec)
+    return basis[0], basis[1]
 
 
 def points_on_line_basis(ln: ProjLine) -> tuple[ProjPoint, ProjPoint]:
-    """Two distinct points spanning the line."""
-    basis = kernel(DenseMatrix(ln.field, [ln.coeffs], 3)).basis
-    return ProjPoint(ln.field, basis[0]), ProjPoint(ln.field, basis[1])
+    """Two distinct points spanning the line: the points of the echelon
+    basis of its kernel."""
+    u, v = _line_basis(ln)
+    return ProjPoint(ln.field, u), ProjPoint(ln.field, v)
 
 
 def veronese(pt: ProjPoint) -> tuple:

@@ -9,8 +9,9 @@ rational parametrization (s^2, s t, t^2) of a reference conic through a random
 invertible change of coordinates, so sampling works verbatim over the
 rationals, where finding points on an arbitrary conic would not be possible.
 
-A type that needs more points on one line than a line over the field has, or
-a conic over GF(2), is refused before any draw.  Sampling that keeps failing
+A type that needs more points on one line than a line over the field has, a
+type whose points cannot exist over a small field (types 18, 26 and 36), or a
+conic over GF(2), is refused before any draw.  Sampling that keeps failing
 its predicates gives up after ``MAX_ATTEMPTS`` rejections; over a very small
 prime field this can still be the outcome.
 """
@@ -28,17 +29,18 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     _det3,
+    _index_groups,
+    _line_basis,
+    _line_key,
     _no_collinear_triple,
     _odd_characteristic,
     collinear,
     conic_line_second_point,
     conic_through,
     incident,
-    line_groups,
     line_intersection,
     line_through,
     on_common_conic,
-    points_on_line_basis,
 )
 from .rng import SplitMix64, derive_seed
 
@@ -55,12 +57,14 @@ class _Draw:
     def __init__(self, field: Field, rng: SplitMix64):
         self.field = field
         self.rng = rng
+        self._p = field.p if isinstance(field, PrimeField) else None
         self._line_bases: dict = {}
 
-    def coord(self):
-        if isinstance(self.field, PrimeField):
-            return self.rng.below(self.field.p)
-        return self.field.coerce(self.rng.int_in(-_QQ_COORD_BOUND, _QQ_COORD_BOUND))
+    def coord(self) -> int:
+        """A plain int: a residue over GF(p), a bounded integer over QQ."""
+        if self._p is not None:
+            return self.rng.below(self._p)
+        return self.rng.int_in(-_QQ_COORD_BOUND, _QQ_COORD_BOUND)
 
     def coords(self, n: int) -> list:
         return [self.coord() for _ in range(n)]
@@ -78,15 +82,19 @@ class _Draw:
                 return ProjLine(self.field, c)
 
     def point_on(self, ln: ProjLine) -> ProjPoint:
-        if ln not in self._line_bases:
-            self._line_bases[ln] = points_on_line_basis(ln)
-        u, v = self._line_bases[ln]
+        """s u + t v for a random nonzero (s, t), with u, v the integer basis
+        vectors of the line; both are the echelon kernel basis times one
+        common factor, so the projective point does not depend on it."""
+        basis = self._line_bases.get(ln)
+        if basis is None:
+            basis = self._line_bases[ln] = _line_basis(ln)
+        u, v = basis
         f = self.field
         while True:
             s, t = self.coord(), self.coord()
             if f.is_zero(s) and f.is_zero(t):
                 continue
-            coords = tuple(s * a + t * b for a, b in zip(u.coords, v.coords))
+            coords = [s * a + t * b for a, b in zip(u, v)]
             if any(not f.is_zero(c) for c in coords):
                 return ProjPoint(f, coords)
 
@@ -111,7 +119,8 @@ class _Reject(Exception):
 
 def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
     """Every line through three or more of the points must be an allowed line."""
-    return all(ln in allowed for ln, on in line_groups(points).items() if len(on) >= 3)
+    keys = {_line_key(ln) for ln in allowed}
+    return all(key in keys for key, on in _index_groups(points).items() if len(on) >= 3)
 
 
 def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]]:
@@ -496,12 +505,25 @@ _POINTS_ON_ONE_LINE = {
 }
 
 
-# Type 36 needs a seventh point off a nondegenerate conic and off the 15
-# secants of six points on it.  Over GF(p), p <= 7, no six points of the conic
-# xz = y^2 leave such a point; every nondegenerate conic is projectively
-# equivalent to it and the condition is projectively invariant, so no conic
-# over these fields does.
-_TYPE36_MIN_PRIME = 11
+# The least prime over which a type exists, for types that need more of the
+# plane than its lines give:
+# - 18 needs a 5-arc (five points, no three collinear).  An arc over GF(q)
+#   has at most q + 2 points, q + 1 for odd q, so GF(2) and GF(3) have none.
+# - 26 needs a 6-arc on no conic.  GF(2) and GF(3) have no 6-arc, and over
+#   GF(5) a 6-arc has q + 1 points, so it lies on a conic by Segre's theorem.
+# - 36 needs a seventh point off a nondegenerate conic and off the 15 secants
+#   of six points on it.  Over GF(p), p <= 7, no six points of the conic
+#   xz = y^2 leave such a point; every nondegenerate conic is projectively
+#   equivalent to it and the condition is projectively invariant, so no
+#   conic over these fields does.
+_MIN_PRIME = {18: 5, 26: 7, 36: 11}
+_MIN_PRIME_NEEDS = {
+    18: "five points with no three collinear, and no such points exist",
+    26: "six points with no three collinear and not on one conic, "
+        "and no such points exist",
+    36: "a point off a conic and off every secant of six points on it, "
+        "and no such point exists",
+}
 
 
 # Types whose construction tests a conic for degeneracy, which the package
@@ -514,8 +536,8 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     """Deterministically sample a generic configuration of the given type.
 
     A type whose construction needs more points on one line than a line over
-    the field has, type 36 over a field too small for it, or a type built on
-    a conic over GF(2), fails at once, before any draw.
+    the field has, type 18, 26 or 36 over a field too small for it, or a type
+    built on a conic over GF(2), fails at once, before any draw.
     """
     if not 1 <= type_id <= 42:
         raise InputError(f"type_id {type_id} out of range 1..42")
@@ -524,10 +546,8 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
         raise SamplingError(
             f"type {type_id} needs {need} distinct points on one line, but a "
             f"line over {field} has only {field.p + 1}")
-    if type_id == 36 and isinstance(field, PrimeField) and field.p < _TYPE36_MIN_PRIME:
-        raise SamplingError(
-            f"type {type_id} needs a point off a conic and off every secant of "
-            f"six points on it, and no such point exists over {field}")
+    if isinstance(field, PrimeField) and field.p < _MIN_PRIME.get(type_id, 0):
+        raise SamplingError(f"type {type_id} needs {_MIN_PRIME_NEEDS[type_id]} over {field}")
     if type_id in _CONIC_TYPES:
         _odd_characteristic(field)
     build = _builder(type_id)
@@ -563,7 +583,7 @@ def random_projective_transform(field: Field, seed: int) -> list:
     while True:
         rows = [draw.coords(3) for _ in range(3)]
         if not field.is_zero(_det3(rows)):
-            return rows
+            return [[field.coerce(v) for v in row] for row in rows]
 
 
 def apply_transform_to_point(m: list, pt: ProjPoint) -> ProjPoint:

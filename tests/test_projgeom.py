@@ -25,6 +25,7 @@ from quintics.projgeom import (
     line_groups,
     line_through,
     on_common_conic,
+    points_on_line_basis,
     tangent,
     veronese,
 )
@@ -270,6 +271,68 @@ def test_sampler_refuses_type36_over_small_primes_before_any_draw(monkeypatch):
                 sample_generic(36, PrimeField(p), 0)
 
 
+def _arcs_through_frame(p):
+    # Every 5- or 6-arc contains four points in general position, which a
+    # projectivity maps to the frame below; collinearity and lying on a conic
+    # are projectively invariant, so extending the frame decides existence.
+    # Returns (a 5-arc exists, a 6-arc on no conic exists) over GF(p).
+    frame = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    plane = [(1, y, z) for y in range(p) for z in range(p)]
+    plane += [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+
+    def det(a, b, c):
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0])) % p
+
+    def is_arc(pts):
+        return all(det(*trio) for trio in combinations(pts, 3))
+
+    fifth = [q for q in plane if q not in frame and is_arc(frame + [q])]
+
+    # The conics through the frame are d(xy - yz) + e(xz - yz); six points
+    # lie on one iff the rows of the two extra points are dependent.
+    def conic_row(q):
+        x, y, z = q
+        return x * y - y * z, x * z - y * z
+
+    def off_every_conic(a, b):
+        (ra, sa), (rb, sb) = conic_row(a), conic_row(b)
+        return (ra * sb - sa * rb) % p != 0
+
+    six = any(is_arc(frame + [a, b]) and off_every_conic(a, b)
+              for a, b in combinations(fifth, 2))
+    return bool(fifth), six
+
+
+def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkeypatch):
+    import quintics.sampling as sampling_mod
+    from quintics.errors import SamplingError
+    from quintics.rng import SplitMix64
+
+    primes = (2, 3, 5, 7, 11)
+    arcs = {p: _arcs_through_frame(p) for p in primes}
+    assert min(p for p in primes if arcs[p][0]) == sampling_mod._MIN_PRIME[18] == 5
+    assert min(p for p in primes if arcs[p][1]) == sampling_mod._MIN_PRIME[26] == 7
+
+    def no_draws(*args):
+        raise AssertionError("the sampler drew before refusing")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
+    for type_id, k in ((18, 0), (26, 1)):
+        for p in primes:
+            if arcs[p][k]:
+                with pytest.raises(AssertionError, match="drew"):
+                    sample_generic(type_id, PrimeField(p), 0)
+            else:
+                with pytest.raises(SamplingError, match=f"^type {type_id} needs .* over fp:{p}$"):
+                    sample_generic(type_id, PrimeField(p), 0)
+    monkeypatch.undo()
+    five = sample_generic(18, PrimeField(5), 0).points
+    assert len(five) == 5 and _no_collinear_triple(five)
+    six = sample_generic(26, PrimeField(7), 0).points
+    assert len(six) == 6 and _no_collinear_triple(six) and not on_common_conic(six)
+
+
 def test_on_common_conic_requires_six_distinct_points():
     pts5 = _points_on_standard_conic([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
     with pytest.raises(InputError):
@@ -425,6 +488,80 @@ def test_line_groups_matches_incidence_scan(field):
                 with pytest.raises(InputError):
                     _only_allowed_collinear(bad, sized)
     assert planted >= 4
+
+
+def _fraction_line(a, b):
+    # the join by Fraction arithmetic, normalized by ProjLine itself
+    (x1, y1, z1), (x2, y2, z2) = a.coords, b.coords
+    return ProjLine(QQ, (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2))
+
+
+def _large_rational_points(rng):
+    def big():
+        return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+
+    def point():
+        return pt(big(), big(), big())
+
+    points = [point() for _ in range(4)]
+    for size in (3, 4, 5):
+        a, b = point(), point()
+        for _ in range(size):
+            s, t = big(), big()
+            points.append(pt(*(s * u + t * v for u, v in zip(a.coords, b.coords))))
+    rng.shuffle(points)
+    return points
+
+
+def test_line_groups_on_large_rationals_match_fraction_joins():
+    import random
+
+    rng = random.Random(20011)
+    for _ in range(3):
+        points = _large_rational_points(rng)
+        assert max(c.denominator for q in points for c in q.coords) > 10 ** 9
+        reference = {}
+        for a, b in combinations(points, 2):
+            line = _fraction_line(a, b)
+            assert line_through(a, b) == line
+            if line not in reference:
+                reference[line] = tuple(q for q in points if incident(q, line))
+        groups = line_groups(points)
+        assert list(groups.items()) == list(reference.items())
+        assert sorted(len(on) for on in groups.values() if len(on) >= 3) == [3, 4, 5]
+        assert all(line.coeffs == ProjLine(QQ, line.coeffs).coeffs for line in groups)
+        for p1, p2, p3 in combinations(points[:8], 3):
+            assert collinear(p1, p2, p3) == incident(p3, _fraction_line(p1, p2))
+
+
+def test_line_groups_refuse_coincident_points_and_mixed_fields():
+    from quintics.errors import FieldMismatchError
+
+    for field in (QQ, PrimeField(7), FP):
+        a, b = pt(1, 2, 3, field=field), pt(1, 0, 5, field=field)
+        for points in ([a, b, pt(2, 4, 6, field=field)], [a, a], [b, a, b]):
+            with pytest.raises(InputError, match="coincident"):
+                line_groups(points)
+            with pytest.raises(InputError, match="coincident"):
+                _no_collinear_triple(points)
+    with pytest.raises(FieldMismatchError):
+        line_groups([pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7))])
+    with pytest.raises(FieldMismatchError):
+        line_through(pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
+                         ids=["qq", "fp7", "fp101"])
+def test_points_on_line_basis_is_the_kernel_basis(field):
+    values = (1, 3, -2, Fraction(5, 3))
+    for pattern in range(1, 8):
+        for vals in combinations(values, bin(pattern).count("1")):
+            it = iter(vals)
+            line = ProjLine(field, tuple(next(it) if pattern >> i & 1 else 0 for i in range(3)))
+            basis = kernel(DenseMatrix(field, [line.coeffs], 3)).basis
+            expected = tuple(ProjPoint(field, v) for v in basis)
+            assert points_on_line_basis(line) == expected
+            assert all(incident(q, line) for q in expected)
 
 
 # --- samples and their transforms, against stored results ----------------------
