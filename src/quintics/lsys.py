@@ -39,6 +39,7 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _modulus,
     _no_collinear_triple,
     collinear,
     conic_line_second_point,
@@ -252,10 +253,6 @@ def _point_rows(coords: Sequence, d: int, p: Optional[int]) -> list:
             row[j] = e * mon[k]
         rows.append([v % p for v in row] if p else row)
     return rows
-
-
-def _modulus(field: Field) -> Optional[int]:
-    return field.p if isinstance(field, PrimeField) else None
 
 
 def vanishing_row(a: ProjPoint, d: int) -> DenseMatrix:

@@ -32,6 +32,7 @@ from .projgeom import (
     _index_groups,
     _line_basis,
     _line_key,
+    _modulus,
     _no_collinear_triple,
     _odd_characteristic,
     collinear,
@@ -57,7 +58,7 @@ class _Draw:
     def __init__(self, field: Field, rng: SplitMix64):
         self.field = field
         self.rng = rng
-        self._p = field.p if isinstance(field, PrimeField) else None
+        self._p = _modulus(field)
         self._line_bases: dict = {}
 
     def coord(self) -> int:
@@ -505,8 +506,7 @@ _POINTS_ON_ONE_LINE = {
 }
 
 
-# The least prime over which a type exists, for types that need more of the
-# plane than its lines give:
+# The least prime over which each of these types has a configuration at all:
 # - 18 needs a 5-arc (five points, no three collinear).  An arc over GF(q)
 #   has at most q + 2 points, q + 1 for odd q, so GF(2) and GF(3) have none.
 # - 26 needs a 6-arc on no conic.  GF(2) and GF(3) have no 6-arc, and over
