@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from quintics.errors import InputError, SamplingError
 from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel, parse_field
-from quintics.formats import config_to_json
-from quintics.lsys import classify
+from quintics.formats import config_to_json, value_list
+from quintics.lsys import classify, sample_quartic_contact_system
 from quintics.projgeom import (
     Config,
     Conic,
@@ -632,3 +632,40 @@ def test_wide_samples_and_transforms_match_stored():
     stored = json.loads(WIDE_SAMPLES.read_text(encoding="utf-8"))
     assert list(_wide_samples().items()) == list(stored.items())
     assert len(stored) == 8 * 42
+
+
+POINT_AND_QUARTIC_FIELDS = ("qq", "fp:101", "fp:7")
+POINT_AND_QUARTIC_SAMPLES = (Path(__file__).resolve().parent / "data"
+                             / "samples_points_quartic.expected.json")
+
+
+def _point_and_quartic_samples() -> dict:
+    """``sample_generic_points(k, field, seed)`` for k = 1..8 and the rows of
+    ``sample_quartic_contact_system(field, seed)``, seeds 1..3, over
+    ``POINT_AND_QUARTIC_FIELDS``, keyed "<field> seed <s> k <k>" and
+    "<field> seed <s> quartic".
+
+    A value is a ``config_to_json`` dict, the matrix rows as value lists, or
+    the message of the ``SamplingError`` raised.  The stored file was written
+    in the layout of ``samples.expected.json`` before the samplers' rejection
+    loops were folded into one guarded draw and one bounded retry.
+    """
+    out = {}
+    for name in POINT_AND_QUARTIC_FIELDS:
+        field = parse_field(name)
+        for seed in (1, 2, 3):
+            for k in range(1, 9):
+                try:
+                    value = config_to_json(sample_generic_points(k, field, seed))
+                except SamplingError as exc:
+                    value = {"SamplingError": str(exc)}
+                out[f"{name} seed {seed} k {k}"] = value
+            rows = sample_quartic_contact_system(field, seed).rows
+            out[f"{name} seed {seed} quartic"] = [value_list(field, row) for row in rows]
+    return out
+
+
+def test_point_and_quartic_samples_match_stored():
+    stored = json.loads(POINT_AND_QUARTIC_SAMPLES.read_text(encoding="utf-8"))
+    assert list(_point_and_quartic_samples().items()) == list(stored.items())
+    assert len(stored) == 3 * 3 * 9
