@@ -49,6 +49,7 @@ from .projgeom import (
     veronese,
 )
 from .rng import SplitMix64, derive_seed
+from .sampling import _Draw, _Reject, _retry
 
 
 # ---------------------------------------------------------------------------
@@ -411,34 +412,22 @@ def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:
     three derivative rows.  For generic data the 13 rows are independent, so
     the kernel is 2-dimensional.
     """
-    from .sampling import _Draw, _Reject  # local import to avoid a cycle
+    def build(draw: _Draw) -> tuple[list, list]:
+        ln = draw.line()
+        on_line = draw.distinct_points_on(ln, 4)
+        off = draw.distinct(3, draw.point, skip=lambda q: incident(q, ln))
+        if collinear(*off):
+            raise _Reject
+        return on_line, off
 
-    rng = SplitMix64(derive_seed(seed, 13))
-    draw = _Draw(field, rng)
-    while True:
-        try:
-            ln = draw.line()
-            on_line = draw.distinct_points_on(ln, 4)
-            off = []
-            guard = 0
-            while len(off) < 3:
-                guard += 1
-                if guard > 200:
-                    raise _Reject
-                q = draw.point()
-                if incident(q, ln) or q in off:
-                    continue
-                off.append(q)
-            if collinear(*off):
-                continue
-        except _Reject:
-            continue
-        rows: list = []
-        for pt in on_line:
-            rows.extend(vanishing_row(pt, 4).rows)
-        for pt in off:
-            rows.extend(singularity_rows(pt, 4).rows)
-        return DenseMatrix(field, rows, space_dim(4))
+    on_line, off = _retry(build, field, derive_seed(seed, 13),
+                          f"could not sample the quartic contact system over {field}")
+    rows: list = []
+    for pt in on_line:
+        rows.extend(vanishing_row(pt, 4).rows)
+    for pt in off:
+        rows.extend(singularity_rows(pt, 4).rows)
+    return DenseMatrix(field, rows, space_dim(4))
 
 
 # ---------------------------------------------------------------------------

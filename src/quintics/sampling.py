@@ -18,7 +18,7 @@ prime field this can still be the outcome.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Sequence
 
 from .errors import InputError, SamplingError
@@ -70,17 +70,38 @@ class _Draw:
     def coords(self, n: int) -> list:
         return [self.coord() for _ in range(n)]
 
-    def point(self) -> ProjPoint:
+    def _redraw(self, n: int, make: Callable[[list], object]) -> object:
+        """``make(c)`` for the first ``n`` fresh coordinates ``c`` for which it
+        is not None."""
         while True:
-            c = self.coords(3)
-            if any(not self.field.is_zero(v) for v in c):
-                return ProjPoint(self.field, c)
+            value = make(self.coords(n))
+            if value is not None:
+                return value
+
+    def _nonzero(self, c: list) -> list | None:
+        return c if any(not self.field.is_zero(v) for v in c) else None
+
+    def point(self) -> ProjPoint:
+        return ProjPoint(self.field, self._redraw(3, self._nonzero))
 
     def line(self) -> ProjLine:
-        while True:
-            c = self.coords(3)
-            if any(not self.field.is_zero(v) for v in c):
-                return ProjLine(self.field, c)
+        return ProjLine(self.field, self._redraw(3, self._nonzero))
+
+    def two_lines(self) -> tuple[ProjLine, ProjLine, ProjPoint]:
+        """Two distinct lines and their meet."""
+        l1 = self.line()
+        l2 = self.line()
+        if l1 == l2:
+            raise _Reject
+        return l1, l2, line_intersection(l1, l2)
+
+    def matrix(self) -> list:
+        """The rows of an invertible 3x3 matrix, unreduced over GF(p)."""
+        def invertible(c: list) -> list | None:
+            rows = [c[0:3], c[3:6], c[6:9]]
+            return None if self.field.is_zero(_det3(rows)) else rows
+
+        return self._redraw(9, invertible)
 
     def point_on(self, ln: ProjLine) -> ProjPoint:
         """s u + t v for a random nonzero (s, t), with u, v the integer basis
@@ -90,32 +111,66 @@ class _Draw:
         if basis is None:
             basis = self._line_bases[ln] = _line_basis(ln)
         u, v = basis
-        f = self.field
-        while True:
-            s, t = self.coord(), self.coord()
-            if f.is_zero(s) and f.is_zero(t):
-                continue
-            coords = [s * a + t * b for a, b in zip(u, v)]
-            if any(not f.is_zero(c) for c in coords):
-                return ProjPoint(f, coords)
+        return ProjPoint(self.field, self._redraw(
+            2, lambda st: self._nonzero([st[0] * a + st[1] * b for a, b in zip(u, v)])))
+
+    def distinct(self, n: int, make: Callable[[], object], avoid: Sequence = (),
+                 skip: Callable[[object], bool] | None = None, limit: int = 200) -> list:
+        """``n`` distinct values of ``make()``, none in ``avoid`` and none that
+        ``skip`` accepts.  Each draw is counted before it is made, and the
+        draw that would exceed ``limit`` raises ``_Reject`` instead."""
+        got: list = []
+        drawn = 0
+        while len(got) < n:
+            if drawn == limit:
+                raise _Reject
+            drawn += 1
+            value = make()
+            if value not in got and value not in avoid and not (skip is not None and skip(value)):
+                got.append(value)
+        return got
 
     def distinct_points_on(self, ln: ProjLine, n: int, avoid: Sequence[ProjPoint] = ()) -> list:
         got: list[ProjPoint] = []
         banned = set(avoid)
-        guard = 0
-        while len(got) < n:
+        # Each draw is counted after it is made, one more than ``distinct``
+        # allows; folding this loop into it would shift the stream after a
+        # line runs out of points.
+        for drawn in count(1):
+            if len(got) == n:
+                return got
             p = self.point_on(ln)
             if p not in banned:
                 got.append(p)
                 banned.add(p)
-            guard += 1
-            if guard > 64 * n + 64:
+            if drawn > 64 * n + 64:
                 raise _Reject
-        return got
 
 
 class _Reject(Exception):
     """Internal signal: this attempt violated a genericity predicate."""
+
+
+def _retry(build: Callable[[_Draw], object], field: Field, seed: int, failure: str):
+    """``build`` on one draw stream seeded by ``seed``, run again after each
+    ``_Reject``; after ``MAX_ATTEMPTS`` rejections ``SamplingError`` says
+    ``failure``."""
+    draw = _Draw(field, SplitMix64(seed))
+    for _ in range(MAX_ATTEMPTS):
+        try:
+            return build(draw)
+        except _Reject:
+            pass
+    raise SamplingError(f"{failure} within {MAX_ATTEMPTS} attempts; the field may be too small")
+
+
+def _line_capacity(field: Field, need: int, what: str) -> None:
+    """Refuse ``what``, before any draw, when it needs more distinct points on
+    one line than a line over ``field`` has."""
+    if isinstance(field, PrimeField) and need > field.p + 1:
+        raise SamplingError(
+            f"{what} needs {need} distinct points on one line, but a "
+            f"line over {field} has only {field.p + 1}")
 
 
 def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
@@ -132,24 +187,12 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
     where r0, r1, r2 are the rows of T^{-1}.
     """
     f = draw.field
-    while True:
-        t_rows = [draw.coords(3) for _ in range(3)]
-        if not f.is_zero(_det3(t_rows)):
-            break
+    t_rows = draw.matrix()
     inv = _adjugate3(t_rows)  # rows of T^{-1} up to the harmless factor det
     conic = _conic_from_forms(f, inv[0], inv[2], inv[1])
-    params: set = set()
-    guard = 0
-    points = []
-    while len(points) < n:
-        guard += 1
-        if guard > 64 * n + 64:
-            raise _Reject
-        t = draw.coord()
-        if t in params:
-            continue
-        params.add(t)
-        points.append(ProjPoint(f, tuple(r0 + r1 * t + r2 * t * t for r0, r1, r2 in t_rows)))
+    params = draw.distinct(n, draw.coord, limit=64 * n + 64)
+    points = [ProjPoint(f, tuple(r0 + r1 * t + r2 * t * t for r0, r1, r2 in t_rows))
+              for t in params]
     return conic, points
 
 
@@ -203,56 +246,28 @@ def _k_on_line(draw: _Draw, k: int, tid: int) -> Config:
 def _k_on_line_plus_off(draw: _Draw, k: int, off: int, tid: int) -> Config:
     ln = draw.line()
     pts = draw.distinct_points_on(ln, k)
-    extras: list[ProjPoint] = []
-    guard = 0
-    while len(extras) < off:
-        guard += 1
-        if guard > 200:
-            raise _Reject
-        p = draw.point()
-        if incident(p, ln) or p in extras:
-            continue
-        extras.append(p)
-    allpts = pts + extras
-    if not _only_allowed_collinear(allpts, [ln]):
+    pts += draw.distinct(off, draw.point, skip=lambda p: incident(p, ln))
+    if not _only_allowed_collinear(pts, [ln]):
         raise _Reject
-    return _points_config(draw.field, allpts, tid)
+    return _points_config(draw.field, pts, tid)
 
 
 def _two_line_trios(draw: _Draw, include_intersection: bool, extra_off: int, tid: int) -> Config:
-    f = draw.field
-    l1 = draw.line()
-    l2 = draw.line()
-    if l1 == l2:
-        raise _Reject
-    p12 = line_intersection(l1, l2)
+    l1, l2, p12 = draw.two_lines()
     a = draw.distinct_points_on(l1, 3, avoid=[p12])
     b = draw.distinct_points_on(l2, 3, avoid=[p12] + a)
     pts = a + b
     if include_intersection:
         pts.append(p12)
-    for _ in range(extra_off):
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 200:
-                raise _Reject
-            q = draw.point()
-            if incident(q, l1) or incident(q, l2) or q in pts:
-                continue
-            pts.append(q)
-            break
+    pts += draw.distinct(extra_off, draw.point, avoid=pts,
+                         skip=lambda q: incident(q, l1) or incident(q, l2))
     if not _only_allowed_collinear(pts, [l1, l2]):
         raise _Reject
-    return _points_config(f, pts, tid)
+    return _points_config(draw.field, pts, tid)
 
 
 def _two_lines_points(draw: _Draw, k1: int, k2: int, tid: int) -> Config:
-    l1 = draw.line()
-    l2 = draw.line()
-    if l1 == l2:
-        raise _Reject
-    p12 = line_intersection(l1, l2)
+    l1, l2, p12 = draw.two_lines()
     a = draw.distinct_points_on(l1, k1, avoid=[p12])
     b = draw.distinct_points_on(l2, k2, avoid=[p12] + a)
     return _points_config(draw.field, a + b, tid)
@@ -262,62 +277,27 @@ def _conic_points(draw: _Draw, n: int, extra_off: int, tid: int) -> Config:
     conic, pts = _reference_conic_points(draw, n)
     if conic.is_degenerate():
         raise _Reject
-    pts = list(pts)
-    for _ in range(extra_off):
-        guard = 0
-        while True:
-            guard += 1
-            if guard > 200:
-                raise _Reject
-            q = draw.point()
-            if conic.contains(q) or q in pts:
-                continue
-            if not _no_collinear_triple(pts + [q]):
-                continue
-            pts.append(q)
-            break
+    pts += draw.distinct(extra_off, draw.point, avoid=pts,
+                         skip=lambda q: conic.contains(q) or not _no_collinear_triple(pts + [q]))
     return _points_config(draw.field, pts, tid)
 
 
 def _line_component(draw: _Draw, off: int, tid: int, *, off_collinear: bool | None = None) -> Config:
-    f = draw.field
-    comp = draw.line()
-    pts: list[ProjPoint] = []
     if off_collinear:
-        other = draw.line()
-        if other == comp:
-            raise _Reject
-        p12 = line_intersection(comp, other)
+        comp, other, p12 = draw.two_lines()
         pts = draw.distinct_points_on(other, off, avoid=[p12])
     else:
-        guard = 0
-        while len(pts) < off:
-            guard += 1
-            if guard > 200:
-                raise _Reject
-            q = draw.point()
-            if incident(q, comp) or q in pts:
-                continue
-            pts.append(q)
+        comp = draw.line()
+        pts = draw.distinct(off, draw.point, skip=lambda q: incident(q, comp))
         if off_collinear is False and len(pts) == 3 and collinear(*pts):
             raise _Reject
-    return Config(f, points=tuple(pts), lines=(comp,), type_id=tid)
+    return Config(draw.field, points=tuple(pts), lines=(comp,), type_id=tid)
 
 
 def _pencil_quadruple(draw: _Draw, tid: int) -> Config:
     """Four generic base points plus the four cuts of a line by two conics
     through the base points."""
-    f = draw.field
-    base = []
-    guard = 0
-    while len(base) < 4:
-        guard += 1
-        if guard > 200:
-            raise _Reject
-        p = draw.point()
-        if p in base:
-            continue
-        base.append(p)
+    base = draw.distinct(4, draw.point)
     if not _no_collinear_triple(base):
         raise _Reject
     ln = draw.line()
@@ -347,23 +327,13 @@ def _pencil_quadruple(draw: _Draw, tid: int) -> Config:
         raise _Reject
     if not _only_allowed_collinear(pts, [ln]):
         raise _Reject
-    return _points_config(f, pts, tid)
+    return _points_config(draw.field, pts, tid)
 
 
 def _triangle_conic(draw: _Draw, tid: int) -> Config:
     """Three generic vertices plus the six cuts of the triangle sides by a
     conic avoiding the vertices."""
-    f = draw.field
-    verts = []
-    guard = 0
-    while len(verts) < 3:
-        guard += 1
-        if guard > 200:
-            raise _Reject
-        p = draw.point()
-        if p in verts:
-            continue
-        verts.append(p)
+    verts = draw.distinct(3, draw.point)
     a, b, c = verts
     if collinear(a, b, c):
         raise _Reject
@@ -382,20 +352,11 @@ def _triangle_conic(draw: _Draw, tid: int) -> Config:
     pts = verts + q12 + q34 + [q5, q6]
     if not _only_allowed_collinear(pts, [ab, bc, ca]):
         raise _Reject
-    return _points_config(f, pts, tid)
+    return _points_config(draw.field, pts, tid)
 
 
 def _five_lines(draw: _Draw, tid: int) -> Config:
-    lines = []
-    guard = 0
-    while len(lines) < 5:
-        guard += 1
-        if guard > 200:
-            raise _Reject
-        ln = draw.line()
-        if ln in lines:
-            continue
-        lines.append(ln)
+    lines = draw.distinct(5, draw.line)
     pts = []
     for l1, l2 in combinations(lines, 2):
         p = line_intersection(l1, l2)
@@ -408,16 +369,7 @@ def _five_lines(draw: _Draw, tid: int) -> Config:
 
 
 def _generic_points(draw: _Draw, k: int, tid: int | str) -> Config:
-    pts: list[ProjPoint] = []
-    guard = 0
-    while len(pts) < k:
-        guard += 1
-        if guard > 400:
-            raise _Reject
-        p = draw.point()
-        if p in pts:
-            continue
-        pts.append(p)
+    pts = draw.distinct(k, draw.point, limit=400)
     if not _no_collinear_triple(pts):
         raise _Reject
     if k >= 6:
@@ -427,72 +379,62 @@ def _generic_points(draw: _Draw, k: int, tid: int | str) -> Config:
     return _points_config(draw.field, pts, tid)
 
 
-def _builder(type_id: int) -> Callable[[_Draw], Config]:
-    simple = {
-        1: lambda d: _points_config(d.field, [d.point()], 1),
-        2: lambda d: _generic_points(d, 2, 2),
-        3: lambda d: _generic_points(d, 3, 3),
-        4: lambda d: _k_on_line(d, 4, 4),
-        5: lambda d: _k_on_line(d, 5, 5),
-        6: lambda d: _k_on_line(d, 6, 6),
-        7: lambda d: _k_on_line(d, 7, 7),
-        8: lambda d: _k_on_line(d, 8, 8),
-        9: lambda d: _k_on_line(d, 9, 9),
-        10: lambda d: _k_on_line(d, 10, 10),
-        11: lambda d: _line_component(d, 0, 11),
-        12: lambda d: _generic_points(d, 4, 12),
-        13: lambda d: _k_on_line_plus_off(d, 4, 1, 13),
-        14: lambda d: _k_on_line_plus_off(d, 5, 1, 14),
-        15: lambda d: _k_on_line_plus_off(d, 6, 1, 15),
-        16: lambda d: _k_on_line_plus_off(d, 7, 1, 16),
-        17: lambda d: _line_component(d, 1, 17),
-        18: lambda d: _generic_points(d, 5, 18),
-        19: lambda d: _k_on_line_plus_off(d, 4, 2, 19),
-        20: lambda d: _k_on_line_plus_off(d, 5, 2, 20),
-        21: lambda d: _k_on_line_plus_off(d, 6, 2, 21),
-        22: lambda d: _line_component(d, 2, 22),
-        23: lambda d: _two_line_trios(d, False, 0, 23),
-        24: lambda d: _conic_points(d, 6, 0, 24),
-        25: lambda d: _two_line_trios(d, True, 0, 25),
-        26: lambda d: _generic_points(d, 6, 26),
-        27: lambda d: _two_lines_points(d, 4, 3, 27),
-        28: lambda d: _two_lines_points(d, 5, 3, 28),
-        29: lambda d: _line_component(d, 3, 29, off_collinear=True),
-        30: lambda d: _two_lines_points(d, 4, 4, 30),
-        31: lambda d: _two_line_components(d),
-        32: lambda d: _conic_points(d, 7, 0, 32),
-        33: lambda d: _conic_component(d),
-        34: lambda d: _k_on_line_plus_off(d, 4, 3, 34),
-        35: lambda d: _two_line_trios(d, False, 1, 35),
-        36: lambda d: _conic_points(d, 6, 1, 36),
-        37: lambda d: _two_line_trios(d, True, 1, 37),
-        38: lambda d: _pencil_quadruple(d, 38),
-        39: lambda d: _triangle_conic(d, 39),
-        40: lambda d: _five_lines(d, 40),
-        41: lambda d: _line_component(d, 3, 41, off_collinear=False),
-        42: lambda d: Config(d.field, type_id=42, whole_plane=True),
-    }
-    return simple[type_id]
-
-
 def _two_line_components(draw: _Draw) -> Config:
-    l1 = draw.line()
-    l2 = draw.line()
-    if l1 == l2:
-        raise _Reject
+    l1, l2, _ = draw.two_lines()
     return Config(draw.field, lines=(l1, l2), type_id=31)
 
 
 def _conic_component(draw: _Draw) -> Config:
-    f = draw.field
-    while True:
-        coeffs = draw.coords(6)
-        if all(f.is_zero(v) for v in coeffs):
-            continue
-        conic = Conic(f, coeffs)
-        if conic.is_degenerate():
-            raise _Reject
-        return Config(f, conics=(conic,), type_id=33)
+    conic = Conic(draw.field, draw._redraw(6, draw._nonzero))
+    if conic.is_degenerate():
+        raise _Reject
+    return Config(draw.field, conics=(conic,), type_id=33)
+
+
+_BUILDERS: dict[int, Callable[[_Draw], Config]] = {
+    1: lambda d: _points_config(d.field, [d.point()], 1),
+    2: lambda d: _generic_points(d, 2, 2),
+    3: lambda d: _generic_points(d, 3, 3),
+    4: lambda d: _k_on_line(d, 4, 4),
+    5: lambda d: _k_on_line(d, 5, 5),
+    6: lambda d: _k_on_line(d, 6, 6),
+    7: lambda d: _k_on_line(d, 7, 7),
+    8: lambda d: _k_on_line(d, 8, 8),
+    9: lambda d: _k_on_line(d, 9, 9),
+    10: lambda d: _k_on_line(d, 10, 10),
+    11: lambda d: _line_component(d, 0, 11),
+    12: lambda d: _generic_points(d, 4, 12),
+    13: lambda d: _k_on_line_plus_off(d, 4, 1, 13),
+    14: lambda d: _k_on_line_plus_off(d, 5, 1, 14),
+    15: lambda d: _k_on_line_plus_off(d, 6, 1, 15),
+    16: lambda d: _k_on_line_plus_off(d, 7, 1, 16),
+    17: lambda d: _line_component(d, 1, 17),
+    18: lambda d: _generic_points(d, 5, 18),
+    19: lambda d: _k_on_line_plus_off(d, 4, 2, 19),
+    20: lambda d: _k_on_line_plus_off(d, 5, 2, 20),
+    21: lambda d: _k_on_line_plus_off(d, 6, 2, 21),
+    22: lambda d: _line_component(d, 2, 22),
+    23: lambda d: _two_line_trios(d, False, 0, 23),
+    24: lambda d: _conic_points(d, 6, 0, 24),
+    25: lambda d: _two_line_trios(d, True, 0, 25),
+    26: lambda d: _generic_points(d, 6, 26),
+    27: lambda d: _two_lines_points(d, 4, 3, 27),
+    28: lambda d: _two_lines_points(d, 5, 3, 28),
+    29: lambda d: _line_component(d, 3, 29, off_collinear=True),
+    30: lambda d: _two_lines_points(d, 4, 4, 30),
+    31: _two_line_components,
+    32: lambda d: _conic_points(d, 7, 0, 32),
+    33: _conic_component,
+    34: lambda d: _k_on_line_plus_off(d, 4, 3, 34),
+    35: lambda d: _two_line_trios(d, False, 1, 35),
+    36: lambda d: _conic_points(d, 6, 1, 36),
+    37: lambda d: _two_line_trios(d, True, 1, 37),
+    38: lambda d: _pencil_quadruple(d, 38),
+    39: lambda d: _triangle_conic(d, 39),
+    40: lambda d: _five_lines(d, 40),
+    41: lambda d: _line_component(d, 3, 41, off_collinear=False),
+    42: lambda d: Config(d.field, type_id=42, whole_plane=True),
+}
 
 
 # The most distinct points of one line that the construction of a type uses,
@@ -541,49 +483,26 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     """
     if not 1 <= type_id <= 42:
         raise InputError(f"type_id {type_id} out of range 1..42")
-    need = _POINTS_ON_ONE_LINE.get(type_id, 0)
-    if isinstance(field, PrimeField) and need > field.p + 1:
-        raise SamplingError(
-            f"type {type_id} needs {need} distinct points on one line, but a "
-            f"line over {field} has only {field.p + 1}")
+    _line_capacity(field, _POINTS_ON_ONE_LINE.get(type_id, 0), f"type {type_id}")
     if isinstance(field, PrimeField) and field.p < _MIN_PRIME.get(type_id, 0):
         raise SamplingError(f"type {type_id} needs {_MIN_PRIME_NEEDS[type_id]} over {field}")
     if type_id in _CONIC_TYPES:
         _odd_characteristic(field)
-    build = _builder(type_id)
-    rng = SplitMix64(derive_seed(seed, type_id))
-    draw = _Draw(field, rng)
-    for _ in range(MAX_ATTEMPTS):
-        try:
-            return build(draw)
-        except _Reject:
-            continue
-    raise SamplingError(
-        f"could not satisfy genericity for type {type_id} over {field} "
-        f"within {MAX_ATTEMPTS} attempts; the field may be too small")
+    return _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
+                  f"could not satisfy genericity for type {type_id} over {field}")
 
 
 def sample_generic_points(k: int, field: Field, seed: int) -> Config:
     """Sample k points in general position: no 3 collinear, no 6 on a conic."""
-    rng = SplitMix64(derive_seed(seed, 100 + k))
-    draw = _Draw(field, rng)
-    for _ in range(MAX_ATTEMPTS):
-        try:
-            return _generic_points(draw, k, "untyped")
-        except _Reject:
-            continue
-    raise SamplingError(
-        f"could not place {k} generic points over {field} "
-        f"within {MAX_ATTEMPTS} attempts; the field may be too small")
+    return _retry(lambda draw: _generic_points(draw, k, "untyped"), field,
+                  derive_seed(seed, 100 + k),
+                  f"could not place {k} generic points over {field}")
 
 
 def random_projective_transform(field: Field, seed: int) -> list:
     """A random invertible 3x3 matrix, for projective-invariance tests."""
-    draw = _Draw(field, SplitMix64(derive_seed(seed, 777)))
-    while True:
-        rows = [draw.coords(3) for _ in range(3)]
-        if not field.is_zero(_det3(rows)):
-            return [[field.coerce(v) for v in row] for row in rows]
+    rows = _Draw(field, SplitMix64(derive_seed(seed, 777))).matrix()
+    return [[field.coerce(v) for v in row] for row in rows]
 
 
 def apply_transform_to_point(m: list, pt: ProjPoint) -> ProjPoint:
