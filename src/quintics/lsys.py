@@ -49,7 +49,7 @@ from .projgeom import (
     veronese,
 )
 from .rng import SplitMix64, derive_seed
-from .sampling import _Draw, _Reject, _retry
+from .sampling import _Draw, _Reject, _line_capacity, _retry
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +380,16 @@ def _system_rows(cfg: Config, d: int) -> list:
     return rows
 
 
+def _euler_relation(field: Field, d: int) -> None:
+    """Refuse a characteristic that divides ``d``: Euler's relation
+    x f_x + y f_y + z f_z = d f then vanishes, so the derivative rows of a
+    point no longer imply f = 0 there and the count is not the singular one."""
+    p = _modulus(field)
+    if p is not None and d % p == 0:
+        raise InputError(f"{field} has characteristic {p}, which divides the degree {d}; "
+                         "the Euler relation degenerates")
+
+
 def linear_system_dim(cfg: Config, d: int = 5) -> int:
     """Dimension of the space of degree-d forms singular along ``cfg``.
 
@@ -390,8 +400,10 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     ``space_dim(d) - rank(S)`` (21 - rank for quintics), ranked by Bareiss
     elimination over QQ and by elimination mod p over GF(p).  The
     whole-plane configuration is the one case with no matrix: only the zero
-    form is singular everywhere.
+    form is singular everywhere.  A field whose characteristic divides ``d``
+    raises ``InputError``.
     """
+    _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return 0
     return space_dim(d) - rank_rows(cfg.field, _system_rows(cfg, d))
@@ -399,6 +411,7 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     """Echelonized basis of the same space ``linear_system_dim`` measures."""
+    _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
     return kernel(DenseMatrix(cfg.field, _system_rows(cfg, d), space_dim(d)))
@@ -410,8 +423,11 @@ def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:
     Four points on a line contribute one evaluation row each; three further
     points in general position (not collinear, off the line) contribute their
     three derivative rows.  For generic data the 13 rows are independent, so
-    the kernel is 2-dimensional.
+    the kernel is 2-dimensional.  A field whose lines have fewer than four
+    points (GF(2)) is refused before any draw.
     """
+    _line_capacity(field, 4, "the quartic contact system")
+
     def build(draw: _Draw) -> tuple[list, list]:
         ln = draw.line()
         on_line = draw.distinct_points_on(ln, 4)

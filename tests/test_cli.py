@@ -87,6 +87,17 @@ def test_dims_conic_types_refuse_characteristic_two(capsys, monkeypatch, type_id
     assert "characteristic 2" in err
 
 
+def test_dims_refuses_a_prime_dividing_the_degree(capsys):
+    code, out, err = run(capsys, "dims", "--type", "1", "--field", "fp:5", "--seeds", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: fp:5 has characteristic 5, which divides the degree 5; "
+                   "the Euler relation degenerates\n")
+    code, out, _ = run(capsys, "dims", "--type", "1", "--field", "fp:7", "--seeds", "1")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result["expected"] == result["computed"] == 18
+
+
 def test_ledger_quintic5(capsys):
     code, out, _ = run(capsys, "ledger", "--dataset", "quintic5", "--emit", "poincare")
     assert code == 0

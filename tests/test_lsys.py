@@ -394,6 +394,38 @@ def test_quartic_contact_system_has_rank_13():
         assert kernel(m).dim == 2
 
 
+def test_quartic_contact_system_refuses_gf2_before_any_draw(monkeypatch):
+    import quintics.sampling as sampling_mod
+    from quintics.errors import SamplingError
+
+    def no_draws(*args):
+        raise AssertionError("the sampler drew before refusing")
+
+    # a line over GF(2) has three points; the system needs four on one line
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
+    with pytest.raises(SamplingError, match="4 distinct points on one line.*fp:2 has only 3"):
+        sample_quartic_contact_system(PrimeField(2), 1)
+    monkeypatch.undo()
+    m = sample_quartic_contact_system(PrimeField(3), 1)
+    assert (m.nrows, m.ncols) == (13, 15)
+
+
+def test_linear_systems_refuse_a_characteristic_dividing_the_degree():
+    fp5, fp7 = PrimeField(5), PrimeField(7)
+    point5 = Config(fp5, points=(pt(1, 2, 3, field=fp5),))
+    for cfg in (point5, Config(fp5, type_id=42, whole_plane=True)):
+        with pytest.raises(InputError, match="fp:5 has characteristic 5, which divides the degree 5"):
+            linear_system_dim(cfg)
+        with pytest.raises(InputError, match="characteristic 5"):
+            linear_system_basis(cfg)
+    # degree 4 over fp:5 and degree 5 over fp:7 keep their counts
+    assert linear_system_dim(point5, 4) == 15 - 3
+    point7 = Config(fp7, points=(pt(1, 2, 3, field=fp7),))
+    assert linear_system_dim(point7) == GOLDEN_DIMS[1] == 18
+    assert linear_system_basis(point7).dim == 18
+    assert linear_system_dim(Config(fp7, type_id=42, whole_plane=True)) == 0
+
+
 # --- brute force and classification --------------------------------------------
 
 def test_fermat_quintic_is_nonsingular():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quintics.errors import InputError, SamplingError
 from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel, parse_field
 from quintics.formats import config_to_json, value_list
+from quintics.rng import SplitMix64
 from quintics.lsys import classify, sample_quartic_contact_system
 from quintics.projgeom import (
     Config,
@@ -230,6 +231,49 @@ def test_sampler_refuses_too_many_points_on_a_line_before_any_draw(type_id, p, m
     monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
     with pytest.raises(SamplingError, match=f"type {type_id} .*fp:{p}"):
         sample_generic(type_id, PrimeField(p), 0)
+
+
+class _CountingRng(SplitMix64):
+    """A SplitMix64 that counts its calls; over GF(p) each coordinate is one."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def below(self, bound):
+        self.calls += 1
+        return super().below(bound)
+
+
+def test_distinct_draw_keeps_its_guard_semantics():
+    from quintics.sampling import _Draw, _Reject
+
+    field = PrimeField(101)
+    draw = _Draw(field, _CountingRng(3))
+
+    def one_value():
+        return draw.coord()
+
+    assert draw.distinct(0, one_value) == []
+    assert draw.rng.calls == 0
+    got = draw.distinct(20, one_value, avoid=range(10), skip=lambda v: v % 2 == 0)
+    assert len(got) == len(set(got)) == 20
+    assert all(v >= 10 and v % 2 for v in got)
+    # a value every draw refuses: _Reject after exactly ``limit`` draws
+    for limit in (1, 7, 200):
+        draw.rng.calls = 0
+        with pytest.raises(_Reject):
+            draw.distinct(1, one_value, skip=lambda v: True, limit=limit)
+        assert draw.rng.calls == limit
+    # n values reached on the last allowed draw still succeed
+    draw.rng.calls = 0
+    assert len(draw.distinct(3, one_value, limit=3)) == 3
+    assert draw.rng.calls == 3
+    # five values over and over: a sixth distinct one never comes
+    cycle = iter(range(10 ** 6))
+    with pytest.raises(_Reject):
+        draw.distinct(6, lambda: next(cycle) % 5, limit=50)
+    assert next(cycle) == 50
 
 
 def _type36_feasible(p):
