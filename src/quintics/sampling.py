@@ -9,11 +9,16 @@ rational parametrization (s^2, s t, t^2) of a reference conic through a random
 invertible change of coordinates, so sampling works verbatim over the
 rationals, where finding points on an arbitrary conic would not be possible.
 
+Every construction draws through one guarded helper, ``_Draw.distinct``,
+which makes a bounded number of draws, and runs inside one bounded retry,
+``_retry``; the quartic contact sampler of ``lsys`` uses the same two.
+
 A type that needs more points on one line than a line over the field has, a
 type whose points cannot exist over a small field (types 18, 26 and 36), or a
-conic over GF(2), is refused before any draw.  Sampling that keeps failing
-its predicates gives up after ``MAX_ATTEMPTS`` rejections; over a very small
-prime field this can still be the outcome.
+conic over GF(2), is refused before any draw, and so is the quartic contact
+system over GF(2).  Sampling that keeps failing its predicates gives up after
+``MAX_ATTEMPTS`` rejections; over a very small prime field this can still be
+the outcome.
 """
 
 from __future__ import annotations
