@@ -22,7 +22,13 @@ from .ledger import (
     quintic_poincare_pipeline,
     totalize,
 )
-from .lsys import GOLDEN_DIMS, classify, linear_system_dim, singular_set_bruteforce
+from .lsys import (
+    GOLDEN_DIMS,
+    _euler_relation,
+    classify,
+    linear_system_dim,
+    singular_set_bruteforce,
+)
 from .rng import derive_seed
 from .sampling import sample_generic
 from .twisted import BUILTIN_MODELS, betti_poly, homology, induced_map, poincare_dual
@@ -64,6 +70,8 @@ def cmd_dims(args) -> int:
         if not 1 <= t <= 42:
             raise InputError(f"type {t} out of range 1..42")
         types = [t]
+    # refused before any draw, so every type gives the same error
+    _euler_relation(field, 5)
     results = []
     for t in types:
         for i in range(args.seeds):
@@ -86,8 +94,7 @@ def cmd_classify(args) -> int:
     field = PrimeField(p)
     if poly.field != field:
         poly = poly.reduce_to(field)
-    if poly.degree % p == 0:
-        raise InputError("the prime divides the degree; classification is undefined")
+    _euler_relation(field, poly.degree)
     sing = singular_set_bruteforce(poly, p)
     results = []
     if sing.is_empty():

@@ -15,8 +15,10 @@ int rows with the reduction mod p inlined: rank is the forward pass alone,
 and reduced row echelon form is the same forward pass followed by
 back-substitution.  ``rank_rows`` ranks plain rows (ints or Fractions over
 QQ, residues over GF(p)) without building a ``DenseMatrix``, and ``rank``
-delegates to it.  All routines are deterministic: identical inputs give
-bit-identical outputs, so echelon bases are usable in regression tests.
+delegates to it; ``_kernel_rows`` takes the null space of such rows the same
+way, and ``kernel`` delegates to it.  All routines are deterministic:
+identical inputs give bit-identical outputs, so echelon bases are usable in
+regression tests.
 """
 
 from __future__ import annotations
@@ -484,25 +486,33 @@ def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
 
 def kernel(m: DenseMatrix) -> SubspaceBasis:
     """Echelonized basis of the right null space of ``m``."""
-    field = m.field
-    if m.nrows == 0:
-        basis = [[field.one() if j == i else field.zero() for j in range(m.ncols)]
-                 for i in range(m.ncols)]
-        return SubspaceBasis(field, m.ncols, tuple(tuple(r) for r in basis))
-    reduced, pivots = rref(m)
+    return _kernel_rows(m.field, m.rows, m.ncols)
+
+
+def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> SubspaceBasis:
+    """Echelonized basis of the right null space of ``ncols``-wide rows, without
+    building a DenseMatrix.
+
+    The entries must be canonical over GF(p), ints in ``[0, p)``; over QQ
+    they may be ints or Fractions.  The rows are left unchanged.
+    """
+    if not rows:
+        return full_space(field, ncols)
+    reduced, pivots = _rref(field, list(rows))
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     vectors = []
-    for fc in free_cols:
-        vec = [field.zero()] * m.ncols
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [field.zero()] * ncols
         vec[fc] = field.one()
         for i, pc in enumerate(pivots):
-            vec[pc] = field.coerce(-reduced.rows[i][fc])
+            vec[pc] = field.coerce(-reduced[i][fc])
         vectors.append(vec)
     echelon, _ = _rref(field, vectors)
     kept = tuple(tuple(row) for row in echelon
                  if any(not field.is_zero(v) for v in row))
-    return SubspaceBasis(field, m.ncols, kept)
+    return SubspaceBasis(field, ncols, kept)
 
 
 def row_space(m: DenseMatrix) -> SubspaceBasis:

@@ -29,6 +29,7 @@ from .exactalg import (
     PrimeField,
     SubspaceBasis,
     _integer_row,
+    _kernel_rows,
     kernel,
     rank_rows,
     row_space,
@@ -414,7 +415,7 @@ def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
-    return kernel(DenseMatrix(cfg.field, _system_rows(cfg, d), space_dim(d)))
+    return _kernel_rows(cfg.field, _system_rows(cfg, d), space_dim(d))
 
 
 def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:
@@ -481,7 +482,8 @@ def plane_points(p: int) -> tuple:
 
 
 # The sieve runs Horner's rule over all p values of z only on a row whose gcd
-# has degree >= 3; the cap keeps that work, and the table of squares, small.
+# has degree >= 3; the cap keeps that work, and the tables of squares and
+# inverses, small.
 MAX_BRUTEFORCE_PRIME = 251
 
 
@@ -490,17 +492,23 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
 
     The plane is sieved row by row in ``plane_points`` order: x = 1 with y
     fixed, then x = 0, y = 1, then (0, 0, 1).  On a row each partial is a
-    polynomial in z, and the singular z values are the roots in GF(p) of the
-    gcd of the nonzero ones, folded in one at a time until it is constant.
-    A gcd of degree 1 or 2 is solved in closed form, a higher one by Horner's
-    rule over every z; a row on which all three partials vanish is kept whole.
-    Only found points are built: no table of the plane is made unless f = 0.
+    polynomial in z.  Its coefficients are built column-wise before any row
+    is visited: the coefficient of each power of z in each partial is a
+    polynomial in y, evaluated at every y at once by Horner's rule, so row y
+    reads its three z-polynomials off the columns.  On x = 0 each
+    coefficient is the leading one of its polynomial in y, and at (0:0:1)
+    each partial is its coefficient of the highest power of z.  Both kinds
+    of row go through one gcd fold: the singular z values are the roots in
+    GF(p) of the gcd of the nonzero partials, folded in one at a time until
+    it is constant.  A gcd of degree 1 or 2 is solved in closed form, a
+    higher one by Horner's rule over every z; a row on which all three
+    partials vanish is kept whole.  Only found points are built: no table
+    of the plane is made unless f = 0.
     """
     field = PrimeField(p)
     if f.field != field:
         raise FieldMismatchError(f"form is not over GF({p})")
-    if f.degree % p == 0:
-        raise InputError("p divides the degree; the Euler relation degenerates")
+    _euler_relation(field, f.degree)
     if p < 5:
         raise InputError("brute force needs p >= 5")
     if p > MAX_BRUTEFORCE_PRIME:
@@ -508,31 +516,32 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
                          f"{MAX_BRUTEFORCE_PRIME}")
     if f.is_zero():
         return list(plane_points(p))
-    n = f.degree
-    # each partial's (x-power, y-power, coeff) terms by z-power, highest first
-    tables = [[[] for _ in range(n)] for _ in range(3)]
-    for v, table in enumerate(tables):
-        for (a, b, c), coeff in f.partial(v).terms.items():
-            table[n - 1 - c].append((a, b, coeff))
+    m = f.degree - 1
+    # per partial, the coefficient of z^(m - k) as a polynomial in y of
+    # degree <= k, highest power first: the term x^a y^b z^c sits at [m - c][a]
+    partials = [[[0] * (k + 1) for k in range(m + 1)] for _ in range(3)]
+    for v, polys in enumerate(partials):
+        for (a, _, c), coeff in f.partial(v).terms.items():
+            polys[m - c][a] = coeff
+    ys = range(p)
+    columns = [zip(*[[u % p for u in _horner(poly, ys)] for poly in polys])
+               for polys in partials]
     out = []
-    for y in range(p):
-        ys = [pow(y, b, p) for b in range(n)]
-        out.extend(ProjPoint(field, (1, y, z)) for z in _row_zeros(tables, ys, p))
-    # on x = 0 only the terms free of x survive
-    x_free = [[[t for t in terms if not t[0]] for terms in table] for table in tables]
-    out.extend(ProjPoint(field, (0, 1, z)) for z in _row_zeros(x_free, [1] * n, p))
-    # at (0:0:1) each partial is its coefficient of z^(n-1)
-    if not any(table[0] for table in tables):
+    for y, row in enumerate(zip(*columns)):
+        out.extend(ProjPoint(field, (1, y, z)) for z in _row_zeros(row, p))
+    x_free = [[poly[0] for poly in polys] for polys in partials]
+    out.extend(ProjPoint(field, (0, 1, z)) for z in _row_zeros(x_free, p))
+    if not any(polys[0][0] for polys in partials):
         out.append(ProjPoint(field, (0, 0, 1)))
     return out
 
 
-def _row_zeros(tables: list, ys: list, p: int):
-    """The z in GF(p), ascending, where every partial vanishes on a row whose
-    y has the powers ``ys``; x is 1 on every term left in ``tables``."""
+def _row_zeros(polys: Sequence, p: int):
+    """The z in GF(p), ascending, where the partials, given on one row as
+    residue coefficients in z (highest power first), all vanish."""
     gcd = None
-    for table in tables:
-        poly = [sum(coeff * ys[b] for _, b, coeff in terms) % p for terms in table]
+    for poly in polys:
+        poly = list(poly)
         while poly and not poly[0]:
             poly.pop(0)
         if poly:
@@ -541,22 +550,24 @@ def _row_zeros(tables: list, ys: list, p: int):
                 return ()
     if gcd is None:
         return range(p)
+    inverse = _inverses(p)
     if len(gcd) == 2:
-        return (-gcd[1] * pow(gcd[0], -1, p) % p,)
+        return (-gcd[1] * inverse[gcd[0]] % p,)
     if len(gcd) == 3:
         a, b, c = gcd
         root = _square_roots(p).get((b * b - 4 * a * c) % p)
         if root is None:
             return ()
-        inv = pow(2 * a, -1, p)
+        inv = inverse[2 * a % p]
         return sorted({(root - b) * inv % p, (-root - b) * inv % p})
-    return _horner_zeros(gcd, range(p), p)
+    return [z for z, v in enumerate(_horner(gcd, range(p))) if v % p == 0]
 
 
 def _gcd_mod(u: list, v: list, p: int) -> list:
     """A gcd of two nonzero polynomials over GF(p), highest power first."""
+    inverse = _inverses(p)
     while len(v) > 1:
-        inv = pow(v[0], -1, p)
+        inv = inverse[v[0]]
         n = len(v)
         while len(u) >= n:
             q = u[0] * inv
@@ -575,13 +586,19 @@ def _square_roots(p: int) -> dict:
     return {v * v % p: v for v in range(p)}
 
 
-def _horner_zeros(coeffs: list, zs: list, p: int) -> list:
-    """The z in ``zs`` where the polynomial vanishes mod p, by Horner's rule
-    run on all of them at once."""
-    acc = [coeffs[0]] * len(zs)
+@lru_cache(maxsize=8)
+def _inverses(p: int) -> tuple:
+    """The inverse mod p of every residue, with 0 at index 0."""
+    return (0,) + tuple(pow(v, -1, p) for v in range(1, p))
+
+
+def _horner(coeffs: Sequence, xs: Sequence) -> list:
+    """The polynomial (highest power first) at every x in ``xs``, unreduced,
+    by Horner's rule run on all of them at once."""
+    acc = [coeffs[0]] * len(xs)
     for c in coeffs[1:]:
-        acc = [v * z + c for v, z in zip(acc, zs)]
-    return [z for z, v in zip(zs, acc) if v % p == 0]
+        acc = [v * x + c for v, x in zip(acc, xs)]
+    return acc
 
 
 def _peel_line_components(points: list, p: int) -> tuple[list, list]:
@@ -596,7 +613,7 @@ def _peel_line_components(points: list, p: int) -> tuple[list, list]:
     points of L, so some point of L stays uncovered until L is found.
     A pivot stops grouping once no group can still reach p points.
     """
-    inverse = [0] + [pow(v, -1, p) for v in range(1, p)]
+    inverse = _inverses(p)
     coords = [q.coords for q in points]
     n = len(coords)
     covered: set = set()

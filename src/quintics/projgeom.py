@@ -97,9 +97,13 @@ def _from_key(cls, field: Field, key: tuple):
     obj = object.__new__(cls)
     object.__setattr__(obj, "field", field)
     object.__setattr__(obj, "coords" if cls is ProjPoint else "coeffs", key)
+    object.__setattr__(obj, "_hash", hash((field, key)))
     return obj
 
 
+# ProjPoint and ProjLine hash their (field, triple) pair once, when built: the
+# value the dataclass hash would compute on every lookup, which for Fraction
+# coordinates costs a modular inverse per coordinate.
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of the projective plane in normalized homogeneous coordinates."""
@@ -111,6 +115,10 @@ class ProjPoint:
         if len(self.coords) != 3:
             raise InputError("a projective point needs 3 coordinates")
         object.__setattr__(self, "coords", _normalize(self.field, self.coords))
+        object.__setattr__(self, "_hash", hash((self.field, self.coords)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -124,6 +132,10 @@ class ProjLine:
         if len(self.coeffs) != 3:
             raise InputError("a line needs 3 coefficients")
         object.__setattr__(self, "coeffs", _normalize(self.field, self.coeffs))
+        object.__setattr__(self, "_hash", hash((self.field, self.coeffs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Coefficient order for conics throughout the package.

@@ -87,15 +87,32 @@ def test_dims_conic_types_refuse_characteristic_two(capsys, monkeypatch, type_id
     assert "characteristic 2" in err
 
 
+EULER_REFUSAL = ("error: fp:5 has characteristic 5, which divides the degree 5; "
+                 "the Euler relation degenerates\n")
+
+
 def test_dims_refuses_a_prime_dividing_the_degree(capsys):
     code, out, err = run(capsys, "dims", "--type", "1", "--field", "fp:5", "--seeds", "1")
     assert code == 2 and out == ""
-    assert err == ("error: fp:5 has characteristic 5, which divides the degree 5; "
-                   "the Euler relation degenerates\n")
+    assert err == EULER_REFUSAL
     code, out, _ = run(capsys, "dims", "--type", "1", "--field", "fp:7", "--seeds", "1")
     assert code == 0
     (result,) = json.loads(out)["results"]
     assert result["expected"] == result["computed"] == 18
+
+
+@pytest.mark.parametrize("type_arg", ["10", "all"])
+def test_dims_refuses_the_characteristic_before_any_draw(capsys, monkeypatch, type_arg):
+    import quintics.sampling as sampling_mod
+
+    def no_draw(*args):
+        raise AssertionError("fp:5 must be refused before any draw")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draw)
+    code, out, err = run(capsys, "dims", "--type", type_arg, "--field", "fp:5",
+                         "--seeds", "1")
+    assert code == 2 and out == ""
+    assert err == EULER_REFUSAL
 
 
 def test_ledger_quintic5(capsys):
@@ -244,8 +261,9 @@ def test_classify_rejects_degree_divisible_by_p(tmp_path, capsys):
     poly = HomogeneousPoly(PrimeField(5), 5, {(5, 0, 0): 1})
     path = tmp_path / "bad.json"
     save_poly(poly, str(path))
-    code, _, err = run(capsys, "classify", "--poly", str(path), "--prime", "5")
-    assert code == 2
+    code, out, err = run(capsys, "classify", "--poly", str(path), "--prime", "5")
+    assert code == 2 and out == ""
+    assert err == EULER_REFUSAL
 
 
 def test_out_flag_writes_report(tmp_path, capsys):

@@ -18,6 +18,7 @@ from quintics.exactalg import (
 )
 from quintics.lsys import (
     _remainder_rows,
+    _system_rows,
     GOLDEN_DIMS,
     HomogeneousPoly,
     K_POINTS,
@@ -44,6 +45,7 @@ from quintics.lsys import (
     verify_taxonomy_table,
 )
 from quintics.projgeom import Config, Conic, ProjLine, ProjPoint
+from quintics.rng import SplitMix64, derive_seed
 from quintics.sampling import (
     apply_transform_to_config,
     random_projective_transform,
@@ -562,10 +564,11 @@ def _reference_singular_points(f, p):
     """Whole-table enumeration: every monomial's value at every plane point."""
     monomials = monomial_basis(f.degree - 1)
     partials = [f.partial(v).to_vector() for v in range(3)]
+    powers = [[pow(v, e, p) for e in range(f.degree)] for v in range(p)]
     out = []
     for q in plane_points(p):
-        x, y, z = q.coords
-        vals = [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) for a, b, c in monomials]
+        x, y, z = (powers[v] for v in q.coords)
+        vals = [x[a] * y[b] * z[c] for a, b, c in monomials]
         if all(sum(c * v for c, v in zip(g, vals)) % p == 0 for g in partials):
             out.append(q)
     return out
@@ -698,6 +701,26 @@ def test_sieve_matches_whole_table_reference(p, d):
         assert singular_points_bruteforce(f, p) == _reference_singular_points(f, p), name
 
 
+@pytest.mark.parametrize("p", [101, 251])
+@pytest.mark.parametrize("type_id", range(1, 42))
+def test_oracle_inputs_match_the_reference_routes(type_id, p):
+    """The inputs the oracle route meets: a sample of the type, its linear
+    system's basis and a seeded nonzero member of it."""
+    fp = PrimeField(p)
+    cfg = sample_generic(type_id, fp, derive_seed(p, type_id))
+    basis = linear_system_basis(cfg)
+    assert basis == kernel(DenseMatrix(fp, _system_rows(cfg, 5), 21))
+    assert basis.dim == GOLDEN_DIMS[type_id]
+    rng = SplitMix64(derive_seed(p, type_id, 1))
+    vec = [0] * 21
+    while not any(vec):
+        for row in basis.basis:
+            c = rng.below(p)
+            vec = [(v + c * r) % p for v, r in zip(vec, row)]
+    f = HomogeneousPoly.from_vector(fp, 5, vec)
+    assert singular_points_bruteforce(f, p) == _reference_singular_points(f, p)
+
+
 def test_bruteforce_builds_no_plane_table():
     fp = PrimeField(101)
     plane_points.cache_clear()
@@ -719,7 +742,8 @@ def test_zero_form_is_whole_plane():
 
 def test_bruteforce_rejects_bad_prime():
     f = random_poly(PrimeField(5), 5, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^fp:5 has characteristic 5, which divides "
+                                         "the degree 5; the Euler relation degenerates$"):
         singular_set_bruteforce(f, 5)
 
 

@@ -24,6 +24,7 @@ from quintics.projgeom import (
     hausdorff,
     incident,
     line_groups,
+    line_intersection,
     line_through,
     on_common_conic,
     points_on_line_basis,
@@ -74,6 +75,23 @@ def test_point_normalization_canonical():
     assert pt(0, 3, 6).coords == (0, 1, 2)
     with pytest.raises(InputError):
         pt(0, 0, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_point_and_line_hashes_are_the_dataclass_hash(field):
+    a = ProjPoint(field, (2, 3, 5))
+    b = ProjPoint(field, (1, -7, 4))
+    c = ProjPoint(field, (0, 1, 9))
+    d = ProjPoint(field, (4, 0, -3))
+    built = [a, b, ProjLine(field, (3, 1, -2)),
+             line_through(a, b),  # from the line's integer key
+             line_intersection(line_through(a, b), line_through(c, d))]
+    for obj in built:
+        triple = obj.coords if isinstance(obj, ProjPoint) else obj.coeffs
+        assert hash(obj) == hash((field, triple))
+        assert hash(obj) == hash(type(obj)(field, triple))
+    assert line_through(a, b) == ProjLine(field, line_through(a, b).coeffs)
+    assert {line_through(a, b), line_through(b, a)} == {line_through(a, b)}
 
 
 # --- conics ----------------------------------------------------------------
