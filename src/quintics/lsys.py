@@ -523,8 +523,7 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     for v, polys in enumerate(partials):
         for (a, _, c), coeff in f.partial(v).terms.items():
             polys[m - c][a] = coeff
-    ys = range(p)
-    columns = [zip(*[[u % p for u in _horner(poly, ys)] for poly in polys])
+    columns = [zip(*[[u % p for u in _horner(poly, range(p))] for poly in polys])
                for polys in partials]
     out = []
     for y, row in enumerate(zip(*columns)):

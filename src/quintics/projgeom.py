@@ -97,13 +97,15 @@ def _from_key(cls, field: Field, key: tuple):
     obj = object.__new__(cls)
     object.__setattr__(obj, "field", field)
     object.__setattr__(obj, "coords" if cls is ProjPoint else "coeffs", key)
-    object.__setattr__(obj, "_hash", hash((field, key)))
+    object.__setattr__(obj, "_hash", hash((field.name, key)))
     return obj
 
 
 # ProjPoint and ProjLine hash their (field, triple) pair once, when built: the
 # value the dataclass hash would compute on every lookup, which for Fraction
-# coordinates costs a modular inverse per coordinate.
+# coordinates costs a modular inverse per coordinate.  A Field hashes as its
+# name, so hashing (field.name, triple) gives that value without a call to
+# Field.__hash__, which a line made once and hashed once would notice.
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of the projective plane in normalized homogeneous coordinates."""
@@ -115,7 +117,7 @@ class ProjPoint:
         if len(self.coords) != 3:
             raise InputError("a projective point needs 3 coordinates")
         object.__setattr__(self, "coords", _normalize(self.field, self.coords))
-        object.__setattr__(self, "_hash", hash((self.field, self.coords)))
+        object.__setattr__(self, "_hash", hash((self.field.name, self.coords)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -132,7 +134,7 @@ class ProjLine:
         if len(self.coeffs) != 3:
             raise InputError("a line needs 3 coefficients")
         object.__setattr__(self, "coeffs", _normalize(self.field, self.coeffs))
-        object.__setattr__(self, "_hash", hash((self.field, self.coeffs)))
+        object.__setattr__(self, "_hash", hash((self.field.name, self.coeffs)))
 
     def __hash__(self) -> int:
         return self._hash
