@@ -255,6 +255,21 @@ def test_dims_report_matches_stored(field, seeds, name, capsys):
     assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("ledger", "--dataset", "quintic5", "--emit", "tables"), "ledger_quintic5_tables"),
+    (("ledger", "--dataset", "col39-aux"), "ledger_col39_aux"),
+    (("homology", "--model", "pairs-a1"), "homology_pairs_a1"),
+    (("homology", "--model", "pairs-a2"), "homology_pairs_a2"),
+    (("homology", "--model", "pairs-a3"), "homology_pairs_a3"),
+    (("homology", "--model", "punctured-line"), "homology_punctured_line"),
+])
+def test_ledger_and_homology_reports_match_stored(argv, name, capsys):
+    # the twisted homology behind these reports runs on QQ rref and kernel
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")
+
+
 def test_classify_rejects_degree_divisible_by_p(tmp_path, capsys):
     fp = PrimeField(7)
     # degree 5 over p = 5 is rejected before enumeration
