@@ -6,19 +6,19 @@ and prime fields ``GF(p)``.  Rationals are stored as ``fractions.Fraction``
 plain ints in ``[0, p)``.  Arithmetic on them is Python's own; a
 :class:`Field` supplies only what differs between the two fields.
 
-Over the rationals, rank is computed by fraction-free Bareiss elimination on
-integerized rows, which keeps intermediate entries polynomial in the input
-instead of letting gcd-heavy Fraction arithmetic blow up, while reduced row
-echelon form (used for kernels and canonical subspace bases) is exact
-Fraction Gauss-Jordan elimination.  Over ``GF(p)`` elimination runs on plain
-int rows with the reduction mod p inlined: rank is the forward pass alone,
-and reduced row echelon form is the same forward pass followed by
-back-substitution.  ``rank_rows`` ranks plain rows (ints or Fractions over
-QQ, residues over GF(p)) without building a ``DenseMatrix``, and ``rank``
-delegates to it; ``_kernel_rows`` takes the null space of such rows the same
-way, and ``kernel`` delegates to it.  All routines are deterministic:
-identical inputs give bit-identical outputs, so echelon bases are usable in
-regression tests.
+Each field has one forward elimination pass: rank is its pivot count, and
+reduced row echelon form (used for kernels and canonical subspace bases) is
+that pass followed by back-substitution.  Over QQ the pass is fraction-free
+Bareiss elimination on rows cleared to integers, which keeps intermediate
+entries polynomial in the input instead of letting gcd-heavy Fraction
+arithmetic blow up; back-substitution stays on integers, and Fractions are
+made only when each row is finally divided by its pivot.  Over ``GF(p)``
+elimination runs on plain int rows with the reduction mod p inlined.
+``rank_rows`` ranks plain rows (ints or Fractions over QQ, residues over
+GF(p)) without building a ``DenseMatrix``, and ``rank`` delegates to it;
+``_kernel_rows`` takes the null space of such rows the same way, and
+``kernel`` delegates to it.  All routines are deterministic: identical inputs
+give bit-identical outputs, so echelon bases are usable in regression tests.
 """
 
 from __future__ import annotations
@@ -375,39 +375,6 @@ def _fp_back_substitute(p: int, rows: list, pivots: list[int]) -> None:
                 rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
 
 
-def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    if isinstance(field, PrimeField):
-        pivots = _fp_forward(field.p, rows)
-        _fp_back_substitute(field.p, rows, pivots)
-        return rows, pivots
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def _integer_row(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators: an integer row spanning the
     same line.  Entries may be ints or Fractions."""
@@ -421,16 +388,21 @@ def _integer_row(row: Sequence) -> list[int]:
     return [v.numerator * (lcm // v.denominator) for v in row]
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination.
+def _bareiss_forward(m: list[list[int]]) -> list[int]:
+    """In-place fraction-free Bareiss elimination of an integer matrix;
+    returns the pivot columns.
 
-    Works in place on the rows of ``m``.  After each step every entry below
-    the pivot rows is a minor of the input, so the division by the previous
-    pivot is exact.
+    After the step at the k-th pivot, each entry (i, j) below the pivot rows
+    is a minor of the input: the determinant on the first k pivot rows plus
+    row i and the first k pivot columns plus column j (Sylvester's identity).
+    So the division by the previous pivot, itself such a minor, is exact.
+    Afterwards the first ``len(pivots)`` rows are in row echelon form and the
+    remaining rows are zero.
     """
     nrows = len(m)
     if not nrows:
-        return 0
+        return []
+    pivots: list[int] = []
     prev = 1
     r = 0
     for c in range(len(m[0])):
@@ -450,10 +422,44 @@ def _bareiss_rank(m: list[list[int]]) -> int:
             elif pivot != prev:
                 m[i] = [pivot * a // prev for a in mi]
         prev = pivot
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return pivots
+
+
+def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Over GF(p) the rows are reduced in place.  Over QQ they are cleared to
+    integers, put in echelon form by ``_bareiss_forward`` and back-substituted
+    on integers, each updated row divided by its content; only the final
+    division by each pivot makes Fractions.  Zero rows stay zero rows.
+    """
+    if not rows:
+        return rows, []
+    if isinstance(field, PrimeField):
+        pivots = _fp_forward(field.p, rows)
+        _fp_back_substitute(field.p, rows, pivots)
+        return rows, pivots
+    m = [_integer_row(row) for row in rows]
+    pivots = _bareiss_forward(m)
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        pr = m[k]
+        pk = pr[c]
+        for i in range(k):
+            ri = m[i]
+            f = ri[c]
+            if f:
+                ri = [pk * a - f * b for a, b in zip(ri, pr)]
+                g = gcd(*ri)
+                m[i] = [a // g for a in ri]
+    for i, c in enumerate(pivots):
+        pv = m[i][c]
+        m[i] = [Fraction(v, pv) for v in m[i]]
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +474,7 @@ def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     entries must be ints in ``[0, p)``.  The rows are left unchanged.
     """
     if isinstance(field, RationalField):
-        return _bareiss_rank([_integer_row(row) for row in rows])
+        return len(_bareiss_forward([_integer_row(row) for row in rows]))
     return len(_fp_forward(field.p, list(rows)))
 
 

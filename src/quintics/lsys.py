@@ -30,7 +30,6 @@ from .exactalg import (
     SubspaceBasis,
     _integer_row,
     _kernel_rows,
-    kernel,
     rank_rows,
     row_space,
 )
@@ -42,12 +41,12 @@ from .projgeom import (
     ProjPoint,
     _modulus,
     _no_collinear_triple,
+    _unique_conic,
     collinear,
     conic_line_second_point,
     conic_through,
     incident,
     line_groups,
-    veronese,
 )
 from .rng import SplitMix64, derive_seed
 from .sampling import _Draw, _Reject, _line_capacity, _retry
@@ -765,15 +764,6 @@ def type_record(type_id: int) -> ConfigTypeRecord:
 # classification
 
 
-def _conic_containing(points: Sequence[ProjPoint]) -> Optional[Conic]:
-    """The conic through six points when it exists and is unique."""
-    m = DenseMatrix(points[0].field, [veronese(q) for q in points], 6)
-    basis = kernel(m).basis
-    if len(basis) != 1:
-        return None
-    return Conic(points[0].field, basis[0])
-
-
 def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
     """Second cut of the line by the conic through the four base points and pt."""
     q = conic_through(list(base) + [pt])
@@ -819,7 +809,7 @@ def _classify_triangle_conic(points: Sequence[ProjPoint], groups: dict) -> Optio
     others = [q for q in points if q not in vertices]
     if len(others) != 6 or sets[0] | sets[1] | sets[2] != set(points):
         return None
-    conic = _conic_containing(others)
+    conic = _unique_conic(others)
     if conic is None:
         return None
     if any(conic.contains(v) for v in vertices):
@@ -870,7 +860,7 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         # passes through them: two conics meeting in more than four points
         # share a line L, and the points off L lie on both residual lines,
         # which have one common point, so five points would lie on L.
-        conic = _conic_containing(pts)
+        conic = _unique_conic(pts)
         if conic is None:
             return 26
         return None if conic.is_degenerate() else 24
@@ -917,7 +907,7 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
     if _disjoint_trios(sized):
         return 35
     for skip in range(7):
-        conic = _conic_containing([q for i, q in enumerate(pts) if i != skip])
+        conic = _unique_conic([q for i, q in enumerate(pts) if i != skip])
         if conic is not None and not conic.is_degenerate() \
                 and not conic.contains(pts[skip]):
             return 36

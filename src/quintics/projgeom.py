@@ -28,13 +28,12 @@ from typing import Iterable, Optional, Sequence
 from .errors import FieldMismatchError, InputError
 from .exactalg import (
     QQ,
-    DenseMatrix,
     Field,
     PrimeField,
     RationalField,
     Scalar,
     _integer_row,
-    kernel,
+    _kernel_rows,
 )
 
 
@@ -358,8 +357,7 @@ def on_common_conic(pts: Sequence[ProjPoint]) -> bool:
         raise InputError("the six points must be distinct")
     for p in pts[1:]:
         _same_field(pts[0].field, p.field)
-    m = DenseMatrix(pts[0].field, [veronese(p) for p in pts], 6)
-    return kernel(m).dim > 0
+    return bool(_conic_basis(pts))
 
 
 def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
@@ -369,10 +367,19 @@ def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
         raise InputError("conic_through takes five distinct points")
     for p in pts[1:]:
         _same_field(pts[0].field, p.field)
-    basis = kernel(DenseMatrix(pts[0].field, [veronese(p) for p in pts], 6)).basis
-    if len(basis) != 1:
-        return None
-    return Conic(pts[0].field, basis[0])
+    return _unique_conic(pts)
+
+
+def _conic_basis(pts: Sequence[ProjPoint]) -> tuple:
+    """Echelon basis of the conics through points of one field: the kernel of
+    their Veronese rows, which are already canonical."""
+    return _kernel_rows(pts[0].field, [veronese(p) for p in pts], 6).basis
+
+
+def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
+    """The conic through points of one field when it exists and is unique."""
+    basis = _conic_basis(pts)
+    return Conic(pts[0].field, basis[0]) if len(basis) == 1 else None
 
 
 def restrict_conic_to_line(c: Conic, ln: ProjLine) -> tuple:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .exactalg import QQ, DenseMatrix, kernel, rank, rref
+from .exactalg import QQ, DenseMatrix, full_space, kernel, rank, rref
 from .poincare import PoincarePoly
 
 
@@ -388,27 +388,16 @@ def _homology_basis(c: ChainComplex, k: int) -> tuple:
     """Cycle representatives of a homology basis plus the boundary basis."""
     n = c.dims[k]
     bk = c.boundary(k)
-    if bk is None:
-        cycles = kernel(DenseMatrix(QQ, [], n)) if n else None
-        cycle_rows = cycles.basis if cycles else ()
-    else:
-        cycle_rows = kernel(bk).basis
+    cycle_rows = full_space(QQ, n).basis if bk is None else kernel(bk).basis
     bk1 = c.boundary(k + 1)
-    if bk1 is None:
-        boundary_rows: tuple = ()
-    else:
-        reduced, _ = rref(bk1.transpose())
-        boundary_rows = reduced.rows
-    # choose cycle representatives extending the boundary space
-    chosen = []
-    stack = [list(r) for r in boundary_rows]
-    base_rank = len(boundary_rows)
-    for row in cycle_rows:
-        trial = stack + [list(row)]
-        if rank(DenseMatrix(QQ, trial, n)) > len(stack):
-            stack.append(list(row))
-            chosen.append(row)
-    return tuple(chosen), boundary_rows
+    boundary_rows = () if bk1 is None else rref(bk1.transpose())[0].rows
+    # A cycle extends the span of the boundaries and the cycles before it
+    # exactly when its column is a pivot column of the stack taken as
+    # columns, boundary rows first.
+    stack = DenseMatrix(QQ, boundary_rows + cycle_rows, n)
+    _, pivots = rref(stack.transpose())
+    nb = len(boundary_rows)
+    return tuple(cycle_rows[i - nb] for i in pivots if i >= nb), boundary_rows
 
 
 def _coords_in(basis_rows: Sequence, extra_rows: Sequence, vector: Sequence) -> list:

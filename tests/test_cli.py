@@ -264,7 +264,7 @@ def test_dims_report_matches_stored(field, seeds, name, capsys):
     (("homology", "--model", "punctured-line"), "homology_punctured_line"),
 ])
 def test_ledger_and_homology_reports_match_stored(argv, name, capsys):
-    # the twisted homology behind these reports runs on QQ rref and kernel
+    # the homology reports run QQ rref and kernel through twisted homology
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")

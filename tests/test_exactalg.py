@@ -176,23 +176,49 @@ def test_rank_agrees_between_qq_and_fp_on_golden_matrices():
         assert rank(m) == rank(reduced), type_id
 
 
-def test_bareiss_rank_agrees_with_echelon_pivots():
-    # two independent routes inside the module: fraction-free elimination
-    # versus pivot counting in the reduced echelon form
-    from quintics.exactalg import rref
+def _reference_rref(rows):
+    """Fraction Gauss-Jordan elimination, independent of the package's
+    fraction-free pass: (rows in reduced echelon form, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
-    rng = SplitMix64(404)
-    for _ in range(60):
-        m = _random_matrix(QQ, rng, rng.int_in(1, 6), rng.int_in(1, 7))
-        _, pivots = rref(m)
-        assert rank(m) == len(pivots)
+
+def _reference_kernel(rows, ncols):
+    """Echelon null-space basis built on ``_reference_rref`` alone."""
+    reduced, pivots = _reference_rref(rows)
+    vectors = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for i, pc in enumerate(pivots):
+                vec[pc] = -reduced[i][fc]
+            vectors.append(vec)
+    return tuple(tuple(row) for row in _reference_rref(vectors)[0] if any(row))
 
 
-def test_rank_rows_on_mixed_int_and_fraction_rows():
-    # rows as assembled without a DenseMatrix: ints and Fractions side by
-    # side, large and rank-deficient; the rows themselves are left unchanged
-    from quintics.exactalg import rref
-
+def _mixed_qq_cases():
+    """Rows as assembled without a DenseMatrix: ints and Fractions side by
+    side, entries up to about 10^12, rank-deficient ones among them."""
     big = 10 ** 12
     cases = [
         [[1, Fraction(1, 3), 2], [3, 1, Fraction(6)], [0, Fraction(2, 3), 0]],
@@ -206,7 +232,23 @@ def test_rank_rows_on_mixed_int_and_fraction_rows():
         cases.append([[rng.int_in(-5, 5) if rng.below(2) else
                        Fraction(rng.int_in(-6, 6) * big, rng.int_in(1, 9))
                        for _ in range(ncols)] for _ in range(nrows)])
-    for rows in cases:
+    return cases
+
+
+def test_bareiss_rank_agrees_with_echelon_pivots():
+    # the rank is the pivot count of the package's forward pass; the
+    # reference counts pivots of Fraction Gauss-Jordan elimination instead
+    rng = SplitMix64(404)
+    for _ in range(60):
+        m = _random_matrix(QQ, rng, rng.int_in(1, 6), rng.int_in(1, 7))
+        assert rank(m) == len(_reference_rref(m.rows)[1])
+
+
+def test_rank_rows_on_mixed_int_and_fraction_rows():
+    # the rows themselves are left unchanged
+    from quintics.exactalg import rref
+
+    for rows in _mixed_qq_cases():
         before = [list(r) for r in rows]
         m = DenseMatrix(QQ, rows)
         assert rank_rows(QQ, rows) == rank(m) == len(rref(m)[1]), rows
@@ -215,6 +257,42 @@ def test_rank_rows_on_mixed_int_and_fraction_rows():
     rows = [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
     assert rank_rows(fp, rows) == rank(DenseMatrix(fp, rows)) == 2
     assert rows == [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
+
+
+def test_qq_echelon_forms_match_fraction_gauss_jordan():
+    from quintics.exactalg import _kernel_rows, _rref, rref
+
+    rng = SplitMix64(406)
+    cases = _mixed_qq_cases() + [
+        [[0, 0, 0, 0]] * 3,                                       # all-zero rows
+        [[2, -4, 6], [2, -4, 6], [1, 1, 1], [1, 1, 1]],           # duplicate rows
+        [[-3, 1, 0], [0, -Fraction(2, 5), 7], [-6, 2, 1]],        # negative pivots
+        [[0, -7, 14, 0], [0, 0, 0, -1], [0, Fraction(-1, 3), 0, 5]],
+    ]
+    for _ in range(40):
+        ncols = rng.int_in(1, 6)
+        base = _random_matrix(QQ, rng, rng.int_in(1, 4), ncols).rows
+        # rows repeated and scaled, and a zero row, at random positions
+        rows = [list(r) for r in base] + [[-2 * v for v in base[0]], [0] * ncols]
+        cases.append([rows[rng.below(len(rows))] for _ in range(rng.int_in(1, 7))])
+    for rows in cases:
+        ncols = len(rows[0])
+        want_rows, want_pivots = _reference_rref(rows)
+        assert _rref(QQ, [list(r) for r in rows]) == (want_rows, want_pivots), rows
+        m = DenseMatrix(QQ, rows)
+        kept = tuple(tuple(r) for r in want_rows if any(r))
+        reduced, pivots = rref(m)
+        assert (reduced.rows, pivots) == (kept, tuple(want_pivots)), rows
+        assert row_space(m).basis == kept
+        want_kernel = _reference_kernel(rows, ncols)
+        for basis in (kernel(m).basis, _kernel_rows(QQ, rows, ncols).basis):
+            assert basis == want_kernel, rows
+            assert all(type(v) is Fraction for row in basis for v in row)
+    # no rows at all: the reduced form is empty and the kernel is everything
+    empty = DenseMatrix(QQ, [], 4)
+    assert rref(empty) == (empty, ())
+    assert row_space(empty).dim == 0
+    assert kernel(empty).basis == full_space(QQ, 4).basis
 
 
 def test_kernel_bases_are_deterministic():
