@@ -828,3 +828,144 @@ def test_subset_classification_matches_stored():
     stored = json.loads(SUBSET_TYPES.read_text(encoding="utf-8"))
     assert _subset_types() == stored
     assert sum(len(v) for v in stored.values()) > 30000
+
+
+# --- classification of small-field sets, against stored results ---------------
+
+SMALL_FIELD_TYPES = Path(__file__).resolve().parent / "data" / "small_field_subset_types.expected.json"
+
+
+def _draw_distinct(rng: SplitMix64, pool, k: int) -> list:
+    """k distinct members of ``pool`` in draw order (a partial Fisher-Yates)."""
+    pool = list(pool)
+    for i in range(k):
+        j = i + rng.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def _small_field_sets() -> dict:
+    """Fixed point sets over small prime fields, where lines carry few points
+    and the classifier's degenerate branches are reached.
+
+    - every nonempty subset of PG(2,2), by size, each size in combinations
+      order, once as given and once reversed;
+    - 120 seeded k-subsets of PG(2,q) for each k = 3..10 and q = 3, 5, 7, 11;
+    - over GF(q), q = 5, 7, 11, 13, 250 sets for each of 1, 2 and 3 planted
+      lines: each line through two drawn points gives 3 to 6 of its points,
+      then up to 3 drawn points are added;
+    - over GF(q), q = 7, 11, 13, 150 sets on the conic xz = y^2: the cuts of
+      0 to 3 drawn lines with the conic and the lines' pairwise meets, filled
+      up to 5 to 9 points with drawn conic points, then up to 1 drawn point;
+    - over GF(q), q = 5, 7, 11, 100 sets of the pairwise meets of five drawn
+      lines;
+    - 40 seeded sets over GF(5) with one point repeated.
+
+    In the planted and conic sets repeats are dropped, at most 10 points are
+    kept, and their order is drawn.
+    """
+    out = {}
+    pg2 = plane_points(2)
+    subsets = [sub for r in range(1, 8) for sub in combinations(pg2, r)]
+    out["fp:2 every subset"] = subsets
+    out["fp:2 every subset reversed"] = [sub[::-1] for sub in subsets]
+    for q in (3, 5, 7, 11):
+        plane = plane_points(q)
+        rng = SplitMix64(derive_seed(12, q))
+        out[f"fp:{q} seeded"] = [_draw_distinct(rng, plane, k)
+                                 for k in range(3, 11) for _ in range(120)]
+
+    def shuffled(rng, chosen):
+        unique = list(dict.fromkeys(chosen))[:10]
+        return _draw_distinct(rng, unique, len(unique))
+
+    for q in (5, 7, 11, 13):
+        plane = plane_points(q)
+        for n_lines in (1, 2, 3):
+            rng = SplitMix64(derive_seed(12, q, n_lines))
+            sets = []
+            for _ in range(250):
+                chosen = []
+                for _ in range(n_lines):
+                    on = _points_on(plane, _drawn_line(rng, plane))
+                    chosen += _draw_distinct(rng, on, rng.int_in(3, 6))
+                chosen += _draw_distinct(rng, plane, rng.int_in(0, 3))
+                sets.append(shuffled(rng, chosen))
+            out[f"fp:{q} planted on {n_lines} line{'s' if n_lines > 1 else ''}"] = sets
+    for q in (7, 11, 13):
+        plane = plane_points(q)
+        conic = [c for c in plane if (c.coords[0] * c.coords[2] - c.coords[1] ** 2) % q == 0]
+        rng = SplitMix64(derive_seed(13, q))
+        sets = []
+        for i in range(150):
+            lines = [_drawn_line(rng, plane) for _ in range(i % 4)]
+            chosen = [c for ln in lines for c in _points_on(conic, ln)]
+            chosen += [_meet(a, b) for a, b in combinations(lines, 2) if a != b]
+            fill = min(rng.int_in(5, 9), len(conic)) - len(chosen)
+            chosen += _draw_distinct(rng, conic, max(0, fill))
+            chosen += _draw_distinct(rng, plane, rng.int_in(0, 1))
+            sets.append(shuffled(rng, chosen))
+        out[f"fp:{q} conic and lines"] = sets
+    for q in (5, 7, 11):
+        plane = plane_points(q)
+        rng = SplitMix64(derive_seed(14, q))
+        sets = []
+        for _ in range(100):
+            lines = list(dict.fromkeys(_drawn_line(rng, plane) for _ in range(5)))
+            sets.append(list(dict.fromkeys(_meet(a, b) for a, b in combinations(lines, 2))))
+        out[f"fp:{q} five lines"] = sets
+    plane = plane_points(5)
+    rng = SplitMix64(derive_seed(15, 5))
+    sets = []
+    for _ in range(40):
+        chosen = _draw_distinct(rng, plane, rng.int_in(2, 9))
+        chosen.insert(rng.below(len(chosen) + 1), chosen[0])
+        sets.append(chosen)
+    out["fp:5 with a repeated point"] = sets
+    return out
+
+
+def _cross(u, v, p):
+    (a, b, c), (d, e, g) = u, v
+    return ((b * g - c * e) % p, (c * d - a * g) % p, (a * e - b * d) % p)
+
+
+def _drawn_line(rng, plane) -> ProjLine:
+    """The line through two drawn points of the plane."""
+    a, b = _draw_distinct(rng, plane, 2)
+    return ProjLine(a.field, _cross(a.coords, b.coords, a.field.p))
+
+
+def _meet(a: ProjLine, b: ProjLine) -> ProjPoint:
+    return ProjPoint(a.field, _cross(a.coeffs, b.coeffs, a.field.p))
+
+
+def _points_on(points, ln: ProjLine) -> list:
+    (a, b, c), p = ln.coeffs, ln.field.p
+    return [q for q in points if (a * q.coords[0] + b * q.coords[1] + c * q.coords[2]) % p == 0]
+
+
+def _classified(points):
+    """classify_points of a set: a type id, None, or [error type, message]."""
+    try:
+        return classify_points(points)
+    except Exception as exc:  # the pin records which error, not only that one rose
+        return [type(exc).__name__, str(exc)]
+
+
+def test_small_field_classification_matches_stored():
+    """The stored file holds ``_classified`` of each set of ``_small_field_sets``,
+    written before the classifier took its collinearity from index groups:
+    ``json.dumps`` of each key and of its list (no spaces), joined as a JSON
+    object."""
+    stored = json.loads(SMALL_FIELD_TYPES.read_text(encoding="utf-8"))
+    got = {key: [_classified(s) for s in sets] for key, sets in _small_field_sets().items()}
+    assert got == stored
+    results = [r for v in stored.values() for r in v]
+    assert len(results) > 7800
+    # the degenerate branches are reached: no type, a refusal, and each type
+    # whose test the index groups feed beyond the largest line
+    assert None in results
+    assert ["InputError", "two coincident points do not span a line"] in results
+    assert {23, 25, 27, 28, 30, 32, 35, 36, 37, 38, 39, 40} <= set(
+        r for r in results if isinstance(r, int))
