@@ -39,14 +39,13 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _from_key,
+    _index_groups,
     _modulus,
-    _no_collinear_triple,
     _unique_conic,
     collinear,
     conic_line_second_point,
-    conic_through,
     incident,
-    line_groups,
 )
 from .rng import SplitMix64, derive_seed
 from .sampling import _Draw, _Reject, _line_capacity, _retry
@@ -658,9 +657,7 @@ def _peel_conic_component(points: list, p: int) -> tuple[list, list]:
         return [], points
     head = points[: min(len(points), 12)]
     for five in combinations(head, 5):
-        if len(set(five)) != 5:
-            continue
-        conic = conic_through(list(five))
+        conic = _unique_conic(five)
         if conic is None or conic.is_degenerate():
             continue
         on = {q for q in points if conic.contains(q)}
@@ -766,7 +763,7 @@ def type_record(type_id: int) -> ConfigTypeRecord:
 
 def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
     """Second cut of the line by the conic through the four base points and pt."""
-    q = conic_through(list(base) + [pt])
+    q = _unique_conic(list(base) + [pt])
     if q is None:
         return None
     try:
@@ -775,60 +772,57 @@ def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> O
         return None
 
 
-def _classify_pencil_quadruple(on_line: Sequence[ProjPoint], rest: Sequence[ProjPoint],
-                               ln: ProjLine) -> Optional[int]:
-    if not _no_collinear_triple(rest):
+def _classify_pencil_quadruple(pts, key: tuple, on_line: set, sized: dict) -> Optional[int]:
+    """Type 38: the four points off the line with key ``key`` are the base
+    points of a pencil whose conics cut the line in the pairs of ``on_line``."""
+    if any(len(on - on_line) >= 3 for on in sized.values()):
         return None
+    ln = _from_key(ProjLine, pts[0].field, key)
+    base = [q for i, q in enumerate(pts) if i not in on_line]
+    line_pts = [q for i, q in enumerate(pts) if i in on_line]
     partner = {}
-    for pt in on_line:
-        mate = _pencil_partner(rest, ln, pt)
-        if mate is None or mate == pt or mate not in on_line:
+    for pt in line_pts:
+        mate = _pencil_partner(base, ln, pt)
+        if mate is None or mate == pt or mate not in line_pts:
             return None
         partner[pt] = mate
     pairs = {frozenset((a, b)) for a, b in partner.items()}
-    if len(pairs) == 2 and all(partner[partner[p]] == p for p in on_line):
+    if len(pairs) == 2 and all(partner[partner[p]] == p for p in line_pts):
         return 38
     return None
 
 
-def _classify_triangle_conic(points: Sequence[ProjPoint], groups: dict) -> Optional[int]:
-    four_lines = {ln: pts for ln, pts in groups.items() if len(pts) == 4}
-    if len(four_lines) != 3 or any(len(pts) > 4 for pts in groups.values()):
+def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
+    sides = [on for on in sized.values() if len(on) == 4]
+    if len(sides) != 3 or any(len(on) > 4 for on in sized.values()):
         return None
-    (la, sa), (lb, sb), (lc, sc) = sorted(four_lines.items(), key=lambda kv: kv[0].coeffs)
-    sets = [set(sa), set(sb), set(sc)]
-    shared = []
-    for i, j in combinations(range(3), 2):
-        inter = sets[i] & sets[j]
-        if len(inter) != 1:
-            return None
-        shared.append(next(iter(inter)))
-    if len(set(shared)) != 3:
-        return None
-    vertices = set(shared)
-    others = [q for q in points if q not in vertices]
-    if len(others) != 6 or sets[0] | sets[1] | sets[2] != set(points):
-        return None
-    conic = _unique_conic(others)
-    if conic is None:
-        return None
-    if any(conic.contains(v) for v in vertices):
+    # Three four-point lines on nine points make 12 incidences, and two lines
+    # share at most one point, so the sides meet pairwise in three distinct
+    # points of the set, the vertices, and cover it.
+    a, b, c = sides
+    vertices = (a & b) | (a & c) | (b & c)
+    conic = _unique_conic([q for i, q in enumerate(pts) if i not in vertices])
+    if conic is None or any(conic.contains(pts[i]) for i in vertices):
         return None
     return 39
 
 
-def _classify_five_lines(points: Sequence[ProjPoint], groups: dict) -> Optional[int]:
-    four_lines = [ln for ln, pts in groups.items() if len(pts) == 4]
-    if len(four_lines) != 5 or any(len(pts) > 4 for pts in groups.values()):
+def _classify_five_lines(sized: dict) -> Optional[int]:
+    # Five four-point lines on ten points make 20 incidences, and two lines
+    # share at most one point, so each point lies on exactly two of them.
+    lines = [on for on in sized.values() if len(on) == 4]
+    if len(lines) != 5 or any(len(on) > 4 for on in sized.values()):
         return None
-    for q in points:
-        if sum(1 for ln in four_lines if q in groups[ln]) != 2:
-            return None
     return 40
 
 
 def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
-    """Classify a finite point set against the taxonomy; None when no type fits."""
+    """Classify a finite point set against the taxonomy; None when no type fits.
+
+    Every collinearity fact comes from one :func:`projgeom._index_groups`
+    call, kept as the set of point indices on each line through three or
+    more of the points.  Repeated points raise ``InputError``.
+    """
     pts = tuple(points)
     k = len(pts)
     if k == 0 or k > 10:
@@ -837,9 +831,8 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         return 1
     if k == 2:
         return 2
-    groups = line_groups(pts)
-    sized = {ln: p for ln, p in groups.items() if len(p) >= 3}
-    m = max((len(p) for p in sized.values()), default=2)
+    sized = {key: set(on) for key, on in _index_groups(pts).items() if len(on) >= 3}
+    m = max((len(on) for on in sized.values()), default=2)
     if k == 3:
         return 3
     if m == k:
@@ -870,18 +863,18 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         return _classify_eight(pts, sized, m)
     if k == 9:
         return _classify_triangle_conic(pts, sized)
-    return _classify_five_lines(pts, sized)
+    return _classify_five_lines(sized)
 
 
 def _disjoint_trios(sized: dict) -> bool:
     """True iff two of the three-point lines share no point."""
-    trios = [set(p) for p in sized.values() if len(p) == 3]
-    return any(not (s1 & s2) for s1, s2 in combinations(trios, 2))
+    trios = [on for on in sized.values() if len(on) == 3]
+    return any(not (a & b) for a, b in combinations(trios, 2))
 
 
-def _on_one_line(sized: dict, pts: set) -> bool:
-    """True iff the three or more points ``pts`` lie on one line of ``sized``."""
-    return any(pts <= set(on) for on in sized.values())
+def _on_one_line(sized: dict, idx: set) -> bool:
+    """True iff the three or more points with indices ``idx`` lie on one line."""
+    return any(idx <= on for on in sized.values())
 
 
 def _classify_seven(pts, sized, m) -> Optional[int]:
@@ -890,19 +883,19 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
     if m == 5:
         return 20
     if m == 4:
-        four = [set(p) for p in sized.values() if len(p) == 4]
+        four = [on for on in sized.values() if len(on) == 4]
         if len(four) == 2:
             # two four-point lines among seven points meet in one of them
             return 25
         if len(four) == 1:
             # A line through the other three cannot meet the four-point line
             # in a point of the set: that line would then carry four points.
-            return 27 if _on_one_line(sized, set(pts) - four[0]) else 34
+            return 27 if _on_one_line(sized, set(range(7)) - four[0]) else 34
         return None
-    # m <= 3
-    conic = conic_through(list(pts[:5])) if _no_collinear_triple(pts[:5]) else None
-    if conic is not None and not conic.is_degenerate() \
-            and all(conic.contains(q) for q in pts):
+    # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
+    # so that conic is the only one through them.
+    conic = _unique_conic(pts)
+    if conic is not None and not conic.is_degenerate():
         return 32
     if _disjoint_trios(sized):
         return 35
@@ -920,10 +913,10 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
     if m == 6:
         return 21
     if m == 5:
-        (on_line,) = (set(p) for p in sized.values() if len(p) == 5)
-        return 28 if _on_one_line(sized, set(pts) - on_line) else None
+        (on_line,) = (on for on in sized.values() if len(on) == 5)
+        return 28 if _on_one_line(sized, set(range(8)) - on_line) else None
     if m == 4:
-        four = {ln: set(p) for ln, p in sized.items() if len(p) == 4}
+        four = {key: on for key, on in sized.items() if len(on) == 4}
         if len(four) == 2:
             # Two lines share at most one point; when they share one, the
             # eighth point is on neither, since each group holds every point
@@ -931,10 +924,8 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
             s1, s2 = four.values()
             return 37 if s1 & s2 else 30
         if len(four) == 1:
-            (ln, on_line), = four.items()
-            rest = [q for q in pts if q not in on_line]
-            return _classify_pencil_quadruple(sorted(on_line, key=lambda q: q.coords),
-                                              sorted(rest, key=lambda q: q.coords), ln)
+            (key, on_line), = four.items()
+            return _classify_pencil_quadruple(pts, key, on_line, sized)
         return None
     return None
 

@@ -793,6 +793,44 @@ def test_check_conditions_flags_planted_violation():
     assert not report.ok
 
 
+def test_classify_points_groups_the_points_once(monkeypatch):
+    """One index grouping per classification, no second collinearity test,
+    and no line object except the one the type-38 test cuts with conics."""
+    from quintics import lsys, projgeom
+
+    calls = {"groups": 0, "lines": 0}
+
+    def counting_groups(points):
+        calls["groups"] += 1
+        return projgeom._index_groups(points)
+
+    def counting_from_key(cls, field, key):
+        calls["lines"] += cls is ProjLine
+        return projgeom._from_key(cls, field, key)
+
+    def counting_post_init(self):
+        calls["lines"] += 1
+        post_init(self)
+
+    def regrouped(*args):
+        raise AssertionError("the classifier asked a second collinearity question")
+
+    post_init = ProjLine.__post_init__
+    monkeypatch.setattr(lsys, "_index_groups", counting_groups)
+    monkeypatch.setattr(lsys, "_from_key", counting_from_key)
+    monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
+    for name in ("line_groups", "_no_collinear_triple", "conic_through"):
+        assert not hasattr(lsys, name)
+        monkeypatch.setattr(projgeom, name, regrouped)
+    for field in (FP, QQ):
+        for t, k in K_POINTS.items():
+            if isinstance(k, int) and k >= 3:
+                points = sample_generic(t, field, 2).points
+                calls.update(groups=0, lines=0)
+                assert classify_points(points) == t
+                assert calls == {"groups": 1, "lines": int(t == 38)}, t
+
+
 # --- classification of every subset, against stored results --------------------
 
 SUBSET_CASES = (("fp:65521", (1, 2)), ("fp:101", (1, 2)), ("qq", (1,)))
