@@ -119,51 +119,3 @@ def model_from_json(data: dict) -> tuple[ChainComplex, Optional[ChainMap], Optio
 def load_model(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return model_from_json(json.load(fh))
-
-
-# --- ledger tables ----------------------------------------------------------
-
-
-def table_to_json(table, differentials=(), columns=()) -> dict:
-    """Serialize a sparse page with optional differentials and column specs."""
-    out = {"entries": [[p, q, d] for (p, q), d in table.entries]}
-    if differentials:
-        out["differentials"] = [
-            {"page": d.page, "source": list(d.source), "rank": d.declared_rank}
-            for d in differentials
-        ]
-    if columns:
-        out["columns"] = [
-            {
-                "index": c.index,
-                "k_points": c.k_points,
-                "fiber_dim": c.fiber_dim,
-                "base": dict((str(deg), coeff) for deg, coeff in c.base_poly.coeffs)
-                if c.base_poly is not None else None,
-            }
-            for c in columns
-        ]
-    return out
-
-
-def table_from_json(data: dict):
-    from .ledger import ColumnSpec, DifferentialDecl, E1Table
-    from .poincare import PoincarePoly
-
-    try:
-        table = E1Table.from_dict({(p, q): d for p, q, d in data["entries"]})
-        decls = tuple(
-            DifferentialDecl(d["page"], tuple(d["source"]), d["rank"])
-            for d in data.get("differentials", [])
-        )
-        columns = tuple(
-            ColumnSpec(
-                c["index"], c["k_points"], c["fiber_dim"],
-                PoincarePoly.from_coeffs({int(k): v for k, v in c["base"].items()})
-                if c.get("base") is not None else None,
-            )
-            for c in data.get("columns", [])
-        )
-        return table, decls, columns
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed table file: {exc}") from exc

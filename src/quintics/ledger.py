@@ -46,9 +46,6 @@ class E1Table:
     def as_dict(self) -> Dict[Tuple[int, int], int]:
         return dict(self.entries)
 
-    def dim(self, p: int, q: int) -> int:
-        return self.as_dict().get((p, q), 0)
-
     def column(self, p: int) -> PoincarePoly:
         """Total-degree polynomial of one column: degree p + q per entry."""
         return PoincarePoly.from_coeffs(

@@ -49,9 +49,6 @@ class PoincarePoly:
     def as_dict(self) -> Dict[int, int]:
         return dict(self.coeffs)
 
-    def coefficient(self, deg: int) -> int:
-        return dict(self.coeffs).get(deg, 0)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

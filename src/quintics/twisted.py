@@ -153,9 +153,6 @@ class ChainMap:
                 if lhs != rhs:
                     raise InputError("matrices do not commute with the boundaries")
 
-    def block(self, k: int) -> tuple:
-        return self.blocks[k]
-
 
 def identity_map(c: ChainComplex) -> ChainMap:
     blocks = []

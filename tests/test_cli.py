@@ -313,19 +313,6 @@ def test_poly_roundtrip():
     assert poly_from_json(poly_to_json(poly)) == poly
 
 
-def test_table_format_roundtrip():
-    from quintics.formats import table_from_json, table_to_json
-    from quintics.ledger import dataset_quintic
-
-    data = dataset_quintic()
-    aux = data.aux("col39-aux")
-    payload = table_to_json(aux.table, aux.differentials, data.columns[:3])
-    table, decls, columns = table_from_json(payload)
-    assert table == aux.table
-    assert decls == aux.differentials
-    assert columns == data.columns[:3]
-
-
 def test_model_explicit_matrices():
     complex_, chain_map, cdim = model_from_json({
         "dims": [1, 1],
