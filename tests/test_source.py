@@ -40,3 +40,52 @@ def test_unused_import_check_sees_orphans():
         "    return os.path.join(x, str(prod))\n"
     )
     assert _unused_imports(source) == [(3, "combinations"), (4, "incident")]
+
+
+def _unreferenced_private_defs(sources: dict) -> list:
+    """Module-level functions and classes with a leading underscore that no
+    name or attribute in any of the modules reads outside their own body.
+
+    ``sources`` maps a module name to its source text.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+
+    def reads(node) -> list:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.startswith("__"):
+                if everywhere.count(node.name) == reads(node).count(node.name):
+                    orphans.append((module, node.lineno, node.name))
+    return sorted(orphans)
+
+
+def test_every_private_helper_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private_defs(sources) == []
+
+
+def test_private_helper_check_sees_orphans():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n"
+            "def _orphan():\n    return _used()\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+            "class _Orphan:\n    pass\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+            "def public():\n    return 2\n"
+        ),
+        "b.py": (
+            "from .a import _used\n"
+            "def _by_attribute():\n    return _used()\n"
+            "def _by_name():\n    return 3\n"
+        ),
+        "c.py": "from . import b\nfrom .b import _by_name\nVALUE = b._by_attribute() + _by_name()\n",
+    }
+    assert _unreferenced_private_defs(sources) == [
+        ("a.py", 3, "_orphan"), ("a.py", 5, "_recursive"), ("a.py", 7, "_Orphan")]
