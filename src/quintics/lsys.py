@@ -894,7 +894,7 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
         return None
     # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
     # so that conic is the only one through them.
-    conic = _unique_conic(pts)
+    conic = None if sized else _unique_conic(pts)
     if conic is not None and not conic.is_degenerate():
         return 32
     if _disjoint_trios(sized):

@@ -984,10 +984,11 @@ def _points_on(points, ln: ProjLine) -> list:
 
 
 def _classified(points):
-    """classify_points of a set: a type id, None, or [error type, message]."""
+    """classify_points of a set: a type id, None, or [error type, message]
+    for a refused set."""
     try:
         return classify_points(points)
-    except Exception as exc:  # the pin records which error, not only that one rose
+    except InputError as exc:
         return [type(exc).__name__, str(exc)]
 
 
