@@ -808,6 +808,8 @@ def test_classify_points_groups_the_points_once(monkeypatch):
         calls["lines"] += cls is ProjLine
         return projgeom._from_key(cls, field, key)
 
+    post_init = ProjLine.__post_init__
+
     def counting_post_init(self):
         calls["lines"] += 1
         post_init(self)
@@ -815,7 +817,6 @@ def test_classify_points_groups_the_points_once(monkeypatch):
     def regrouped(*args):
         raise AssertionError("the classifier asked a second collinearity question")
 
-    post_init = ProjLine.__post_init__
     monkeypatch.setattr(lsys, "_index_groups", counting_groups)
     monkeypatch.setattr(lsys, "_from_key", counting_from_key)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
