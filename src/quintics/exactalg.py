@@ -13,7 +13,10 @@ Bareiss elimination on rows cleared to integers, which keeps intermediate
 entries polynomial in the input instead of letting gcd-heavy Fraction
 arithmetic blow up; back-substitution stays on integers, and Fractions are
 made only when each row is finally divided by its pivot.  Over ``GF(p)``
-elimination runs on plain int rows with the reduction mod p inlined.
+each row is packed into one int, its residues in fixed-width slots wide
+enough that no slot overflows, so a row update is one big-int multiply-add;
+a slot is reduced mod p only when it is read, and rows are unpacked only
+when the reduced echelon form is returned.
 ``rank_rows`` ranks plain rows (ints or Fractions over QQ, residues over
 GF(p)) without building a ``DenseMatrix``, and ``rank`` delegates to it;
 ``_kernel_rows`` takes the null space of such rows the same way, and
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import lshift
 from typing import Iterable, Sequence, Union
 
 from .errors import FieldMismatchError, InputError
@@ -330,49 +334,84 @@ class SubspaceBasis:
 # elimination cores
 
 
-def _fp_forward(p: int, rows: list) -> list[int]:
-    """In-place forward elimination mod p; returns the pivot columns.
+def _fp_forward(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
+    """Forward elimination mod p on packed rows; returns (packed rows, pivot
+    columns, slot width w).
 
-    ``rows`` are lists of ints in ``[0, p)``.  Afterwards the first
-    ``len(pivots)`` rows are in row echelon form with every pivot scaled to 1
-    and zeros below it, and the remaining rows are zero.
+    ``rows`` are n equal-length rows of residues in ``[0, p)``, left
+    unchanged.  Each is packed into one int holding entry j in the w-bit slot
+    at bit j*w, with w = bit_length((2n+1) p^2).  A row update is the single
+    big-int multiply-add ``ri += (p - f) * pr``, which clears slot c of row i
+    mod p when f is that slot mod p and ``pr`` is the pivot row of column c
+    with its pivot slot 1.  A slot is reduced mod p only when it is read: in
+    the pivot search and for the multiplier f.  A pivot row is reduced and
+    scaled to a leading 1 once, when it is chosen; its slots left of the
+    pivot are 0 mod p, so they are dropped.  Afterwards the first
+    ``len(pivots)`` packed rows are in row echelon form mod p, and the others
+    are 0 mod p.
+
+    No slot ever carries into the next.  An update adds (p - f) * b to each
+    slot, where 0 < p - f < p and b < p is a slot of a reduced pivot row, so
+    it adds less than p^2 and subtracts nothing.  A slot is below p when its
+    row is packed or reduced, and after that the row takes at most n - 1
+    updates here (one per pivot row above it) and at most n - 1 in
+    back-substitution (one per pivot row below it), fewer than 2n in all.
+    So every slot stays below p + 2n p^2 <= (2n+1) p^2 < 2^w.
     """
-    nrows = len(rows)
-    if not nrows:
-        return []
+    n = len(rows)
+    if not n:
+        return [], [], 0
+    w = ((2 * n + 1) * p * p).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, len(rows[0]) * w, w)
+    packed = [sum(map(lshift, row, shifts)) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(len(rows[0])):
-        for i in range(r, nrows):
-            if rows[i][c]:
+    for c, s in enumerate(shifts):
+        r = len(pivots)
+        for i in range(r, n):
+            lead = (packed[i] >> s & mask) % p
+            if lead:
                 break
         else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        pr = rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
+        pr, packed[i] = packed[i], packed[r]
+        inv = pow(lead, -1, p)
+        packed[r] = pr = sum([(pr >> t & mask) * inv % p << t for t in shifts[c:]])
+        for i in range(r + 1, n):
+            ri = packed[i]
+            f = (ri >> s & mask) % p
             if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
+                packed[i] = ri + (p - f) * pr
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == n:
             break
-    return pivots
+    return packed, pivots, w
 
 
-def _fp_back_substitute(p: int, rows: list, pivots: list[int]) -> None:
-    """Clear the entries above each pivot of a forward-eliminated matrix."""
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        pr = rows[k]
-        for i in range(k):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, pr)]
+def _fp_rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
+    """Reduced row echelon form mod p of n >= 1 rows of residues: the packed
+    forward pass, then back-substitution on the packed rows, unpacked once.
+
+    Each pivot row, last first, is reduced (which unpacks it into its final
+    row) and repacked before it clears its pivot column from the rows above
+    it; rows past the rank are zero.
+    """
+    packed, pivots, w = _fp_forward(p, rows)
+    mask = (1 << w) - 1
+    shifts = range(0, len(rows[0]) * w, w)
+    out = [[0] * len(shifts) for _ in rows]
+    for k in range(len(pivots) - 1, -1, -1):
+        pr = packed[k]
+        out[k] = row = [(pr >> t & mask) % p for t in shifts]
+        if k:
+            pr = sum(map(lshift, row, shifts))
+            s = shifts[pivots[k]]
+            for i in range(k):
+                ri = packed[i]
+                f = (ri >> s & mask) % p
+                if f:
+                    packed[i] = ri + (p - f) * pr
+    return out, pivots
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -429,20 +468,19 @@ def _bareiss_forward(m: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _rref(field: Field, rows: list) -> tuple[list, list[int]]:
+def _rref(field: Field, rows: Sequence[Sequence]) -> tuple[list, list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns).
 
-    Over GF(p) the rows are reduced in place.  Over QQ they are cleared to
-    integers, put in echelon form by ``_bareiss_forward`` and back-substituted
-    on integers, each updated row divided by its content; only the final
-    division by each pivot makes Fractions.  Zero rows stay zero rows.
+    The input rows are left unchanged.  Over GF(p) this is ``_fp_rref``.
+    Over QQ the rows are cleared to integers, put in echelon form by
+    ``_bareiss_forward`` and back-substituted on integers, each updated row
+    divided by its content; only the final division by each pivot makes
+    Fractions.  Zero rows stay zero rows.
     """
     if not rows:
         return rows, []
     if isinstance(field, PrimeField):
-        pivots = _fp_forward(field.p, rows)
-        _fp_back_substitute(field.p, rows, pivots)
-        return rows, pivots
+        return _fp_rref(field.p, rows)
     m = [_integer_row(row) for row in rows]
     pivots = _bareiss_forward(m)
     for k in range(len(pivots) - 1, 0, -1):
@@ -475,7 +513,7 @@ def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     """
     if isinstance(field, RationalField):
         return len(_bareiss_forward([_integer_row(row) for row in rows]))
-    return len(_fp_forward(field.p, list(rows)))
+    return len(_fp_forward(field.p, rows)[1])
 
 
 def rank(m: DenseMatrix) -> int:
@@ -485,7 +523,7 @@ def rank(m: DenseMatrix) -> int:
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows, pivots = _rref(m.field, [list(r) for r in m.rows])
+    rows, pivots = _rref(m.field, m.rows)
     kept = [row for row in rows if any(not m.field.is_zero(v) for v in row)]
     return DenseMatrix(m.field, kept, m.ncols), tuple(pivots)
 
@@ -504,7 +542,7 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
     """
     if not rows:
         return full_space(field, ncols)
-    reduced, pivots = _rref(field, list(rows))
+    reduced, pivots = _rref(field, rows)
     pivot_set = set(pivots)
     vectors = []
     for fc in range(ncols):

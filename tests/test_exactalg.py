@@ -4,6 +4,8 @@ import pytest
 
 from quintics.errors import FieldMismatchError, InputError
 from quintics.exactalg import (
+    _PRIME_BOUND,
+    _is_prime,
     QQ,
     DenseMatrix,
     PrimeField,
@@ -202,18 +204,57 @@ def _reference_rref(rows):
     return rows, pivots
 
 
-def _reference_kernel(rows, ncols):
-    """Echelon null-space basis built on ``_reference_rref`` alone."""
-    reduced, pivots = _reference_rref(rows)
+def _reference_fp_rref(p, rows):
+    """List-based elimination mod p, each row update reduced as it is made,
+    independent of the package's packed rows: (rows in reduced echelon form,
+    pivot columns)."""
+    rows = [list(row) for row in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        pr = rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pr)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    for k in range(len(pivots) - 1, 0, -1):
+        c, pr = pivots[k], rows[k]
+        for i in range(k):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pr)]
+    return rows, pivots
+
+
+def _reference_kernel(rows, ncols, p=None):
+    """Echelon null-space basis built on ``_reference_rref`` alone, or over
+    GF(p) on ``_reference_fp_rref`` alone."""
+    def echelon(vectors):
+        return _reference_rref(vectors) if p is None else _reference_fp_rref(p, vectors)
+
+    reduced, pivots = echelon(rows)
     vectors = []
     for fc in range(ncols):
         if fc not in pivots:
-            vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
+            vec = [0] * ncols
+            vec[fc] = 1
             for i, pc in enumerate(pivots):
-                vec[pc] = -reduced[i][fc]
+                vec[pc] = -reduced[i][fc] if p is None else -reduced[i][fc] % p
             vectors.append(vec)
-    return tuple(tuple(row) for row in _reference_rref(vectors)[0] if any(row))
+    return tuple(tuple(row) for row in echelon(vectors)[0] if any(row))
 
 
 def _mixed_qq_cases():
@@ -293,6 +334,68 @@ def test_qq_echelon_forms_match_fraction_gauss_jordan():
     assert rref(empty) == (empty, ())
     assert row_space(empty).dim == 0
     assert kernel(empty).basis == full_space(QQ, 4).basis
+
+
+def _largest_prime_below(n):
+    q = n - 1
+    while not _is_prime(q):
+        q -= 1
+    return q
+
+
+def _fp_cases(p, rng):
+    """About 290 row lists mod p: the edge shapes, then small random ones with
+    rows repeated, scaled and zeroed at random positions."""
+    def matrix(nrows, ncols):
+        # two 64-bit draws cover every residue of the largest allowed prime
+        return [[(rng.next_u64() << 64 | rng.next_u64()) % p for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    base = matrix(5, 21)
+    cases = [
+        ([], 21), ([], 6),                                # no rows
+        (matrix(1, 21), 21), (matrix(1, 6), 6),           # one row
+        ([[0] * 21] * 4, 21), ([[0] * 6] * 3, 6),         # zero rows
+        (base[:3] + base[:3] + [base[1]], 21),            # duplicate rows
+        (matrix(40, 21), 21), (matrix(40, 21), 21),       # tall
+        (matrix(3, 21), 21), (matrix(3, 21), 21),         # wide
+        (matrix(21, 21), 21), (matrix(6, 6), 6), (matrix(5, 6), 6),
+        ([[p - 1] * 21] * 40, 21), ([[p - 1] * 6] * 6, 6),  # every entry p - 1
+        # tall of rank at most 5: 40 combinations of the five base rows
+        ([[sum(c * b for c, b in zip(coefs, col)) % p for col in zip(*base)]
+          for coefs in matrix(40, 5)], 21),
+    ]
+    for _ in range(273):
+        ncols = rng.int_in(1, 8)
+        rows = matrix(rng.int_in(1, 5), ncols)
+        scale = matrix(1, 1)[0][0]
+        rows += [[scale * v % p for v in rows[0]], [0] * ncols]
+        cases.append(([rows[rng.below(len(rows))] for _ in range(rng.int_in(1, 9))], ncols))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 65521, 2 ** 61 - 1,
+                               _largest_prime_below(_PRIME_BOUND)])
+def test_fp_elimination_matches_list_reference(p):
+    # 7 primes x 290 row lists: rank, echelon form and kernel of the packed
+    # pass against list elimination reduced at every step
+    from quintics.exactalg import _kernel_rows, _rref, rref
+
+    fp = PrimeField(p)
+    cases = _fp_cases(p, SplitMix64(p))
+    assert len(cases) == 290
+    for rows, ncols in cases:
+        before = [list(r) for r in rows]
+        want_rows, want_pivots = _reference_fp_rref(p, rows)
+        assert rank_rows(fp, rows) == len(want_pivots), rows
+        assert _rref(fp, rows) == (want_rows, want_pivots), rows
+        assert rows == before
+        m = DenseMatrix(fp, rows, ncols)
+        kept = tuple(tuple(r) for r in want_rows if any(r))
+        assert rref(m) == (DenseMatrix(fp, kept, ncols), tuple(want_pivots)), rows
+        want_kernel = _reference_kernel(rows, ncols, p)
+        assert kernel(m).basis == want_kernel, rows
+        assert _kernel_rows(fp, rows, ncols).basis == want_kernel, rows
 
 
 def test_kernel_bases_are_deterministic():
