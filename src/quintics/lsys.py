@@ -473,9 +473,9 @@ class SingularSet:
 def plane_points(p: int) -> tuple:
     """All p^2 + p + 1 normalized points of the projective plane over GF(p)."""
     field = PrimeField(p)
-    pts = [ProjPoint(field, (1, y, z)) for y in range(p) for z in range(p)]
-    pts.extend(ProjPoint(field, (0, 1, z)) for z in range(p))
-    pts.append(ProjPoint(field, (0, 0, 1)))
+    pts = [_from_key(ProjPoint, field, (1, y, z)) for y in range(p) for z in range(p)]
+    pts.extend(_from_key(ProjPoint, field, (0, 1, z)) for z in range(p))
+    pts.append(_from_key(ProjPoint, field, (0, 0, 1)))
     return tuple(pts)
 
 
@@ -525,11 +525,11 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
                for polys in partials]
     out = []
     for y, row in enumerate(zip(*columns)):
-        out.extend(ProjPoint(field, (1, y, z)) for z in _row_zeros(row, p))
+        out.extend(_from_key(ProjPoint, field, (1, y, z)) for z in _row_zeros(row, p))
     x_free = [[poly[0] for poly in polys] for polys in partials]
-    out.extend(ProjPoint(field, (0, 1, z)) for z in _row_zeros(x_free, p))
+    out.extend(_from_key(ProjPoint, field, (0, 1, z)) for z in _row_zeros(x_free, p))
     if not any(polys[0][0] for polys in partials):
-        out.append(ProjPoint(field, (0, 0, 1)))
+        out.append(_from_key(ProjPoint, field, (0, 0, 1)))
     return out
 
 
@@ -635,7 +635,7 @@ def _peel_line_components(points: list, p: int) -> tuple[list, list]:
             largest = max(largest, len(members))
         for key, members in groups.items():
             if len(members) == p:
-                found[key] = ProjLine(points[i].field, key)
+                found[key] = _from_key(ProjLine, points[i].field, key)
                 covered.add(i)
                 covered.update(members)
     lines = [found[key] for key in sorted(found)]

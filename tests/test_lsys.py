@@ -456,6 +456,32 @@ def test_double_line_times_smooth_cubic_is_line_type():
     assert classify(ss) == 11
 
 
+def test_bruteforce_builds_points_and_lines_from_their_keys(monkeypatch):
+    """The sieve, the plane table and the line peel build points and lines
+    whose keys are already normalized, so none goes through ``_normalize``."""
+    from quintics import projgeom
+
+    fp7 = PrimeField(7)
+    x, ell = line_poly(ProjLine(fp7, (1, 0, 0))), line_poly(ProjLine(fp7, (1, 2, 3)))
+    f = x * x * ell * ell * line_poly(ProjLine(fp7, (0, 1, 1)))
+    calls = []
+    normalize = projgeom._normalize
+
+    def counting(field, coords):
+        calls.append(coords)
+        return normalize(field, coords)
+
+    monkeypatch.setattr(projgeom, "_normalize", counting)
+    ss = singular_set_bruteforce(f, 7)
+    plane = plane_points.__wrapped__(7)
+    assert calls == []
+    monkeypatch.undo()
+    assert set(ss.line_components) == {ProjLine(fp7, (1, 0, 0)), ProjLine(fp7, (1, 2, 3))}
+    for obj in ss.line_components + plane:
+        rebuilt = type(obj)(fp7, obj.coeffs if isinstance(obj, ProjLine) else obj.coords)
+        assert obj == rebuilt and hash(obj) == hash(rebuilt)
+
+
 def test_double_line_times_nodal_cubic_is_line_plus_point():
     fp11 = PrimeField(11)
     # z y^2 = x^2 (x + z) has exactly one singular point, the node at (0:0:1)
