@@ -344,7 +344,7 @@ def _largest_prime_below(n):
 
 
 def _fp_cases(p, rng):
-    """About 290 row lists mod p: the edge shapes, then small random ones with
+    """290 row lists mod p: the edge shapes, then small random ones with
     rows repeated, scaled and zeroed at random positions."""
     def matrix(nrows, ncols):
         # two 64-bit draws cover every residue of the largest allowed prime
