@@ -479,9 +479,11 @@ def plane_points(p: int) -> tuple:
     return tuple(pts)
 
 
-# The sieve runs Horner's rule over all p values of z only on a row whose gcd
-# has degree >= 3; the cap keeps that work, and the tables of squares and
-# inverses, small.
+# The sieve's batched Euclid divides columns of p residues, one per
+# coefficient; a row leaves it for the per-row gcd fold only when a
+# remainder's leading coefficient vanishes, and the fold runs Horner's rule
+# over all p values of z only on a gcd of degree >= 3.  The cap keeps that
+# work, the columns, and the tables of squares and inverses small.
 MAX_BRUTEFORCE_PRIME = 251
 
 
@@ -492,16 +494,24 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     fixed, then x = 0, y = 1, then (0, 0, 1).  On a row each partial is a
     polynomial in z.  Its coefficients are built column-wise before any row
     is visited: the coefficient of each power of z in each partial is a
-    polynomial in y, evaluated at every y at once by Horner's rule, so row y
-    reads its three z-polynomials off the columns.  On x = 0 each
-    coefficient is the leading one of its polynomial in y, and at (0:0:1)
-    each partial is its coefficient of the highest power of z.  Both kinds
-    of row go through one gcd fold: the singular z values are the roots in
-    GF(p) of the gcd of the nonzero partials, folded in one at a time until
-    it is constant.  A gcd of degree 1 or 2 is solved in closed form, a
-    higher one by Horner's rule over every z; a row on which all three
-    partials vanish is kept whole.  Only found points are built: no table
-    of the plane is made unless f = 0.
+    polynomial in y, evaluated at every y at once by Horner's rule.  The
+    singular z values of a row are the roots in GF(p) of the gcd of its
+    partials.  On x = 1 they come from ``_chart_zeros``: one Euclid on two
+    partials run over all rows in lockstep, on the columns.  A row leaves
+    that batch when its remainder's leading coefficient vanishes: a zero
+    remainder makes the divisor the gcd, which the third partial finishes
+    (one evaluation at the root of a linear gcd, the per-row fold for a
+    larger one), and any other remainder sends the row's three partials to
+    the per-row fold.  A row reaching a nonzero constant has no zero.  The
+    fold, ``_row_zeros``, also takes the row x = 0, where each coefficient
+    is the leading one of its polynomial in y, and the whole chart x = 1
+    when fewer than two partials have a nonzero constant coefficient of the
+    highest power of z.  It folds in the nonzero partials one at a time
+    until the gcd is constant; a gcd of degree 1 or 2 is solved in closed
+    form, a higher one by Horner's rule over every z, and a row on which all
+    three partials vanish is kept whole.  At (0:0:1) each partial is its
+    coefficient of the highest power of z.  Only found points are built: no
+    table of the plane is made unless f = 0.
     """
     field = PrimeField(p)
     if f.field != field:
@@ -521,16 +531,61 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     for v, polys in enumerate(partials):
         for (a, _, c), coeff in f.partial(v).terms.items():
             polys[m - c][a] = coeff
-    columns = [zip(*[[u % p for u in _horner(poly, range(p))] for poly in polys])
+    columns = [[[u % p for u in _horner(poly, range(p))] for poly in polys]
                for polys in partials]
     out = []
-    for y, row in enumerate(zip(*columns)):
-        out.extend(_from_key(ProjPoint, field, (1, y, z)) for z in _row_zeros(row, p))
+    for y, zeros in enumerate(_chart_zeros(columns, p)):
+        out.extend(_from_key(ProjPoint, field, (1, y, z)) for z in zeros)
     x_free = [[poly[0] for poly in polys] for polys in partials]
     out.extend(_from_key(ProjPoint, field, (0, 1, z)) for z in _row_zeros(x_free, p))
     if not any(polys[0][0] for polys in partials):
         out.append(_from_key(ProjPoint, field, (0, 0, 1)))
     return out
+
+
+def _chart_zeros(columns: list, p: int) -> list:
+    """Per row y of the chart x = 1, the z in GF(p), ascending, where all
+    three partials vanish; ``columns[v][k][y]`` is the residue coefficient
+    of z^(m - k) in partial v on row y.
+
+    The batch and its exits are described in ``singular_points_bruteforce``.
+    The divisor's leading coefficient is nonzero on every row of the batch,
+    so a division step that meets a zero leading coefficient in the
+    dividend still leaves the unique remainder.
+    """
+    rows = [list(zip(*polys)) for polys in columns]
+    full = [v for v, polys in enumerate(columns) if polys[0][0]]
+    if len(full) < 2:
+        return [_row_zeros(row, p) for row in zip(*rows)]
+    third = rows[3 - full[0] - full[1]]
+    inverse = _inverses(p)
+    zeros: list = [()] * p
+    ys = range(p)
+    u, v = columns[full[0]], columns[full[1]]
+    while ys and len(v) > 1:
+        inv = [inverse[t] for t in v[0]]
+        n = len(v)
+        while len(u) >= n:
+            q = [a * b % p for a, b in zip(u[0], inv)]
+            u = [[(a - c * b) % p for a, b, c in zip(uk, vk, q)]
+                 for uk, vk in zip(u[1:n], v[1:])] + u[n:]
+        left = [i for i, t in enumerate(u[0]) if not t]
+        for i in left:
+            y = ys[i]
+            if any(uk[i] for uk in u):
+                zeros[y] = _row_zeros([polys[y] for polys in rows], p)
+            elif n == 2:
+                z = -v[1][i] * inv[i] % p
+                zeros[y] = (z,) if _horner(third[y], (z,))[0] % p == 0 else ()
+            else:
+                zeros[y] = _row_zeros(([vk[i] for vk in v], third[y]), p)
+        if left:
+            kept = [i for i, t in enumerate(u[0]) if t]
+            ys = [ys[i] for i in kept]
+            u = [[uk[i] for i in kept] for uk in u]
+            v = [[vk[i] for i in kept] for vk in v]
+        u, v = v, u
+    return zeros
 
 
 def _row_zeros(polys: Sequence, p: int):

@@ -694,6 +694,9 @@ def _sieve_forms(p, d):
     def pad(g, seed):
         return g if g.degree == d else g * random_poly(fp, d - g.degree, seed)
 
+    def setting(g, terms):
+        return HomogeneousPoly(fp, g.degree, {**g.terms, **terms})
+
     def member(*coords):
         cfg = Config(fp, points=tuple(ProjPoint(fp, c) for c in coords))
         basis = linear_system_basis(cfg, d).basis
@@ -717,10 +720,27 @@ def _sieve_forms(p, d):
         ("four points on the row y = 2: the whole row when d = 4",
          member((1, 2, 0), (1, 2, 1), (1, 2, 3), (1, 2, 4))),
         ("singular on x = 0 and at (0:0:1)", member((0, 1, 3), (0, 0, 1), (1, 2, 4))),
+        # the exits of the batched Euclid on the chart x = 1; f_x and f_y have
+        # the constant z^(d-1) coefficients of x z^(d-1) and y z^(d-1)
+        ("no x z^(d-1): f_x lacks z^m, the batch runs on f_y and f_z",
+         setting(random_poly(fp, d, 6), {(1, 0, d - 1): 0, (0, 1, d - 1): 1, (0, 0, d): 1})),
+        ("no x z^(d-1) or y z^(d-1): the whole chart row by row",
+         setting(random_poly(fp, d, 7), {(1, 0, d - 1): 0, (0, 1, d - 1): 0})),
+        # on the row y = 0 the z^(d-2) coefficients of f_x and f_y vanish, and
+        # so does the leading one of their first remainder
+        ("no x^2 z^(d-2) or x y z^(d-2): row y = 0 leaves on a zero leading coefficient",
+         setting(random_poly(fp, d, 8), {(2, 0, d - 2): 0, (1, 1, d - 2): 0,
+                                         (1, 0, d - 1): 1, (0, 1, d - 1): 1})),
+        # z A + (y - 2x)^2 B: on the row y = 2, f_x and f_y are z A_x and z A_y,
+        # while f_z at (1:2:0) is A(1, 2, 0), nonzero for this A
+        ("tangent to z = 0 at (1:2:0): gcd of degree 1 where f_z does not vanish",
+         (ln(0, 0, 1) * setting(random_poly(fp, d - 1, 13),
+                                {(1, 0, d - 2): 1, (0, 1, d - 2): 1}))
+         .add(ln(2, -1, 0) ** 2 * random_poly(fp, d - 2, 14))),
     ]
 
 
-@pytest.mark.parametrize("p,d", [(5, 4), (5, 6), (251, 4)])
+@pytest.mark.parametrize("p,d", [(5, 4), (5, 6), (7, 5), (251, 4)])
 def test_sieve_matches_whole_table_reference(p, d):
     for name, f in _sieve_forms(p, d):
         assert not f.is_zero(), name
