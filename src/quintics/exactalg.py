@@ -394,9 +394,14 @@ def _fp_rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
 
     Each pivot row, last first, is reduced (which unpacks it into its final
     row) and repacked before it clears its pivot column from the rows above
-    it; rows past the rank are zero.
+    it; rows past the rank are zero.  With a pivot in every column the
+    reduced form is the identity followed by zero rows, so it is returned
+    without back-substitution.
     """
     packed, pivots, w = _fp_forward(p, rows)
+    m = len(rows[0])
+    if len(pivots) == m:
+        return [[int(i == j) for j in range(m)] for i in range(len(rows))], pivots
     mask = (1 << w) - 1
     shifts = range(0, len(rows[0]) * w, w)
     out = [[0] * len(shifts) for _ in rows]
