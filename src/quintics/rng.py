@@ -30,12 +30,22 @@ class SplitMix64:
         return _mix(self.state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection on the top range."""
+        """Uniform integer in [0, bound) by rejection on the top range.
+
+        A candidate joins k 64-bit outputs, high word first, for the least k
+        with 2^(64k) >= bound: one for every bound up to 2^64, so that stream
+        does not depend on how wider bounds are drawn.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        span = 1 << 64
+        while span < bound:
+            span <<= 64
+        limit = span - span % bound
         while True:
-            v = self.next_u64()
+            v, rest = self.next_u64(), span >> 64
+            while rest > 1:
+                v, rest = v << 64 | self.next_u64(), rest >> 64
             if v < limit:
                 return v % bound
 

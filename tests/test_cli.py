@@ -55,6 +55,14 @@ def test_dims_all_types_single_seed(capsys):
     assert all(r["pass"] for r in report["results"])
 
 
+def test_dims_over_a_prime_above_2_64(capsys):
+    code, out, _ = run(capsys, "dims", "--type", "1", "--field",
+                       "fp:3317044064679887385961813", "--seeds", "1")
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result["pass"]
+
+
 def test_exit_code_one_on_mismatch(capsys, monkeypatch):
     import quintics.cli as cli_mod
 

@@ -1,0 +1,33 @@
+import pytest
+
+from quintics.rng import SplitMix64, derive_seed
+
+
+def _below_one_word(rng, bound):
+    """``SplitMix64.below`` with one 64-bit output per candidate, the draw for
+    every bound up to 2^64."""
+    limit = (1 << 64) - ((1 << 64) % bound)
+    while True:
+        v = rng.next_u64()
+        if v < limit:
+            return v % bound
+
+
+def test_below_keeps_the_one_word_stream_up_to_2_64():
+    sizes = SplitMix64(derive_seed(31, 64))
+    bounds = [1, 2, 3, 101, 65521, (1 << 63) + 1, (1 << 64) - 1, 1 << 64]
+    for _ in range(2000):
+        bits = sizes.below(64) + 1
+        bounds.append(sizes.below(1 << bits) + 1)
+    got, want = SplitMix64(5), SplitMix64(5)
+    for bound in bounds:
+        assert got.below(bound) == _below_one_word(want, bound), bound
+    assert got.state == want.state
+
+
+@pytest.mark.parametrize("bound", [(1 << 64) + 1, 1 << 80, 3317044064679887385961813])
+def test_below_draws_above_2_64_in_range(bound):
+    rng = SplitMix64(7)
+    draws = [rng.below(bound) for _ in range(200)]
+    assert all(0 <= v < bound for v in draws)
+    assert min(draws) < bound // 2 < max(draws)
