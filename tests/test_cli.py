@@ -279,6 +279,16 @@ def test_ledger_and_homology_reports_match_stored(argv, name, capsys):
     assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["torus", "gap"])
+def test_homology_model_file_matches_stored(name, capsys, monkeypatch):
+    # torus: two loops, a 2-cell with zero boundary and the loop swap (betti
+    # [1, 2, 1]); gap: an empty chain group in dimension 1 (betti [1, 0, 1])
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, "homology", "--model", f"homology_model_{name}.json")
+    assert code == 0
+    assert out == (DATA / f"homology_model_{name}.expected.json").read_text(encoding="utf-8")
+
+
 def test_classify_rejects_degree_divisible_by_p(tmp_path, capsys):
     fp = PrimeField(7)
     # degree 5 over p = 5 is rejected before enumeration
