@@ -8,15 +8,17 @@ plain ints in ``[0, p)``.  Arithmetic on them is Python's own; a
 
 Each field has one forward elimination pass: rank is its pivot count, and
 reduced row echelon form (used for kernels and canonical subspace bases) is
-that pass followed by back-substitution.  Over QQ the pass is fraction-free
-Bareiss elimination on rows cleared to integers, which keeps intermediate
-entries polynomial in the input instead of letting gcd-heavy Fraction
-arithmetic blow up; back-substitution stays on integers, and Fractions are
-made only when each row is finally divided by its pivot.  Over ``GF(p)``
-each row is packed into one int, its residues in fixed-width slots wide
-enough that no slot overflows, so a row update is one big-int multiply-add;
-a slot is reduced mod p only when it is read, and rows are unpacked only
-when the reduced echelon form is returned.
+that pass followed by back-substitution.  A kernel is one forward pass on the
+rows with their columns reversed plus back-substitution: the null vectors
+read off that reduced form already are the reduced echelon basis.  Over QQ
+the pass is fraction-free Bareiss elimination on rows cleared to integers,
+which keeps intermediate entries polynomial in the input instead of letting
+gcd-heavy Fraction arithmetic blow up; back-substitution stays on integers,
+and Fractions are made only when each row is finally divided by its pivot.
+Over ``GF(p)`` each row is packed into one int, its residues in fixed-width
+slots wide enough that no slot overflows, so a row update is one big-int
+multiply-add; a slot is reduced mod p only when it is read, and rows are
+unpacked only when the reduced echelon form is returned.
 ``rank_rows`` ranks plain rows (ints or Fractions over QQ, residues over
 GF(p)) without building a ``DenseMatrix``, and ``rank`` delegates to it;
 ``_kernel_rows`` takes the null space of such rows the same way, and
@@ -544,24 +546,30 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
 
     The entries must be canonical over GF(p), ints in ``[0, p)``; over QQ
     they may be ints or Fractions.  The rows are left unchanged.
+
+    One reduced form suffices: the rows are reduced with their columns
+    reversed.  There a pivot row is nonzero only at its pivot and at free
+    columns after it, so the null vector of a free column is 1 there, zero
+    at every other free column, and nonzero elsewhere only at pivots before
+    it.  Read back in the original column order, each vector starts with
+    its 1 and is zero at the other free columns: taken by ascending free
+    column, the vectors already are the reduced echelon basis.
     """
-    if not rows:
-        return full_space(field, ncols)
-    reduced, pivots = _rref(field, rows)
+    reduced, pivots = _rref(field, [row[::-1] for row in rows])
+    last = ncols - 1
     pivot_set = set(pivots)
     vectors = []
-    for fc in range(ncols):
+    for fc in range(last, -1, -1):
         if fc in pivot_set:
             continue
         vec = [field.zero()] * ncols
-        vec[fc] = field.one()
+        vec[last - fc] = field.one()
         for i, pc in enumerate(pivots):
-            vec[pc] = field.coerce(-reduced[i][fc])
-        vectors.append(vec)
-    echelon, _ = _rref(field, vectors)
-    kept = tuple(tuple(row) for row in echelon
-                 if any(not field.is_zero(v) for v in row))
-    return SubspaceBasis(field, ncols, kept)
+            if pc > fc:
+                break
+            vec[last - pc] = field.coerce(-reduced[i][fc])
+        vectors.append(tuple(vec))
+    return SubspaceBasis(field, ncols, tuple(vectors))
 
 
 def row_space(m: DenseMatrix) -> SubspaceBasis:

@@ -437,11 +437,10 @@ def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:
 
     on_line, off = _retry(build, field, derive_seed(seed, 13),
                           f"could not sample the quartic contact system over {field}")
-    rows: list = []
-    for pt in on_line:
-        rows.extend(vanishing_row(pt, 4).rows)
+    p = _modulus(field)
+    rows = [_monomial_values(pt.coords, 4, p) for pt in on_line]
     for pt in off:
-        rows.extend(singularity_rows(pt, 4).rows)
+        rows.extend(_point_rows(pt.coords, 4, p))
     return DenseMatrix(field, rows, space_dim(4))
 
 
@@ -827,11 +826,10 @@ def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> O
         return None
 
 
-def _classify_pencil_quadruple(pts, key: tuple, on_line: set, sized: dict) -> Optional[int]:
+def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
     """Type 38: the four points off the line with key ``key`` are the base
     points of a pencil whose conics cut the line in the pairs of ``on_line``."""
-    if any(len(on - on_line) >= 3 for on in sized.values()):
-        return None
+    # No test for three collinear base points: a partner then falls off the set.
     ln = _from_key(ProjLine, pts[0].field, key)
     base = [q for i, q in enumerate(pts) if i not in on_line]
     line_pts = [q for i, q in enumerate(pts) if i in on_line]
@@ -856,10 +854,9 @@ def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
     # points of the set, the vertices, and cover it.
     a, b, c = sides
     vertices = (a & b) | (a & c) | (b & c)
+    # A vertex on the conic would put three points of a side on it: no test.
     conic = _unique_conic([q for i, q in enumerate(pts) if i not in vertices])
-    if conic is None or any(conic.contains(pts[i]) for i in vertices):
-        return None
-    return 39
+    return None if conic is None else 39
 
 
 def _classify_five_lines(sized: dict) -> Optional[int]:
@@ -949,8 +946,8 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
         return None
     # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
     # so that conic is the only one through them.
-    conic = None if sized else _unique_conic(pts)
-    if conic is not None and not conic.is_degenerate():
+    # Seven points with no collinear triple lie on no line pair: no test.
+    if not sized and _unique_conic(pts) is not None:
         return 32
     if _disjoint_trios(sized):
         return 35
@@ -980,7 +977,7 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
             return 37 if s1 & s2 else 30
         if len(four) == 1:
             (key, on_line), = four.items()
-            return _classify_pencil_quadruple(pts, key, on_line, sized)
+            return _classify_pencil_quadruple(pts, key, on_line)
         return None
     return None
 

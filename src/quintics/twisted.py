@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError
-from .exactalg import QQ, DenseMatrix, full_space, kernel, rank, rref
+from .exactalg import QQ, _kernel_rows, _rref, rank_rows
 from .poincare import PoincarePoly
 
 
@@ -35,8 +35,9 @@ def _zeros(nrows: int, ncols: int) -> list:
 class ChainComplex:
     """A finite chain complex of rational vector spaces.
 
-    ``dims[k]`` is the number of cells in dimension k; ``boundary(k)`` is the
-    dims[k-1] x dims[k] matrix of the boundary map for 1 <= k <= top.
+    ``dims[k]`` is the number of cells in dimension k; ``boundaries[k-1]``
+    holds the dims[k-1] rows of the dims[k-1] x dims[k] boundary matrix, as
+    lists of Fractions, for 1 <= k <= top.
     """
 
     def __init__(self, dims: Sequence[int], boundaries: Sequence):
@@ -69,14 +70,6 @@ class ChainComplex:
     def top(self) -> int:
         return len(self.dims) - 1
 
-    def boundary(self, k: int) -> Optional[DenseMatrix]:
-        """Boundary matrix in dimension k, or None outside 1..top."""
-        if not 1 <= k <= self.top:
-            return None
-        if self.dims[k] == 0 or self.dims[k - 1] == 0:
-            return None
-        return DenseMatrix(QQ, self.boundaries[k - 1], self.dims[k])
-
     def euler_characteristic_cells(self) -> int:
         return sum((-1) ** k * d for k, d in enumerate(self.dims))
 
@@ -85,8 +78,7 @@ def homology(c: ChainComplex) -> list:
     """Betti numbers b_0..b_top of a twisted chain complex, exactly over QQ."""
     ranks = [0] * (c.top + 2)
     for k in range(1, c.top + 1):
-        m = c.boundary(k)
-        ranks[k] = rank(m) if m is not None else 0
+        ranks[k] = rank_rows(QQ, c.boundaries[k - 1])
     return [c.dims[k] - ranks[k] - ranks[k + 1] for k in range(c.top + 1)]
 
 
@@ -384,34 +376,32 @@ def mapping_torus_reflection(c: ChainComplex, f: ChainMap, edge_twist,
 def _homology_basis(c: ChainComplex, k: int) -> tuple:
     """Cycle representatives of a homology basis plus the boundary basis."""
     n = c.dims[k]
-    bk = c.boundary(k)
-    cycle_rows = full_space(QQ, n).basis if bk is None else kernel(bk).basis
-    bk1 = c.boundary(k + 1)
-    boundary_rows = () if bk1 is None else rref(bk1.transpose())[0].rows
+    cycle_rows = _kernel_rows(QQ, c.boundaries[k - 1] if k else [], n).basis
+    boundary_rows = []
+    if k < c.top:
+        reduced, pivots = _rref(QQ, list(zip(*c.boundaries[k])))
+        boundary_rows = reduced[:len(pivots)]
     # A cycle extends the span of the boundaries and the cycles before it
     # exactly when its column is a pivot column of the stack taken as
     # columns, boundary rows first.
-    stack = DenseMatrix(QQ, boundary_rows + cycle_rows, n)
-    _, pivots = rref(stack.transpose())
+    _, pivots = _rref(QQ, list(zip(*boundary_rows, *cycle_rows)))
     nb = len(boundary_rows)
     return tuple(cycle_rows[i - nb] for i in pivots if i >= nb), boundary_rows
 
 
 def _coords_in(basis_rows: Sequence, extra_rows: Sequence, vector: Sequence) -> list:
     """Coordinates of ``vector`` on ``extra_rows`` modulo span(basis_rows)."""
-    rows = [list(r) for r in basis_rows] + [list(r) for r in extra_rows]
+    rows = [*basis_rows, *extra_rows]
     if not rows:
         return []
-    n = len(rows[0])
     cols = len(rows)
-    aug = [[rows[i][j] for i in range(cols)] + [QQ.coerce(vector[j])]
-           for j in range(n)]
-    reduced, pivots = rref(DenseMatrix(QQ, aug, cols + 1))
+    aug = [[*col, QQ.coerce(v)] for col, v in zip(zip(*rows), vector)]
+    reduced, pivots = _rref(QQ, aug)
     if cols in pivots:
         raise InputError("vector does not lie in the span")
     sol = [Fraction(0)] * cols
     for i, pc in enumerate(pivots):
-        sol[pc] = reduced.rows[i][cols]
+        sol[pc] = reduced[i][cols]
     return sol[len(basis_rows):]
 
 

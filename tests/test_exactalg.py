@@ -398,6 +398,24 @@ def test_fp_elimination_matches_list_reference(p):
         assert _kernel_rows(fp, rows, ncols).basis == want_kernel, rows
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_kernel_rows_reduces_once(field, monkeypatch):
+    from quintics import exactalg
+    calls = []
+    real = exactalg._rref
+
+    def counted(fld, rows):
+        calls.append(len(rows))
+        return real(fld, rows)
+
+    monkeypatch.setattr(exactalg, "_rref", counted)
+    rows = [[1, 2, 0, 3, 1], [2, 4, 1, 0, 0], [3, 6, 1, 3, 1]]
+    basis = exactalg._kernel_rows(field, rows, 5).basis
+    assert calls == [3]
+    p = field.p if isinstance(field, PrimeField) else None
+    assert basis == _reference_kernel([[field.coerce(v) for v in r] for r in rows], 5, p)
+
+
 def test_kernel_bases_are_deterministic():
     rng = SplitMix64(7)
     m = _random_matrix(QQ, rng, 4, 6)

@@ -217,6 +217,22 @@ def test_induced_map_of_iso_is_invertible():
             assert rank(DenseMatrix(QQ, [list(r) for r in m])) == len(m)
 
 
+@pytest.mark.parametrize("dims,boundaries,betti", [
+    ([0, 2], [[]], [0, 2]),
+    ([1, 0, 1], [[[]], []], [1, 0, 1]),
+    ([2, 1, 0], [[[1], [-1]], [[]]], [1, 0, 0]),
+])
+def test_empty_chain_groups(dims, boundaries, betti):
+    # an empty chain group at the bottom, in the middle and at the top
+    c = ChainComplex(dims, boundaries)
+    assert homology(c) == betti
+    mats = induced_map(identity_map(c))
+    assert [len(m) for m in mats] == betti
+    for m in mats:
+        assert m == tuple(tuple(int(i == j) for j in range(len(m)))
+                          for i in range(len(m)))
+
+
 # --- duality and Euler characteristics ----------------------------------------------
 
 def test_poincare_dual_examples():
