@@ -13,7 +13,6 @@ from .exactalg import (
     DenseMatrix,
     PrimeField,
     RationalField,
-    Scalar,
     SubspaceBasis,
     intersect,
     kernel,
@@ -42,7 +41,6 @@ from .lsys import (
     monomial_basis,
     singular_set_bruteforce,
     singularity_rows,
-    vanishing_row,
 )
 from .poincare import PoincarePoly
 from .projgeom import (
@@ -53,9 +51,7 @@ from .projgeom import (
     collinear,
     hausdorff,
     incident,
-    line_groups,
     on_common_conic,
-    tangent,
 )
 from .sampling import sample_generic, sample_generic_points
 from .twisted import (

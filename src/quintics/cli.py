@@ -96,14 +96,15 @@ def cmd_classify(args) -> int:
         poly = poly.reduce_to(field)
     _euler_relation(field, poly.degree)
     sing = singular_set_bruteforce(poly, p)
+    cfg = sing.as_config()
     results = []
     if sing.is_empty():
         verdict: object = "nonsingular"
     else:
-        type_id = classify(sing)
+        type_id = classify(cfg)
         verdict = type_id if type_id is not None else "none"
         if type_id is not None:
-            dim = linear_system_dim(sing.as_config(), poly.degree) \
+            dim = linear_system_dim(cfg, poly.degree) \
                 if poly.degree == 5 else None
             if dim is not None:
                 results.append(_check(f"type {type_id} dimension", GOLDEN_DIMS[type_id], dim))
@@ -112,7 +113,7 @@ def cmd_classify(args) -> int:
     report = {
         "command": "classify",
         "inputs": {"poly": args.poly, "prime": p},
-        "singular_set": config_to_json(sing.as_config()),
+        "singular_set": config_to_json(cfg),
         "classification": verdict,
         "results": results,
     }

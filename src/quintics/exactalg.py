@@ -177,46 +177,6 @@ def parse_field(spec: str) -> Field:
     raise InputError(f"bad field spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A single exact field element tagged with its field."""
-
-    field: Field
-    value: RawValue
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.coerce(self.value))
-
-    def _check(self, other: "Scalar") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError(f"mixed fields {self.field} and {other.field}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.value + other.value)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.value - other.value)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.value * other.value)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.field, self.value * self.field.inv(other.value))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, -self.value)
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 class DenseMatrix:
     """Immutable dense matrix over a single exact field.
 
@@ -242,19 +202,6 @@ class DenseMatrix:
         self.rows = grid
         self.nrows = len(grid)
         self.ncols = ncols
-
-    @classmethod
-    def from_scalars(cls, rows: Sequence[Sequence[Scalar]], ncols: int | None = None,
-                     field: Field | None = None) -> "DenseMatrix":
-        tags = {s.field for row in rows for s in row}
-        if field is not None:
-            tags.add(field)
-        if len(tags) > 1:
-            raise FieldMismatchError("matrix entries carry mixed field tags")
-        if not tags:
-            raise InputError("cannot infer field from an empty matrix")
-        fld = tags.pop()
-        return cls(fld, [[s.value for s in row] for row in rows], ncols)
 
     def transpose(self) -> "DenseMatrix":
         return DenseMatrix(self.field, [[row[j] for row in self.rows] for j in range(self.ncols)],
@@ -603,21 +550,3 @@ def _check_compatible(a: SubspaceBasis, b: SubspaceBasis) -> None:
         raise FieldMismatchError("subspaces over different fields")
     if a.ambient_dim != b.ambient_dim:
         raise InputError("subspaces have different ambient dimensions")
-
-
-def full_space(field: Field, n: int) -> SubspaceBasis:
-    basis = tuple(tuple(field.one() if j == i else field.zero() for j in range(n))
-                  for i in range(n))
-    return SubspaceBasis(field, n, basis)
-
-
-def matrix_mod_p(m: DenseMatrix, p: int) -> DenseMatrix:
-    """Reduce a rational matrix modulo a prime.
-
-    Raises InputError when some denominator is divisible by ``p``; callers
-    doing rank comparisons across fields resample in that case.
-    """
-    if not isinstance(m.field, RationalField):
-        raise InputError("matrix_mod_p expects a rational matrix")
-    fp = PrimeField(p)
-    return DenseMatrix(fp, [[fp.coerce(v) for v in row] for row in m.rows], m.ncols)

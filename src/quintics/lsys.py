@@ -255,12 +255,6 @@ def _point_rows(coords: Sequence, d: int, p: Optional[int]) -> list:
     return rows
 
 
-def vanishing_row(a: ProjPoint, d: int) -> DenseMatrix:
-    """The single row expressing f(a) = 0 on degree-d coefficient vectors."""
-    row = _monomial_values(a.coords, d, _modulus(a.field))
-    return DenseMatrix(a.field, [row], space_dim(d))
-
-
 def singularity_rows(a: ProjPoint, d: int) -> DenseMatrix:
     """Three rows expressing that all partials of f vanish at the point a.
 
@@ -702,10 +696,13 @@ def _peel_conic_component(points: list, p: int) -> tuple[list, list]:
 
     A quintic form can carry at most one doubled conic, and its leftover
     isolated singularities number at most four, so scanning five-subsets of
-    the first twelve points always sees five points of the conic.  A
-    nondegenerate conic over GF(p), p odd, has exactly p + 1 points (it is
-    isomorphic to the projective line), so it is full when all of them are in
-    the set.
+    the first twelve points always sees five points of the conic.  That
+    holds at the smallest field where conics are grouped, p = 7, too: the
+    set then holds the conic's eight points and at most four others, so the
+    first twelve are all of it.  Five points of a nondegenerate conic have no
+    three on a line, so the conic through them is unique.  A nondegenerate
+    conic over GF(p), p odd, has exactly p + 1 points (it is isomorphic to
+    the projective line), so it is full when all of them are in the set.
     """
     if len(points) < p + 1:
         return [], points
@@ -726,8 +723,13 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
     A line or conic is reported as a component only when every one of its
     p + 1 rational points is singular; everything else stays isolated.
     Grouping is attempted only above the counting thresholds where it is
-    forced: a fully singular line needs p + 1 > deg f roots of the restricted
-    form, a fully singular conic needs p + 1 > 2 deg f.
+    forced.  A fully singular line needs p + 1 > deg f roots of the restricted
+    form.  For a conic, Bezout: let N singular points of f, of degree d, lie
+    on a nondegenerate conic q.  Each meets q with multiplicity at least 2,
+    so N > d forces f = q g.  At a point a of q, grad f(a) = g(a) grad q(a)
+    with grad q(a) nonzero, so g vanishes at all N points, and N > 2(d - 2)
+    forces q | g.  So once p + 1 > max(d, 2(d - 2)), a conic with all p + 1
+    points singular divides f twice; for d = 5 that admits p = 7.
     """
     if f.is_zero():
         return SingularSet(PrimeField(p), whole_plane=True)
@@ -737,7 +739,7 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
     if len(pts) >= p + 1 and p + 1 > f.degree:
         lines, rest = _peel_line_components(pts, p)
     conics: list = []
-    if p + 1 > 2 * f.degree:
+    if p + 1 > max(f.degree, 2 * (f.degree - 2)):
         conics, rest = _peel_conic_component(rest, p)
     rest_sorted = tuple(sorted(rest, key=lambda q: q.coords))
     return SingularSet(PrimeField(p), isolated_points=rest_sorted,
@@ -803,12 +805,6 @@ TYPE_TABLE: tuple = (
 
 GOLDEN_DIMS = {rec.type_id: rec.expected_dim for rec in TYPE_TABLE}
 K_POINTS = {rec.type_id: rec.k_points for rec in TYPE_TABLE}
-
-
-def type_record(type_id: int) -> ConfigTypeRecord:
-    if not 1 <= type_id <= 42:
-        raise InputError(f"type_id {type_id} out of range 1..42")
-    return TYPE_TABLE[type_id - 1]
 
 
 # ---------------------------------------------------------------------------

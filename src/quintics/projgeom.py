@@ -12,9 +12,8 @@ through two points then has a canonical integer key, its coefficients scaled
 to a leading 1 over GF(p) and made primitive with a positive leading entry
 over QQ.  :func:`_index_groups`, which groups a point set by the keys of the
 lines through its pairs, is the one place that decides which points of a set
-are collinear; :func:`line_groups` is its public form with ``ProjLine`` keys.
-:func:`hausdorff` is the exact metric on finite point sets used by the metric
-axiom tests.
+are collinear.  :func:`hausdorff` is the exact metric on finite point sets
+used by the metric axiom tests.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .exactalg import (
     Field,
     PrimeField,
     RationalField,
-    Scalar,
     _integer_row,
     _kernel_rows,
 )
@@ -207,9 +205,9 @@ def _same_field(a: Field, b: Field) -> None:
 
 
 def _odd_characteristic(field: Field) -> None:
-    """Refuse GF(2), where the conic predicates' factors of 2 vanish."""
+    """Refuse GF(2), where the conic degeneracy test's factors of 2 vanish."""
     if isinstance(field, PrimeField) and field.p == 2:
-        raise InputError("conic degeneracy and tangency assume odd characteristic; "
+        raise InputError("conic degeneracy assumes odd characteristic; "
                          f"{field} has characteristic 2")
 
 
@@ -289,23 +287,6 @@ def _index_groups(points: Sequence[ProjPoint]) -> dict:
     return groups
 
 
-def line_groups(points: Sequence[ProjPoint]) -> dict:
-    """Map each line through at least two of the points to the points on it.
-
-    The points of each line are listed in input order, and the lines in the
-    order their first pair is met.  The grouping is :func:`_index_groups` on
-    integer line keys; one ``ProjLine`` is made per distinct key.  Repeated
-    points raise :class:`InputError`.
-    """
-    pts = tuple(points)
-    groups = _index_groups(pts)
-    if not groups:
-        return {}
-    f = pts[0].field
-    return {_from_key(ProjLine, f, key): tuple(pts[i] for i in members)
-            for key, members in groups.items()}
-
-
 def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
     return all(len(on) < 3 for on in _index_groups(points).values())
 
@@ -382,17 +363,6 @@ def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
     return Conic(pts[0].field, basis[0]) if len(basis) == 1 else None
 
 
-def restrict_conic_to_line(c: Conic, ln: ProjLine) -> tuple:
-    """Binary quadratic form (A, B, C) of the conic on a parametrized line.
-
-    The line is parametrized as s*P + t*Q through the canonical basis points
-    of its kernel; the restriction is A s^2 + B s t + C t^2.
-    """
-    _same_field(c.field, ln.field)
-    p, q = points_on_line_basis(ln)
-    return _binary_form(c, p, q), (p, q)
-
-
 def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:
     a, b, cc, d, e, g = c.coeffs
     (x1, y1, z1), (x2, y2, z2) = p.coords, q.coords
@@ -405,22 +375,6 @@ def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:
     # B = c(p+q) - c(p) - c(q), the polarization of the quadratic form.
     B = val(x1 + x2, y1 + y2, z1 + z2) - A - C
     return tuple(map(c.field.coerce, (A, B, C)))
-
-
-def tangent(c: Conic, ln: ProjLine) -> bool:
-    """True iff the line is tangent to the conic.
-
-    Tangency means the restriction of the conic to the line is a binary
-    quadratic with vanishing discriminant B^2 - 4AC.  A line contained in the
-    conic makes the restriction identically zero and is rejected, and so is
-    characteristic 2, where the discriminant is B^2 for every line.
-    """
-    _odd_characteristic(c.field)
-    (A, B, C), _ = restrict_conic_to_line(c, ln)
-    f = c.field
-    if f.is_zero(A) and f.is_zero(B) and f.is_zero(C):
-        raise InputError("line is a component of the conic; restriction is not reduced")
-    return f.is_zero(B * B - 4 * A * C)
 
 
 def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoint | None:
@@ -475,7 +429,7 @@ def _point_distance(a: tuple, b: tuple) -> Fraction:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def hausdorff(k: Iterable, l: Iterable) -> Scalar:
+def hausdorff(k: Iterable, l: Iterable) -> Fraction:
     """Exact Hausdorff-style distance between finite sets of chart points.
 
     Both directional deviations are computed and *summed*:
@@ -495,4 +449,4 @@ def hausdorff(k: Iterable, l: Iterable) -> Scalar:
         raise InputError("all points must live in one chart")
     forward = max(min(_point_distance(x, y) for y in ls) for x in ks)
     backward = max(min(_point_distance(y, x) for x in ks) for y in ls)
-    return Scalar(QQ, forward + backward)
+    return forward + backward

@@ -229,11 +229,6 @@ def _conic_from_forms(f: Field, u, v, w) -> Conic:
     return Conic(f, tuple(a - b for a, b in zip(_sym(u, v), _sym(w, w))))
 
 
-def conic_from_line_pair(l1: ProjLine, l2: ProjLine) -> Conic:
-    """The degenerate conic that is the union of two lines."""
-    return Conic(l1.field, _sym(l1.coeffs, l2.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # per-type constructions
 

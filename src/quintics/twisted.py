@@ -406,12 +406,15 @@ def _coords_in(basis_rows: Sequence, extra_rows: Sequence, vector: Sequence) -> 
 
 
 def induced_map(f: ChainMap) -> list:
-    """Matrices of a chain map on homology, one per shared dimension."""
+    """Matrices of a chain map on homology, one per shared dimension.
+
+    A self map takes each degree's homology basis once, for both ends."""
     out = []
     top = min(f.source.top, f.target.top)
     for k in range(top + 1):
-        src_basis, _ = _homology_basis(f.source, k)
-        tgt_basis, tgt_bnd = _homology_basis(f.target, k)
+        src_basis, src_bnd = _homology_basis(f.source, k)
+        tgt_basis, tgt_bnd = ((src_basis, src_bnd) if f.target is f.source
+                              else _homology_basis(f.target, k))
         cols = []
         for row in src_basis:
             image = [Fraction(0)] * f.target.dims[k]

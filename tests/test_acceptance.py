@@ -232,10 +232,10 @@ def test_criterion_12_property_suites():
 
     for _ in range(1000):
         k, l, m = random_set(), random_set(), random_set()
-        dkl = hausdorff(k, l).value
-        assert dkl == hausdorff(l, k).value
-        assert hausdorff(k, m).value <= dkl + hausdorff(l, m).value
-        assert hausdorff(k, k).value == 0
+        dkl = hausdorff(k, l)
+        assert dkl == hausdorff(l, k)
+        assert hausdorff(k, m) <= dkl + hausdorff(l, m)
+        assert hausdorff(k, k) == 0
 
     # rank/kernel/intersection identities on 500 random matrices
     fields = [QQ, FP]

@@ -253,6 +253,15 @@ def test_classify_report_matches_stored(name, capsys, monkeypatch):
     assert out == (DATA / f"classify_{name}.expected.json").read_text(encoding="utf-8")
 
 
+def test_classify_double_conic_at_p7_matches_stored(capsys, monkeypatch):
+    # the doubled conic groups at p = 7, where p + 1 < 2 deg f
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, "classify", "--poly", "classify_double_conic.json",
+                       "--prime", "7")
+    assert code == 0
+    assert out == (DATA / "classify_double_conic_p7.expected.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("field,seeds,name", [
     ("qq", "1", "dims_all_qq_seeds1"),
     ("fp:101", "2", "dims_all_fp101_seeds2"),

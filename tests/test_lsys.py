@@ -17,11 +17,13 @@ from quintics.exactalg import (
     rank,
 )
 from quintics.lsys import (
+    _monomial_values,
     _remainder_rows,
     _system_rows,
     GOLDEN_DIMS,
     HomogeneousPoly,
     K_POINTS,
+    TYPE_TABLE,
     SingularSet,
     check_conditions,
     classify,
@@ -40,11 +42,9 @@ from quintics.lsys import (
     singular_set_bruteforce,
     singularity_rows,
     space_dim,
-    type_record,
-    vanishing_row,
     verify_taxonomy_table,
 )
-from quintics.projgeom import Config, Conic, ProjLine, ProjPoint
+from quintics.projgeom import Config, Conic, ProjLine, ProjPoint, _from_key, _index_groups
 from quintics.rng import SplitMix64, derive_seed
 from quintics.sampling import (
     apply_transform_to_config,
@@ -58,6 +58,18 @@ FP = PrimeField(65521)
 
 def pt(*coords, field=QQ):
     return ProjPoint(field, coords)
+
+
+def _evaluation_row(a, d):
+    # the single row expressing f(a) = 0 on degree-d coefficient vectors over QQ
+    return _monomial_values(a.coords, d, None)
+
+
+def _line_groups(points):
+    # the index grouping read back with one ProjLine per line key
+    pts = tuple(points)
+    return {_from_key(ProjLine, pts[0].field, key): tuple(pts[i] for i in on)
+            for key, on in _index_groups(pts).items()}
 
 
 # --- monomials ---------------------------------------------------------------
@@ -119,10 +131,9 @@ def test_singularity_rows_agree_with_differentiation_oracle():
 
 
 def test_vanishing_row_examples():
-    row = vanishing_row(pt(0, 0, 1), 5)
-    vec = row.rows[0]
+    vec = _evaluation_row(pt(0, 0, 1), 5)
     assert vec[-1] == 1 and all(v == 0 for v in vec[:-1])
-    assert vanishing_row(pt(1, 1, 1), 1).rows[0] == (1, 1, 1)
+    assert _evaluation_row(pt(1, 1, 1), 1) == [1, 1, 1]
 
 
 def test_vanishing_row_inside_singularity_row_space():
@@ -131,7 +142,7 @@ def test_vanishing_row_inside_singularity_row_space():
     for coords in [(1, 2, 3), (0, 1, 5), (1, 0, 0)]:
         a = pt(*coords)
         rows = singularity_rows(a, 5)
-        stacked = rows.stack(vanishing_row(a, 5))
+        stacked = rows.stack(DenseMatrix(QQ, [_evaluation_row(a, 5)]))
         assert rank(stacked) == rank(rows)
 
 
@@ -369,7 +380,7 @@ def test_cubic_analogues_have_one_dimensional_systems():
     a = pt(1, 3, 5)
     rows = []
     for q in cfg.points:
-        rows.extend(vanishing_row(q, 3).rows)
+        rows.append(_evaluation_row(q, 3))
     assert not any(q == a for q in cfg.points)
     rows.extend(singularity_rows(a, 3).rows)
     assert kernel(DenseMatrix(QQ, rows, 10)).dim == 1
@@ -383,7 +394,7 @@ def test_cubic_analogues_have_one_dimensional_systems():
     assert conic is not None and not conic.contains(off)
     rows = []
     for q in cfg2.points:
-        rows.extend(vanishing_row(q, 3).rows)
+        rows.append(_evaluation_row(q, 3))
     rows.extend(singularity_rows(off, 3).rows)
     assert kernel(DenseMatrix(QQ, rows, 10)).dim == 1
 
@@ -506,8 +517,6 @@ def test_double_conic_times_line_is_conic_type():
 def test_five_line_product_realizes_type_40():
     fp101 = PrimeField(101)
     cfg = sample_generic(40, fp101, 3)
-    from quintics.projgeom import line_groups as _line_groups
-
     lines = [ln for ln, pts in _line_groups(cfg.points).items() if len(pts) == 4]
     assert len(lines) == 5
     f = line_poly(lines[0])
@@ -534,7 +543,6 @@ def test_conic_pair_times_line_realizes_type_38():
     # line their product is singular exactly at the sampled configuration
     from itertools import combinations
 
-    from quintics.projgeom import line_groups as _line_groups
     from quintics.projgeom import conic_through
 
     fp101 = PrimeField(101)
@@ -556,7 +564,6 @@ def test_conic_pair_times_line_realizes_type_38():
 def test_conic_times_triangle_realizes_type_39():
     from itertools import combinations
 
-    from quintics.projgeom import line_groups as _line_groups
     from quintics.projgeom import conic_through
 
     fp101 = PrimeField(101)
@@ -616,7 +623,7 @@ def _reference_singular_set(f, p):
                        key=lambda ln: ln.coeffs)
         rest = [q for q in pts if not any(incident(q, ln) for ln in lines)]
     conics = []
-    if p + 1 > 2 * f.degree and len(rest) >= p + 1:
+    if p + 1 > max(f.degree, 2 * (f.degree - 2)) and len(rest) >= p + 1:
         for five in combinations(rest[:12], 5):
             conic = conic_through(five)
             if conic is None or conic.is_degenerate():
@@ -671,6 +678,9 @@ def test_oracle_matches_reference_construction(p):
 
 
 def test_oracle_forms_reach_every_branch():
+    # a doubled conic is grouped at p = 7 already, where 2 deg f > p + 1
+    doubled = dict(_oracle_forms(7))["conic^2 line (type 33)"]
+    assert len(singular_set_bruteforce(doubled, 7).conic_components) == 1
     fp = PrimeField(101)
     found = {name: singular_set_bruteforce(f, 101) for name, f in _oracle_forms(101)}
     assert len(found["lines^2 meeting at x=0, line"].line_components) == 2
@@ -819,7 +829,7 @@ def test_classify_rejects_unknown_patterns():
 def test_taxonomy_table_shape():
     verify_taxonomy_table()
     assert sum(1 for t in range(1, 43) if K_POINTS[t] == "nondiscrete") == 8
-    rec = type_record(38)
+    rec = TYPE_TABLE[38 - 1]
     assert rec.k_points == 8 and rec.expected_dim == 1
 
 
@@ -866,7 +876,7 @@ def test_classify_points_groups_the_points_once(monkeypatch):
     monkeypatch.setattr(lsys, "_index_groups", counting_groups)
     monkeypatch.setattr(lsys, "_from_key", counting_from_key)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
-    for name in ("line_groups", "_no_collinear_triple", "conic_through"):
+    for name in ("_no_collinear_triple", "conic_through"):
         assert not hasattr(lsys, name)
         monkeypatch.setattr(projgeom, name, regrouped)
     for field in (FP, QQ):
@@ -890,8 +900,8 @@ def _subset_types() -> dict:
     Keys read "<field> seed <s> type <t>"; each value lists the results (None
     when no type fits) for the subsets by size, each size in combinations
     order.  The stored file was written by this function before the
-    classifier took its line groups from ``projgeom.line_groups``, one key
-    per line: ``json.dumps`` of each key and of its list (no spaces), joined
+    classifier grouped the points by integer line keys, one key per line:
+    ``json.dumps`` of each key and of its list (no spaces), joined
     as a JSON object.
     """
     out = {}

@@ -17,25 +17,24 @@ from quintics.projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _from_key,
+    _index_groups,
     _no_collinear_triple,
     collinear,
     conic_line_second_point,
     conic_through,
     hausdorff,
     incident,
-    line_groups,
     line_intersection,
     line_through,
     on_common_conic,
     points_on_line_basis,
-    tangent,
     veronese,
 )
 from quintics.sampling import (
     _only_allowed_collinear,
     apply_transform_to_config,
     apply_transform_to_point,
-    conic_from_line_pair,
     random_projective_transform,
     sample_generic,
     sample_generic_points,
@@ -118,13 +117,11 @@ def test_five_on_conic_plus_generic_point_off():
 
 
 def test_three_collinear_plus_three_on_explicit_line_pair():
-    l1 = ln(0, 0, 1)
-    l2 = ln(1, 0, 0)
     trio1 = [pt(1, 0, 0), pt(1, 1, 0), pt(1, 2, 0)]
     trio2 = [pt(0, 1, 1), pt(0, 1, 2), pt(0, 1, 3)]
     pts = trio1 + trio2
     assert on_common_conic(pts)
-    pair = conic_from_line_pair(l1, l2)
+    pair = Conic(QQ, (0, 0, 0, 0, 1, 0))  # xz = 0, the lines z = 0 and x = 0
     assert all(pair.contains(q) for q in pts)
     assert pair.is_degenerate()
 
@@ -138,54 +135,13 @@ def test_three_collinear_plus_three_generic_lie_on_no_conic():
     assert not on_common_conic(trio + generic)
 
 
-def test_tangency_discriminant_unit_circle_family():
-    # conic x^2 + y^2 - z^2 against the vertical lines x = alpha * z:
-    # tangency happens exactly at alpha = 1 (and -1)
-    circle = Conic(QQ, (1, 1, -1, 0, 0, 0))
-    assert tangent(circle, ln(1, 0, -1))
-    assert not tangent(circle, ln(1, 0, -2))
-
-
-def test_tangency_discriminant_pencil_family():
-    # family a x^2 + a y^2 + b xy - a z^2 with a = 1, b = 1, line x = 2 z:
-    # the discriminant value is (b*2)^2 - 4*4 + 4 = 4b^2 - 12, nonzero for b = 1
-    conic = Conic(QQ, (1, 1, -1, 1, 0, 0))
-    assert not tangent(conic, ln(1, 0, -2))
-
-
-def test_tangency_matches_closed_form_over_pencil_sweep():
-    # tangency of a x^2 + a y^2 + b xy - a z^2 against x = alpha z happens
-    # exactly when (b alpha)^2 - 4 a^2 alpha^2 + 4 a^2 vanishes
-    for a in range(1, 4):
-        for b in range(0, 4):
-            conic = Conic(QQ, (a, a, -a, b, 0, 0))
-            for alpha in range(1, 4):
-                formula_zero = (b * alpha) ** 2 - 4 * a * a * alpha * alpha \
-                    + 4 * a * a == 0
-                assert tangent(conic, ln(1, 0, -alpha)) == formula_zero
-
-
-def test_secant_line_is_not_tangent():
-    circle = Conic(QQ, (1, 1, -1, 0, 0, 0))
-    secant = line_through(pt(1, 0, 1), pt(0, 1, 1))
-    assert not tangent(circle, secant)
-
-
-def test_line_inside_conic_rejected():
-    pair = conic_from_line_pair(ln(0, 0, 1), ln(1, 0, 0))
-    with pytest.raises(InputError):
-        tangent(pair, ln(0, 0, 1))
-
-
 def test_conic_predicates_refuse_characteristic_two():
-    # over GF(2) the doubled matrix has determinant 2deg = 0 for every conic
-    # and B^2 - 4AC reduces to B^2; xy + z^2 is smooth all the same
+    # over GF(2) the doubled matrix has determinant 2deg = 0 for every conic;
+    # xy + z^2 is smooth all the same
     fp2 = PrimeField(2)
     conic = Conic(fp2, (0, 0, 1, 1, 0, 0))
     with pytest.raises(InputError, match="characteristic 2"):
         conic.is_degenerate()
-    with pytest.raises(InputError, match="characteristic 2"):
-        tangent(conic, ProjLine(fp2, (1, 0, 0)))
     with pytest.raises(InputError, match="characteristic 2"):
         classify(Config(fp2, conics=(conic,)))
     assert not Conic(PrimeField(3), (0, 0, 1, 1, 0, 0)).is_degenerate()
@@ -446,16 +402,16 @@ def test_predicates_are_projectively_invariant():
 
 def test_hausdorff_identical_sets():
     k = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))]
-    assert hausdorff(k, k).value == 0
+    assert hausdorff(k, k) == 0
 
 
 def test_hausdorff_sums_both_deviations():
     # both directional maxima contribute: the distance is their SUM
-    assert hausdorff([(0,)], [(1,)]).value == 2
+    assert hausdorff([(0,)], [(1,)]) == 2
 
 
 def test_hausdorff_one_sided_example():
-    assert hausdorff([(0,), (1,)], [(0,)]).value == 1
+    assert hausdorff([(0,), (1,)], [(0,)]) == 1
 
 
 def test_hausdorff_rejects_empty_and_offchart():
@@ -473,23 +429,30 @@ finite_set = st.lists(point2, min_size=1, max_size=5)
 @settings(max_examples=150, deadline=None)
 @given(finite_set, finite_set)
 def test_hausdorff_symmetry(k, l):
-    assert hausdorff(k, l).value == hausdorff(l, k).value
+    assert hausdorff(k, l) == hausdorff(l, k)
 
 
 @settings(max_examples=150, deadline=None)
 @given(finite_set, finite_set, finite_set)
 def test_hausdorff_triangle_inequality(k, l, m):
-    assert hausdorff(k, m).value <= hausdorff(k, l).value + hausdorff(l, m).value
+    assert hausdorff(k, m) <= hausdorff(k, l) + hausdorff(l, m)
 
 
 @settings(max_examples=100, deadline=None)
 @given(finite_set, finite_set)
 def test_hausdorff_zero_iff_equal(k, l):
-    value = hausdorff(k, l).value
+    value = hausdorff(k, l)
     assert (value == 0) == (set(k) == set(l))
 
 
 # --- line groups: the one collinearity primitive -------------------------------
+
+def _line_groups(points):
+    # the index grouping read back with one ProjLine per line key
+    pts = tuple(points)
+    return {_from_key(ProjLine, pts[0].field, key): tuple(pts[i] for i in on)
+            for key, on in _index_groups(pts).items()}
+
 
 def _reference_line_groups(points):
     # the classifier's former construction: each pair's line, then a scan of
@@ -532,7 +495,7 @@ def _line_group_cases(field):
 def test_line_groups_matches_incidence_scan(field):
     planted = 0
     for points in _line_group_cases(field):
-        groups = line_groups(points)
+        groups = _line_groups(points)
         assert list(groups.items()) == list(_reference_line_groups(points).items())
         collinear_lines = _reference_collinear_lines(points)
         assert _no_collinear_triple(points) == (not collinear_lines)
@@ -544,7 +507,7 @@ def test_line_groups_matches_incidence_scan(field):
         if len(points) >= 2:
             for bad in (points + [points[0]], [points[-1]] + points):
                 with pytest.raises(InputError):
-                    line_groups(bad)
+                    _line_groups(bad)
                 with pytest.raises(InputError):
                     _no_collinear_triple(bad)
                 with pytest.raises(InputError):
@@ -588,7 +551,7 @@ def test_line_groups_on_large_rationals_match_fraction_joins():
             assert line_through(a, b) == line
             if line not in reference:
                 reference[line] = tuple(q for q in points if incident(q, line))
-        groups = line_groups(points)
+        groups = _line_groups(points)
         assert list(groups.items()) == list(reference.items())
         assert sorted(len(on) for on in groups.values() if len(on) >= 3) == [3, 4, 5]
         assert all(line.coeffs == ProjLine(QQ, line.coeffs).coeffs for line in groups)
@@ -603,11 +566,11 @@ def test_line_groups_refuse_coincident_points_and_mixed_fields():
         a, b = pt(1, 2, 3, field=field), pt(1, 0, 5, field=field)
         for points in ([a, b, pt(2, 4, 6, field=field)], [a, a], [b, a, b]):
             with pytest.raises(InputError, match="coincident"):
-                line_groups(points)
+                _line_groups(points)
             with pytest.raises(InputError, match="coincident"):
                 _no_collinear_triple(points)
     with pytest.raises(FieldMismatchError):
-        line_groups([pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7))])
+        _line_groups([pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7))])
     with pytest.raises(FieldMismatchError):
         line_through(pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7)))
 

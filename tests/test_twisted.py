@@ -217,6 +217,27 @@ def test_induced_map_of_iso_is_invertible():
             assert rank(DenseMatrix(QQ, [list(r) for r in m])) == len(m)
 
 
+def test_induced_map_of_a_self_map_takes_each_basis_once(monkeypatch):
+    from quintics import twisted
+
+    calls = []
+    basis = twisted._homology_basis
+
+    def counting(c, k):
+        calls.append(k)
+        return basis(c, k)
+
+    monkeypatch.setattr(twisted, "_homology_basis", counting)
+    torus, inversion, _ = pair_space_model("a1")
+    mats = induced_map(inversion)
+    assert calls == list(range(torus.top + 1))
+    # between two equal but distinct complexes both ends take their bases
+    twin = ChainComplex(torus.dims, torus.boundaries)
+    calls.clear()
+    assert induced_map(ChainMap(torus, twin, inversion.blocks)) == mats
+    assert len(calls) == 2 * (torus.top + 1)
+
+
 @pytest.mark.parametrize("dims,boundaries,betti", [
     ([0, 2], [[]], [0, 2]),
     ([1, 0, 1], [[[]], []], [1, 0, 1]),
