@@ -10,9 +10,10 @@ configuration is their kernel, and its dimension is 21 - rank, computed
 exactly over the chosen field without building a matrix object.
 
 The module also provides the inverse direction used as an oracle: exhaustive
-enumeration of singular points of a form over a small prime field, grouping
-of full line/conic components, and classification of the resulting incidence
-pattern against the 42-entry configuration taxonomy.
+enumeration of singular points of a form over a small prime field (the sieve
+itself is in ``sieve``), grouping of full line/conic components, and
+classification of the resulting incidence pattern against the 42-entry
+configuration taxonomy.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .projgeom import (
     incident,
 )
 from .rng import SplitMix64, derive_seed
+from .sieve import _peel_conic_component, _peel_line_components, _singular_keys
 from .sampling import _Draw, _Reject, _line_capacity, _retry
 
 
@@ -472,40 +474,16 @@ def plane_points(p: int) -> tuple:
     return tuple(pts)
 
 
-# The sieve's batched Euclid divides columns of p residues, one per
-# coefficient; a row leaves it for the per-row gcd fold only when a
-# remainder's leading coefficient vanishes, and the fold runs Horner's rule
-# over all p values of z only on a gcd of degree >= 3.  The cap keeps that
-# work, the columns, and the tables of squares and inverses small.
+# The cap keeps the sieve's per-row fold, which runs Horner's rule over all p
+# values of z on a gcd of degree >= 3, and its tables of squares and inverses
+# small.  It also bounds the packed columns' 32-bit slots: at p <= 251 they
+# hold the columns of any form of degree below 68 720 without a carry.
 MAX_BRUTEFORCE_PRIME = 251
 
 
-def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
-    """All projective points over GF(p) where every partial of f vanishes.
-
-    The plane is sieved row by row in ``plane_points`` order: x = 1 with y
-    fixed, then x = 0, y = 1, then (0, 0, 1).  On a row each partial is a
-    polynomial in z.  Its coefficients are built column-wise before any row
-    is visited: the coefficient of each power of z in each partial is a
-    polynomial in y, evaluated at every y at once by Horner's rule.  The
-    singular z values of a row are the roots in GF(p) of the gcd of its
-    partials.  On x = 1 they come from ``_chart_zeros``: one Euclid on two
-    partials run over all rows in lockstep, on the columns.  A row leaves
-    that batch when its remainder's leading coefficient vanishes: a zero
-    remainder makes the divisor the gcd, which the third partial finishes
-    (one evaluation at the root of a linear gcd, the per-row fold for a
-    larger one), and any other remainder sends the row's three partials to
-    the per-row fold.  A row reaching a nonzero constant has no zero.  The
-    fold, ``_row_zeros``, also takes the row x = 0, where each coefficient
-    is the leading one of its polynomial in y, and the whole chart x = 1
-    when fewer than two partials have a nonzero constant coefficient of the
-    highest power of z.  It folds in the nonzero partials one at a time
-    until the gcd is constant; a gcd of degree 1 or 2 is solved in closed
-    form, a higher one by Horner's rule over every z, and a row on which all
-    three partials vanish is kept whole.  At (0:0:1) each partial is its
-    coefficient of the highest power of z.  Only found points are built: no
-    table of the plane is made unless f = 0.
-    """
+def _bruteforce_field(f: HomogeneousPoly, p: int) -> PrimeField:
+    """GF(p), once f is a form over it that the enumeration accepts: p does
+    not divide the degree and lies in 5..MAX_BRUTEFORCE_PRIME."""
     field = PrimeField(p)
     if f.field != field:
         raise FieldMismatchError(f"form is not over GF({p})")
@@ -515,206 +493,23 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     if p > MAX_BRUTEFORCE_PRIME:
         raise InputError(f"brute force enumerates p^2+p+1 points; use p <= "
                          f"{MAX_BRUTEFORCE_PRIME}")
+    return field
+
+
+def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
+    """All projective points over GF(p) where every partial of f vanishes,
+    in ``plane_points`` order: x = 1 with y fixed, then x = 0, y = 1, then
+    (0, 0, 1).
+
+    The sieve in ``sieve._singular_keys`` finds the points' coordinate
+    keys; this builds one point per key, while ``singular_set_bruteforce``
+    groups the same keys and builds only the points off its lines.  No table
+    of the plane is made unless f = 0.
+    """
+    field = _bruteforce_field(f, p)
     if f.is_zero():
         return list(plane_points(p))
-    m = f.degree - 1
-    # per partial, the coefficient of z^(m - k) as a polynomial in y of
-    # degree <= k, highest power first: the term x^a y^b z^c sits at [m - c][a]
-    partials = [[[0] * (k + 1) for k in range(m + 1)] for _ in range(3)]
-    for v, polys in enumerate(partials):
-        for (a, _, c), coeff in f.partial(v).terms.items():
-            polys[m - c][a] = coeff
-    columns = [[[u % p for u in _horner(poly, range(p))] for poly in polys]
-               for polys in partials]
-    out = []
-    for y, zeros in enumerate(_chart_zeros(columns, p)):
-        out.extend(_from_key(ProjPoint, field, (1, y, z)) for z in zeros)
-    x_free = [[poly[0] for poly in polys] for polys in partials]
-    out.extend(_from_key(ProjPoint, field, (0, 1, z)) for z in _row_zeros(x_free, p))
-    if not any(polys[0][0] for polys in partials):
-        out.append(_from_key(ProjPoint, field, (0, 0, 1)))
-    return out
-
-
-def _chart_zeros(columns: list, p: int) -> list:
-    """Per row y of the chart x = 1, the z in GF(p), ascending, where all
-    three partials vanish; ``columns[v][k][y]`` is the residue coefficient
-    of z^(m - k) in partial v on row y.
-
-    The batch and its exits are described in ``singular_points_bruteforce``.
-    The divisor's leading coefficient is nonzero on every row of the batch,
-    so a division step that meets a zero leading coefficient in the
-    dividend still leaves the unique remainder.
-    """
-    rows = [list(zip(*polys)) for polys in columns]
-    full = [v for v, polys in enumerate(columns) if polys[0][0]]
-    if len(full) < 2:
-        return [_row_zeros(row, p) for row in zip(*rows)]
-    third = rows[3 - full[0] - full[1]]
-    inverse = _inverses(p)
-    zeros: list = [()] * p
-    ys = range(p)
-    u, v = columns[full[0]], columns[full[1]]
-    while ys and len(v) > 1:
-        inv = [inverse[t] for t in v[0]]
-        n = len(v)
-        while len(u) >= n:
-            q = [a * b % p for a, b in zip(u[0], inv)]
-            u = [[(a - c * b) % p for a, b, c in zip(uk, vk, q)]
-                 for uk, vk in zip(u[1:n], v[1:])] + u[n:]
-        left = [i for i, t in enumerate(u[0]) if not t]
-        for i in left:
-            y = ys[i]
-            if any(uk[i] for uk in u):
-                zeros[y] = _row_zeros([polys[y] for polys in rows], p)
-            elif n == 2:
-                z = -v[1][i] * inv[i] % p
-                zeros[y] = (z,) if _horner(third[y], (z,))[0] % p == 0 else ()
-            else:
-                zeros[y] = _row_zeros(([vk[i] for vk in v], third[y]), p)
-        if left:
-            kept = [i for i, t in enumerate(u[0]) if t]
-            ys = [ys[i] for i in kept]
-            u = [[uk[i] for i in kept] for uk in u]
-            v = [[vk[i] for i in kept] for vk in v]
-        u, v = v, u
-    return zeros
-
-
-def _row_zeros(polys: Sequence, p: int):
-    """The z in GF(p), ascending, where the partials, given on one row as
-    residue coefficients in z (highest power first), all vanish."""
-    gcd = None
-    for poly in polys:
-        poly = list(poly)
-        while poly and not poly[0]:
-            poly.pop(0)
-        if poly:
-            gcd = poly if gcd is None else _gcd_mod(gcd, poly, p)
-            if len(gcd) == 1:
-                return ()
-    if gcd is None:
-        return range(p)
-    inverse = _inverses(p)
-    if len(gcd) == 2:
-        return (-gcd[1] * inverse[gcd[0]] % p,)
-    if len(gcd) == 3:
-        a, b, c = gcd
-        root = _square_roots(p).get((b * b - 4 * a * c) % p)
-        if root is None:
-            return ()
-        inv = inverse[2 * a % p]
-        return sorted({(root - b) * inv % p, (-root - b) * inv % p})
-    return [z for z, v in enumerate(_horner(gcd, range(p))) if v % p == 0]
-
-
-def _gcd_mod(u: list, v: list, p: int) -> list:
-    """A gcd of two nonzero polynomials over GF(p), highest power first."""
-    inverse = _inverses(p)
-    while len(v) > 1:
-        inv = inverse[v[0]]
-        n = len(v)
-        while len(u) >= n:
-            q = u[0] * inv
-            u = [(a - q * b) % p for a, b in zip(u[1:n], v[1:])] + u[n:]
-            while u and not u[0]:
-                u.pop(0)
-        if not u:
-            return v
-        u, v = v, u
-    return v
-
-
-@lru_cache(maxsize=8)
-def _square_roots(p: int) -> dict:
-    """A square root mod p of every square mod p."""
-    return {v * v % p: v for v in range(p)}
-
-
-@lru_cache(maxsize=8)
-def _inverses(p: int) -> tuple:
-    """The inverse mod p of every residue, with 0 at index 0."""
-    return (0,) + tuple(pow(v, -1, p) for v in range(1, p))
-
-
-def _horner(coeffs: Sequence, xs: Sequence) -> list:
-    """The polynomial (highest power first) at every x in ``xs``, unreduced,
-    by Horner's rule run on all of them at once."""
-    acc = [coeffs[0]] * len(xs)
-    for c in coeffs[1:]:
-        acc = [v * x + c for v, x in zip(acc, xs)]
-    return acc
-
-
-def _peel_line_components(points: list, p: int) -> tuple[list, list]:
-    """Split off every full line (all p + 1 points present) of the point set.
-
-    Each pivot is a point not yet on a found line; the other points are
-    grouped by their line through the pivot, keyed on its normalized
-    coefficient triple, and a group of p points closes a full line.  Pivoting
-    on uncovered points only is exact: another full line meets a full line L
-    in one point, and a nonzero form of degree d < p is singular along at
-    most d/2 full lines (each one's square divides it), fewer than the p + 1
-    points of L, so some point of L stays uncovered until L is found.
-    A pivot stops grouping once no group can still reach p points.
-    """
-    inverse = _inverses(p)
-    coords = [q.coords for q in points]
-    n = len(coords)
-    covered: set = set()
-    found: dict = {}
-    for i, (x1, y1, z1) in enumerate(coords):
-        if i in covered:
-            continue
-        groups: dict = {}
-        largest = 0
-        for j, (x2, y2, z2) in enumerate(coords):
-            if j == i:
-                continue
-            if largest + (n - j) < p:
-                break
-            a = (y1 * z2 - z1 * y2) % p
-            b = (z1 * x2 - x1 * z2) % p
-            c = (x1 * y2 - y1 * x2) % p
-            s = inverse[a or b or c]
-            key = (a * s % p, b * s % p, c * s % p)
-            members = groups.setdefault(key, [])
-            members.append(j)
-            largest = max(largest, len(members))
-        for key, members in groups.items():
-            if len(members) == p:
-                found[key] = _from_key(ProjLine, points[i].field, key)
-                covered.add(i)
-                covered.update(members)
-    lines = [found[key] for key in sorted(found)]
-    remaining = [q for k, q in enumerate(points) if k not in covered]
-    return lines, remaining
-
-
-def _peel_conic_component(points: list, p: int) -> tuple[list, list]:
-    """Detect one full nondegenerate conic inside the point set, if any.
-
-    A quintic form can carry at most one doubled conic, and its leftover
-    isolated singularities number at most four, so scanning five-subsets of
-    the first twelve points always sees five points of the conic.  That
-    holds at the smallest field where conics are grouped, p = 7, too: the
-    set then holds the conic's eight points and at most four others, so the
-    first twelve are all of it.  Five points of a nondegenerate conic have no
-    three on a line, so the conic through them is unique.  A nondegenerate
-    conic over GF(p), p odd, has exactly p + 1 points (it is isomorphic to
-    the projective line), so it is full when all of them are in the set.
-    """
-    if len(points) < p + 1:
-        return [], points
-    head = points[: min(len(points), 12)]
-    for five in combinations(head, 5):
-        conic = _unique_conic(five)
-        if conic is None or conic.is_degenerate():
-            continue
-        on = {q for q in points if conic.contains(q)}
-        if len(on) == p + 1:
-            return [conic], [q for q in points if q not in on]
-    return [], points
+    return [_from_key(ProjPoint, field, key) for key in _singular_keys(f, p)]
 
 
 def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
@@ -729,20 +524,27 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
     so N > d forces f = q g.  At a point a of q, grad f(a) = g(a) grad q(a)
     with grad q(a) nonzero, so g vanishes at all N points, and N > 2(d - 2)
     forces q | g.  So once p + 1 > max(d, 2(d - 2)), a conic with all p + 1
-    points singular divides f twice; for d = 5 that admits p = 7.
+    points singular divides f twice; for d = 5 that admits p = 7.  The conic
+    is looked for only when the points off the found lines, together with
+    two per line, can make p + 1.  A quintic with a full line never gets
+    there: its other singular points lie on the line or are at most three.
+
+    The sieve and both peels work on coordinate keys; a point is built only
+    when it is on no found line.
     """
     if f.is_zero():
         return SingularSet(PrimeField(p), whole_plane=True)
-    pts = singular_points_bruteforce(f, p)
+    field = _bruteforce_field(f, p)
+    keys = _singular_keys(f, p)
     lines: list = []
-    rest = pts
-    if len(pts) >= p + 1 and p + 1 > f.degree:
-        lines, rest = _peel_line_components(pts, p)
+    rest = keys
+    if len(keys) >= p + 1 and p + 1 > f.degree:
+        lines, rest = _peel_line_components(keys, field)
     conics: list = []
-    if p + 1 > max(f.degree, 2 * (f.degree - 2)):
-        conics, rest = _peel_conic_component(rest, p)
-    rest_sorted = tuple(sorted(rest, key=lambda q: q.coords))
-    return SingularSet(PrimeField(p), isolated_points=rest_sorted,
+    if p + 1 > max(f.degree, 2 * (f.degree - 2)) and len(rest) + 2 * len(lines) >= p + 1:
+        conics, rest = _peel_conic_component(rest, keys, field)
+    isolated = tuple(_from_key(ProjPoint, field, key) for key in sorted(rest))
+    return SingularSet(field, isolated_points=isolated,
                        line_components=tuple(lines), conic_components=tuple(conics))
 
 

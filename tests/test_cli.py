@@ -253,6 +253,17 @@ def test_classify_report_matches_stored(name, capsys, monkeypatch):
     assert out == (DATA / f"classify_{name}.expected.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic"])
+def test_classify_report_at_largest_prime_matches_stored(name, capsys, monkeypatch):
+    # at MAX_BRUTEFORCE_PRIME = 251 the sieve's packed columns are at their
+    # largest slot values; line_triangle reduces to a two-point form there
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, "classify", "--poly", f"classify_{name}.json",
+                       "--prime", "251")
+    assert code == 0
+    assert out == (DATA / f"classify_{name}_p251.expected.json").read_text(encoding="utf-8")
+
+
 def test_classify_double_conic_at_p7_matches_stored(capsys, monkeypatch):
     # the doubled conic groups at p = 7, where p + 1 < 2 deg f
     monkeypatch.chdir(DATA)

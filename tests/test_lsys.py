@@ -44,7 +44,15 @@ from quintics.lsys import (
     space_dim,
     verify_taxonomy_table,
 )
-from quintics.projgeom import Config, Conic, ProjLine, ProjPoint, _from_key, _index_groups
+from quintics.projgeom import (
+    Config,
+    Conic,
+    ProjLine,
+    ProjPoint,
+    _from_key,
+    _index_groups,
+    incident,
+)
 from quintics.rng import SplitMix64, derive_seed
 from quintics.sampling import (
     apply_transform_to_config,
@@ -52,6 +60,7 @@ from quintics.sampling import (
     sample_generic,
     sample_generic_points,
 )
+from quintics.sieve import _SLOT_BYTES, _horner, _packed_columns
 
 FP = PrimeField(65521)
 
@@ -755,6 +764,117 @@ def test_sieve_matches_whole_table_reference(p, d):
     for name, f in _sieve_forms(p, d):
         assert not f.is_zero(), name
         assert singular_points_bruteforce(f, p) == _reference_singular_points(f, p), name
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 101, 251])
+def test_packed_columns_equal_horner_columns(p):
+    """Drawn coefficients, and all coefficients p - 1: the no-carry bound
+    (m + 1)(p - 1)^2 assumes each coefficient and each power of y as large
+    as a residue can be."""
+    rng = SplitMix64(derive_seed(17, p))
+    for m in range(1, 7):
+        assert (m + 1) * (p - 1) ** 2 < 2 ** (8 * _SLOT_BYTES)
+        drawn = [[rng.below(p) for _ in range(k + 1)] for k in range(m + 1)]
+        worst = [[p - 1] * (k + 1) for k in range(m + 1)]
+        for polys in (drawn, worst):
+            want = [[v % p for v in _horner(poly, range(p))] for poly in polys]
+            assert _packed_columns(polys, p) == want, (m, polys)
+
+
+def _quadratic_gcd_forms(p):
+    """Quintics whose two leading partials share a quadratic factor in z on
+    every row of the chart x = 1: two doubled lines, and a doubled conic."""
+    fp = PrimeField(p)
+
+    def ln(*c):
+        return line_poly(ProjLine(fp, c))
+
+    conic = conic_poly(Conic(fp, (1, 1, -1, 0, 0, 3)))
+    return [("two doubled lines", ln(1, 2, 3) ** 2 * ln(2, 1, 1) ** 2 * ln(1, 1, 1)),
+            ("doubled conic", conic ** 2 * ln(1, 1, 5))]
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
+    """Rows whose batched Euclid ends on a quadratic divisor take its roots
+    in closed form: every per-row gcd on the chart x = 1 folds a row's three
+    partials or a divisor of degree >= 3, none a quadratic divisor and the
+    third partial."""
+    from quintics import sieve
+
+    chart, fold, gcd = sieve._chart_zeros, sieve._row_zeros, sieve._gcd_mod
+    roots = sieve._quadratic_roots
+    inside, folds, gcd_folds, quadratic_exits = [], [], [], []
+
+    def in_chart(columns, q):
+        inside.append(True)
+        try:
+            return chart(columns, q)
+        finally:
+            inside.pop()
+
+    def in_fold(polys, q):
+        folds.append([list(poly) for poly in polys])
+        try:
+            return fold(polys, q)
+        finally:
+            folds.pop()
+
+    def counting_gcd(u, v, q):
+        if inside:
+            gcd_folds.append(folds[-1])
+        return gcd(u, v, q)
+
+    def counting_roots(*args):
+        if inside and not folds:
+            quadratic_exits.append(args)
+        return roots(*args)
+
+    monkeypatch.setattr(sieve, "_chart_zeros", in_chart)
+    monkeypatch.setattr(sieve, "_row_zeros", in_fold)
+    monkeypatch.setattr(sieve, "_gcd_mod", counting_gcd)
+    monkeypatch.setattr(sieve, "_quadratic_roots", counting_roots)
+    for name, f in _quadratic_gcd_forms(p):
+        gcd_folds.clear()
+        quadratic_exits.clear()
+        pts = singular_points_bruteforce(f, p)
+        assert all(len(polys) == 3 or len(polys[0]) > 3 for polys in gcd_folds), name
+        assert len(quadratic_exits) > p // 2, name
+        if p == 11:
+            assert pts == _reference_singular_points(f, p), name
+
+
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_singular_set_partitions_the_sieve_points(p):
+    """The isolated points and the points of the line and conic components
+    make up the sieve's point list, which is in plane order."""
+    plane = plane_points(p)
+    order = {q: i for i, q in enumerate(plane)}
+    for name, f in _oracle_forms(p):
+        pts = singular_points_bruteforce(f, p)
+        ranks = [order[q] for q in pts]
+        assert ranks == sorted(ranks), name
+        ss = singular_set_bruteforce(f, p)
+        on_components = {q for q in plane
+                         if any(incident(q, ln) for ln in ss.line_components)
+                         or any(c.contains(q) for c in ss.conic_components)}
+        isolated = set(ss.isolated_points)
+        assert not isolated & on_components, name
+        assert isolated | on_components == set(pts), name
+
+
+def test_doubled_conic_meeting_a_full_line_is_grouped():
+    """q^2 l^2 of degree 6: over GF(101) the conic meets the full line in two
+    rational points, which the line peel takes, so only p - 1 of its points
+    are left for the conic peel; over GF(17) it meets the line in none."""
+    for p, shared in ((101, 2), (17, 0)):
+        fp = PrimeField(p)
+        q, l = Conic(fp, (1, 1, -1, 0, 0, 3)), ProjLine(fp, (1, 2, 3))
+        assert sum(1 for a in plane_points(p) if q.contains(a) and incident(a, l)) == shared
+        ss = singular_set_bruteforce(conic_poly(q) ** 2 * line_poly(l) ** 2, p)
+        assert ss.line_components == (l,), p
+        assert ss.conic_components == (q,), p
+        assert ss.isolated_points == (), p
 
 
 @pytest.mark.parametrize("p", [101, 251])
