@@ -781,19 +781,6 @@ def test_packed_columns_equal_horner_columns(p):
             assert _packed_columns(polys, p) == want, (m, polys)
 
 
-def _quadratic_gcd_forms(p):
-    """Quintics whose two leading partials share a quadratic factor in z on
-    every row of the chart x = 1: two doubled lines, and a doubled conic."""
-    fp = PrimeField(p)
-
-    def ln(*c):
-        return line_poly(ProjLine(fp, c))
-
-    conic = conic_poly(Conic(fp, (1, 1, -1, 0, 0, 3)))
-    return [("two doubled lines", ln(1, 2, 3) ** 2 * ln(2, 1, 1) ** 2 * ln(1, 1, 1)),
-            ("doubled conic", conic ** 2 * ln(1, 1, 5))]
-
-
 @pytest.mark.parametrize("p", [11, 101])
 def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
     """Rows whose batched Euclid ends on a quadratic divisor take its roots
@@ -834,7 +821,11 @@ def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
     monkeypatch.setattr(sieve, "_row_zeros", in_fold)
     monkeypatch.setattr(sieve, "_gcd_mod", counting_gcd)
     monkeypatch.setattr(sieve, "_quadratic_roots", counting_roots)
-    for name, f in _quadratic_gcd_forms(p):
+    forms = dict(_oracle_forms(p))
+    # two doubled lines, and a doubled conic: the two leading partials share
+    # a quadratic factor in z on almost every row of the chart
+    for name in ("crossing lines^2 line", "conic^2 line (type 33)"):
+        f = forms[name]
         gcd_folds.clear()
         quadratic_exits.clear()
         pts = singular_points_bruteforce(f, p)
