@@ -41,7 +41,9 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     _from_key,
+    _groups_of,
     _index_groups,
+    _int_rep,
     _modulus,
     _unique_conic,
     collinear,
@@ -530,11 +532,12 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
     there: its other singular points lie on the line or are at most three.
 
     The sieve and both peels work on coordinate keys; a point is built only
-    when it is on no found line.
+    when it is on no found line.  The zero form, singular everywhere, is
+    refused at the same fields and primes as any other form.
     """
-    if f.is_zero():
-        return SingularSet(PrimeField(p), whole_plane=True)
     field = _bruteforce_field(f, p)
+    if f.is_zero():
+        return SingularSet(field, whole_plane=True)
     keys = _singular_keys(f, p)
     lines: list = []
     rest = keys
@@ -613,9 +616,10 @@ K_POINTS = {rec.type_id: rec.k_points for rec in TYPE_TABLE}
 # classification
 
 
-def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
+def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint,
+                    conic) -> Optional[ProjPoint]:
     """Second cut of the line by the conic through the four base points and pt."""
-    q = _unique_conic(list(base) + [pt])
+    q = conic(list(base) + [pt])
     if q is None:
         return None
     try:
@@ -624,7 +628,7 @@ def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> O
         return None
 
 
-def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
+def _classify_pencil_quadruple(pts, key: tuple, on_line: set, conic) -> Optional[int]:
     """Type 38: the four points off the line with key ``key`` are the base
     points of a pencil whose conics cut the line in the pairs of ``on_line``."""
     # No test for three collinear base points: a partner then falls off the set.
@@ -633,7 +637,7 @@ def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
     line_pts = [q for i, q in enumerate(pts) if i in on_line]
     partner = {}
     for pt in line_pts:
-        mate = _pencil_partner(base, ln, pt)
+        mate = _pencil_partner(base, ln, pt, conic)
         if mate is None or mate == pt or mate not in line_pts:
             return None
         partner[pt] = mate
@@ -643,7 +647,7 @@ def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
     return None
 
 
-def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
+def _classify_triangle_conic(pts, sized: dict, conic) -> Optional[int]:
     sides = [on for on in sized.values() if len(on) == 4]
     if len(sides) != 3 or any(len(on) > 4 for on in sized.values()):
         return None
@@ -653,8 +657,7 @@ def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
     a, b, c = sides
     vertices = (a & b) | (a & c) | (b & c)
     # A vertex on the conic would put three points of a side on it: no test.
-    conic = _unique_conic([q for i, q in enumerate(pts) if i not in vertices])
-    return None if conic is None else 39
+    return None if conic([q for i, q in enumerate(pts) if i not in vertices]) is None else 39
 
 
 def _classify_five_lines(sized: dict) -> Optional[int]:
@@ -677,14 +680,20 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
     k = len(pts)
     if k == 0 or k > 10:
         return None
-    if k == 1:
-        return 1
-    if k == 2:
-        return 2
-    sized = {key: set(on) for key, on in _index_groups(pts).items() if len(on) >= 3}
-    m = max((len(on) for on in sized.values()), default=2)
+    if k <= 2:
+        return k
+    return _classify_grouped(pts, _index_groups(pts), _unique_conic)
+
+
+def _classify_grouped(pts: tuple, groups: dict, conic) -> Optional[int]:
+    """:func:`classify_points` on 3 to 10 distinct points of one field, given
+    their ``projgeom._index_groups`` and a function that returns the unique
+    conic through a list of them, or None."""
+    k = len(pts)
     if k == 3:
         return 3
+    sized = {key: set(on) for key, on in groups.items() if len(on) >= 3}
+    m = max((len(on) for on in sized.values()), default=2)
     if m == k:
         # all points on one line: types 4..10 are 4..10 collinear points
         return k
@@ -703,16 +712,16 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         # passes through them: two conics meeting in more than four points
         # share a line L, and the points off L lie on both residual lines,
         # which have one common point, so five points would lie on L.
-        conic = _unique_conic(pts)
-        if conic is None:
+        through = conic(pts)
+        if through is None:
             return 26
-        return None if conic.is_degenerate() else 24
+        return None if through.is_degenerate() else 24
     if k == 7:
-        return _classify_seven(pts, sized, m)
+        return _classify_seven(pts, sized, m, conic)
     if k == 8:
-        return _classify_eight(pts, sized, m)
+        return _classify_eight(pts, sized, m, conic)
     if k == 9:
-        return _classify_triangle_conic(pts, sized)
+        return _classify_triangle_conic(pts, sized, conic)
     return _classify_five_lines(sized)
 
 
@@ -727,7 +736,7 @@ def _on_one_line(sized: dict, idx: set) -> bool:
     return any(idx <= on for on in sized.values())
 
 
-def _classify_seven(pts, sized, m) -> Optional[int]:
+def _classify_seven(pts, sized, m, conic) -> Optional[int]:
     if m == 6:
         return 15
     if m == 5:
@@ -745,19 +754,18 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
     # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
     # so that conic is the only one through them.
     # Seven points with no collinear triple lie on no line pair: no test.
-    if not sized and _unique_conic(pts) is not None:
+    if not sized and conic(pts) is not None:
         return 32
     if _disjoint_trios(sized):
         return 35
     for skip in range(7):
-        conic = _unique_conic([q for i, q in enumerate(pts) if i != skip])
-        if conic is not None and not conic.is_degenerate() \
-                and not conic.contains(pts[skip]):
+        six = conic([q for i, q in enumerate(pts) if i != skip])
+        if six is not None and not six.is_degenerate() and not six.contains(pts[skip]):
             return 36
     return None
 
 
-def _classify_eight(pts, sized, m) -> Optional[int]:
+def _classify_eight(pts, sized, m, conic) -> Optional[int]:
     if m == 7:
         return 16
     if m == 6:
@@ -775,7 +783,7 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
             return 37 if s1 & s2 else 30
         if len(four) == 1:
             (key, on_line), = four.items()
-            return _classify_pencil_quadruple(pts, key, on_line)
+            return _classify_pencil_quadruple(pts, key, on_line, conic)
         return None
     return None
 
@@ -847,7 +855,9 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
     For every finite sample K of type i: K itself must classify back to i
     (the patterns are mutually exclusive and exhaustive on their strata), and
     every proper subset that matches any type at all must match one with a
-    strictly smaller index.
+    strictly smaller index.  The types come from :func:`_typed_subsets`,
+    which gives what ``classify_points`` gives with one set of integer
+    triples and one conic memo per sample.
     """
     checked = 0
     subset_checks = 0
@@ -858,18 +868,50 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
         if not isinstance(cfg.type_id, int):
             raise InputError("condition checks need typed configurations")
         checked += 1
-        own = classify(cfg)
+        walk = _typed_subsets(cfg)
+        _, own = next(walk)
         if own != cfg.type_id:
             violations.append((cfg.type_id, "self", own))
             continue
-        pts = cfg.points
-        for r in range(1, len(pts)):
-            for subset in combinations(pts, r):
-                subset_checks += 1
-                sub_type = classify_points(subset)
-                if sub_type is not None and sub_type >= cfg.type_id:
-                    violations.append((cfg.type_id, subset, sub_type))
+        for subset, sub_type in walk:
+            subset_checks += 1
+            if sub_type is not None and sub_type >= cfg.type_id:
+                violations.append((cfg.type_id, subset, sub_type))
     return ConditionReport(checked, subset_checks, violations)
+
+
+def _typed_subsets(cfg: Config):
+    """Yield (points, type) for the points of a finite configuration, then
+    for each proper nonempty subset of them by size, each size in
+    combinations order, with the type ``classify_points`` gives.
+
+    The integer triples of the points are taken once.  A set of at most
+    three points is typed by its size, since a configuration's points are
+    distinct; a larger one is grouped by ``projgeom._groups_of`` on its
+    triples.  ``_unique_conic`` is asked at most once per point set: its
+    answers are kept for the whole walk.
+    """
+    pts = cfg.points
+    p = _modulus(cfg.field)
+    reps = [_int_rep(cfg.field, q.coords) for q in pts]
+    conics: dict = {}
+
+    def conic(points):
+        key = frozenset(points)
+        if key not in conics:
+            conics[key] = _unique_conic(points)
+        return conics[key]
+
+    def typed(sub, sub_reps):
+        k = len(sub)
+        if k <= 3:
+            return k or None
+        return _classify_grouped(sub, _groups_of(p, sub_reps), conic) if k <= 10 else None
+
+    yield pts, typed(pts, reps)
+    for r in range(1, len(pts)):
+        for sub_reps, sub in zip(combinations(reps, r), combinations(pts, r)):
+            yield sub, typed(sub, sub_reps)
 
 
 def verify_taxonomy_table() -> None:

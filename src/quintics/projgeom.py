@@ -10,8 +10,9 @@ the residues over GF(p), and over QQ the coordinates times the lcm of their
 denominators, so no Fraction arithmetic happens inside them.  The line
 through two points then has a canonical integer key, its coefficients scaled
 to a leading 1 over GF(p) and made primitive with a positive leading entry
-over QQ.  :func:`_index_groups`, which groups a point set by the keys of the
-lines through its pairs, is the one place that decides which points of a set
+over QQ.  :func:`_groups_of`, which groups the integer triples of a point
+set by the keys of the lines through their pairs (:func:`_index_groups` on
+the points themselves), is the one place that decides which points of a set
 are collinear.  :func:`hausdorff` is the exact metric on finite point sets
 used by the metric axiom tests.
 """
@@ -256,15 +257,9 @@ def _line_key(ln: ProjLine) -> tuple:
 
 def _index_groups(points: Sequence[ProjPoint]) -> dict:
     """Map the integer key of each line through at least two of the points to
-    the indices of the points on it.
-
-    The indices of each line are increasing, and the lines come in the order
-    their first pair is met.  Only the key of each pair's join is computed,
-    with pairs in lexicographic index order: a line's first pair joins its
-    two first points, and the pairs joining the first point to the others
-    follow in increasing index order, so appending along them lists the
-    points in input order.  Repeated points raise :class:`InputError`, points
-    over different fields :class:`FieldMismatchError`.
+    the indices of the points on it, as :func:`_groups_of` gives it for their
+    integer triples.  Points over different fields raise
+    :class:`FieldMismatchError`.
     """
     pts = tuple(points)
     if not pts:
@@ -272,13 +267,51 @@ def _index_groups(points: Sequence[ProjPoint]) -> dict:
     f = pts[0].field
     for q in pts[1:]:
         _same_field(f, q.field)
-    p = _modulus(f)
-    reps = [_int_rep(f, q.coords) for q in pts]
-    groups: dict = {}
-    for i, j in combinations(range(len(pts)), 2):
-        key = _join_key(p, reps[i], reps[j])
-        if key is None:
+    return _groups_of(_modulus(f), [_int_rep(f, q.coords) for q in pts])
+
+
+def _groups_of(p: Optional[int], reps: Sequence) -> dict:
+    """:func:`_index_groups` on the integer triples ``reps`` of points over
+    GF(p), or over QQ when ``p`` is None.
+
+    The indices of each line are increasing, and the lines come in the order
+    their first pair is met.  Only the key of each pair's join is computed,
+    with pairs in lexicographic index order: a line's first pair joins its
+    two first points, and the pairs joining the first point to the others
+    follow in increasing index order, so appending along them lists the
+    points in input order.  Over GF(p) the leading entries of all the cross
+    products are inverted together, with one ``pow`` (Montgomery's trick:
+    invert the product of all of them, then peel one factor off at a time
+    along the prefix products); over QQ each key is :func:`_join_key`'s.
+    Repeated points raise :class:`InputError`.
+    """
+    pairs = combinations(reps, 2)
+    if p is None:
+        keys = [_join_key(None, u, v) for u, v in pairs]
+        if None in keys:
             raise InputError("two coincident points do not span a line")
+    else:
+        crosses = []
+        prefix = []
+        acc = 1
+        for (a, b, c), (d, e, g) in pairs:
+            x, y, z = (b * g - c * e) % p, (c * d - a * g) % p, (a * e - b * d) % p
+            lead = x or y or z
+            if not lead:
+                raise InputError("two coincident points do not span a line")
+            prefix.append(acc)
+            acc = acc * lead % p
+            crosses.append((x, y, z))
+        inv = pow(acc, -1, p)
+        keys = [None] * len(crosses)
+        for t in range(len(crosses) - 1, -1, -1):
+            x, y, z = crosses[t]
+            # inv is 1 / (lead_0 ... lead_t); prefix[t] cancels all but lead_t
+            s = inv * prefix[t] % p
+            inv = inv * (x or y or z) % p
+            keys[t] = (1, y * s % p, z * s % p) if x else (0, 1, z * s % p) if y else (0, 0, 1)
+    groups: dict = {}
+    for (i, j), key in zip(combinations(range(len(reps)), 2), keys):
         members = groups.get(key)
         if members is None:
             groups[key] = [i, j]

@@ -320,6 +320,14 @@ def test_classify_rejects_degree_divisible_by_p(tmp_path, capsys):
     assert err == EULER_REFUSAL
 
 
+def test_classify_refuses_zero_form_above_largest_prime(capsys, monkeypatch):
+    # a form with no terms is refused at p = 257 like any other form
+    monkeypatch.chdir(DATA)
+    code, out, err = run(capsys, "classify", "--poly", "classify_zero.json", "--prime", "257")
+    assert code == 2 and out == ""
+    assert "use p <= 251" in err
+
+
 def test_out_flag_writes_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "ledger", "--dataset", "quintic5", "--out", str(path))

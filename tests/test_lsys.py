@@ -20,6 +20,7 @@ from quintics.lsys import (
     _monomial_values,
     _remainder_rows,
     _system_rows,
+    _typed_subsets,
     GOLDEN_DIMS,
     HomogeneousPoly,
     K_POINTS,
@@ -907,6 +908,18 @@ def test_zero_form_is_whole_plane():
     assert classify(ss) == 42
 
 
+def test_zero_form_is_refused_where_any_form_is():
+    # the field and prime checks run before the zero form's whole-plane exit
+    from quintics.errors import FieldMismatchError
+
+    with pytest.raises(FieldMismatchError, match="not over GF\\(11\\)"):
+        singular_set_bruteforce(HomogeneousPoly(PrimeField(7), 5, {}), 11)
+    with pytest.raises(InputError, match="needs p >= 5"):
+        singular_set_bruteforce(HomogeneousPoly(PrimeField(3), 5, {}), 3)
+    with pytest.raises(InputError, match="use p <= 251"):
+        singular_set_bruteforce(HomogeneousPoly(PrimeField(257), 5, {}), 257)
+
+
 def test_bruteforce_rejects_bad_prime():
     f = random_poly(PrimeField(5), 5, 0)
     with pytest.raises(InputError, match="^fp:5 has characteristic 5, which divides "
@@ -1005,6 +1018,17 @@ SUBSET_CASES = (("fp:65521", (1, 2)), ("fp:101", (1, 2)), ("qq", (1,)))
 SUBSET_TYPES = Path(__file__).resolve().parent / "data" / "subset_types.expected.json"
 
 
+def _subset_samples():
+    """The (key, configuration) pairs of ``_subset_types``, in its order."""
+    for name, seeds in SUBSET_CASES:
+        field = parse_field(name)
+        for seed in seeds:
+            for t in range(1, 43):
+                cfg = sample_generic(t, field, seed)
+                if cfg.is_finite():
+                    yield f"{name} seed {seed} type {t}", cfg
+
+
 def _subset_types() -> dict:
     """classify_points on every nonempty subset of sampled finite-type configurations.
 
@@ -1015,25 +1039,62 @@ def _subset_types() -> dict:
     ``json.dumps`` of each key and of its list (no spaces), joined
     as a JSON object.
     """
-    out = {}
-    for name, seeds in SUBSET_CASES:
-        field = parse_field(name)
-        for seed in seeds:
-            for t in range(1, 43):
-                cfg = sample_generic(t, field, seed)
-                if not cfg.is_finite():
-                    continue
-                pts = cfg.points
-                out[f"{name} seed {seed} type {t}"] = [
-                    classify_points(sub)
-                    for r in range(1, len(pts) + 1) for sub in combinations(pts, r)]
-    return out
+    return {key: [classify_points(sub)
+                  for r in range(1, len(cfg.points) + 1) for sub in combinations(cfg.points, r)]
+            for key, cfg in _subset_samples()}
 
 
 def test_subset_classification_matches_stored():
     stored = json.loads(SUBSET_TYPES.read_text(encoding="utf-8"))
     assert _subset_types() == stored
     assert sum(len(v) for v in stored.values()) > 30000
+
+
+def test_check_conditions_subset_walk_matches_stored():
+    # the walk check_conditions consumes: the sample itself, then every proper
+    # subset by size, against the same stored types (the sample's is last)
+    stored = json.loads(SUBSET_TYPES.read_text(encoding="utf-8"))
+    samples = 0
+    for key, cfg in _subset_samples():
+        pts = cfg.points
+        walk = list(_typed_subsets(cfg))
+        assert [sub for sub, _ in walk] == [pts] + [
+            sub for r in range(1, len(pts)) for sub in combinations(pts, r)]
+        types = [t for _, t in walk]
+        assert types[1:] + types[:1] == stored[key], key
+        samples += 1
+    assert samples == len(stored)
+
+
+def test_check_conditions_asks_each_conic_once_and_never_joins_over_fp(monkeypatch):
+    from quintics import lsys, projgeom
+
+    field = PrimeField(65521)
+    samples = [sample_generic(t, field, seed) for t in (36, 38, 39, 40) for seed in (1, 2)]
+    rational = sample_generic(36, QQ, 1).points
+    asked, joins = [], []
+
+    def recording_conic(points):
+        asked.append(frozenset(points))
+        return projgeom._unique_conic(points)
+
+    join_key = projgeom._join_key
+
+    def counting_join(*args):
+        joins.append(args)
+        return join_key(*args)
+
+    monkeypatch.setattr(lsys, "_unique_conic", recording_conic)
+    monkeypatch.setattr(projgeom, "_join_key", counting_join)
+    for cfg in samples:
+        asked.clear()
+        report = check_conditions([cfg])
+        assert report == lsys.ConditionReport(1, 2 ** len(cfg.points) - 2, [])
+        assert asked and len(asked) == len(set(asked)), cfg.type_id
+    assert joins == []
+    # the counter sees the QQ joins: one per pair of seven points
+    _index_groups(rational)
+    assert len(joins) == 21
 
 
 # --- classification of small-field sets, against stored results ---------------

@@ -490,8 +490,8 @@ def _line_group_cases(field):
     return cases
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(65521)],
-                         ids=["qq", "fp7", "fp65521"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101), PrimeField(65521)],
+                         ids=["qq", "fp7", "fp101", "fp65521"])
 def test_line_groups_matches_incidence_scan(field):
     planted = 0
     for points in _line_group_cases(field):
@@ -505,7 +505,11 @@ def test_line_groups_matches_incidence_scan(field):
         for allowed in (sized, sized[1:], sized[:-1], []):
             assert _only_allowed_collinear(points, allowed) == (collinear_lines <= set(allowed))
         if len(points) >= 2:
-            for bad in (points + [points[0]], [points[-1]] + points):
+            # the repeated point makes the first, a middle and the last pair
+            # of the batched joins coincident, then pairs with the first point
+            mid = len(points) // 2
+            for bad in ([points[0]] + points, points[:mid] + [points[mid - 1]] + points[mid:],
+                        points + [points[-1]], points + [points[0]], [points[-1]] + points):
                 with pytest.raises(InputError):
                     _line_groups(bad)
                 with pytest.raises(InputError):
