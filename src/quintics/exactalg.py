@@ -11,10 +11,12 @@ reduced row echelon form (used for kernels and canonical subspace bases) is
 that pass followed by back-substitution.  A kernel is one forward pass on the
 rows with their columns reversed plus back-substitution: the null vectors
 read off that reduced form already are the reduced echelon basis.  Over QQ
-the pass is fraction-free Bareiss elimination on rows cleared to integers,
-which keeps intermediate entries polynomial in the input instead of letting
-gcd-heavy Fraction arithmetic blow up; back-substitution stays on integers,
-and Fractions are made only when each row is finally divided by its pivot.
+the pass is fraction-free elimination on rows cleared to integers: each
+column's pivot is its entry of least absolute value, and every updated row is
+divided by its content, so no entry outgrows the minors of Bareiss's
+elimination and gcd-heavy Fraction arithmetic never runs; back-substitution
+stays on integers, and Fractions are made only when each row is finally
+divided by its pivot.
 Over ``GF(p)`` each row is packed into one int, its residues in fixed-width
 slots wide enough that no slot overflows, so a row update is one big-int
 multiply-add; a slot is reduced mod p only when it is read, and rows are
@@ -381,43 +383,70 @@ def _integer_row(row: Sequence) -> list[int]:
     return [v.numerator * (lcm // v.denominator) for v in row]
 
 
-def _bareiss_forward(m: list[list[int]]) -> list[int]:
-    """In-place fraction-free Bareiss elimination of an integer matrix;
-    returns the pivot columns.
+def _qq_forward(m: list[list[int]]) -> list[int]:
+    """In-place fraction-free elimination of an integer matrix on primitive
+    rows; returns the pivot columns.
 
-    After the step at the k-th pivot, each entry (i, j) below the pivot rows
-    is a minor of the input: the determinant on the first k pivot rows plus
-    row i and the first k pivot columns plus column j (Sylvester's identity).
-    So the division by the previous pivot, itself such a minor, is exact.
-    Afterwards the first ``len(pivots)`` rows are in row echelon form and the
-    remaining rows are zero.
+    In each column the pivot is the active row whose entry there has the
+    smallest absolute value.  Every other active row with a nonzero entry f
+    there becomes ``(pivot/g) * row - (f/g) * pivot_row``, g = gcd(pivot, f),
+    divided by its content.  Active rows are zero left of the column, so only
+    the entries right of it are computed.  A row that becomes zero is swapped
+    past the active rows and never touched again; the row swapped in for it
+    is updated in its place.  Afterwards the first ``len(pivots)`` rows are
+    in row echelon form and the remaining rows are zero.
+
+    Every step is exact.  An update keeps the row space: the old row is
+    (new + (f/g) * pivot_row) / (pivot/g).  For a fixed pivot sequence, the
+    row after k steps and the row of Bareiss's elimination, whose entries
+    are (k+1)-minors of the input (Sylvester's identity), both lie in the
+    span of the input row and the k pivot rows and vanish in the k pivot
+    columns; those vectors form one line.  So the primitive row divides
+    Bareiss's row, and no entry grows past the Hadamard bound of those
+    minors.  No modular or probabilistic step is involved.
     """
-    nrows = len(m)
-    if not nrows:
+    if not m:
         return []
     pivots: list[int] = []
-    prev = 1
+    n = len(m)
     r = 0
     for c in range(len(m[0])):
-        for i in range(r, nrows):
-            if m[i][c]:
-                break
-        else:
+        best = 0
+        for i in range(r, n):
+            v = m[i][c]
+            if v and (not best or abs(v) < best):
+                best, k = abs(v), i
+        if not best:
             continue
-        m[r], m[i] = m[i], m[r]
-        pr = m[r]
+        pr = m[k]
+        m[r], m[k] = pr, m[r]
         pivot = pr[c]
-        for i in range(r + 1, nrows):
+        lead, ptail = [0] * (c + 1), pr[c + 1:]
+        i = r + 1
+        while i < n:
             mi = m[i]
             f = mi[c]
-            if f:
-                m[i] = [(pivot * a - f * b) // prev for a, b in zip(mi, pr)]
-            elif pivot != prev:
-                m[i] = [pivot * a // prev for a in mi]
-        prev = pivot
+            if not f:
+                i += 1
+                continue
+            g = gcd(pivot, f)
+            a, b = pivot // g, f // g
+            tail = [a * x - b * y for x, y in zip(mi[c + 1:], ptail)]
+            # The content is taken over the whole row, not the tail: CPython
+            # 3.11 keeps up to 2 000 freed 20-item tuples (0.4 MB) that it
+            # never reuses, and a quintic system's tail has 20 entries in
+            # the first column.
+            row = lead + tail
+            g = gcd(*row)
+            if g:
+                m[i] = row if g == 1 else lead + [x // g for x in tail]
+                i += 1
+            else:
+                n -= 1
+                m[i], m[n] = m[n], row
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == n:
             break
     return pivots
 
@@ -427,16 +456,18 @@ def _rref(field: Field, rows: Sequence[Sequence]) -> tuple[list, list[int]]:
 
     The input rows are left unchanged.  Over GF(p) this is ``_fp_rref``.
     Over QQ the rows are cleared to integers, put in echelon form by
-    ``_bareiss_forward`` and back-substituted on integers, each updated row
-    divided by its content; only the final division by each pivot makes
-    Fractions.  Zero rows stay zero rows.
+    ``_qq_forward`` (smallest pivots, primitive rows) and back-substituted
+    on integers, each updated row divided by its content; only the final
+    division by each pivot makes Fractions.  The reduced form is unique, so
+    it does not depend on the pivots the forward pass takes.  Zero rows stay
+    zero rows.
     """
     if not rows:
         return rows, []
     if isinstance(field, PrimeField):
         return _fp_rref(field.p, rows)
     m = [_integer_row(row) for row in rows]
-    pivots = _bareiss_forward(m)
+    pivots = _qq_forward(m)
     for k in range(len(pivots) - 1, 0, -1):
         c = pivots[k]
         pr = m[k]
@@ -462,11 +493,12 @@ def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     """Rank over ``field`` of equal-length rows, without building a DenseMatrix.
 
     Over QQ the entries may be ints or Fractions; each row is cleared to
-    integers and the rows are ranked by Bareiss elimination.  Over GF(p) the
-    entries must be ints in ``[0, p)``.  The rows are left unchanged.
+    integers and the rows are ranked by the fraction-free pass on primitive
+    rows, ``_qq_forward``.  Over GF(p) the entries must be ints in
+    ``[0, p)``.  The rows are left unchanged.
     """
     if isinstance(field, RationalField):
-        return len(_bareiss_forward([_integer_row(row) for row in rows]))
+        return len(_qq_forward([_integer_row(row) for row in rows]))
     return len(_fp_forward(field.p, rows)[1])
 
 

@@ -394,11 +394,11 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     conic component g contributes the rows of the remainder map modulo g^2,
     whose kernel is the forms divisible by g^2.  Both kinds of rows are
     assembled once as plain int rows S, and the dimension is
-    ``space_dim(d) - rank(S)`` (21 - rank for quintics), ranked by Bareiss
-    elimination over QQ and by elimination mod p over GF(p).  The
-    whole-plane configuration is the one case with no matrix: only the zero
-    form is singular everywhere.  A field whose characteristic divides ``d``
-    raises ``InputError``.
+    ``space_dim(d) - rank(S)`` (21 - rank for quintics), ranked by
+    fraction-free elimination on primitive integer rows over QQ and by
+    elimination mod p over GF(p).  The whole-plane configuration is the one
+    case with no matrix: only the zero form is singular everywhere.  A field
+    whose characteristic divides ``d`` raises ``InputError``.
     """
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:

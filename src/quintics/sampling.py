@@ -14,11 +14,11 @@ which makes a bounded number of draws, and runs inside one bounded retry,
 ``_retry``; the quartic contact sampler of ``lsys`` uses the same two.
 
 A type that needs more points on one line than a line over the field has, a
-type whose points cannot exist over a small field (types 18, 26 and 36), or a
-conic over GF(2), is refused before any draw, and so is the quartic contact
-system over GF(2).  Sampling that keeps failing its predicates gives up after
-``MAX_ATTEMPTS`` rejections; over a very small prime field this can still be
-the outcome.
+type whose points cannot exist over a small field (types 18, 26 and 36, and
+nine more over GF(3)), or a conic over GF(2), is refused before any draw, and
+so is the quartic contact system over GF(2).  Sampling that keeps failing its
+predicates gives up after ``MAX_ATTEMPTS`` rejections; over a very small prime
+field this can still be the outcome.
 """
 
 from __future__ import annotations
@@ -448,7 +448,9 @@ _POINTS_ON_ONE_LINE = {
 }
 
 
-# The least prime over which each of these types has a configuration at all:
+# Each of these types is refused over the primes below its entry.  For 18, 26
+# and 36 the entry is the least prime with a configuration at all; the others
+# are refused over GF(3) only, where no point set passes their checks:
 # - 18 needs a 5-arc (five points, no three collinear).  An arc over GF(q)
 #   has at most q + 2 points, q + 1 for odd q, so GF(2) and GF(3) have none.
 # - 26 needs a 6-arc on no conic.  GF(2) and GF(3) have no 6-arc, and over
@@ -458,19 +460,49 @@ _POINTS_ON_ONE_LINE = {
 #   xz = y^2 leave such a point; every nondegenerate conic is projectively
 #   equivalent to it and the condition is projectively invariant, so no
 #   conic over these fields does.
-_MIN_PRIME = {18: 5, 26: 7, 36: 11}
+# - 19 and 34 need four points on a line and two or three off it with no
+#   other line through three of them.  A line over GF(3) has four points, so
+#   the line through two points off it meets it in one of them.
+# - 35 and 37 need three points on each of two lines, off their meet, and a
+#   point off both with no other line through three of them.  Over GF(3)
+#   the trios are all the points of the lines but the meet, and each of the
+#   three lines through the extra point that miss the meet passes through
+#   one point of each trio.
+# - 24, 32, 38 and 39 need a nondegenerate conic through at least five given
+#   points: six or seven points on it, four base points and a point of a
+#   line, or five of the points where it cuts a triangle's sides.  Over
+#   GF(3) such a conic has only four points.
+# - 40 needs five lines with no three through one point, dually a 5-arc,
+#   which GF(3) does not have (as for 18).
+_MIN_PRIME = {18: 5, 19: 5, 24: 5, 26: 7, 32: 5, 34: 5, 35: 5, 36: 11,
+              37: 5, 38: 5, 39: 5, 40: 5}
 _MIN_PRIME_NEEDS = {
     18: "five points with no three collinear, and no such points exist",
+    19: "four points on a line and two off it with no other three collinear, "
+        "and no such points exist",
+    24: "six points on a nondegenerate conic, and such a conic has fewer points",
     26: "six points with no three collinear and not on one conic, "
         "and no such points exist",
+    32: "seven points on a nondegenerate conic, and such a conic has fewer points",
+    34: "four points on a line and three off it with no other three collinear, "
+        "and no such points exist",
+    35: "three points on each of two lines, off their meet, and a point off "
+        "both with no other three collinear, and no such points exist",
     36: "a point off a conic and off every secant of six points on it, "
         "and no such point exists",
+    37: "three points on each of two lines, their meet, and a point off both "
+        "with no other three collinear, and no such points exist",
+    38: "four points and two points of a line on one nondegenerate conic, "
+        "and such a conic has fewer points",
+    39: "the six points where a nondegenerate conic cuts a triangle's sides, "
+        "and such a conic has fewer points",
+    40: "five lines with no three through one point, and no such lines exist",
 }
 
 
 # Types whose construction tests a conic for degeneracy, which the package
 # decides in odd characteristic only.  Types 36, 38 and 39 are built on conics
-# too, but the checks above already refuse them over GF(2).
+# too, but the other checks already refuse them over GF(2).
 _CONIC_TYPES = frozenset({24, 32, 33})
 
 
@@ -478,16 +510,17 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     """Deterministically sample a generic configuration of the given type.
 
     A type whose construction needs more points on one line than a line over
-    the field has, type 18, 26 or 36 over a field too small for it, or a type
-    built on a conic over GF(2), fails at once, before any draw.
+    the field has, a type built on a conic over GF(2), or a type of
+    ``_MIN_PRIME`` over a field too small for it, fails at once, before any
+    draw.
     """
     if not 1 <= type_id <= 42:
         raise InputError(f"type_id {type_id} out of range 1..42")
     _line_capacity(field, _POINTS_ON_ONE_LINE.get(type_id, 0), f"type {type_id}")
-    if isinstance(field, PrimeField) and field.p < _MIN_PRIME.get(type_id, 0):
-        raise SamplingError(f"type {type_id} needs {_MIN_PRIME_NEEDS[type_id]} over {field}")
     if type_id in _CONIC_TYPES:
         _odd_characteristic(field)
+    if isinstance(field, PrimeField) and field.p < _MIN_PRIME.get(type_id, 0):
+        raise SamplingError(f"type {type_id} needs {_MIN_PRIME_NEEDS[type_id]} over {field}")
     return _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
                   f"could not satisfy genericity for type {type_id} over {field}")
 

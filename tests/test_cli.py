@@ -95,6 +95,20 @@ def test_dims_conic_types_refuse_characteristic_two(capsys, monkeypatch, type_id
     assert "characteristic 2" in err
 
 
+@pytest.mark.parametrize("type_id", [19, 24, 32, 34, 35, 37, 38, 39, 40])
+def test_dims_refuses_types_that_gf3_cannot_hold_before_any_draw(capsys, monkeypatch, type_id):
+    import quintics.sampling as sampling_mod
+
+    def no_draw(*args):
+        raise AssertionError(f"type {type_id} over fp:3 must fail before any draw")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draw)
+    code, out, err = run(capsys, "dims", "--type", str(type_id), "--field", "fp:3",
+                         "--seeds", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: type {type_id} needs ") and err.endswith(" over fp:3\n")
+
+
 EULER_REFUSAL = ("error: fp:5 has characteristic 5, which divides the degree 5; "
                  "the Euler relation degenerates\n")
 

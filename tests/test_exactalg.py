@@ -298,6 +298,63 @@ def test_qq_echelon_forms_match_fraction_gauss_jordan():
                                         for i in range(4))
 
 
+def _forward_pass(rows):
+    """The QQ forward pass on ``rows``, its postcondition checked directly:
+    the first ``len(pivots)`` rows are in echelon form with their leading
+    entries at the pivots, the others are zero, and the row space is the
+    input's.  Returns the pivot columns."""
+    from quintics.exactalg import _qq_forward, _integer_row
+
+    m = [_integer_row(row) for row in rows]
+    pivots = _qq_forward(m)
+    assert len(m) == len(rows)
+    for i, row in enumerate(m):
+        lead = next((j for j, v in enumerate(row) if v), None)
+        assert lead == (pivots[i] if i < len(pivots) else None), (rows, m)
+    assert _reference_rref(m) == _reference_rref(rows), (rows, m)
+    return pivots
+
+
+def test_qq_forward_pass_pivot_choice_and_zero_rows():
+    cases = [
+        # equal |pivot| with opposite signs, in either order
+        [[-2, 1, 0], [2, 3, 1], [4, 0, 5]],
+        [[2, 3, 1], [-2, 1, 0], [0, 4, 6]],
+        # the smallest pivot is not in the first candidate row
+        [[6, 1, 2], [4, 0, 1], [2, 5, 3]],
+        [[0, 9, 4], [0, 12, 1], [0, -3, 7], [5, 1, 1]],
+        # a row that becomes zero, then the row swapped in for it does too,
+        # and the next one does not
+        [[1, 2, 3], [2, 4, 6], [1, 0, 0], [3, 6, 9]],
+        # every row after the pivot row becomes zero
+        [[3, 1, 4], [-6, -2, -8], [9, 3, 12], [Fraction(3, 2), Fraction(1, 2), 2]],
+        # zero rows in the input, among rows that become zero
+        [[0, 0, 0], [5, 10, 0], [0, 0, 0], [-1, -2, 0], [0, 1, 1], [2, 4, 0]],
+        # a sink in a later column
+        [[1, 0, 2, 1], [0, 2, 1, 3], [1, 4, 4, 7], [0, 4, 2, 6], [1, 2, 3, 4]],
+    ]
+    for rows in cases:
+        pivots = _forward_pass(rows)
+        assert rank_rows(QQ, rows) == len(pivots) == len(_reference_rref(rows)[1]), rows
+    rng = SplitMix64(407)
+    for _ in range(60):
+        ncols = rng.int_in(1, 6)
+        base = [[rng.int_in(-4, 4) for _ in range(ncols)] for _ in range(rng.int_in(1, 3))]
+        # combinations of few rows, so that many rows become zero mid-pass
+        rows = [[sum(rng.int_in(-2, 2) * row[j] for row in base) for j in range(ncols)]
+                for _ in range(rng.int_in(1, 7))]
+        _forward_pass(rows)
+
+
+def test_qq_rank_of_every_type_matches_fraction_gauss_jordan():
+    from quintics.lsys import _system_rows
+    from quintics.sampling import sample_generic
+
+    for type_id in range(1, 42):
+        rows = _system_rows(sample_generic(type_id, QQ, 11), 5)
+        assert rank_rows(QQ, rows) == len(_reference_rref(rows)[1]), type_id
+
+
 def _largest_prime_below(n):
     q = n - 1
     while not _is_prime(q):

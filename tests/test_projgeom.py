@@ -351,6 +351,51 @@ def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkey
     assert len(six) == 6 and _no_collinear_triple(six) and not on_common_conic(six)
 
 
+# The types refused over GF(3) beyond the line capacity and types 18, 26 and
+# 36, each with the number of lines its construction allows through three or
+# more of its points.
+GF3_REFUSED_LINES = {19: 1, 24: 0, 32: 0, 34: 1, 35: 2, 37: 2, 38: 1, 39: 3, 40: 5}
+
+
+def test_no_point_set_of_pg23_qualifies_for_a_refused_type():
+    # Every set of 4 to 10 points of PG(2,3) is classified; a set the sampler
+    # of type t could return has type t and no line through three or more of
+    # its points but the construction's own.
+    from quintics.lsys import _classify_grouped, plane_points
+    from quintics.projgeom import _unique_conic
+
+    plane = plane_points(3)
+    typed = 0
+    for k in range(4, 11):
+        for sub in combinations(plane, k):
+            groups = _index_groups(sub)
+            type_id = _classify_grouped(sub, groups, _unique_conic)
+            if type_id in GF3_REFUSED_LINES:
+                typed += 1
+                rich = sum(len(on) >= 3 for on in groups.values())
+                assert rich > GF3_REFUSED_LINES[type_id], (type_id, sub)
+    assert typed == 468 + 936 + 468 + 468  # types 19, 34, 35 and 37
+
+
+def test_sampler_refuses_gf3_types_before_any_attempt(monkeypatch):
+    import quintics.sampling as sampling_mod
+
+    def no_attempts(*args):
+        raise AssertionError("the sampler tried before refusing")
+
+    assert {t for t, p in sampling_mod._MIN_PRIME.items() if p == 5} == {18} | set(GF3_REFUSED_LINES)
+    monkeypatch.setattr(sampling_mod, "_retry", no_attempts)
+    for type_id in GF3_REFUSED_LINES:
+        for seed in (0, 1):
+            with pytest.raises(SamplingError, match=f"^type {type_id} needs .* over fp:3$"):
+                sample_generic(type_id, PrimeField(3), seed)
+        with pytest.raises(AssertionError, match="tried"):
+            sample_generic(type_id, PrimeField(5), 0)
+    monkeypatch.undo()
+    for type_id in GF3_REFUSED_LINES:
+        assert sample_generic(type_id, PrimeField(7), 0).type_id == type_id
+
+
 def test_on_common_conic_requires_six_distinct_points():
     pts5 = _points_on_standard_conic([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
     with pytest.raises(InputError):
