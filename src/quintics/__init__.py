@@ -10,14 +10,11 @@ table bookkeeping that assembles these into the Poincaré polynomial
 from .errors import FieldMismatchError, InputError, SamplingError, TaxonomyError
 from .exactalg import (
     QQ,
-    DenseMatrix,
     PrimeField,
     RationalField,
     SubspaceBasis,
     intersect,
-    kernel,
     parse_field,
-    rank,
 )
 from .ledger import (
     ColumnSpec,

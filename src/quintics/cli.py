@@ -65,11 +65,12 @@ def cmd_dims(args) -> int:
     field = parse_field(args.field)
     if args.type == "all":
         types = list(range(1, 43))
+    elif args.type.isdecimal() and 1 <= int(args.type) <= 42:
+        types = [int(args.type)]
     else:
-        t = int(args.type)
-        if not 1 <= t <= 42:
-            raise InputError(f"type {t} out of range 1..42")
-        types = [t]
+        raise InputError("type must be 1..42 or 'all'")
+    if args.seeds < 1:
+        raise InputError(f"seeds must be at least 1, got {args.seeds}")
     # refused before any draw, so every type gives the same error
     _euler_relation(field, 5)
     results = []

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic and dense linear algebra.
+"""Exact scalar arithmetic and linear algebra on plain rows.
 
 Two coefficient fields are supported: arbitrary-precision rationals (``QQ``)
 and prime fields ``GF(p)``.  Rationals are stored as ``fractions.Fraction``
@@ -21,10 +21,10 @@ Over ``GF(p)`` each row is packed into one int, its residues in fixed-width
 slots wide enough that no slot overflows, so a row update is one big-int
 multiply-add; a slot is reduced mod p only when it is read, and rows are
 unpacked only when the reduced echelon form is returned.
-``rank_rows`` ranks plain rows (ints or Fractions over QQ, residues over
-GF(p)) without building a ``DenseMatrix``, and ``rank`` delegates to it;
-``_kernel_rows`` takes the null space of such rows the same way, and
-``kernel`` delegates to it.  All routines are deterministic: identical inputs
+Every operation takes plain rows (ints or Fractions over QQ, residues over
+GF(p)) and returns an int or a ``SubspaceBasis``: ``rank_rows`` ranks them,
+``_kernel_rows`` takes their null space, and ``intersect`` meets two
+subspaces through kernels.  All routines are deterministic: identical inputs
 give bit-identical outputs, so echelon bases are usable in regression tests.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import lshift
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import FieldMismatchError, InputError
 
@@ -179,62 +179,6 @@ def parse_field(spec: str) -> Field:
     raise InputError(f"bad field spec {spec!r}")
 
 
-class DenseMatrix:
-    """Immutable dense matrix over a single exact field.
-
-    Zero-row matrices are allowed (the empty constraint system); they must be
-    constructed with an explicit column count.
-    """
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field: Field, rows: Iterable[Iterable], ncols: int | None = None):
-        grid = tuple(tuple(field.coerce(v) for v in row) for row in rows)
-        if grid:
-            widths = {len(r) for r in grid}
-            if len(widths) != 1:
-                raise InputError("ragged rows")
-            inferred = widths.pop()
-            if ncols is not None and ncols != inferred:
-                raise InputError("ncols does not match row width")
-            ncols = inferred
-        elif ncols is None:
-            raise InputError("zero-row matrix needs an explicit column count")
-        self.field = field
-        self.rows = grid
-        self.nrows = len(grid)
-        self.ncols = ncols
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, [[row[j] for row in self.rows] for j in range(self.ncols)],
-                           self.nrows)
-
-    def stack(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.field != other.field:
-            raise FieldMismatchError("cannot stack matrices over different fields")
-        if self.ncols != other.ncols:
-            raise InputError("cannot stack matrices of different widths")
-        return DenseMatrix(self.field, self.rows + other.rows, self.ncols)
-
-    def apply(self, vector: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple of raw values."""
-        if len(vector) != self.ncols:
-            raise InputError("vector length does not match column count")
-        f = self.field
-        vec = [f.coerce(v) for v in vector]
-        return tuple(f.coerce(sum(a * b for a, b in zip(row, vec))) for row in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DenseMatrix) and self.field == other.field
-                and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"DenseMatrix({self.field}, {self.nrows}x{self.ncols})"
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A linear subspace given by a reduced-echelon basis of row vectors.
@@ -264,21 +208,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector: Sequence) -> bool:
-        f = self.field
-        vec = [f.coerce(v) for v in vector]
-        if len(vec) != self.ambient_dim:
-            raise InputError("vector length does not match ambient dimension")
-        for row in self.basis:
-            piv = next(j for j, v in enumerate(row) if not f.is_zero(v))
-            coef = vec[piv]
-            if not f.is_zero(coef):
-                vec = [f.coerce(a - coef * b) for a, b in zip(vec, row)]
-        return all(f.is_zero(v) for v in vec)
-
-    def to_matrix(self) -> DenseMatrix:
-        return DenseMatrix(self.field, self.basis, self.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +419,7 @@ def _rref(field: Field, rows: Sequence[Sequence]) -> tuple[list, list[int]]:
 
 
 def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
-    """Rank over ``field`` of equal-length rows, without building a DenseMatrix.
+    """Rank over ``field`` of equal-length rows.
 
     Over QQ the entries may be ints or Fractions; each row is cleared to
     integers and the rows are ranked by the fraction-free pass on primitive
@@ -502,26 +431,8 @@ def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     return len(_fp_forward(field.p, rows)[1])
 
 
-def rank(m: DenseMatrix) -> int:
-    """Rank of a dense matrix over its field."""
-    return rank_rows(m.field, m.rows)
-
-
-def rref(m: DenseMatrix) -> tuple[DenseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows, pivots = _rref(m.field, m.rows)
-    kept = [row for row in rows if any(not m.field.is_zero(v) for v in row)]
-    return DenseMatrix(m.field, kept, m.ncols), tuple(pivots)
-
-
-def kernel(m: DenseMatrix) -> SubspaceBasis:
-    """Echelonized basis of the right null space of ``m``."""
-    return _kernel_rows(m.field, m.rows, m.ncols)
-
-
 def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> SubspaceBasis:
-    """Echelonized basis of the right null space of ``ncols``-wide rows, without
-    building a DenseMatrix.
+    """Echelonized basis of the right null space of ``ncols``-wide rows.
 
     The entries must be canonical over GF(p), ints in ``[0, p)``; over QQ
     they may be ints or Fractions.  The rows are left unchanged.
@@ -551,30 +462,19 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
     return SubspaceBasis(field, ncols, tuple(vectors))
 
 
-def row_space(m: DenseMatrix) -> SubspaceBasis:
-    """Echelonized basis of the row space of ``m``."""
-    reduced, _ = rref(m)
-    return SubspaceBasis(m.field, m.ncols, reduced.rows)
-
-
-def span_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Echelonized basis of the subspace sum a + b."""
-    _check_compatible(a, b)
-    stacked = DenseMatrix(a.field, a.basis + b.basis, a.ambient_dim)
-    return row_space(stacked)
-
-
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Echelonized basis of the intersection of two subspaces.
 
     Uses the annihilator trick: the intersection is the kernel of the stacked
-    annihilators of the two row spaces.
+    annihilators of the two row spaces.  The bases are coerced first, since
+    one built by hand over GF(p) may hold residues outside ``[0, p)``.
     """
     _check_compatible(a, b)
-    ann_a = kernel(a.to_matrix())
-    ann_b = kernel(b.to_matrix())
-    stacked = DenseMatrix(a.field, ann_a.basis + ann_b.basis, a.ambient_dim)
-    return kernel(stacked)
+    f, n = a.field, a.ambient_dim
+    ann: tuple = ()
+    for s in (a, b):
+        ann += _kernel_rows(f, [[f.coerce(v) for v in row] for row in s.basis], n).basis
+    return _kernel_rows(f, ann, n)
 
 
 def _check_compatible(a: SubspaceBasis, b: SubspaceBasis) -> None:

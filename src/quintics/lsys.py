@@ -25,14 +25,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import FieldMismatchError, InputError, TaxonomyError
 from .exactalg import (
-    DenseMatrix,
     Field,
     PrimeField,
     SubspaceBasis,
     _integer_row,
     _kernel_rows,
+    _rref,
     rank_rows,
-    row_space,
 )
 from .projgeom import (
     CONIC_MONOMIALS,
@@ -259,17 +258,23 @@ def _point_rows(coords: Sequence, d: int, p: Optional[int]) -> list:
     return rows
 
 
-def singularity_rows(a: ProjPoint, d: int) -> DenseMatrix:
-    """Three rows expressing that all partials of f vanish at the point a.
+def singularity_rows(a: ProjPoint, d: int) -> list:
+    """Three rows expressing that all partials of f vanish at the point a,
+    as residues over GF(p) and exactly over QQ.
 
     The rows depend on the projective representative only up to scaling, so
     their row space, which is all downstream code uses, is well defined.
     """
-    return DenseMatrix(a.field, _point_rows(a.coords, d, _modulus(a.field)), space_dim(d))
+    return _point_rows(a.coords, d, _modulus(a.field))
 
 
 def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
-    """Basis of the forms of degree d divisible by g^m."""
+    """Basis of the forms of degree d divisible by g^m.
+
+    The rows g^m * mono, one per monomial of degree d - m deg g, are
+    independent because multiplication by g^m is injective, so their reduced
+    echelon form has no zero rows and is the basis itself.
+    """
     if m < 0:
         raise InputError("multiplicity must be nonnegative")
     rest = d - m * g.degree
@@ -283,7 +288,7 @@ def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
     for exps in monomial_basis(rest):
         mono = HomogeneousPoly(f, rest, {exps: f.one()})
         rows.append((power * mono).to_vector())
-    return row_space(DenseMatrix(f, rows, space_dim(d)))
+    return SubspaceBasis(f, space_dim(d), tuple(map(tuple, _rref(f, rows)[0])))
 
 
 def _remainder_rows(g: HomogeneousPoly, d: int) -> list:
@@ -349,15 +354,6 @@ def _remainder_rows(g: HomogeneousPoly, d: int) -> list:
     return [list(row) for row in zip(*reduced)]
 
 
-def constraint_matrix(cfg: Config, d: int = 5) -> DenseMatrix:
-    """Stacked singularity rows of all marked points of a configuration."""
-    p = _modulus(cfg.field)
-    rows: list = []
-    for pt in cfg.points:
-        rows.extend(_point_rows(pt.coords, d, p))
-    return DenseMatrix(cfg.field, rows, space_dim(d))
-
-
 def _system_rows(cfg: Config, d: int) -> list:
     """Rows whose kernel is the space of degree-d forms singular along ``cfg``.
 
@@ -414,8 +410,9 @@ def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     return _kernel_rows(cfg.field, _system_rows(cfg, d), space_dim(d))
 
 
-def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:
-    """The 13 x 15 quartic system: 4 vanishing rows on a line, 9 derivative rows.
+def sample_quartic_contact_system(field: Field, seed: int) -> list:
+    """The 13 rows of width 15 of the quartic system: 4 vanishing rows on a
+    line, 9 derivative rows.
 
     Four points on a line contribute one evaluation row each; three further
     points in general position (not collinear, off the line) contribute their
@@ -439,7 +436,7 @@ def sample_quartic_contact_system(field: Field, seed: int) -> DenseMatrix:
     rows = [_monomial_values(pt.coords, 4, p) for pt in on_line]
     for pt in off:
         rows.extend(_point_rows(pt.coords, 4, p))
-    return DenseMatrix(field, rows, space_dim(4))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +542,7 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
         lines, rest = _peel_line_components(keys, field)
     conics: list = []
     if p + 1 > max(f.degree, 2 * (f.degree - 2)) and len(rest) + 2 * len(lines) >= p + 1:
-        conics, rest = _peel_conic_component(rest, keys, field)
+        conics, rest = _peel_conic_component(rest, keys, len(lines), field)
     isolated = tuple(_from_key(ProjPoint, field, key) for key in sorted(rest))
     return SingularSet(field, isolated_points=isolated,
                        line_components=tuple(lines), conic_components=tuple(conics))

@@ -298,26 +298,30 @@ def _peel_line_components(keys: list, field: PrimeField) -> tuple[list, list]:
     return lines, [key for k, key in enumerate(keys) if k not in covered]
 
 
-def _peel_conic_component(rest: list, keys: list, field: PrimeField) -> tuple[list, list]:
+def _peel_conic_component(rest: list, keys: list, nlines: int,
+                          field: PrimeField) -> tuple[list, list]:
     """Detect one full nondegenerate conic through the point keys ``rest``
-    left by the line peel; ``keys`` holds every singular point.  Returns the
-    conic, if any, and the keys of ``rest`` off it, in order.
+    left by the line peel, which found ``nlines`` full lines; ``keys`` holds
+    every singular point.  Returns the conic, if any, and the keys of
+    ``rest`` off it, in order.
 
     The conic's points are counted over ``keys``: it may meet a full line
-    of the set, in at most two points, which the line peel took.  A quintic
-    form can carry at most one doubled conic, and its leftover isolated
-    singularities number at most four, so scanning five-subsets of the
-    first twelve points of ``rest`` always sees five points of the conic.
-    That holds at the smallest field where conics are grouped, p = 7, too:
-    the set then holds the conic's eight points and at most four others,
-    so the first twelve are all of it.  Five points of a nondegenerate
-    conic have no three on a line, so the conic through them is unique.  A
+    of the set, in at most two points, which the line peel took.  A
     nondegenerate conic over GF(p), p odd, has exactly p + 1 points (it is
     isomorphic to the projective line), so it is full when all of them are
-    in the set.
+    in the set, and then at least p + 1 - 2 * nlines of them are in
+    ``rest``.  Any first ``len(rest) - (p + 1 - 2 * nlines) + 5`` points of
+    ``rest`` therefore hold five points of a full conic, so scanning their
+    five-subsets sees every full conic, at every degree and every p; the
+    caller peels only when that head has at least five points.  For a
+    quintic the head has at most nine points: a doubled conic leaves no room
+    for a doubled line, and at most four isolated singularities.  Five
+    points of a nondegenerate conic have no three on a line, so the conic
+    through them is unique.
     """
     p = field.p
-    head = [_from_key(ProjPoint, field, key) for key in rest[:12]]
+    size = len(rest) - (p + 1 - 2 * nlines) + 5
+    head = [_from_key(ProjPoint, field, key) for key in rest[:size]]
     for five in combinations(head, 5):
         conic = _unique_conic(five)
         if conic is None or conic.is_degenerate():

@@ -10,16 +10,7 @@ import time
 from fractions import Fraction
 
 from quintics.cli import main as cli_main
-from quintics.exactalg import (
-    QQ,
-    DenseMatrix,
-    PrimeField,
-    intersect,
-    kernel,
-    rank,
-    row_space,
-    span_sum,
-)
+from quintics.exactalg import QQ, PrimeField, _kernel_rows, intersect, rank_rows
 from quintics.ledger import (
     apply_differentials,
     column_contribution,
@@ -101,10 +92,10 @@ def test_criterion_2_generic_points_law():
 @criterion(3, "quartic contact system is 13 x 15 with rank 13 and kernel 2")
 def test_criterion_3_transversality():
     for s in range(20):
-        m = sample_quartic_contact_system(FP, s)
-        assert (m.nrows, m.ncols) == (13, 15)
-        assert rank(m) == 13
-        assert kernel(m).dim == 2
+        rows = sample_quartic_contact_system(FP, s)
+        assert (len(rows), {len(row) for row in rows}) == (13, {15})
+        assert rank_rows(FP, rows) == 13
+        assert _kernel_rows(FP, rows, 15).dim == 2
 
 
 @criterion(4, "pipeline emits (1+t)(1+t^3)(1+t^5) from the degenerate table")
@@ -190,7 +181,7 @@ def test_criterion_10_oracle_equivalence():
     p = 101
     fp = PrimeField(p)
     pts = plane_points(p)
-    rows_at = [singularity_rows(a, 5).rows for a in pts]
+    rows_at = [singularity_rows(a, 5) for a in pts]
     x = {(1, 0, 0): 1}
     import quintics.lsys as lsys
 
@@ -248,13 +239,14 @@ def test_criterion_12_property_suites():
         else:
             rows = [[rng.below(field.p) for _ in range(ncols)]
                     for _ in range(nrows)]
-        m = DenseMatrix(field, rows, ncols)
-        r = rank(m)
-        assert r == rank(m.transpose())
-        assert kernel(m).dim + r == ncols
-        a = row_space(m)
-        b = kernel(m)
-        assert intersect(a, b).dim + span_sum(a, b).dim == a.dim + b.dim
+        r = rank_rows(field, rows)
+        assert r == rank_rows(field, [list(col) for col in zip(*rows)])
+        b = _kernel_rows(field, rows, ncols)
+        assert b.dim + r == ncols
+        # the row space, as the annihilator of the kernel
+        a = _kernel_rows(field, b.basis, ncols)
+        assert a.dim == r
+        assert intersect(a, b).dim + rank_rows(field, a.basis + b.basis) == a.dim + b.dim
 
     # boundary-squared and Euler identities on 100 random complexes
     for i in range(100):

@@ -81,6 +81,27 @@ def test_dims_bad_type_is_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("type_arg", ["abc", "0", "43", "1.5"])
+def test_dims_type_outside_the_table_is_refused(capsys, type_arg):
+    code, out, err = run(capsys, "dims", "--type", type_arg, "--seeds", "1")
+    assert code == 2 and out == ""
+    assert err == "error: type must be 1..42 or 'all'\n"
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+@pytest.mark.parametrize("type_arg", ["1", "all"])
+def test_dims_refuses_fewer_than_one_seed_before_any_draw(capsys, monkeypatch, seeds, type_arg):
+    import quintics.sampling as sampling_mod
+
+    def no_draw(*args):
+        raise AssertionError("--seeds below 1 must be refused before any draw")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draw)
+    code, out, err = run(capsys, "dims", "--type", type_arg, "--seeds", seeds)
+    assert code == 2 and out == ""
+    assert err == f"error: seeds must be at least 1, got {seeds}\n"
+
+
 @pytest.mark.parametrize("type_id", [24, 32, 33])
 def test_dims_conic_types_refuse_characteristic_two(capsys, monkeypatch, type_id):
     import quintics.sampling as sampling_mod

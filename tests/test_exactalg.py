@@ -7,41 +7,39 @@ from quintics.exactalg import (
     _PRIME_BOUND,
     _is_prime,
     QQ,
-    DenseMatrix,
     PrimeField,
     SubspaceBasis,
+    _kernel_rows,
+    _rref,
     intersect,
-    kernel,
     parse_field,
-    rank,
     rank_rows,
-    row_space,
-    span_sum,
 )
 from quintics.rng import SplitMix64
 
 
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_rank_identity():
-    m = DenseMatrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank(m) == 3
+    assert rank_rows(QQ, IDENTITY) == 3
 
 
 def test_rank_proportional_rows():
-    assert rank(DenseMatrix(QQ, [[1, 2], [2, 4]])) == 1
+    assert rank_rows(QQ, [[1, 2], [2, 4]]) == 1
 
 
 def test_rank_empty_matrix():
-    assert rank(DenseMatrix(QQ, [], ncols=5)) == 0
-    assert kernel(DenseMatrix(QQ, [], ncols=5)).dim == 5
+    assert rank_rows(QQ, []) == 0
+    assert _kernel_rows(QQ, [], 5).dim == 5
 
 
 def test_kernel_zero_row():
-    assert kernel(DenseMatrix(QQ, [[0, 0, 0]])).dim == 3
+    assert _kernel_rows(QQ, [[0, 0, 0]], 3).dim == 3
 
 
 def test_kernel_identity():
-    m = DenseMatrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert kernel(m).dim == 0
+    assert _kernel_rows(QQ, IDENTITY, 3).dim == 0
 
 
 def test_intersect_idempotent():
@@ -63,6 +61,13 @@ def test_intersect_shared_axis():
     assert got.basis == ((Fraction(0), Fraction(1), Fraction(0)),)
 
 
+def test_intersect_reduces_hand_built_residues():
+    fp = PrimeField(7)
+    a = SubspaceBasis(fp, 3, ((1, -1, 0),))
+    b = SubspaceBasis(fp, 3, ((1, 6, 0),))
+    assert intersect(a, b).basis == intersect(a, a).basis == ((1, 6, 0),)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(InputError):
         PrimeField(65520)
@@ -80,38 +85,44 @@ def test_prime_field_rejects_composite():
     assert main(["dims", "--type", "1", "--field", "fp:318665857834031151167461"]) == 2
 
 
-def _random_matrix(field, rng, nrows, ncols):
+def _random_rows(field, rng, nrows, ncols):
     if isinstance(field, PrimeField):
-        rows = [[rng.below(field.p) for _ in range(ncols)] for _ in range(nrows)]
-    else:
-        rows = [[Fraction(rng.int_in(-6, 6), rng.int_in(1, 4)) for _ in range(ncols)]
-                for _ in range(nrows)]
-    return DenseMatrix(field, rows, ncols)
+        return [[rng.below(field.p) for _ in range(ncols)] for _ in range(nrows)]
+    return [[Fraction(rng.int_in(-6, 6), rng.int_in(1, 4)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _apply(field, rows, vector):
+    """The rows times a column vector, by dot products alone."""
+    p = field.p if isinstance(field, PrimeField) else None
+    dots = [sum(a * b for a, b in zip(row, vector)) for row in rows]
+    return [v % p for v in dots] if p else dots
+
+
+def _row_space(field, rows, ncols):
+    """The row space as the annihilator of the annihilator."""
+    return _kernel_rows(field, _kernel_rows(field, rows, ncols).basis, ncols)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(7)])
 def test_rank_transpose_and_nullity(field):
     rng = SplitMix64(2024)
-    matrices = [_random_matrix(field, rng, rng.int_in(1, 6), rng.int_in(1, 7))
-                for _ in range(40)]
-    for m in matrices + [DenseMatrix(field, [], 3), DenseMatrix(field, [], 0)]:
-        r = rank(m)
-        assert r == rank(m.transpose())
-        ker = kernel(m)
-        assert ker.dim + r == m.ncols
+    cases = []
+    for _ in range(40):
+        nrows, ncols = rng.int_in(1, 6), rng.int_in(1, 7)
+        cases.append((_random_rows(field, rng, nrows, ncols), ncols, nrows))
+    # (rows, columns, rows of the transpose): no rows, no columns, neither
+    cases += [([], 3, 0), ([[], [], []], 0, 3), ([], 0, 0)]
+    for rows, ncols, nrows in cases:
+        transpose = [list(col) for col in zip(*rows)]
+        r = rank_rows(field, rows)
+        assert r == rank_rows(field, transpose)
+        assert _kernel_rows(field, transpose, nrows).dim + r == nrows
+        ker = _kernel_rows(field, rows, ncols)
+        assert ker.dim + r == ncols
         # checked by multiplication, independently of any elimination
         for vec in ker.basis:
-            assert not any(m.apply(vec)), vec
-
-
-def test_transpose_shapes():
-    for nrows, ncols in ((0, 3), (3, 0), (0, 0), (2, 3)):
-        m = DenseMatrix(QQ, [[i + j for j in range(ncols)] for i in range(nrows)], ncols)
-        t = m.transpose()
-        assert (t.nrows, t.ncols) == (ncols, nrows)
-        assert t.transpose() == m
-        assert rank(t) == rank(m)
-    assert DenseMatrix(QQ, [[1, 2], [3, 4]]).transpose().rows == ((1, 3), (2, 4))
+            assert not any(_apply(field, rows, vec)), vec
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(65521), PrimeField(7)])
@@ -119,24 +130,25 @@ def test_modular_law_for_subspace_dims(field):
     rng = SplitMix64(99)
     for _ in range(30):
         n = rng.int_in(3, 6)
-        a = row_space(_random_matrix(field, rng, rng.int_in(1, n), n))
-        b = row_space(_random_matrix(field, rng, rng.int_in(1, n), n))
-        assert intersect(a, b).dim + span_sum(a, b).dim == a.dim + b.dim
+        a = _row_space(field, _random_rows(field, rng, rng.int_in(1, n), n), n)
+        b = _row_space(field, _random_rows(field, rng, rng.int_in(1, n), n), n)
+        assert intersect(a, b).dim + rank_rows(field, a.basis + b.basis) == a.dim + b.dim
 
 
 def test_rank_agrees_between_qq_and_fp_on_golden_matrices():
-    from quintics.lsys import K_POINTS, constraint_matrix
+    from quintics.lsys import K_POINTS, singularity_rows
     from quintics.sampling import sample_generic
 
+    fp = PrimeField(65521)
     finite_types = [t for t in range(1, 43) if isinstance(K_POINTS[t], int)]
     for type_id in finite_types:
         cfg = sample_generic(type_id, QQ, 5)
-        m = constraint_matrix(cfg)
+        rows = [row for pt in cfg.points for row in singularity_rows(pt, 5)]
         try:
-            reduced = DenseMatrix(PrimeField(65521), m.rows, m.ncols)
+            reduced = [[fp.coerce(v) for v in row] for row in rows]
         except InputError:
             continue  # denominator degenerates mod p; resampling is the contract
-        assert rank(m) == rank(reduced), type_id
+        assert rank_rows(QQ, rows) == rank_rows(fp, reduced), type_id
 
 
 def _reference_rref(rows):
@@ -219,7 +231,7 @@ def _reference_kernel(rows, ncols, p=None):
 
 
 def _mixed_qq_cases():
-    """Rows as assembled without a DenseMatrix: ints and Fractions side by
+    """Rows as the program assembles them: ints and Fractions side by
     side, entries up to about 10^12, rank-deficient ones among them."""
     big = 10 ** 12
     cases = [
@@ -242,28 +254,24 @@ def test_bareiss_rank_agrees_with_echelon_pivots():
     # reference counts pivots of Fraction Gauss-Jordan elimination instead
     rng = SplitMix64(404)
     for _ in range(60):
-        m = _random_matrix(QQ, rng, rng.int_in(1, 6), rng.int_in(1, 7))
-        assert rank(m) == len(_reference_rref(m.rows)[1])
+        rows = _random_rows(QQ, rng, rng.int_in(1, 6), rng.int_in(1, 7))
+        assert rank_rows(QQ, rows) == len(_reference_rref(rows)[1])
 
 
 def test_rank_rows_on_mixed_int_and_fraction_rows():
     # the rows themselves are left unchanged
-    from quintics.exactalg import rref
-
     for rows in _mixed_qq_cases():
         before = [list(r) for r in rows]
-        m = DenseMatrix(QQ, rows)
-        assert rank_rows(QQ, rows) == rank(m) == len(rref(m)[1]), rows
+        fractions = [[Fraction(v) for v in r] for r in rows]
+        assert rank_rows(QQ, rows) == rank_rows(QQ, fractions) == len(_rref(QQ, rows)[1]), rows
         assert rows == before
     fp = PrimeField(7)
     rows = [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
-    assert rank_rows(fp, rows) == rank(DenseMatrix(fp, rows)) == 2
+    assert rank_rows(fp, rows) == 2
     assert rows == [[1, 2, 3], [2, 4, 6], [0, 0, 5]]
 
 
 def test_qq_echelon_forms_match_fraction_gauss_jordan():
-    from quintics.exactalg import _kernel_rows, _rref, rref
-
     rng = SplitMix64(406)
     cases = _mixed_qq_cases() + [
         [[0, 0, 0, 0]] * 3,                                       # all-zero rows
@@ -273,7 +281,7 @@ def test_qq_echelon_forms_match_fraction_gauss_jordan():
     ]
     for _ in range(40):
         ncols = rng.int_in(1, 6)
-        base = _random_matrix(QQ, rng, rng.int_in(1, 4), ncols).rows
+        base = _random_rows(QQ, rng, rng.int_in(1, 4), ncols)
         # rows repeated and scaled, and a zero row, at random positions
         rows = [list(r) for r in base] + [[-2 * v for v in base[0]], [0] * ncols]
         cases.append([rows[rng.below(len(rows))] for _ in range(rng.int_in(1, 7))])
@@ -281,21 +289,16 @@ def test_qq_echelon_forms_match_fraction_gauss_jordan():
         ncols = len(rows[0])
         want_rows, want_pivots = _reference_rref(rows)
         assert _rref(QQ, [list(r) for r in rows]) == (want_rows, want_pivots), rows
-        m = DenseMatrix(QQ, rows)
-        kept = tuple(tuple(r) for r in want_rows if any(r))
-        reduced, pivots = rref(m)
-        assert (reduced.rows, pivots) == (kept, tuple(want_pivots)), rows
-        assert row_space(m).basis == kept
         want_kernel = _reference_kernel(rows, ncols)
-        for basis in (kernel(m).basis, _kernel_rows(QQ, rows, ncols).basis):
+        fractions = [[Fraction(v) for v in r] for r in rows]
+        for given in (fractions, rows):
+            basis = _kernel_rows(QQ, given, ncols).basis
             assert basis == want_kernel, rows
             assert all(type(v) is Fraction for row in basis for v in row)
     # no rows at all: the reduced form is empty and the kernel is everything
-    empty = DenseMatrix(QQ, [], 4)
-    assert rref(empty) == (empty, ())
-    assert row_space(empty).dim == 0
-    assert kernel(empty).basis == tuple(tuple(Fraction(int(i == j)) for j in range(4))
-                                        for i in range(4))
+    assert _rref(QQ, []) == ([], [])
+    assert _kernel_rows(QQ, [], 4).basis == tuple(tuple(Fraction(int(i == j)) for j in range(4))
+                                                  for i in range(4))
 
 
 def _forward_pass(rows):
@@ -398,8 +401,6 @@ def _fp_cases(p, rng):
 def test_fp_elimination_matches_list_reference(p):
     # 7 primes x 290 row lists: rank, echelon form and kernel of the packed
     # pass against list elimination reduced at every step
-    from quintics.exactalg import _kernel_rows, _rref, rref
-
     fp = PrimeField(p)
     cases = _fp_cases(p, SplitMix64(p))
     assert len(cases) == 290
@@ -409,12 +410,7 @@ def test_fp_elimination_matches_list_reference(p):
         assert rank_rows(fp, rows) == len(want_pivots), rows
         assert _rref(fp, rows) == (want_rows, want_pivots), rows
         assert rows == before
-        m = DenseMatrix(fp, rows, ncols)
-        kept = tuple(tuple(r) for r in want_rows if any(r))
-        assert rref(m) == (DenseMatrix(fp, kept, ncols), tuple(want_pivots)), rows
-        want_kernel = _reference_kernel(rows, ncols, p)
-        assert kernel(m).basis == want_kernel, rows
-        assert _kernel_rows(fp, rows, ncols).basis == want_kernel, rows
+        assert _kernel_rows(fp, rows, ncols).basis == _reference_kernel(rows, ncols, p), rows
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
@@ -437,20 +433,15 @@ def test_kernel_rows_reduces_once(field, monkeypatch):
 
 def test_kernel_bases_are_deterministic():
     rng = SplitMix64(7)
-    m = _random_matrix(QQ, rng, 4, 6)
-    k1 = kernel(m)
-    k2 = kernel(DenseMatrix(QQ, [list(r) for r in m.rows], 6))
+    rows = _random_rows(QQ, rng, 4, 6)
+    k1 = _kernel_rows(QQ, rows, 6)
+    k2 = _kernel_rows(QQ, [list(r) for r in rows], 6)
     assert k1 == k2
     assert k1.basis == k2.basis
 
 
-def test_full_space_and_containment():
-    s = kernel(DenseMatrix(QQ, [], 4))
-    assert s.dim == 4
-    assert s.contains([1, 2, 3, 4])
-    small = SubspaceBasis(QQ, 3, ((1, 0, 2),))
-    assert small.contains([2, 0, 4])
-    assert not small.contains([1, 1, 2])
+def test_kernel_of_no_rows_is_the_full_space():
+    assert _kernel_rows(QQ, [], 4).dim == 4
 
 
 def test_echelon_invariants_enforced():

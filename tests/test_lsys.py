@@ -8,18 +8,16 @@ import pytest
 from quintics.errors import InputError
 from quintics.exactalg import (
     QQ,
-    DenseMatrix,
     PrimeField,
     SubspaceBasis,
+    _kernel_rows,
     intersect,
-    kernel,
     parse_field,
-    rank,
+    rank_rows,
 )
 from quintics.lsys import (
     _monomial_values,
     _remainder_rows,
-    _system_rows,
     _typed_subsets,
     GOLDEN_DIMS,
     HomogeneousPoly,
@@ -30,7 +28,6 @@ from quintics.lsys import (
     classify,
     classify_points,
     conic_poly,
-    constraint_matrix,
     divisibility_subspace,
     line_poly,
     linear_system_basis,
@@ -75,6 +72,11 @@ def _evaluation_row(a, d):
     return _monomial_values(a.coords, d, None)
 
 
+def _stacked_point_rows(cfg):
+    # the singularity rows of the marked points only, on quintics
+    return [row for a in cfg.points for row in singularity_rows(a, 5)]
+
+
 def _line_groups(points):
     # the index grouping read back with one ProjLine per line key
     pts = tuple(points)
@@ -99,8 +101,7 @@ def test_monomial_basis_graded_lex_order():
 # --- constraint rows ----------------------------------------------------------
 
 def test_singularity_rows_at_coordinate_point_degree2():
-    rows = singularity_rows(pt(0, 0, 1), 2)
-    ker = kernel(rows)
+    ker = _kernel_rows(QQ, singularity_rows(pt(0, 0, 1), 2), 6)
     # surviving forms are exactly the span of x^2, xy, y^2
     expected = {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
     basis_monomials = set()
@@ -114,12 +115,12 @@ def test_singularity_rows_at_coordinate_point_degree2():
 
 def test_singularity_rows_degree1_have_no_kernel():
     for coords in [(1, 2, 3), (0, 1, 4), (1, 0, 0)]:
-        assert kernel(singularity_rows(pt(*coords), 1)).dim == 0
+        assert _kernel_rows(QQ, singularity_rows(pt(*coords), 1), 3).dim == 0
 
 
 def test_singularity_rows_rank_three_for_generic_point():
-    assert rank(singularity_rows(pt(1, 0, 0), 5)) == 3
-    assert rank(singularity_rows(pt(1, 2, 3), 5)) == 3
+    assert rank_rows(QQ, singularity_rows(pt(1, 0, 0), 5)) == 3
+    assert rank_rows(QQ, singularity_rows(pt(1, 2, 3), 5)) == 3
 
 
 def test_singularity_rows_independent_of_representative():
@@ -135,7 +136,7 @@ def test_singularity_rows_agree_with_differentiation_oracle():
         vec = f.to_vector()
         point = ProjPoint(FP, (seed + 1, 3 * seed + 2, 1))
         rows = singularity_rows(point, 5)
-        applied = rows.apply(vec)
+        applied = [sum(a * b for a, b in zip(row, vec)) % FP.p for row in rows]
         grads = f.gradient_at(point)
         assert tuple(applied) == tuple(grads)
 
@@ -152,8 +153,7 @@ def test_vanishing_row_inside_singularity_row_space():
     for coords in [(1, 2, 3), (0, 1, 5), (1, 0, 0)]:
         a = pt(*coords)
         rows = singularity_rows(a, 5)
-        stacked = rows.stack(DenseMatrix(QQ, [_evaluation_row(a, 5)]))
-        assert rank(stacked) == rank(rows)
+        assert rank_rows(QQ, rows + [_evaluation_row(a, 5)]) == rank_rows(QQ, rows)
 
 
 def test_euler_identity_as_polynomials():
@@ -193,7 +193,7 @@ def test_forced_divisibility_subspace_equality():
 
     cfg = sample_generic(6, QQ, 2)
     ln = line_through(cfg.points[0], cfg.points[1])
-    ker = kernel(constraint_matrix(cfg))
+    ker = _kernel_rows(QQ, _stacked_point_rows(cfg), 21)
     div = divisibility_subspace(line_poly(ln), 2, 5)
     assert ker == div
     assert ker.dim == 10
@@ -275,10 +275,10 @@ def test_dim_component_edge_cases(field):
 
 def _reference_basis(cfg):
     # kernel of the point rows, then one annihilator intersection per
-    # squared component, built only from the public elimination routines
+    # squared component; the remainder rows it checks are never used
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, 21, ())
-    space = kernel(constraint_matrix(cfg))
+    space = _kernel_rows(cfg.field, _stacked_point_rows(cfg), 21)
     for ln in cfg.lines:
         space = intersect(space, divisibility_subspace(line_poly(ln), 2, 5))
     for qc in cfg.conics:
@@ -317,7 +317,7 @@ def test_remainder_rows_cut_out_divisibility_subspace(field):
         for d in range(2 * g.degree, 7):
             rows = _remainder_rows(g, d)
             assert len(rows) == space_dim(d) - space_dim(d - 2 * g.degree), (g.terms, d)
-            got = kernel(DenseMatrix(field, rows, space_dim(d)))
+            got = _kernel_rows(field, rows, space_dim(d))
             assert got == divisibility_subspace(g, 2, d), (g.terms, d)
     with pytest.raises(InputError):
         _remainder_rows(_component_cases(field)[0], 1)
@@ -338,7 +338,7 @@ def test_integer_clearing_over_qq_with_large_coordinates():
     )
     cfg = Config(QQ, points=points)
     dim = linear_system_dim(cfg)
-    assert dim == space_dim(5) - rank(constraint_matrix(cfg)) == 6
+    assert dim == space_dim(5) - rank_rows(QQ, _stacked_point_rows(cfg)) == 6
     assert linear_system_basis(cfg) == _reference_basis(cfg)
     line = ProjLine(QQ, (Fraction(big, 7), 1, Fraction(-3, 10 ** 9)))
     conic = Conic(QQ, (Fraction(1, 10 ** 9), 2, Fraction(-big, 13), 0, 1, 0))
@@ -392,8 +392,8 @@ def test_cubic_analogues_have_one_dimensional_systems():
     for q in cfg.points:
         rows.append(_evaluation_row(q, 3))
     assert not any(q == a for q in cfg.points)
-    rows.extend(singularity_rows(a, 3).rows)
-    assert kernel(DenseMatrix(QQ, rows, 10)).dim == 1
+    rows.extend(singularity_rows(a, 3))
+    assert _kernel_rows(QQ, rows, 10).dim == 1
 
     # six points on a nondegenerate conic plus one singular point off it
     cfg2 = sample_generic(24, QQ, 4)
@@ -405,16 +405,16 @@ def test_cubic_analogues_have_one_dimensional_systems():
     rows = []
     for q in cfg2.points:
         rows.append(_evaluation_row(q, 3))
-    rows.extend(singularity_rows(off, 3).rows)
-    assert kernel(DenseMatrix(QQ, rows, 10)).dim == 1
+    rows.extend(singularity_rows(off, 3))
+    assert _kernel_rows(QQ, rows, 10).dim == 1
 
 
 def test_quartic_contact_system_has_rank_13():
     for seed in range(3):
-        m = sample_quartic_contact_system(QQ, seed)
-        assert (m.nrows, m.ncols) == (13, 15)
-        assert rank(m) == 13
-        assert kernel(m).dim == 2
+        rows = sample_quartic_contact_system(QQ, seed)
+        assert (len(rows), {len(row) for row in rows}) == (13, {15})
+        assert rank_rows(QQ, rows) == 13
+        assert _kernel_rows(QQ, rows, 15).dim == 2
 
 
 def test_quartic_contact_system_refuses_gf2_before_any_draw(monkeypatch):
@@ -429,8 +429,8 @@ def test_quartic_contact_system_refuses_gf2_before_any_draw(monkeypatch):
     with pytest.raises(SamplingError, match="4 distinct points on one line.*fp:2 has only 3"):
         sample_quartic_contact_system(PrimeField(2), 1)
     monkeypatch.undo()
-    m = sample_quartic_contact_system(PrimeField(3), 1)
-    assert (m.nrows, m.ncols) == (13, 15)
+    rows = sample_quartic_contact_system(PrimeField(3), 1)
+    assert (len(rows), {len(row) for row in rows}) == (13, {15})
 
 
 def test_linear_systems_refuse_a_characteristic_dividing_the_degree():
@@ -619,7 +619,13 @@ def _reference_singular_points(f, p):
 
 def _reference_singular_set(f, p):
     """All-pairs line peel and a conic peel that counts the conic over the
-    whole plane."""
+    whole plane.
+
+    The conic peel keeps a conic only when all of its p + 1 points are left
+    after the line peel, so the last ``len(rest) - (p + 1) + 5`` points of
+    ``rest`` hold five points of any conic it keeps; it scans their
+    five-subsets, from the other end of ``rest`` than the package does.
+    """
     from collections import Counter
     from itertools import combinations
 
@@ -634,7 +640,8 @@ def _reference_singular_set(f, p):
         rest = [q for q in pts if not any(incident(q, ln) for ln in lines)]
     conics = []
     if p + 1 > max(f.degree, 2 * (f.degree - 2)) and len(rest) >= p + 1:
-        for five in combinations(rest[:12], 5):
+        tail = len(rest) - (p + 1) + 5
+        for five in combinations(rest[-tail:], 5):
             conic = conic_through(five)
             if conic is None or conic.is_degenerate():
                 continue
@@ -685,6 +692,20 @@ def test_oracle_matches_reference_construction(p):
         want = _reference_singular_set(f, p)
         assert singular_points_bruteforce(f, p) == _reference_singular_points(f, p), name
         assert singular_set_bruteforce(f, p) == want, name
+
+
+def test_conic_peel_finds_a_doubled_conic_at_degree_nine():
+    # q^2 l1 ... l5 over GF(17): the conic's 18 points and the 10 crossings of
+    # the lines are singular; the first twelve points of the set hold fewer
+    # than five of the conic's
+    fp = PrimeField(17)
+    f = conic_poly(Conic(fp, (1, 1, -1, 0, 0, 3))) ** 2
+    for coeffs in ((1, 10, 7), (1, 16, 0), (1, 5, 15), (0, 1, 0), (1, 0, 9)):
+        f = f * line_poly(ProjLine(fp, coeffs))
+    got = singular_set_bruteforce(f, 17)
+    assert len(got.conic_components) == 1
+    assert len(got.isolated_points) == 10
+    assert got == _reference_singular_set(f, 17)
 
 
 def test_oracle_forms_reach_every_branch():
@@ -877,7 +898,7 @@ def test_oracle_inputs_match_the_reference_routes(type_id, p):
     fp = PrimeField(p)
     cfg = sample_generic(type_id, fp, derive_seed(p, type_id))
     basis = linear_system_basis(cfg)
-    assert basis == kernel(DenseMatrix(fp, _system_rows(cfg, 5), 21))
+    assert basis == _reference_basis(cfg)
     assert basis.dim == GOLDEN_DIMS[type_id]
     rng = SplitMix64(derive_seed(p, type_id, 1))
     vec = [0] * 21

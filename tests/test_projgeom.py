@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quintics.errors import InputError, SamplingError
-from quintics.exactalg import QQ, DenseMatrix, PrimeField, kernel, parse_field
+from quintics.exactalg import QQ, PrimeField, _kernel_rows, parse_field
 from quintics.formats import config_to_json, value_list
 from quintics.rng import SplitMix64
 from quintics.lsys import classify, sample_quartic_contact_system
@@ -111,8 +111,7 @@ def test_five_on_conic_plus_generic_point_off():
     assert Conic(QQ, (0, 0, -1, 1, 0, 0)).contains(pt(1, 1, 1))
     pts[-1] = pt(1, 2, 3)  # 2 - 9 != 0
     # independent oracle: 6x6 Veronese determinant via kernel dimension
-    m = DenseMatrix(QQ, [veronese(q) for q in pts], 6)
-    assert kernel(m).dim == 0
+    assert _kernel_rows(QQ, [veronese(q) for q in pts], 6).dim == 0
     assert not on_common_conic(pts)
 
 
@@ -632,7 +631,7 @@ def test_points_on_line_basis_is_the_kernel_basis(field):
         for vals in combinations(values, bin(pattern).count("1")):
             it = iter(vals)
             line = ProjLine(field, tuple(next(it) if pattern >> i & 1 else 0 for i in range(3)))
-            basis = kernel(DenseMatrix(field, [line.coeffs], 3)).basis
+            basis = _kernel_rows(field, [line.coeffs], 3).basis
             expected = tuple(ProjPoint(field, v) for v in basis)
             assert points_on_line_basis(line) == expected
             assert all(incident(q, line) for q in expected)
@@ -719,7 +718,7 @@ def _point_and_quartic_samples() -> dict:
     ``POINT_AND_QUARTIC_FIELDS``, keyed "<field> seed <s> k <k>" and
     "<field> seed <s> quartic".
 
-    A value is a ``config_to_json`` dict, the matrix rows as value lists, or
+    A value is a ``config_to_json`` dict, the system's rows as value lists, or
     the message of the ``SamplingError`` raised.  The stored file was written
     in the layout of ``samples.expected.json`` before the samplers' rejection
     loops were folded into one guarded draw and one bounded retry.
@@ -734,7 +733,7 @@ def _point_and_quartic_samples() -> dict:
                 except SamplingError as exc:
                     value = {"SamplingError": str(exc)}
                 out[f"{name} seed {seed} k {k}"] = value
-            rows = sample_quartic_contact_system(field, seed).rows
+            rows = sample_quartic_contact_system(field, seed)
             out[f"{name} seed {seed} quartic"] = [value_list(field, row) for row in rows]
     return out
 

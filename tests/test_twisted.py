@@ -213,8 +213,8 @@ def test_induced_map_of_iso_is_invertible():
         for m in mats:
             if not m:
                 continue
-            from quintics.exactalg import QQ, DenseMatrix, rank
-            assert rank(DenseMatrix(QQ, [list(r) for r in m])) == len(m)
+            from quintics.exactalg import QQ, rank_rows
+            assert rank_rows(QQ, [list(r) for r in m]) == len(m)
 
 
 def test_induced_map_of_a_self_map_takes_each_basis_once(monkeypatch):
