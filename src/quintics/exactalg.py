@@ -183,8 +183,10 @@ def parse_field(spec: str) -> Field:
 class SubspaceBasis:
     """A linear subspace given by a reduced-echelon basis of row vectors.
 
-    Pivots strictly increase row by row and every pivot entry is 1, so equal
-    subspaces always produce identical objects.
+    Pivots strictly increase row by row, every pivot entry is 1, every other
+    entry of a pivot column is 0, and over GF(p) every entry is a residue in
+    ``[0, p)``, so equal subspaces always produce identical objects.  A basis
+    that breaks any of these raises ``InputError``.
     """
 
     field: Field
@@ -192,18 +194,24 @@ class SubspaceBasis:
     basis: tuple
 
     def __post_init__(self):
-        prev = -1
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        pivots: list[int] = []
         for row in self.basis:
             if len(row) != self.ambient_dim:
                 raise InputError("basis vector of wrong length")
-            piv = next((j for j, v in enumerate(row) if not self.field.is_zero(v)), None)
+            if p is not None and not all(type(v) is int and 0 <= v < p for v in row):
+                raise InputError(f"basis entries over {self.field} must be residues in [0, {p})")
+            piv = next((j for j, v in enumerate(row) if v), None)
             if piv is None:
                 raise InputError("zero vector in basis")
-            if piv <= prev:
+            if pivots and piv <= pivots[-1]:
                 raise InputError("basis rows are not in echelon order")
-            if row[piv] != self.field.one():
+            if row[piv] != 1:
                 raise InputError("pivot entries must equal 1")
-            prev = piv
+            pivots.append(piv)
+        for c in pivots:
+            if sum(1 for row in self.basis if row[c]) != 1:
+                raise InputError("basis is not reduced: a pivot column has another nonzero entry")
 
     @property
     def dim(self) -> int:
@@ -300,8 +308,10 @@ def _fp_rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
 
 
 def _integer_row(row: Sequence) -> list[int]:
-    """The row times the lcm of its denominators: an integer row spanning the
-    same line.  Entries may be ints or Fractions."""
+    """The row times the lcm of its denominators: a list of ints spanning the
+    same line.  Entries may be ints or Fractions.  Only values that arrive
+    as Fractions need it: points, lines and conics store integer keys, and
+    rows of ints are ranked as they are."""
     lcm = 1
     for v in row:
         d = v.denominator
@@ -421,13 +431,15 @@ def _rref(field: Field, rows: Sequence[Sequence]) -> tuple[list, list[int]]:
 def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     """Rank over ``field`` of equal-length rows.
 
-    Over QQ the entries may be ints or Fractions; each row is cleared to
-    integers and the rows are ranked by the fraction-free pass on primitive
-    rows, ``_qq_forward``.  Over GF(p) the entries must be ints in
-    ``[0, p)``.  The rows are left unchanged.
+    Over QQ the entries may be ints or Fractions; a row that holds a
+    Fraction is cleared to integers, a row of ints is taken as it is, and
+    the rows are ranked by the fraction-free pass on primitive rows,
+    ``_qq_forward``.  Over GF(p) the entries must be ints in ``[0, p)``.
+    The rows are left unchanged.
     """
     if isinstance(field, RationalField):
-        return len(_qq_forward([_integer_row(row) for row in rows]))
+        return len(_qq_forward([_integer_row(row) if Fraction in map(type, row) else row
+                                for row in rows]))
     return len(_fp_forward(field.p, rows)[1])
 
 
@@ -466,14 +478,11 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     """Echelonized basis of the intersection of two subspaces.
 
     Uses the annihilator trick: the intersection is the kernel of the stacked
-    annihilators of the two row spaces.  The bases are coerced first, since
-    one built by hand over GF(p) may hold residues outside ``[0, p)``.
+    annihilators of the two row spaces.
     """
     _check_compatible(a, b)
     f, n = a.field, a.ambient_dim
-    ann: tuple = ()
-    for s in (a, b):
-        ann += _kernel_rows(f, [[f.coerce(v) for v in row] for row in s.basis], n).basis
+    ann = _kernel_rows(f, a.basis, n).basis + _kernel_rows(f, b.basis, n).basis
     return _kernel_rows(f, ann, n)
 
 

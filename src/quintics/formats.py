@@ -43,12 +43,10 @@ def config_to_json(cfg: Config) -> dict:
 def config_from_json(data: dict) -> Config:
     try:
         field = parse_field(data["field"])
-        points = tuple(ProjPoint(field, tuple(field.coerce(v) for v in coords))
-                       for coords in data.get("points", []))
-        lines = tuple(ProjLine(field, tuple(field.coerce(v) for v in coeffs))
-                      for coeffs in data.get("lines", []))
-        conics = tuple(Conic(field, tuple(field.coerce(v) for v in coeffs))
-                       for coeffs in data.get("conics", []))
+        # the constructors parse the values ("3/4", ints) into the field
+        points = tuple(ProjPoint(field, tuple(c)) for c in data.get("points", []))
+        lines = tuple(ProjLine(field, tuple(c)) for c in data.get("lines", []))
+        conics = tuple(Conic(field, tuple(c)) for c in data.get("conics", []))
         return Config(field, points=points, lines=lines, conics=conics,
                       type_id=data.get("type_id", "untyped"),
                       whole_plane=bool(data.get("whole_plane", False)))

@@ -42,7 +42,6 @@ from .projgeom import (
     _from_key,
     _groups_of,
     _index_groups,
-    _int_rep,
     _modulus,
     _unique_conic,
     collinear,
@@ -357,15 +356,16 @@ def _remainder_rows(g: HomogeneousPoly, d: int) -> list:
 def _system_rows(cfg: Config, d: int) -> list:
     """Rows whose kernel is the space of degree-d forms singular along ``cfg``.
 
-    The derivative rows of the marked points are stacked with the remainder
-    rows of each line or conic component.  Over GF(p) the entries are
-    residues; over QQ they are ints, the point rows taken at an integer
-    representative of each point (the row span does not depend on it).
+    The derivative rows of the marked points, taken at each point's key,
+    are stacked with the remainder rows of each line or conic component.
+    Over GF(p) the entries are residues; over QQ they are ints.  A key is
+    one representative of the point, and the row span does not depend on
+    which.
     """
     p = _modulus(cfg.field)
     rows: list = []
     for pt in cfg.points:
-        rows.extend(_point_rows(pt.coords if p else _integer_row(pt.coords), d, p))
+        rows.extend(_point_rows(pt.key, d, p))
     for ln in cfg.lines:
         rows.extend(_remainder_rows(line_poly(ln), d))
     for qc in cfg.conics:
@@ -853,8 +853,8 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
     (the patterns are mutually exclusive and exhaustive on their strata), and
     every proper subset that matches any type at all must match one with a
     strictly smaller index.  The types come from :func:`_typed_subsets`,
-    which gives what ``classify_points`` gives with one set of integer
-    triples and one conic memo per sample.
+    which gives what ``classify_points`` gives with one conic memo per
+    sample.
     """
     checked = 0
     subset_checks = 0
@@ -882,15 +882,14 @@ def _typed_subsets(cfg: Config):
     for each proper nonempty subset of them by size, each size in
     combinations order, with the type ``classify_points`` gives.
 
-    The integer triples of the points are taken once.  A set of at most
-    three points is typed by its size, since a configuration's points are
-    distinct; a larger one is grouped by ``projgeom._groups_of`` on its
-    triples.  ``_unique_conic`` is asked at most once per point set: its
-    answers are kept for the whole walk.
+    A set of at most three points is typed by its size, since a
+    configuration's points are distinct; a larger one is grouped by
+    ``projgeom._groups_of`` on its points' keys.  ``_unique_conic`` is asked
+    at most once per point set: its answers are kept for the whole walk.
     """
     pts = cfg.points
     p = _modulus(cfg.field)
-    reps = [_int_rep(cfg.field, q.coords) for q in pts]
+    reps = [q.key for q in pts]
     conics: dict = {}
 
     def conic(points):

@@ -1,20 +1,21 @@
 """Projective plane geometry over an exact field.
 
-Points, lines and conics are stored as normalized homogeneous coordinate
-tuples (first nonzero coordinate scaled to 1), which makes equality testing
-and hashing canonical.  The incidence and genericity predicates here are the
-primitives the configuration samplers and the classifier are built on.
+A point, line or conic stores one canonical integer key, its homogeneous
+coordinate tuple scaled into a normal form: over GF(p) the residues scaled to
+a leading 1, over QQ the primitive integer vector with a positive leading
+entry.  Equality and hashing compare keys, and joins, intersections,
+determinants and the incidence and genericity predicates the configuration
+samplers and the classifier are built on all compute on them, so no Fraction
+arithmetic happens inside them.  The public ``coords`` and ``coeffs`` are
+views that rebuild the normalized values (leading entry 1, Fractions over QQ)
+for writers and for callers that need the values themselves.
 
-Joins, intersections and determinants are taken on integer representatives:
-the residues over GF(p), and over QQ the coordinates times the lcm of their
-denominators, so no Fraction arithmetic happens inside them.  The line
-through two points then has a canonical integer key, its coefficients scaled
-to a leading 1 over GF(p) and made primitive with a positive leading entry
-over QQ.  :func:`_groups_of`, which groups the integer triples of a point
-set by the keys of the lines through their pairs (:func:`_index_groups` on
-the points themselves), is the one place that decides which points of a set
-are collinear.  :func:`hausdorff` is the exact metric on finite point sets
-used by the metric axiom tests.
+The line through two points has the key :func:`_join_key` gives the cross
+product of theirs.  :func:`_groups_of`, which groups the keys of a point set
+by the keys of the lines through their pairs (:func:`_index_groups` on the
+points themselves), is the one place that decides which points of a set are
+collinear.  :func:`hausdorff` is the exact metric on finite point sets used
+by the metric axiom tests.
 """
 
 from __future__ import annotations
@@ -37,24 +38,22 @@ from .exactalg import (
 
 
 def _normalize(field: Field, coords: Sequence) -> tuple:
-    if isinstance(field, RationalField):
-        ints = _integer_row([v if type(v) is int else field.coerce(v) for v in coords])
-        lead = next((v for v in ints if v), None)
-        if lead is None:
-            raise InputError("homogeneous coordinates must not all vanish")
-        return tuple(Fraction(v, lead) for v in ints)
-    vals = [field.coerce(v) for v in coords]
+    """The key of nonzero homogeneous coordinates (ints, Fractions or numeric
+    strings): residues scaled to a leading 1 over GF(p), the primitive
+    integer vector with a positive leading entry over QQ."""
+    p = _modulus(field)
+    if p is None:
+        vals = _integer_row([v if type(v) is int else field.coerce(v) for v in coords])
+    else:
+        vals = [field.coerce(v) for v in coords]
     lead = next((v for v in vals if v), None)
     if lead is None:
         raise InputError("homogeneous coordinates must not all vanish")
-    inv = field.inv(lead)
-    return tuple(inv * v % field.p for v in vals)
-
-
-def _int_rep(field: Field, coords: tuple):
-    """Integer coordinates of the same projective object: the residues over
-    GF(p), the coordinates times the lcm of their denominators over QQ."""
-    return coords if isinstance(field, PrimeField) else _integer_row(coords)
+    if p is None:
+        s = gcd(*vals) if lead > 0 else -gcd(*vals)
+        return tuple(v // s for v in vals)
+    inv = pow(lead, -1, p)
+    return tuple(inv * v % p for v in vals)
 
 
 def _modulus(field: Field) -> Optional[int]:
@@ -62,12 +61,8 @@ def _modulus(field: Field) -> Optional[int]:
 
 
 def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
-    """Canonical key of the cross product of two integer triples, or None when
-    it vanishes (the two represent one projective object).
-
-    Over GF(p) the key is scaled to a leading 1; over QQ (``p`` None) it is
-    primitive with a positive leading entry.
-    """
+    """Key of the cross product of two keys over GF(p), or over QQ when ``p``
+    is None; None when it vanishes (the two are one projective object)."""
     (a, b, c), (d, e, g) = u, v
     x, y, z = b * g - c * e, c * d - a * g, a * e - b * d
     if p is None:
@@ -87,89 +82,94 @@ def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[
 
 
 def _from_key(cls, field: Field, key: tuple):
-    """The point or line with integer key ``key``, normalized directly from it
-    without a second pass through ``__post_init__``."""
-    if isinstance(field, RationalField):
-        lead = next(v for v in key if v)
-        key = tuple(Fraction(v, lead) for v in key)
+    """The ``cls`` object with key ``key``, built without a second pass
+    through ``__post_init__``."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "field", field)
-    object.__setattr__(obj, "coords" if cls is ProjPoint else "coeffs", key)
+    object.__setattr__(obj, "key", key)
     object.__setattr__(obj, "_hash", hash((field.name, key)))
     return obj
 
 
-# ProjPoint and ProjLine hash their (field, triple) pair once, when built: the
-# value the dataclass hash would compute on every lookup, which for Fraction
-# coordinates costs a modular inverse per coordinate.  A Field hashes as its
-# name, so hashing (field.name, triple) gives that value without a call to
+# A projective object hashes its (field, key) pair once, when built: the
+# value the dataclass hash would compute on every lookup.  A Field hashes as
+# its name, so hashing (field.name, key) gives that value without a call to
 # Field.__hash__, which a line made once and hashed once would notice.
 @dataclass(frozen=True)
-class ProjPoint:
-    """A point of the projective plane in normalized homogeneous coordinates."""
+class _Keyed:
+    """A point, line or conic, stored by its key; the subclass fixes the
+    key's length."""
 
     field: Field
-    coords: tuple
+    key: tuple
 
     def __post_init__(self):
-        if len(self.coords) != 3:
-            raise InputError("a projective point needs 3 coordinates")
-        object.__setattr__(self, "coords", _normalize(self.field, self.coords))
-        object.__setattr__(self, "_hash", hash((self.field.name, self.coords)))
+        if len(self.key) != self._length:
+            raise InputError(self._wrong_length)
+        object.__setattr__(self, "key", _normalize(self.field, self.key))
+        object.__setattr__(self, "_hash", hash((self.field.name, self.key)))
 
     def __hash__(self) -> int:
         return self._hash
 
+    @property
+    def _normalized(self) -> tuple:
+        """The key over GF(p); over QQ its Fractions with a leading 1."""
+        if isinstance(self.field, PrimeField):
+            return self.key
+        lead = next(v for v in self.key if v)
+        return tuple(Fraction(v, lead) for v in self.key)
 
-@dataclass(frozen=True)
-class ProjLine:
-    """A line, stored by its normalized coefficient triple."""
 
-    field: Field
-    coeffs: tuple
+class ProjPoint(_Keyed):
+    """A point of the projective plane, built from any nonzero homogeneous
+    coordinates; ``coords`` are the normalized ones."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != 3:
-            raise InputError("a line needs 3 coefficients")
-        object.__setattr__(self, "coeffs", _normalize(self.field, self.coeffs))
-        object.__setattr__(self, "_hash", hash((self.field.name, self.coeffs)))
+    _length, _wrong_length = 3, "a projective point needs 3 coordinates"
+    coords = _Keyed._normalized
 
-    def __hash__(self) -> int:
-        return self._hash
+
+class ProjLine(_Keyed):
+    """A line, built from any nonzero coefficient triple; ``coeffs`` are the
+    normalized coefficients."""
+
+    _length, _wrong_length = 3, "a line needs 3 coefficients"
+    coeffs = _Keyed._normalized
 
 
 # Coefficient order for conics throughout the package.
 CONIC_MONOMIALS = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
-@dataclass(frozen=True)
-class Conic:
-    """A conic with coefficients ordered (x^2, y^2, z^2, xy, xz, yz)."""
+def _conic_value(coeffs: Sequence, pt: Sequence):
+    """The quadratic form with coefficients ``coeffs`` at ``pt``, unreduced."""
+    a, b, c, d, e, g = coeffs
+    x, y, z = pt
+    return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + g * y * z
 
-    field: Field
-    coeffs: tuple
 
-    def __post_init__(self):
-        if len(self.coeffs) != 6:
-            raise InputError("a conic needs 6 coefficients")
-        object.__setattr__(self, "coeffs", _normalize(self.field, self.coeffs))
+class Conic(_Keyed):
+    """A conic, built from any nonzero coefficients ordered
+    (x^2, y^2, z^2, xy, xz, yz); ``coeffs`` are the normalized ones."""
+
+    _length, _wrong_length = 6, "a conic needs 6 coefficients"
+    coeffs = _Keyed._normalized
 
     def evaluate(self, pt: ProjPoint):
+        """The value of the normalized form at the normalized coordinates."""
         _same_field(self.field, pt.field)
-        a, b, c, d, e, g = self.coeffs
-        x, y, z = pt.coords
-        return self.field.coerce(a * x * x + b * y * y + c * z * z
-                                 + d * x * y + e * x * z + g * y * z)
+        return self.field.coerce(_conic_value(self.coeffs, pt.coords))
 
     def is_degenerate(self) -> bool:
         # Determinant of the doubled symmetric matrix; zero iff the conic
         # splits into lines (valid in any odd characteristic).
         _odd_characteristic(self.field)
-        a, b, c, d, e, g = self.coeffs
+        a, b, c, d, e, g = self.key
         return self.field.is_zero(_det3(((2 * a, d, e), (d, 2 * b, g), (e, g, 2 * c))))
 
     def contains(self, pt: ProjPoint) -> bool:
-        return self.field.is_zero(self.evaluate(pt))
+        _same_field(self.field, pt.field)
+        return self.field.is_zero(_conic_value(self.key, pt.key))
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def _odd_characteristic(field: Field) -> None:
 def incident(pt: ProjPoint, ln: ProjLine) -> bool:
     """True iff the point lies on the line."""
     _same_field(pt.field, ln.field)
-    (x, y, z), (a, b, c) = pt.coords, ln.coeffs
+    (x, y, z), (a, b, c) = pt.key, ln.key
     return pt.field.is_zero(a * x + b * y + c * z)
 
 
@@ -236,30 +236,22 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
     _same_field(f, p3.field)
     if len({p1, p2, p3}) != 3:
         raise InputError("collinearity is only defined for distinct points")
-    return f.is_zero(_det3([_int_rep(f, q.coords) for q in (p1, p2, p3)]))
+    return f.is_zero(_det3([p1.key, p2.key, p3.key]))
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     f = p1.field
     _same_field(f, p2.field)
-    key = _join_key(_modulus(f), _int_rep(f, p1.coords), _int_rep(f, p2.coords))
+    key = _join_key(_modulus(f), p1.key, p2.key)
     if key is None:
         raise InputError("two coincident points do not span a line")
     return _from_key(ProjLine, f, key)
 
 
-def _line_key(ln: ProjLine) -> tuple:
-    """The integer key of a line, as :func:`_join_key` gives it for two of
-    its points (a normalized rational triple, cleared of denominators, is
-    already primitive with a positive lead)."""
-    return tuple(_int_rep(ln.field, ln.coeffs))
-
-
 def _index_groups(points: Sequence[ProjPoint]) -> dict:
-    """Map the integer key of each line through at least two of the points to
-    the indices of the points on it, as :func:`_groups_of` gives it for their
-    integer triples.  Points over different fields raise
-    :class:`FieldMismatchError`.
+    """Map the key of each line through at least two of the points to the
+    indices of the points on it, as :func:`_groups_of` gives it for their
+    keys.  Points over different fields raise :class:`FieldMismatchError`.
     """
     pts = tuple(points)
     if not pts:
@@ -267,12 +259,12 @@ def _index_groups(points: Sequence[ProjPoint]) -> dict:
     f = pts[0].field
     for q in pts[1:]:
         _same_field(f, q.field)
-    return _groups_of(_modulus(f), [_int_rep(f, q.coords) for q in pts])
+    return _groups_of(_modulus(f), [q.key for q in pts])
 
 
 def _groups_of(p: Optional[int], reps: Sequence) -> dict:
-    """:func:`_index_groups` on the integer triples ``reps`` of points over
-    GF(p), or over QQ when ``p`` is None.
+    """:func:`_index_groups` on the keys ``reps`` of points over GF(p), or
+    over QQ when ``p`` is None.
 
     The indices of each line are increasing, and the lines come in the order
     their first pair is met.  Only the key of each pair's join is computed,
@@ -327,18 +319,18 @@ def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     f = l1.field
     _same_field(f, l2.field)
-    key = _join_key(_modulus(f), _int_rep(f, l1.coeffs), _int_rep(f, l2.coeffs))
+    key = _join_key(_modulus(f), l1.key, l2.key)
     if key is None:
         raise InputError("coincident lines have no unique intersection")
     return _from_key(ProjPoint, f, key)
 
 
 def _line_basis(ln: ProjLine) -> tuple[list, list]:
-    """Two integer vectors spanning the line: with l_f its last nonzero
-    coefficient, ``l_f e_q - l_q e_f`` for each other column q in increasing
+    """Two integer vectors spanning the line: with l_f the last nonzero entry
+    of its key, ``l_f e_q - l_q e_f`` for each other column q in increasing
     order.  They are the echelon basis of the line's kernel, both scaled by
     l_f."""
-    coeffs = _int_rep(ln.field, ln.coeffs)
+    coeffs = ln.key
     f = 2 if coeffs[2] else 1 if coeffs[1] else 0
     basis = []
     for q in range(3):
@@ -357,9 +349,12 @@ def points_on_line_basis(ln: ProjLine) -> tuple[ProjPoint, ProjPoint]:
 
 
 def veronese(pt: ProjPoint) -> tuple:
-    """Degree-2 Veronese coordinates in the package conic ordering."""
-    x, y, z = pt.coords
-    return tuple(map(pt.field.coerce, (x * x, y * y, z * z, x * y, x * z, y * z)))
+    """Degree-2 Veronese coordinates of the point's key in the package conic
+    ordering: residues over GF(p), ints over QQ."""
+    x, y, z = pt.key
+    vals = (x * x, y * y, z * z, x * y, x * z, y * z)
+    p = _modulus(pt.field)
+    return tuple(v % p for v in vals) if p else vals
 
 
 def on_common_conic(pts: Sequence[ProjPoint]) -> bool:
@@ -397,17 +392,13 @@ def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
 
 
 def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:
-    a, b, cc, d, e, g = c.coeffs
-    (x1, y1, z1), (x2, y2, z2) = p.coords, q.coords
-
-    def val(x, y, z):
-        return a * x * x + b * y * y + cc * z * z + d * x * y + e * x * z + g * y * z
-
-    A = val(x1, y1, z1)
-    C = val(x2, y2, z2)
+    """The restriction (A, B, C) of the conic's key to s p + t q on the
+    points' keys, unreduced."""
+    A = _conic_value(c.key, p.key)
+    C = _conic_value(c.key, q.key)
     # B = c(p+q) - c(p) - c(q), the polarization of the quadratic form.
-    B = val(x1 + x2, y1 + y2, z1 + z2) - A - C
-    return tuple(map(c.field.coerce, (A, B, C)))
+    B = _conic_value(c.key, [u + v for u, v in zip(p.key, q.key)]) - A - C
+    return A, B, C
 
 
 def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoint | None:
@@ -436,7 +427,7 @@ def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoi
         if f.is_zero(C):
             raise InputError("line is a component of the conic")
         return None
-    return ProjPoint(f, tuple(C * pc - B * qc for pc, qc in zip(p.coords, q.coords)))
+    return ProjPoint(f, tuple(C * pc - B * qc for pc, qc in zip(p.key, q.key)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .projgeom import (
     _det3,
     _index_groups,
     _line_basis,
-    _line_key,
     _modulus,
     _no_collinear_triple,
     _odd_characteristic,
@@ -180,7 +179,7 @@ def _line_capacity(field: Field, need: int, what: str) -> None:
 
 def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
     """Every line through three or more of the points must be an allowed line."""
-    keys = {_line_key(ln) for ln in allowed}
+    keys = {ln.key for ln in allowed}
     return all(key in keys for key, on in _index_groups(points).items() if len(on) >= 3)
 
 
@@ -539,14 +538,14 @@ def random_projective_transform(field: Field, seed: int) -> list:
 
 
 def apply_transform_to_point(m: list, pt: ProjPoint) -> ProjPoint:
-    x, y, z = pt.coords
+    x, y, z = pt.key
     return ProjPoint(pt.field, tuple(r0 * x + r1 * y + r2 * z for r0, r1, r2 in m))
 
 
 def apply_transform_to_line(m: list, ln: ProjLine) -> ProjLine:
     # Lines transform by the inverse transpose; the adjugate differs from it
     # by a nonzero determinant factor, which projective normalization kills.
-    a, b, c = ln.coeffs
+    a, b, c = ln.key
     return ProjLine(ln.field, tuple(a * c0 + b * c1 + c * c2
                                     for c0, c1, c2 in zip(*_adjugate3(m))))
 
@@ -564,7 +563,7 @@ def _transform_conic(m: list, c: Conic) -> Conic:
     # q'(x) = q(Ax) with A = adjugate(m), expanded through the Veronese map.
     r0, r1, r2 = _adjugate3(m)
     acc = [0] * 6
-    for coef, (u, v) in zip(c.coeffs, ((r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2))):
+    for coef, (u, v) in zip(c.key, ((r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2))):
         for i, val in enumerate(_sym(u, v)):
             acc[i] += coef * val
     return Conic(c.field, tuple(acc))

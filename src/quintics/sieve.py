@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import PrimeField
-from .projgeom import ProjLine, ProjPoint, _from_key, _unique_conic
+from .projgeom import ProjLine, ProjPoint, _conic_value, _from_key, _unique_conic
 
 if TYPE_CHECKING:
     from .lsys import HomogeneousPoly
@@ -326,11 +326,9 @@ def _peel_conic_component(rest: list, keys: list, nlines: int,
         conic = _unique_conic(five)
         if conic is None or conic.is_degenerate():
             continue
-        a, b, c, d, e, g = conic.coeffs
 
         def on(key: tuple) -> bool:
-            x, y, z = key
-            return (a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + g * y * z) % p == 0
+            return _conic_value(conic.key, key) % p == 0
 
         if sum(map(on, keys)) == p + 1:
             return [conic], [key for key in rest if not on(key)]

@@ -61,11 +61,20 @@ def test_intersect_shared_axis():
     assert got.basis == ((Fraction(0), Fraction(1), Fraction(0)),)
 
 
-def test_intersect_reduces_hand_built_residues():
+def test_subspace_basis_refuses_non_canonical_bases():
+    # Each refused basis spans a subspace that has a canonical basis too, so
+    # accepting it would make two unequal objects of one subspace.
     fp = PrimeField(7)
-    a = SubspaceBasis(fp, 3, ((1, -1, 0),))
-    b = SubspaceBasis(fp, 3, ((1, 6, 0),))
-    assert intersect(a, b).basis == intersect(a, a).basis == ((1, 6, 0),)
+    for residues in (((1, -1, 0),), ((1, 13, 0),)):
+        with pytest.raises(InputError):
+            SubspaceBasis(fp, 3, residues)  # the line of (1, 6, 0)
+    with pytest.raises(InputError):
+        SubspaceBasis(fp, 3, ((1, 1, 0), (0, 1, 0)))  # not reduced
+    with pytest.raises(InputError):
+        SubspaceBasis(QQ, 3, ((1, 1, 0), (0, 1, 0)))
+    a = SubspaceBasis(fp, 3, ((1, 6, 0),))
+    plane = SubspaceBasis(fp, 3, ((1, 0, 0), (0, 1, 0)))
+    assert intersect(a, plane) == intersect(a, a) == a
 
 
 def test_prime_field_rejects_composite():

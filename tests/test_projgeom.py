@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -86,11 +87,43 @@ def test_point_and_line_hashes_are_the_dataclass_hash(field):
              line_through(a, b),  # from the line's integer key
              line_intersection(line_through(a, b), line_through(c, d))]
     for obj in built:
-        triple = obj.coords if isinstance(obj, ProjPoint) else obj.coeffs
-        assert hash(obj) == hash((field, triple))
-        assert hash(obj) == hash(type(obj)(field, triple))
+        # the dataclass hash is the hash of the field tuple (field, key)
+        assert hash(obj) == hash((field, obj.key))
+        assert hash(obj) == hash(type(obj)(field, obj.key))
     assert line_through(a, b) == ProjLine(field, line_through(a, b).coeffs)
     assert {line_through(a, b), line_through(b, a)} == {line_through(a, b)}
+
+
+_qq_entry = st.one_of(st.integers(min_value=-40, max_value=40),
+                      st.fractions(min_value=-40, max_value=40, max_denominator=15))
+_qq_kinds = st.sampled_from([(ProjPoint, 3, "coords"), (ProjLine, 3, "coeffs"),
+                             (Conic, 6, "coeffs")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_qq_kinds, st.data())
+def test_qq_keys_are_primitive_and_decide_equality(kind, data):
+    cls, n, view = kind
+    # entries in {-1, 0, 1} make equal twins common
+    vectors = st.one_of(st.lists(_qq_entry, min_size=n, max_size=n),
+                        st.lists(st.integers(-1, 1), min_size=n, max_size=n)).filter(any)
+    vals, other = data.draw(vectors), data.draw(vectors)
+    scalar = data.draw(_qq_entry.filter(bool))
+    obj = cls(QQ, tuple(vals))
+    key = obj.key
+    assert all(type(v) is int for v in key)
+    assert gcd(*key) == 1 and next(v for v in key if v) > 0
+    # the view is the normalization points, lines and conics used to store
+    lead = next(Fraction(v) for v in vals if v)
+    assert getattr(obj, view) == tuple(Fraction(v) / lead for v in vals)
+    assert all(type(v) is Fraction for v in getattr(obj, view))
+    for multiple in ([2 * v for v in vals], [-v for v in vals], [scalar * v for v in vals]):
+        same = cls(QQ, tuple(multiple))
+        assert same == obj and same.key == key and hash(same) == hash(obj)
+    twin = cls(QQ, tuple(other))
+    assert (twin == obj) == (twin.key == key) == (getattr(twin, view) == getattr(obj, view))
+    if twin == obj:
+        assert hash(twin) == hash(obj)
 
 
 # --- conics ----------------------------------------------------------------
