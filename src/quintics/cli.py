@@ -95,7 +95,6 @@ def cmd_classify(args) -> int:
     field = PrimeField(p)
     if poly.field != field:
         poly = poly.reduce_to(field)
-    _euler_relation(field, poly.degree)
     sing = singular_set_bruteforce(poly, p)
     cfg = sing.as_config()
     results = []
@@ -104,13 +103,11 @@ def cmd_classify(args) -> int:
     else:
         type_id = classify(cfg)
         verdict = type_id if type_id is not None else "none"
-        if type_id is not None:
-            dim = linear_system_dim(cfg, poly.degree) \
-                if poly.degree == 5 else None
-            if dim is not None:
-                results.append(_check(f"type {type_id} dimension", GOLDEN_DIMS[type_id], dim))
-                results.append(_check(f"type {type_id} codimension",
-                                      21 - GOLDEN_DIMS[type_id], 21 - dim))
+        if type_id is not None and poly.degree == 5:
+            dim = linear_system_dim(cfg, poly.degree)
+            results.append(_check(f"type {type_id} dimension", GOLDEN_DIMS[type_id], dim))
+            results.append(_check(f"type {type_id} codimension",
+                                  21 - GOLDEN_DIMS[type_id], 21 - dim))
     report = {
         "command": "classify",
         "inputs": {"poly": args.poly, "prime": p},

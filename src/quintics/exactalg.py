@@ -4,7 +4,8 @@ Two coefficient fields are supported: arbitrary-precision rationals (``QQ``)
 and prime fields ``GF(p)``.  Rationals are stored as ``fractions.Fraction``
 (always in lowest terms with positive denominator), prime-field elements as
 plain ints in ``[0, p)``.  Arithmetic on them is Python's own; a
-:class:`Field` supplies only what differs between the two fields.
+:class:`Field` supplies only what differs between the two fields, and its
+``p``, the modulus or ``None`` over QQ, tells them apart.
 
 Each field has one forward elimination pass: rank is its pivot count, and
 reduced row echelon form (used for kernels and canonical subspace bases) is
@@ -76,8 +77,9 @@ class Field:
     """What differs between the two coefficient fields, and nothing more.
 
     Arithmetic is Python's: ``+``, ``-``, ``*`` and negation act on the raw
-    values directly, Fractions over QQ and ints over GF(p), and division is
-    multiplication by ``inv``.  Over GF(p) the results are unreduced ints;
+    values directly, Fractions over QQ and ints over GF(p).  ``p`` is the
+    modulus over GF(p) and ``None`` over QQ; it is the one test of which
+    field a value lives in.  Over GF(p) the results are unreduced ints;
     ``coerce`` maps them (or any int, Fraction or numeric string) to the
     canonical value, a ``Fraction`` over QQ or a residue in ``[0, p)`` over
     GF(p).  ``is_zero`` accepts unreduced values, and ``zero``/``one`` are
@@ -85,6 +87,7 @@ class Field:
     """
 
     name: str
+    p: int | None = None
 
     def coerce(self, value) -> RawValue:
         raise NotImplementedError
@@ -94,9 +97,6 @@ class Field:
 
     def one(self) -> RawValue:
         return self.coerce(1)
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         raise NotImplementedError
@@ -120,11 +120,6 @@ class RationalField(Field):
         if isinstance(value, float):
             raise InputError("floats are not exact; pass Fraction, int or str")
         return Fraction(value)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -153,11 +148,6 @@ class PrimeField(Field):
         if isinstance(value, str):
             return self.coerce(Fraction(value))
         return int(value) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -194,7 +184,7 @@ class SubspaceBasis:
     basis: tuple
 
     def __post_init__(self):
-        p = self.field.p if isinstance(self.field, PrimeField) else None
+        p = self.field.p
         pivots: list[int] = []
         for row in self.basis:
             if len(row) != self.ambient_dim:
@@ -403,7 +393,7 @@ def _rref(field: Field, rows: Sequence[Sequence]) -> tuple[list, list[int]]:
     """
     if not rows:
         return rows, []
-    if isinstance(field, PrimeField):
+    if field.p is not None:
         return _fp_rref(field.p, rows)
     m = [_integer_row(row) for row in rows]
     pivots = _qq_forward(m)
@@ -437,10 +427,10 @@ def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     ``_qq_forward``.  Over GF(p) the entries must be ints in ``[0, p)``.
     The rows are left unchanged.
     """
-    if isinstance(field, RationalField):
-        return len(_qq_forward([_integer_row(row) if Fraction in map(type, row) else row
-                                for row in rows]))
-    return len(_fp_forward(field.p, rows)[1])
+    if field.p is not None:
+        return len(_fp_forward(field.p, rows)[1])
+    return len(_qq_forward([_integer_row(row) if Fraction in map(type, row) else row
+                            for row in rows]))
 
 
 def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> SubspaceBasis:

@@ -12,16 +12,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exactalg import Field, RationalField, parse_field
+from .exactalg import Field, parse_field
 from .lsys import HomogeneousPoly
 from .projgeom import Config, Conic, ProjLine, ProjPoint
 from .twisted import ChainComplex, ChainMap, CwComplex, LocalSystem, assemble
 
 
 def value_to_json(field: Field, v):
-    if isinstance(field, RationalField):
-        return str(v)
-    return int(v)
+    return str(v) if field.p is None else int(v)
 
 
 def value_list(field: Field, vals) -> list:

@@ -16,6 +16,7 @@ Everything here is exact integer arithmetic; there are no tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
@@ -156,37 +157,14 @@ def gaussian_binomial(n: int, k: int) -> List[int]:
     """Coefficient list of the Gaussian binomial [n choose k]_q."""
     if not 0 <= k <= n:
         raise InputError("need 0 <= k <= n")
-
-    def geom(m: int) -> List[int]:
-        return [1] * m  # 1 + q + ... + q^(m-1)
-
-    def mul(a: List[int], b: List[int]) -> List[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def divide(a: List[int], b: List[int]) -> List[int]:
-        # exact division of integer polynomials, highest terms first
-        a = a[:]
-        out = [0] * (len(a) - len(b) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            coef = a[i + len(b) - 1] // b[-1]
-            out[i] = coef
-            for j, y in enumerate(b):
-                a[i + j] -= coef * y
-        if any(a):
-            raise InputError("non-exact polynomial division")
-        return out
-
-    num = [1]
-    for i in range(n - k + 1, n + 1):
-        num = mul(num, geom(i))
-    den = [1]
-    for i in range(1, k + 1):
-        den = mul(den, geom(i))
-    return divide(num, den)
+    # q-Pascal: [m, j] = [m-1, j-1] + q^j [m-1, j], with [m-1, m] = 0.
+    # Once m >= j, rows[j] holds [m, j].
+    rows = [[1]] * (k + 1)
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            high = [0] * j + rows[j] if j < m else []
+            rows[j] = [a + b for a, b in zip_longest(rows[j - 1], high, fillvalue=0)]
+    return rows[k]
 
 
 def grassmann_poincare(k: int, n: int) -> PoincarePoly:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import FieldMismatchError, InputError, TaxonomyError
@@ -28,7 +28,6 @@ from .exactalg import (
     Field,
     PrimeField,
     SubspaceBasis,
-    _integer_row,
     _kernel_rows,
     _rref,
     rank_rows,
@@ -42,7 +41,6 @@ from .projgeom import (
     _from_key,
     _groups_of,
     _index_groups,
-    _modulus,
     _unique_conic,
     collinear,
     conic_line_second_point,
@@ -199,7 +197,7 @@ def random_poly(field: Field, degree: int, seed: int) -> HomogeneousPoly:
     rng = SplitMix64(derive_seed(seed, degree))
     coeffs = {}
     for exps in monomial_basis(degree):
-        if isinstance(field, PrimeField):
+        if field.p is not None:
             coeffs[exps] = rng.below(field.p)
         else:
             coeffs[exps] = rng.int_in(-9, 9)
@@ -264,7 +262,7 @@ def singularity_rows(a: ProjPoint, d: int) -> list:
     The rows depend on the projective representative only up to scaling, so
     their row space, which is all downstream code uses, is well defined.
     """
-    return _point_rows(a.coords, d, _modulus(a.field))
+    return _point_rows(a.coords, d, a.field.p)
 
 
 def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
@@ -290,8 +288,9 @@ def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
     return SubspaceBasis(f, space_dim(d), tuple(map(tuple, _rref(f, rows)[0])))
 
 
-def _remainder_rows(g: HomogeneousPoly, d: int) -> list:
-    """Integer rows whose kernel is the space of degree-d forms divisible by g^2.
+def _remainder_rows(comp: Union[ProjLine, Conic], d: int) -> list:
+    """Integer rows whose kernel is the space of degree-d forms divisible by
+    g^2, g the form of the line or conic ``comp``.
 
     They are the rows of the remainder map f -> f mod g^2 in graded-lex
     order, one per monomial not divisible by the leading monomial L of
@@ -302,20 +301,20 @@ def _remainder_rows(g: HomogeneousPoly, d: int) -> list:
     q * (L - G / c), where c is the leading coefficient, whose monomials are
     all smaller and already reduced.
 
-    Over GF(p) the entries are residues and G is made monic.  Over QQ, G is
-    squared from an integer multiple of g, and the remainder of a monomial
+    G is squared from the integer key of ``comp``.  Over GF(p) the entries
+    are residues and G is made monic.  Over QQ the remainder of a monomial
     reached after h reductions is kept as c^h times itself, so no fraction
     appears; the rows are then scaled by c^H, H the largest h.
     """
-    if d < 2 * g.degree:
+    mons = CONIC_MONOMIALS if isinstance(comp, Conic) else monomial_basis(1)
+    if d < 2 * sum(mons[0]):
         raise InputError("multiplicity times degree exceeds the ambient degree")
-    if g.is_zero():
-        raise InputError("cannot divide by the zero form")
-    p = _modulus(g.field)
-    if p is None:
-        g = HomogeneousPoly(g.field, g.degree,
-                            dict(zip(g.terms, _integer_row(g.terms.values()))))
-    square = {e: v.numerator for e, v in (g * g).terms.items()}
+    p = comp.field.p
+    square: dict = {}
+    for (e, a), (f, b) in product(zip(mons, comp.key), repeat=2):
+        m = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
+        square[m] = square.get(m, 0) + a * b
+    square = {e: v for e, v in square.items() if (v % p if p else v)}
     lead = max(square)
     c = square.pop(lead)
     if p:
@@ -362,14 +361,12 @@ def _system_rows(cfg: Config, d: int) -> list:
     one representative of the point, and the row span does not depend on
     which.
     """
-    p = _modulus(cfg.field)
+    p = cfg.field.p
     rows: list = []
     for pt in cfg.points:
         rows.extend(_point_rows(pt.key, d, p))
-    for ln in cfg.lines:
-        rows.extend(_remainder_rows(line_poly(ln), d))
-    for qc in cfg.conics:
-        rows.extend(_remainder_rows(conic_poly(qc), d))
+    for comp in cfg.lines + cfg.conics:
+        rows.extend(_remainder_rows(comp, d))
     return rows
 
 
@@ -377,7 +374,7 @@ def _euler_relation(field: Field, d: int) -> None:
     """Refuse a characteristic that divides ``d``: Euler's relation
     x f_x + y f_y + z f_z = d f then vanishes, so the derivative rows of a
     point no longer imply f = 0 there and the count is not the singular one."""
-    p = _modulus(field)
+    p = field.p
     if p is not None and d % p == 0:
         raise InputError(f"{field} has characteristic {p}, which divides the degree {d}; "
                          "the Euler relation degenerates")
@@ -432,7 +429,7 @@ def sample_quartic_contact_system(field: Field, seed: int) -> list:
 
     on_line, off = _retry(build, field, derive_seed(seed, 13),
                           f"could not sample the quartic contact system over {field}")
-    p = _modulus(field)
+    p = field.p
     rows = [_monomial_values(pt.coords, 4, p) for pt in on_line]
     for pt in off:
         rows.extend(_point_rows(pt.coords, 4, p))
@@ -888,7 +885,7 @@ def _typed_subsets(cfg: Config):
     at most once per point set: its answers are kept for the whole walk.
     """
     pts = cfg.points
-    p = _modulus(cfg.field)
+    p = cfg.field.p
     reps = [q.key for q in pts]
     conics: dict = {}
 

@@ -30,8 +30,6 @@ from .errors import FieldMismatchError, InputError
 from .exactalg import (
     QQ,
     Field,
-    PrimeField,
-    RationalField,
     _integer_row,
     _kernel_rows,
 )
@@ -41,7 +39,7 @@ def _normalize(field: Field, coords: Sequence) -> tuple:
     """The key of nonzero homogeneous coordinates (ints, Fractions or numeric
     strings): residues scaled to a leading 1 over GF(p), the primitive
     integer vector with a positive leading entry over QQ."""
-    p = _modulus(field)
+    p = field.p
     if p is None:
         vals = _integer_row([v if type(v) is int else field.coerce(v) for v in coords])
     else:
@@ -54,10 +52,6 @@ def _normalize(field: Field, coords: Sequence) -> tuple:
         return tuple(v // s for v in vals)
     inv = pow(lead, -1, p)
     return tuple(inv * v % p for v in vals)
-
-
-def _modulus(field: Field) -> Optional[int]:
-    return field.p if isinstance(field, PrimeField) else None
 
 
 def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
@@ -115,7 +109,7 @@ class _Keyed:
     @property
     def _normalized(self) -> tuple:
         """The key over GF(p); over QQ its Fractions with a leading 1."""
-        if isinstance(self.field, PrimeField):
+        if self.field.p is not None:
             return self.key
         lead = next(v for v in self.key if v)
         return tuple(Fraction(v, lead) for v in self.key)
@@ -207,7 +201,7 @@ def _same_field(a: Field, b: Field) -> None:
 
 def _odd_characteristic(field: Field) -> None:
     """Refuse GF(2), where the conic degeneracy test's factors of 2 vanish."""
-    if isinstance(field, PrimeField) and field.p == 2:
+    if field.p == 2:
         raise InputError("conic degeneracy assumes odd characteristic; "
                          f"{field} has characteristic 2")
 
@@ -242,7 +236,7 @@ def collinear(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> bool:
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     f = p1.field
     _same_field(f, p2.field)
-    key = _join_key(_modulus(f), p1.key, p2.key)
+    key = _join_key(f.p, p1.key, p2.key)
     if key is None:
         raise InputError("two coincident points do not span a line")
     return _from_key(ProjLine, f, key)
@@ -259,7 +253,7 @@ def _index_groups(points: Sequence[ProjPoint]) -> dict:
     f = pts[0].field
     for q in pts[1:]:
         _same_field(f, q.field)
-    return _groups_of(_modulus(f), [q.key for q in pts])
+    return _groups_of(f.p, [q.key for q in pts])
 
 
 def _groups_of(p: Optional[int], reps: Sequence) -> dict:
@@ -319,7 +313,7 @@ def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     f = l1.field
     _same_field(f, l2.field)
-    key = _join_key(_modulus(f), l1.key, l2.key)
+    key = _join_key(f.p, l1.key, l2.key)
     if key is None:
         raise InputError("coincident lines have no unique intersection")
     return _from_key(ProjPoint, f, key)
@@ -353,7 +347,7 @@ def veronese(pt: ProjPoint) -> tuple:
     ordering: residues over GF(p), ints over QQ."""
     x, y, z = pt.key
     vals = (x * x, y * y, z * z, x * y, x * z, y * z)
-    p = _modulus(pt.field)
+    p = pt.field.p
     return tuple(v % p for v in vals) if p else vals
 
 
@@ -436,7 +430,7 @@ def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoi
 
 def _chart_coords(obj) -> tuple[Fraction, ...]:
     if isinstance(obj, ProjPoint):
-        if not isinstance(obj.field, RationalField):
+        if obj.field.p is not None:
             raise InputError("the metric needs rational coordinates")
         x, y, z = obj.coords
         if z == 0:

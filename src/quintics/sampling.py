@@ -27,7 +27,7 @@ from itertools import combinations, count
 from typing import Callable, Sequence
 
 from .errors import InputError, SamplingError
-from .exactalg import Field, PrimeField
+from .exactalg import Field
 from .projgeom import (
     Config,
     Conic,
@@ -36,7 +36,6 @@ from .projgeom import (
     _det3,
     _index_groups,
     _line_basis,
-    _modulus,
     _no_collinear_triple,
     _odd_characteristic,
     collinear,
@@ -62,13 +61,13 @@ class _Draw:
     def __init__(self, field: Field, rng: SplitMix64):
         self.field = field
         self.rng = rng
-        self._p = _modulus(field)
         self._line_bases: dict = {}
 
     def coord(self) -> int:
         """A plain int: a residue over GF(p), a bounded integer over QQ."""
-        if self._p is not None:
-            return self.rng.below(self._p)
+        p = self.field.p
+        if p is not None:
+            return self.rng.below(p)
         return self.rng.int_in(-_QQ_COORD_BOUND, _QQ_COORD_BOUND)
 
     def coords(self, n: int) -> list:
@@ -101,11 +100,11 @@ class _Draw:
 
     def matrix(self) -> list:
         """The rows of an invertible 3x3 matrix, unreduced over GF(p)."""
-        def invertible(c: list) -> list | None:
+        def nonsingular(c: list) -> list | None:
             rows = [c[0:3], c[3:6], c[6:9]]
             return None if self.field.is_zero(_det3(rows)) else rows
 
-        return self._redraw(9, invertible)
+        return self._redraw(9, nonsingular)
 
     def point_on(self, ln: ProjLine) -> ProjPoint:
         """s u + t v for a random nonzero (s, t), with u, v the integer basis
@@ -171,7 +170,7 @@ def _retry(build: Callable[[_Draw], object], field: Field, seed: int, failure: s
 def _line_capacity(field: Field, need: int, what: str) -> None:
     """Refuse ``what``, before any draw, when it needs more distinct points on
     one line than a line over ``field`` has."""
-    if isinstance(field, PrimeField) and need > field.p + 1:
+    if field.p is not None and need > field.p + 1:
         raise SamplingError(
             f"{what} needs {need} distinct points on one line, but a "
             f"line over {field} has only {field.p + 1}")
@@ -518,7 +517,7 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     _line_capacity(field, _POINTS_ON_ONE_LINE.get(type_id, 0), f"type {type_id}")
     if type_id in _CONIC_TYPES:
         _odd_characteristic(field)
-    if isinstance(field, PrimeField) and field.p < _MIN_PRIME.get(type_id, 0):
+    if field.p is not None and field.p < _MIN_PRIME.get(type_id, 0):
         raise SamplingError(f"type {type_id} needs {_MIN_PRIME_NEEDS[type_id]} over {field}")
     return _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
                   f"could not satisfy genericity for type {type_id} over {field}")

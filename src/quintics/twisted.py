@@ -32,6 +32,13 @@ def _zeros(nrows: int, ncols: int) -> list:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
 
 
+def _matmul(a: Sequence, b: Sequence, ncols: int) -> list:
+    """The product of two matrices stored as lists of rows; ``ncols`` is the
+    width of ``b``, which may have no rows."""
+    cols = list(zip(*b)) or [()] * ncols
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 class ChainComplex:
     """A finite chain complex of rational vector spaces.
 
@@ -57,14 +64,10 @@ class ChainComplex:
 
     def _check_dd_zero(self) -> None:
         for k in range(2, len(self.dims)):
-            upper = self.boundaries[k - 1]   # C_k -> C_{k-1}
-            lower = self.boundaries[k - 2]   # C_{k-1} -> C_{k-2}
-            for j in range(self.dims[k]):
-                col = [upper[i][j] for i in range(self.dims[k - 1])]
-                for i in range(self.dims[k - 2]):
-                    acc = sum(lower[i][m] * col[m] for m in range(self.dims[k - 1]))
-                    if acc != 0:
-                        raise InputError("boundary composed with boundary is nonzero")
+            # C_k -> C_{k-1} -> C_{k-2}
+            dd = _matmul(self.boundaries[k - 2], self.boundaries[k - 1], self.dims[k])
+            if any(any(row) for row in dd):
+                raise InputError("boundary composed with boundary is nonzero")
 
     @property
     def top(self) -> int:
@@ -122,28 +125,13 @@ class ChainMap:
 
     def _check_commutes(self) -> None:
         for k in range(1, self.source.top + 1):
-            fs = self.blocks[k]          # C_k -> D_k
-            fm = self.blocks[k - 1]      # C_{k-1} -> D_{k-1}
-            ds = self.source.boundaries[k - 1]
-            dt = self.target.boundaries[k - 1] if k <= self.target.top else None
-            for j in range(self.source.dims[k]):
-                # f(d x_j)
-                lhs = [Fraction(0)] * self.target.dims[k - 1]
-                for m in range(self.source.dims[k - 1]):
-                    c = ds[m][j]
-                    if c:
-                        for i in range(self.target.dims[k - 1]):
-                            lhs[i] += fm[i][m] * c
-                # d f(x_j)
-                rhs = [Fraction(0)] * self.target.dims[k - 1]
-                if dt is not None:
-                    for m in range(self.target.dims[k]):
-                        c = fs[m][j]
-                        if c:
-                            for i in range(self.target.dims[k - 1]):
-                                rhs[i] += dt[i][m] * c
-                if lhs != rhs:
-                    raise InputError("matrices do not commute with the boundaries")
+            n = self.source.dims[k]
+            f_d = _matmul(self.blocks[k - 1], self.source.boundaries[k - 1], n)
+            # above the target's top, D_k = 0 and d f is zero
+            d_f = (_matmul(self.target.boundaries[k - 1], self.blocks[k], n)
+                   if k <= self.target.top else _zeros(len(f_d), n))
+            if f_d != d_f:
+                raise InputError("matrices do not commute with the boundaries")
 
 
 def identity_map(c: ChainComplex) -> ChainMap:
@@ -415,15 +403,8 @@ def induced_map(f: ChainMap) -> list:
         src_basis, src_bnd = _homology_basis(f.source, k)
         tgt_basis, tgt_bnd = ((src_basis, src_bnd) if f.target is f.source
                               else _homology_basis(f.target, k))
-        cols = []
-        for row in src_basis:
-            image = [Fraction(0)] * f.target.dims[k]
-            blk = f.blocks[k]
-            for j, coef in enumerate(row):
-                if coef:
-                    for i in range(f.target.dims[k]):
-                        image[i] += blk[i][j] * coef
-            cols.append(_coords_in(tgt_bnd, tgt_basis, image))
+        images = _matmul(src_basis, list(zip(*f.blocks[k])), f.target.dims[k])
+        cols = [_coords_in(tgt_bnd, tgt_basis, image) for image in images]
         matrix = tuple(tuple(cols[j][i] for j in range(len(src_basis)))
                        for i in range(len(tgt_basis)))
         out.append(matrix)

@@ -326,6 +326,8 @@ def test_dims_report_matches_stored(field, seeds, name, capsys):
     (("homology", "--model", "pairs-a2"), "homology_pairs_a2"),
     (("homology", "--model", "pairs-a3"), "homology_pairs_a3"),
     (("homology", "--model", "punctured-line"), "homology_punctured_line"),
+    (("ledger", "--dataset", "col38-base"), "ledger_col38_base"),
+    (("ledger", "--dataset", "col39-fiber"), "ledger_col39_fiber"),
 ])
 def test_ledger_and_homology_reports_match_stored(argv, name, capsys):
     # the homology reports run QQ rref and kernel through twisted homology

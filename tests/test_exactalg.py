@@ -77,6 +77,12 @@ def test_subspace_basis_refuses_non_canonical_bases():
     assert intersect(a, plane) == intersect(a, a) == a
 
 
+def test_field_p_is_the_modulus_or_none():
+    assert QQ.p is None
+    assert PrimeField(7).p == 7
+    assert parse_field("qq").p is None
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(InputError):
         PrimeField(65520)
@@ -95,7 +101,7 @@ def test_prime_field_rejects_composite():
 
 
 def _random_rows(field, rng, nrows, ncols):
-    if isinstance(field, PrimeField):
+    if field.p is not None:
         return [[rng.below(field.p) for _ in range(ncols)] for _ in range(nrows)]
     return [[Fraction(rng.int_in(-6, 6), rng.int_in(1, 4)) for _ in range(ncols)]
             for _ in range(nrows)]
@@ -103,7 +109,7 @@ def _random_rows(field, rng, nrows, ncols):
 
 def _apply(field, rows, vector):
     """The rows times a column vector, by dot products alone."""
-    p = field.p if isinstance(field, PrimeField) else None
+    p = field.p
     dots = [sum(a * b for a, b in zip(row, vector)) for row in rows]
     return [v % p for v in dots] if p else dots
 
@@ -436,7 +442,7 @@ def test_kernel_rows_reduces_once(field, monkeypatch):
     rows = [[1, 2, 0, 3, 1], [2, 4, 1, 0, 0], [3, 6, 1, 3, 1]]
     basis = exactalg._kernel_rows(field, rows, 5).basis
     assert calls == [3]
-    p = field.p if isinstance(field, PrimeField) else None
+    p = field.p
     assert basis == _reference_kernel([[field.coerce(v) for v in r] for r in rows], 5, p)
 
 

@@ -130,11 +130,28 @@ def test_grassmann_duality_of_planes():
     assert grassmann_poincare(2, 2) == grassmann_poincare(1, 2)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
     assert gaussian_binomial(3, 3) == [1]
     with pytest.raises(InputError):
         grassmann_poincare(4, 2)
+    # the defining identity [n, k] [1]_q ... [k]_q = [n-k+1]_q ... [n]_q,
+    # with [i]_q = 1 + q + ... + q^(i-1), checked by multiplication alone
+    for n in range(13):
+        for k in range(n + 1):
+            lhs, rhs = gaussian_binomial(n, k), [1]
+            for i in range(1, k + 1):
+                lhs = _poly_mul(lhs, [1] * i)
+                rhs = _poly_mul(rhs, [1] * (n - k + i))
+            assert lhs == rhs, (n, k)
 
 
 def test_unordered_pairs_shift():

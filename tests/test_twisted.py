@@ -174,6 +174,22 @@ def test_mapping_torus_rejects_non_self_map():
         mapping_torus(wedge_of_loops([1, 1]), f, 1)
 
 
+def test_chain_map_must_commute_with_the_boundaries():
+    edge = graph_complex(2, [(0, 1, 1)])
+    # swapping the endpoints while fixing the edge sends d e = v1 - v0 to
+    # v0 - v1, but d f(e) = d e
+    with pytest.raises(InputError, match="do not commute"):
+        ChainMap(edge, edge, (((0, 1), (1, 0)), ((1,),)))
+    # into a point, which has no 1-chains: the degree-0 block must kill d e
+    point = ChainComplex([1], [])
+    assert ChainMap(edge, point, (((1, 1),), ())).target is point
+    with pytest.raises(InputError, match="do not commute"):
+        ChainMap(edge, point, (((1, 0),), ()))
+    # two degrees above the target's top both blocks of the square are empty
+    cells = ChainComplex([1, 1, 1], [[[0]], [[0]]])
+    assert induced_map(ChainMap(cells, point, (((1,),), (), ()))) == [((1,),)]
+
+
 def test_mapping_torus_reflection_is_chain_map():
     # validated inside ChainMap construction
     for system in ("a1", "a2", "a3"):
