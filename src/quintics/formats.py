@@ -8,14 +8,32 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from contextlib import contextmanager
 from typing import Optional
 
 from .errors import InputError
 from .exactalg import Field, parse_field
 from .lsys import HomogeneousPoly
 from .projgeom import Config, Conic, ProjLine, ProjPoint
-from .twisted import ChainComplex, ChainMap, CwComplex, LocalSystem, assemble
+from .twisted import ChainComplex, ChainMap, assemble
+
+
+@contextmanager
+def _malformed(kind: str):
+    """Turn a structural or value error while reading a file into InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed {kind} file: {exc}") from exc
+
+
+def _json_int(value, what: str) -> int:
+    # a JSON integer only: no float is truncated, no string parsed
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def value_to_json(field: Field, v):
@@ -39,7 +57,7 @@ def config_to_json(cfg: Config) -> dict:
 
 
 def config_from_json(data: dict) -> Config:
-    try:
+    with _malformed("configuration"):
         field = parse_field(data["field"])
         # the constructors parse the values ("3/4", ints) into the field
         points = tuple(ProjPoint(field, tuple(c)) for c in data.get("points", []))
@@ -48,8 +66,6 @@ def config_from_json(data: dict) -> Config:
         return Config(field, points=points, lines=lines, conics=conics,
                       type_id=data.get("type_id", "untyped"),
                       whole_plane=bool(data.get("whole_plane", False)))
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed configuration file: {exc}") from exc
 
 
 def poly_to_json(poly: HomogeneousPoly) -> dict:
@@ -64,12 +80,15 @@ def poly_to_json(poly: HomogeneousPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> HomogeneousPoly:
-    try:
+    with _malformed("polynomial"):
         field = parse_field(data["field"])
-        terms = {tuple(t["exps"]): field.coerce(t["coeff"]) for t in data["terms"]}
-        return HomogeneousPoly(field, int(data["degree"]), terms)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed polynomial file: {exc}") from exc
+        terms = {}
+        for t in data["terms"]:
+            exps = tuple(_json_int(e, "an exponent") for e in t["exps"])
+            if exps in terms:
+                raise ValueError(f"repeated exponent triple {list(exps)}")
+            terms[exps] = field.coerce(t["coeff"])
+        return HomogeneousPoly(field, _json_int(data["degree"], "degree"), terms)
 
 
 def load_poly(path: str) -> HomogeneousPoly:
@@ -91,25 +110,19 @@ def model_from_json(data: dict) -> tuple[ChainComplex, Optional[ChainMap], Optio
     Graph form:     {"vertices": [...], "edges": [[name, u, v]],
                      "monodromy": {name: value}, "higher": [...], ...}
     """
-    try:
+    with _malformed("model"):
         if "dims" in data:
             complex_ = ChainComplex(data["dims"], data.get("boundaries", []))
         elif "vertices" in data:
-            cw = CwComplex(tuple(data["vertices"]),
-                           tuple(tuple(e) for e in data["edges"]),
-                           tuple(data.get("higher", [])))
-            complex_ = assemble(cw, LocalSystem(dict(data.get("monodromy", {}))))
+            complex_ = assemble(data["vertices"], data["edges"],
+                                dict(data.get("monodromy", {})), data.get("higher", []))
         else:
             raise InputError("model file needs either 'dims' or 'vertices'")
-        chain_map = None
-        if "map" in data:
-            blocks = tuple(tuple(tuple(Fraction(v) for v in row) for row in blk)
-                           for blk in data["map"])
-            chain_map = ChainMap(complex_, complex_, blocks)
+        # the raw values go to ChainMap, whose QQ.coerce refuses floats
+        chain_map = (ChainMap(complex_, complex_, tuple(data["map"]))
+                     if "map" in data else None)
         cdim = data.get("complex_dim")
-        return complex_, chain_map, (int(cdim) if cdim is not None else None)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed model file: {exc}") from exc
+        return complex_, chain_map, (_json_int(cdim, "complex_dim") if cdim is not None else None)
 
 
 def load_model(path: str):

@@ -2,19 +2,22 @@
 
 A :class:`ChainComplex` stores one exact rational boundary matrix per positive
 dimension and insists on boundary-squared-equals-zero at construction time.
-Rank-1 local systems enter through the constructors: a graph with a nonzero
-transport scalar on each edge assembles to a twisted complex, chain-level
-tensor products implement the Kuenneth product, and the algebraic mapping
-torus realizes a fibration over the circle with prescribed fiber monodromy
-and a transport twist on the base loop.
+Rank-1 local systems enter through the constructors: ``assemble`` takes named
+vertices, (name, start, end) edges and a transport scalar per edge as plain
+data, chain-level tensor products implement the Kuenneth product, and the
+algebraic mapping torus realizes a fibration over the circle with prescribed
+fiber monodromy and a transport twist on the base loop.  Each constructor is
+its block formula, built from ``_identity``, ``_kron`` and ``_blocks``.
 
-Sign conventions, fixed here once and pinned by the tests:
+Sign conventions, fixed here once and pinned by exact boundary matrices in
+the tests:
 
 * tensor:        d(a (x) b) = da (x) b + (-1)^deg(a) a (x) db
 * mapping torus: T_k = C_k + C_{k-1},
                  d(x, y) = (d x + (-1)^k (y - twist * f(y)), d y)
 
 The swept summand C_{k-1} records fiber cells crossed with the base edge.
+Induced maps on homology take one reduction per degree.
 """
 
 from __future__ import annotations
@@ -30,6 +33,27 @@ from .poincare import PoincarePoly
 
 def _zeros(nrows: int, ncols: int) -> list:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
+
+
+def _identity(n: int) -> list:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _kron(a: Sequence, b: Sequence, sign: int = 1) -> list:
+    """sign * (a (x) b) for row-stored matrices, indexed with a's index major."""
+    return [[sign * x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _blocks(row_dims: Sequence, col_dims: Sequence, placed: dict) -> list:
+    """The block matrix with ``placed[r, c]`` (row-stored) in block row r and
+    block column c, and zeros elsewhere."""
+    row_at = [sum(row_dims[:r]) for r in range(len(row_dims))]
+    col_at = [sum(col_dims[:c]) for c in range(len(col_dims))]
+    mat = _zeros(sum(row_dims), sum(col_dims))
+    for (r, c), block in placed.items():
+        for i, row in enumerate(block):
+            mat[row_at[r] + i][col_at[c]:col_at[c] + col_dims[c]] = row
+    return mat
 
 
 def _matmul(a: Sequence, b: Sequence, ncols: int) -> list:
@@ -48,9 +72,10 @@ class ChainComplex:
     """
 
     def __init__(self, dims: Sequence[int], boundaries: Sequence):
-        self.dims = tuple(int(d) for d in dims)
-        if not self.dims or any(d < 0 for d in self.dims):
-            raise InputError("cell counts must be nonnegative, starting at dimension 0")
+        self.dims = tuple(dims)
+        if not self.dims or any(type(d) is not int or d < 0 for d in self.dims):
+            raise InputError("cell counts must be nonnegative integers, "
+                             "starting at dimension 0")
         mats = []
         for k, rows in enumerate(boundaries, start=1):
             grid = [[QQ.coerce(v) for v in row] for row in rows]
@@ -135,82 +160,47 @@ class ChainMap:
 
 
 def identity_map(c: ChainComplex) -> ChainMap:
-    blocks = []
-    for d in c.dims:
-        blocks.append(tuple(tuple(Fraction(int(i == j)) for j in range(d))
-                            for i in range(d)))
-    return ChainMap(c, c, tuple(blocks))
+    return ChainMap(c, c, tuple(_identity(d) for d in c.dims))
 
 
 # ---------------------------------------------------------------------------
 # cellular front end: graphs with edge transport
 
 
-@dataclass(frozen=True)
-class CwComplex:
-    """Named cells with integer incidence matrices.
+def assemble(vertices: Sequence, edges: Sequence, monodromy: dict,
+             higher: Sequence = ()) -> ChainComplex:
+    """Twisted chain complex of named cells under edge transport scalars.
 
-    ``edges`` carries endpoint data (name, start vertex, end vertex) because
-    incidence numbers alone cannot see a loop.  ``higher[k]`` is the integer
-    boundary matrix from (k+2)-cells to (k+1)-cells.
+    ``edges`` holds (name, start vertex, end vertex) triples, because
+    incidence numbers alone cannot see a loop; ``monodromy`` maps an edge
+    name to its nonzero transport scalar, 1 where absent.  An edge from u to
+    v with scalar t contributes the boundary t*v - u; a loop at u contributes
+    (t - 1)*u.  ``higher[k]`` is the boundary matrix from (k+2)-cells to
+    (k+1)-cells, taken verbatim, and the boundary-squared check rejects
+    transport that is inconsistent with it.
     """
-
-    vertices: tuple
-    edges: tuple
-    higher: tuple = ()
-
-    def __post_init__(self):
-        names = set(self.vertices)
-        if len(names) != len(self.vertices):
-            raise InputError("duplicate vertex names")
-        seen = set()
-        for name, start, end in self.edges:
-            if name in seen:
-                raise InputError("duplicate edge names")
-            seen.add(name)
-            if start not in names or end not in names:
-                raise InputError(f"edge {name} has unknown endpoints")
-
-
-@dataclass(frozen=True)
-class LocalSystem:
-    """Nonzero transport scalar per 1-cell; the trivial system is all ones."""
-
-    monodromy: dict
-
-    def scalar(self, edge_name: str) -> Fraction:
-        v = QQ.coerce(self.monodromy.get(edge_name, 1))
-        if v == 0:
+    vindex = {name: i for i, name in enumerate(vertices)}
+    if len(vindex) != len(vertices):
+        raise InputError("duplicate vertex names")
+    d1 = _zeros(len(vertices), len(edges))
+    seen = set()
+    for j, (name, start, end) in enumerate(edges):
+        if name in seen:
+            raise InputError("duplicate edge names")
+        seen.add(name)
+        if start not in vindex or end not in vindex:
+            raise InputError(f"edge {name} has unknown endpoints")
+        t = QQ.coerce(monodromy.get(name, 1))
+        if t == 0:
             raise InputError("transport scalars must be nonzero")
-        return v
-
-
-def assemble(cw: CwComplex, system: LocalSystem) -> ChainComplex:
-    """Twisted chain complex of a cell complex under an edge transport system.
-
-    An edge from u to v with transport scalar t contributes the boundary
-    t*v - u; a loop at u contributes (t - 1)*u.  Higher boundary matrices are
-    taken verbatim, and the boundary-squared check rejects systems that are
-    inconsistent with them.
-    """
-    vindex = {name: i for i, name in enumerate(cw.vertices)}
-    nv, ne = len(cw.vertices), len(cw.edges)
-    d1 = _zeros(nv, ne)
-    for j, (name, start, end) in enumerate(cw.edges):
-        t = system.scalar(name)
         d1[vindex[end]][j] += t
         d1[vindex[start]][j] -= 1
-    dims = [nv, ne]
-    boundaries = [d1]
-    prev = ne
-    for mat in cw.higher:
-        rows = [[QQ.coerce(v) for v in row] for row in mat]
-        ncols = len(rows[0]) if rows else 0
-        if len(rows) != prev:
+    dims, boundaries = [len(vertices), len(edges)], [d1]
+    for rows in higher:
+        if len(rows) != dims[-1]:
             raise InputError("higher boundary has the wrong number of rows")
-        dims.append(ncols)
+        dims.append(len(rows[0]) if rows else 0)
         boundaries.append(rows)
-        prev = ncols
     return ChainComplex(dims, boundaries)
 
 
@@ -219,9 +209,9 @@ def graph_complex(num_vertices: int, edges: Sequence) -> ChainComplex:
 
     Vertices are named 0..num_vertices-1 and edge j is named j.
     """
-    cw = CwComplex(tuple(range(num_vertices)),
-                   tuple((j, start, end) for j, (start, end, _) in enumerate(edges)))
-    return assemble(cw, LocalSystem({j: t for j, (_, _, t) in enumerate(edges)}))
+    return assemble(range(num_vertices),
+                    [(j, start, end) for j, (start, end, _) in enumerate(edges)],
+                    {j: t for j, (_, _, t) in enumerate(edges)})
 
 
 def circle(twist=1) -> ChainComplex:
@@ -241,119 +231,74 @@ def _same_complex(a: ChainComplex, b: ChainComplex) -> bool:
 
 
 def tensor(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
-    """Chain-level tensor product with the Koszul sign on the second factor."""
-    top = c1.top + c2.top
-    dims = [0] * (top + 1)
-    offsets: dict = {}
-    for k in range(top + 1):
-        off = 0
-        for i in range(k + 1):
-            j = k - i
-            if i <= c1.top and j <= c2.top:
-                offsets[(i, j)] = off
-                off += c1.dims[i] * c2.dims[j]
-        dims[k] = off
+    """Chain-level tensor product with the Koszul sign on the second factor.
 
-    def block_index(i: int, j: int, a: int, b: int) -> int:
-        return offsets[(i, j)] + a * c2.dims[j] + b
-
+    T_k is the sum of C1_i (x) C2_(k-i) by increasing i, each block indexed
+    with the C1 cell major.  d1 (x) 1 lands in block (i-1, j) and
+    (-1)^i 1 (x) d2 in block (i, j-1).
+    """
+    pairs = [[(i, k - i) for i in range(max(0, k - c2.top), min(k, c1.top) + 1)]
+             for k in range(c1.top + c2.top + 1)]
+    sizes = [[c1.dims[i] * c2.dims[j] for i, j in ps] for ps in pairs]
     boundaries = []
-    for k in range(1, top + 1):
-        mat = _zeros(dims[k - 1], dims[k])
-        for i in range(k + 1):
-            j = k - i
-            if not (i <= c1.top and j <= c2.top) or c1.dims[i] * c2.dims[j] == 0:
-                continue
-            for a in range(c1.dims[i]):
-                for b in range(c2.dims[j]):
-                    col = block_index(i, j, a, b)
-                    if i >= 1 and c1.dims[i - 1]:
-                        d = c1.boundaries[i - 1]
-                        for m in range(c1.dims[i - 1]):
-                            if d[m][a]:
-                                mat[block_index(i - 1, j, m, b)][col] += d[m][a]
-                    if j >= 1 and c2.dims[j - 1]:
-                        sign = Fraction(-1 if i % 2 else 1)
-                        d = c2.boundaries[j - 1]
-                        for m in range(c2.dims[j - 1]):
-                            if d[m][b]:
-                                mat[block_index(i, j - 1, a, m)][col] += sign * d[m][b]
-        boundaries.append(mat)
-    return ChainComplex(dims, boundaries)
+    for k in range(1, len(pairs)):
+        lower = {pair: r for r, pair in enumerate(pairs[k - 1])}
+        placed = {}
+        for col, (i, j) in enumerate(pairs[k]):
+            if i:
+                placed[lower[i - 1, j], col] = _kron(c1.boundaries[i - 1],
+                                                     _identity(c2.dims[j]))
+            if j:
+                placed[lower[i, j - 1], col] = _kron(_identity(c1.dims[i]),
+                                                     c2.boundaries[j - 1], (-1) ** i)
+        boundaries.append(_blocks(sizes[k - 1], sizes[k], placed))
+    return ChainComplex([sum(s) for s in sizes], boundaries)
 
 
 def mapping_torus(c: ChainComplex, f: ChainMap, edge_twist) -> ChainComplex:
     """Algebraic mapping torus of a self chain map with a base-loop twist.
 
     T_k = C_k + C_{k-1} (fiber cells, then fiber cells swept around the base
-    loop), with d(x, y) = (d x + (-1)^k (y - twist * f(y)), d y).  Its homology
-    is that of a fibration over the circle with fiber c, fiber monodromy f,
-    and the given transport twist on the base loop.
+    loop), with boundary [[d_k, (-1)^k (1 - twist * f_{k-1})], [0, d_{k-1}]].
+    Its homology is that of a fibration over the circle with fiber c, fiber
+    monodromy f, and the given transport twist on the base loop.
     """
     if not (_same_complex(f.source, c) and _same_complex(f.target, c)):
         raise InputError("mapping torus needs a self chain map of the fiber")
     tw = QQ.coerce(edge_twist)
     if tw == 0:
         raise InputError("the base-loop twist must be nonzero")
-    top = c.top + 1
-    dims = [c.dims[0]]
-    for k in range(1, top + 1):
-        dims.append((c.dims[k] if k <= c.top else 0) + c.dims[k - 1])
+    n = [*c.dims, 0]  # n[top + 1] and n[-1] are the empty chain groups
     boundaries = []
-    for k in range(1, top + 1):
-        nk = c.dims[k] if k <= c.top else 0
-        mat = _zeros(dims[k - 1], dims[k])
-        # fiber part: d x into the fiber summand of T_{k-1}
-        if nk and c.dims[k - 1]:
-            d = c.boundaries[k - 1]
-            for i in range(c.dims[k - 1]):
-                for j in range(nk):
-                    mat[i][j] = d[i][j]
-        # swept part: (-1)^k (y - twist*f(y)) lands in the fiber summand,
-        # d y in the swept summand.
-        sign = Fraction(-1 if k % 2 else 1)
-        fy = f.blocks[k - 1]
-        for j in range(c.dims[k - 1]):
-            col = nk + j
-            mat[j][col] += sign
-            for i in range(c.dims[k - 1]):
-                if fy[i][j]:
-                    mat[i][col] -= sign * tw * fy[i][j]
-            if k >= 2 and c.dims[k - 2]:
-                nk1 = c.dims[k - 1]  # fiber summand width of T_{k-1}
-                d = c.boundaries[k - 2]
-                for i in range(c.dims[k - 2]):
-                    if d[i][j]:
-                        mat[nk1 + i][col] = d[i][j]
-        boundaries.append(mat)
-    return ChainComplex(dims, boundaries)
+    for k in range(1, c.top + 2):
+        sign = (-1) ** k
+        placed = {(0, 1): [[sign * (e - tw * v) for e, v in zip(one, row)]
+                           for one, row in zip(_identity(n[k - 1]), f.blocks[k - 1])]}
+        if k <= c.top:
+            placed[0, 0] = c.boundaries[k - 1]
+        if k >= 2:
+            placed[1, 1] = c.boundaries[k - 2]
+        boundaries.append(_blocks((n[k - 1], n[k - 2]), (n[k], n[k - 1]), placed))
+    return ChainComplex([n[k] + n[k - 1] for k in range(c.top + 2)], boundaries)
 
 
 def mapping_torus_reflection(c: ChainComplex, f: ChainMap, edge_twist,
                              torus: ChainComplex) -> ChainMap:
     """The self map of a mapping torus covering inversion of the base circle.
 
-    On the fiber summand it is the identity (the basepoint fiber is fixed);
-    a swept cell y goes to -twist * f(y) swept, the transport correction for
-    traversing the base loop backwards.  For the involutive monodromies used
-    here this commutes with the torus boundary.
+    It is diag(1, -twist * f_{k-1}): the identity on the fiber summand (the
+    basepoint fiber is fixed), and a swept cell y goes to -twist * f(y)
+    swept, the transport correction for traversing the base loop backwards.
+    For the involutive monodromies used here this commutes with the torus
+    boundary.
     """
     tw = QQ.coerce(edge_twist)
-    blocks = []
-    for k in range(torus.top + 1):
-        nk = c.dims[k] if k <= c.top else 0
-        nprev = c.dims[k - 1] if k >= 1 else 0
-        size = nk + nprev
-        mat = _zeros(size, size)
-        for i in range(nk):
-            mat[i][i] = Fraction(1)
-        if nprev:
-            fy = f.blocks[k - 1]
-            for j in range(nprev):
-                for i in range(nprev):
-                    if fy[i][j]:
-                        mat[nk + i][nk + j] = -tw * fy[i][j]
-        blocks.append(tuple(tuple(row) for row in mat))
+    n = [*c.dims, 0]
+    blocks = [_identity(n[0])]
+    for k in range(1, c.top + 2):
+        sizes = (n[k], n[k - 1])
+        blocks.append(_blocks(sizes, sizes, {(0, 0): _identity(n[k]),
+                                             (1, 1): _kron([[-tw]], f.blocks[k - 1])}))
     return ChainMap(torus, torus, tuple(blocks))
 
 
@@ -362,52 +307,39 @@ def mapping_torus_reflection(c: ChainComplex, f: ChainMap, edge_twist,
 
 
 def _homology_basis(c: ChainComplex, k: int) -> tuple:
-    """Cycle representatives of a homology basis plus the boundary basis."""
-    n = c.dims[k]
-    cycle_rows = _kernel_rows(QQ, c.boundaries[k - 1] if k else [], n).basis
-    boundary_rows = []
-    if k < c.top:
-        reduced, pivots = _rref(QQ, list(zip(*c.boundaries[k])))
-        boundary_rows = reduced[:len(pivots)]
-    # A cycle extends the span of the boundaries and the cycles before it
-    # exactly when its column is a pivot column of the stack taken as
-    # columns, boundary rows first.
+    """Cycle representatives of a homology basis plus the boundary vectors.
+
+    The boundary vectors are the columns of d_(k+1), not reduced: a cycle
+    extends the span of the boundaries and the cycles before it exactly when
+    its column is a pivot column of the stack taken as columns, boundaries
+    first, and that depends only on the span of the columns before it.
+    """
+    cycle_rows = _kernel_rows(QQ, c.boundaries[k - 1] if k else [], c.dims[k]).basis
+    boundary_rows = list(zip(*c.boundaries[k])) if k < c.top else []
     _, pivots = _rref(QQ, list(zip(*boundary_rows, *cycle_rows)))
     nb = len(boundary_rows)
     return tuple(cycle_rows[i - nb] for i in pivots if i >= nb), boundary_rows
 
 
-def _coords_in(basis_rows: Sequence, extra_rows: Sequence, vector: Sequence) -> list:
-    """Coordinates of ``vector`` on ``extra_rows`` modulo span(basis_rows)."""
-    rows = [*basis_rows, *extra_rows]
-    if not rows:
-        return []
-    cols = len(rows)
-    aug = [[*col, QQ.coerce(v)] for col, v in zip(zip(*rows), vector)]
-    reduced, pivots = _rref(QQ, aug)
-    if cols in pivots:
-        raise InputError("vector does not lie in the span")
-    sol = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        sol[pc] = reduced[i][cols]
-    return sol[len(basis_rows):]
-
-
 def induced_map(f: ChainMap) -> list:
     """Matrices of a chain map on homology, one per shared dimension.
 
-    A self map takes each degree's homology basis once, for both ends."""
+    Per degree one reduction of [boundaries | basis | images] as columns
+    gives every image's coordinates: the basis columns are pivots, and an
+    image's entries in their rows are its coordinates modulo boundaries.  A
+    self map takes each degree's homology basis once, for both ends."""
     out = []
-    top = min(f.source.top, f.target.top)
-    for k in range(top + 1):
+    for k in range(min(f.source.top, f.target.top) + 1):
         src_basis, src_bnd = _homology_basis(f.source, k)
         tgt_basis, tgt_bnd = ((src_basis, src_bnd) if f.target is f.source
                               else _homology_basis(f.target, k))
         images = _matmul(src_basis, list(zip(*f.blocks[k])), f.target.dims[k])
-        cols = [_coords_in(tgt_bnd, tgt_basis, image) for image in images]
-        matrix = tuple(tuple(cols[j][i] for j in range(len(src_basis)))
-                       for i in range(len(tgt_basis)))
-        out.append(matrix)
+        reduced, pivots = _rref(QQ, list(zip(*tgt_bnd, *tgt_basis, *images)))
+        nb, nh = len(tgt_bnd), len(tgt_basis)
+        if pivots and pivots[-1] >= nb + nh:
+            raise InputError("vector does not lie in the span")
+        out.append(tuple(tuple(row[nb + nh:])
+                         for row, pc in zip(reduced, pivots) if pc >= nb))
     return out
 
 

@@ -234,6 +234,51 @@ def test_homology_model_file_dd_violation(tmp_path, capsys):
     assert "boundary" in err
 
 
+QUINTIC = {"field": "fp:101", "degree": 5, "terms": [{"exps": [5, 0, 0], "coeff": 1}]}
+
+
+def _refused(tmp_path, capsys, data, *argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    return err
+
+
+@pytest.mark.parametrize("command,data", [
+    ("homology", {"vertices": ["v"], "edges": [["a", "v"]]}),
+    ("homology", {"dims": [1, 1], "boundaries": [[["q"]]]}),
+    ("homology", {"dims": [1], "boundaries": [], "map": [[["x"]]]}),
+    ("homology", {"vertices": ["v"], "edges": [["a", "v", "v"]], "monodromy": {"a": "zz"}}),
+    ("homology", {"dims": [1], "boundaries": [], "complex_dim": "x"}),
+    ("classify", {**QUINTIC, "terms": [{"exps": [5, 0, 0], "coeff": "abc"}]}),
+    ("classify", {**QUINTIC, "terms": [{"exps": [5, 0, 0], "coeff": "1/0"}]}),
+    ("classify", {**QUINTIC, "degree": "five"}),
+])
+def test_malformed_files_exit_two(tmp_path, capsys, command, data):
+    # a value that does not parse is a bad input (exit 2), not a failed check
+    argv = (("homology", "--model") if command == "homology"
+            else ("classify", "--prime", "101", "--poly"))
+    err = _refused(tmp_path, capsys, data, *argv)
+    kind = "model" if command == "homology" else "polynomial"
+    assert err.startswith(f"error: malformed {kind} file: ")
+
+
+@pytest.mark.parametrize("command,data,message", [
+    ("homology", {"dims": [1], "boundaries": [], "map": [[[0.5]]]}, "floats are not exact"),
+    ("homology", {"dims": [1], "boundaries": [], "complex_dim": 0.5}, "complex_dim must be an integer"),
+    ("homology", {"dims": [1.0], "boundaries": []}, "cell counts must be nonnegative integers"),
+    ("classify", {**QUINTIC, "degree": 5.7}, "degree must be an integer"),
+    ("classify", {**QUINTIC, "terms": [{"exps": [5, 0, 0], "coeff": 1},
+                                       {"exps": [5, 0, 0], "coeff": 2}]},
+     "repeated exponent triple [5, 0, 0]"),
+])
+def test_floats_and_repeated_terms_are_refused(tmp_path, capsys, command, data, message):
+    argv = (("homology", "--model") if command == "homology"
+            else ("classify", "--prime", "101", "--poly"))
+    assert message in _refused(tmp_path, capsys, data, *argv)
+
+
 def test_classify_fermat(tmp_path, capsys):
     fp = PrimeField(11)
     poly = HomogeneousPoly(fp, 5, {(5, 0, 0): 1, (0, 5, 0): 1, (0, 0, 5): 1})

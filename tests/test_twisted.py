@@ -11,8 +11,6 @@ from quintics.twisted import (
     BUILTIN_MODELS,
     ChainComplex,
     ChainMap,
-    CwComplex,
-    LocalSystem,
     assemble,
     betti_poly,
     circle,
@@ -56,34 +54,38 @@ def test_boundary_shape_enforced():
         ChainComplex([2, 1], [[[1]]])
 
 
+@pytest.mark.parametrize("dims", [[1.5], [1.0], [True], ["1"], [-1], []])
+def test_cell_counts_must_be_nonnegative_ints(dims):
+    # a float cell count is refused, not truncated
+    with pytest.raises(InputError, match="cell counts must be nonnegative integers"):
+        ChainComplex(dims, [])
+
+
 # --- cellular assembly ---------------------------------------------------------
 
 def test_assemble_interval_and_loop():
-    cw = CwComplex(("u", "v"), (("e", "u", "v"),))
-    plain = assemble(cw, LocalSystem({}))
+    vertices, edges = ("u", "v"), (("e", "u", "v"),)
+    plain = assemble(vertices, edges, {})
     assert homology(plain) == [1, 0]
-    twisted = assemble(cw, LocalSystem({"e": Fraction(-1)}))
+    twisted = assemble(vertices, edges, {"e": Fraction(-1)})
     # a single edge with twisted transport is still contractible-acyclic in
     # degree 1 and connects nothing new in degree 0
     assert homology(twisted) == [1, 0]
-    loop = CwComplex(("v",), (("a", "v", "v"),))
-    assert homology(assemble(loop, LocalSystem({"a": -1}))) == [0, 0]
+    assert homology(assemble(("v",), (("a", "v", "v"),), {"a": -1})) == [0, 0]
 
 
 def test_assemble_torus_with_square_cell():
     # one vertex, loops a and b, one square glued along the commutator:
     # untwisted incidence of the 2-cell is zero
-    cw = CwComplex(("v",), (("a", "v", "v"), ("b", "v", "v")), (((0,), (0,)),))
-    torus = assemble(cw, LocalSystem({}))
+    torus = assemble(("v",), (("a", "v", "v"), ("b", "v", "v")), {}, (((0,), (0,)),))
     assert homology(torus) == [1, 2, 1]
 
 
 def test_assemble_rejects_inconsistent_twist():
     # the commutator 2-cell with twisted boundary (1-t_b, t_a-1) is nonzero
     # once transport is nontrivial, so the stored zero incidence breaks dd=0
-    cw = CwComplex(("v",), (("a", "v", "v"),), (((2,),),))
     with pytest.raises(InputError):
-        assemble(cw, LocalSystem({"a": -1}))
+        assemble(("v",), (("a", "v", "v"),), {"a": -1}, (((2,),),))
 
 
 # --- tensor products ------------------------------------------------------------
@@ -188,6 +190,26 @@ def test_chain_map_must_commute_with_the_boundaries():
     # two degrees above the target's top both blocks of the square are empty
     cells = ChainComplex([1, 1, 1], [[[0]], [[0]]])
     assert induced_map(ChainMap(cells, point, (((1,),), (), ()))) == [((1,),)]
+
+
+def _grid(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def test_sign_conventions_pinned_by_exact_matrices():
+    # torus of the loop swap on wedge_of_loops([1, 1]) with base twist -1:
+    # T_1 = (loop b, loop c, swept vertex), T_2 = (swept b, swept c)
+    torus, inversion, _ = pair_space_model("a1")
+    assert torus.dims == (1, 3, 2)
+    assert torus.boundaries == [_grid([[0, 0, -2]]),
+                                _grid([[1, 1], [1, 1], [0, 0]])]
+    assert [list(map(list, b)) for b in inversion.blocks] == [
+        _grid([[1]]), _grid([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), _grid([[0, 1], [1, 0]])]
+    # T_1 = (v (x) a, v (x) b, e (x) v), T_2 = (e (x) a, e (x) b)
+    product = tensor(circle(-1), wedge_of_loops([1, -1]))
+    assert product.dims == (1, 3, 2)
+    assert product.boundaries == [_grid([[0, -2, -2]]),
+                                  _grid([[-2, 0], [0, -2], [0, 2]])]
 
 
 def test_mapping_torus_reflection_is_chain_map():
