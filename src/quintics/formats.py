@@ -63,9 +63,14 @@ def config_from_json(data: dict) -> Config:
         points = tuple(ProjPoint(field, tuple(c)) for c in data.get("points", []))
         lines = tuple(ProjLine(field, tuple(c)) for c in data.get("lines", []))
         conics = tuple(Conic(field, tuple(c)) for c in data.get("conics", []))
+        type_id = data.get("type_id", "untyped")
+        if type_id != "untyped" and not 1 <= _json_int(type_id, "type_id") <= 42:
+            raise ValueError(f"type_id must be 1..42 or \"untyped\", got {type_id!r}")
+        whole_plane = data.get("whole_plane", False)
+        if type(whole_plane) is not bool:
+            raise TypeError(f"whole_plane must be true or false, got {whole_plane!r}")
         return Config(field, points=points, lines=lines, conics=conics,
-                      type_id=data.get("type_id", "untyped"),
-                      whole_plane=bool(data.get("whole_plane", False)))
+                      type_id=type_id, whole_plane=whole_plane)
 
 
 def poly_to_json(poly: HomogeneousPoly) -> dict:

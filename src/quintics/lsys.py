@@ -610,10 +610,9 @@ K_POINTS = {rec.type_id: rec.k_points for rec in TYPE_TABLE}
 # classification
 
 
-def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint,
-                    conic) -> Optional[ProjPoint]:
+def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
     """Second cut of the line by the conic through the four base points and pt."""
-    q = conic(list(base) + [pt])
+    q = _unique_conic(list(base) + [pt])
     if q is None:
         return None
     try:
@@ -622,7 +621,7 @@ def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint,
         return None
 
 
-def _classify_pencil_quadruple(pts, key: tuple, on_line: set, conic) -> Optional[int]:
+def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
     """Type 38: the four points off the line with key ``key`` are the base
     points of a pencil whose conics cut the line in the pairs of ``on_line``."""
     # No test for three collinear base points: a partner then falls off the set.
@@ -631,7 +630,7 @@ def _classify_pencil_quadruple(pts, key: tuple, on_line: set, conic) -> Optional
     line_pts = [q for i, q in enumerate(pts) if i in on_line]
     partner = {}
     for pt in line_pts:
-        mate = _pencil_partner(base, ln, pt, conic)
+        mate = _pencil_partner(base, ln, pt)
         if mate is None or mate == pt or mate not in line_pts:
             return None
         partner[pt] = mate
@@ -641,7 +640,7 @@ def _classify_pencil_quadruple(pts, key: tuple, on_line: set, conic) -> Optional
     return None
 
 
-def _classify_triangle_conic(pts, sized: dict, conic) -> Optional[int]:
+def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
     sides = [on for on in sized.values() if len(on) == 4]
     if len(sides) != 3 or any(len(on) > 4 for on in sized.values()):
         return None
@@ -651,7 +650,8 @@ def _classify_triangle_conic(pts, sized: dict, conic) -> Optional[int]:
     a, b, c = sides
     vertices = (a & b) | (a & c) | (b & c)
     # A vertex on the conic would put three points of a side on it: no test.
-    return None if conic([q for i, q in enumerate(pts) if i not in vertices]) is None else 39
+    six = [q for i, q in enumerate(pts) if i not in vertices]
+    return None if _unique_conic(six) is None else 39
 
 
 def _classify_five_lines(sized: dict) -> Optional[int]:
@@ -676,13 +676,12 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
         return None
     if k <= 2:
         return k
-    return _classify_grouped(pts, _index_groups(pts), _unique_conic)
+    return _classify_grouped(pts, _index_groups(pts))
 
 
-def _classify_grouped(pts: tuple, groups: dict, conic) -> Optional[int]:
+def _classify_grouped(pts: tuple, groups: dict) -> Optional[int]:
     """:func:`classify_points` on 3 to 10 distinct points of one field, given
-    their ``projgeom._index_groups`` and a function that returns the unique
-    conic through a list of them, or None."""
+    their ``projgeom._index_groups``."""
     k = len(pts)
     if k == 3:
         return 3
@@ -706,16 +705,16 @@ def _classify_grouped(pts: tuple, groups: dict, conic) -> Optional[int]:
         # passes through them: two conics meeting in more than four points
         # share a line L, and the points off L lie on both residual lines,
         # which have one common point, so five points would lie on L.
-        through = conic(pts)
+        through = _unique_conic(pts)
         if through is None:
             return 26
         return None if through.is_degenerate() else 24
     if k == 7:
-        return _classify_seven(pts, sized, m, conic)
+        return _classify_seven(pts, sized, m)
     if k == 8:
-        return _classify_eight(pts, sized, m, conic)
+        return _classify_eight(pts, sized, m)
     if k == 9:
-        return _classify_triangle_conic(pts, sized, conic)
+        return _classify_triangle_conic(pts, sized)
     return _classify_five_lines(sized)
 
 
@@ -730,7 +729,7 @@ def _on_one_line(sized: dict, idx: set) -> bool:
     return any(idx <= on for on in sized.values())
 
 
-def _classify_seven(pts, sized, m, conic) -> Optional[int]:
+def _classify_seven(pts, sized, m) -> Optional[int]:
     if m == 6:
         return 15
     if m == 5:
@@ -748,18 +747,18 @@ def _classify_seven(pts, sized, m, conic) -> Optional[int]:
     # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
     # so that conic is the only one through them.
     # Seven points with no collinear triple lie on no line pair: no test.
-    if not sized and conic(pts) is not None:
+    if not sized and _unique_conic(pts) is not None:
         return 32
     if _disjoint_trios(sized):
         return 35
     for skip in range(7):
-        six = conic([q for i, q in enumerate(pts) if i != skip])
+        six = _unique_conic([q for i, q in enumerate(pts) if i != skip])
         if six is not None and not six.is_degenerate() and not six.contains(pts[skip]):
             return 36
     return None
 
 
-def _classify_eight(pts, sized, m, conic) -> Optional[int]:
+def _classify_eight(pts, sized, m) -> Optional[int]:
     if m == 7:
         return 16
     if m == 6:
@@ -777,7 +776,7 @@ def _classify_eight(pts, sized, m, conic) -> Optional[int]:
             return 37 if s1 & s2 else 30
         if len(four) == 1:
             (key, on_line), = four.items()
-            return _classify_pencil_quadruple(pts, key, on_line, conic)
+            return _classify_pencil_quadruple(pts, key, on_line)
         return None
     return None
 
@@ -850,8 +849,7 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
     (the patterns are mutually exclusive and exhaustive on their strata), and
     every proper subset that matches any type at all must match one with a
     strictly smaller index.  The types come from :func:`_typed_subsets`,
-    which gives what ``classify_points`` gives with one conic memo per
-    sample.
+    which gives what ``classify_points`` gives.
     """
     checked = 0
     subset_checks = 0
@@ -881,25 +879,17 @@ def _typed_subsets(cfg: Config):
 
     A set of at most three points is typed by its size, since a
     configuration's points are distinct; a larger one is grouped by
-    ``projgeom._groups_of`` on its points' keys.  ``_unique_conic`` is asked
-    at most once per point set: its answers are kept for the whole walk.
+    ``projgeom._groups_of`` on its points' keys.
     """
     pts = cfg.points
     p = cfg.field.p
     reps = [q.key for q in pts]
-    conics: dict = {}
-
-    def conic(points):
-        key = frozenset(points)
-        if key not in conics:
-            conics[key] = _unique_conic(points)
-        return conics[key]
 
     def typed(sub, sub_reps):
         k = len(sub)
         if k <= 3:
             return k or None
-        return _classify_grouped(sub, _groups_of(p, sub_reps), conic) if k <= 10 else None
+        return _classify_grouped(sub, _groups_of(p, sub_reps)) if k <= 10 else None
 
     yield pts, typed(pts, reps)
     for r in range(1, len(pts)):

@@ -14,8 +14,10 @@ The line through two points has the key :func:`_join_key` gives the cross
 product of theirs.  :func:`_groups_of`, which groups the keys of a point set
 by the keys of the lines through their pairs (:func:`_index_groups` on the
 points themselves), is the one place that decides which points of a set are
-collinear.  :func:`hausdorff` is the exact metric on finite point sets used
-by the metric axiom tests.
+collinear.  :func:`_framed_conditions` is the one place that finds the conics
+through a point set: in closed form, in a frame of three of the points,
+without elimination.  :func:`hausdorff` is the exact metric on finite point
+sets used by the metric axiom tests.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, InputError
-from .exactalg import (
-    QQ,
-    Field,
-    _integer_row,
-    _kernel_rows,
-)
+from .exactalg import QQ, Field, _integer_row
 
 
 def _normalize(field: Field, coords: Sequence) -> tuple:
@@ -54,11 +51,16 @@ def _normalize(field: Field, coords: Sequence) -> tuple:
     return tuple(inv * v % p for v in vals)
 
 
+def _cross(u: Sequence, v: Sequence) -> tuple:
+    """The cross product of two integer triples, unreduced."""
+    (a, b, c), (d, e, g) = u, v
+    return (b * g - c * e, c * d - a * g, a * e - b * d)
+
+
 def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
     """Key of the cross product of two keys over GF(p), or over QQ when ``p``
     is None; None when it vanishes (the two are one projective object)."""
-    (a, b, c), (d, e, g) = u, v
-    x, y, z = b * g - c * e, c * d - a * g, a * e - b * d
+    x, y, z = _cross(u, v)
     if p is None:
         s = gcd(x, y, z)
         if not s:
@@ -360,7 +362,11 @@ def on_common_conic(pts: Sequence[ProjPoint]) -> bool:
         raise InputError("the six points must be distinct")
     for p in pts[1:]:
         _same_field(pts[0].field, p.field)
-    return bool(_conic_basis(pts))
+    framed = _framed_conditions(pts)
+    # Six points on one line lie on every line pair through it; otherwise
+    # the three points off the frame leave three conditions, which have a
+    # common solution exactly when their determinant vanishes.
+    return framed is None or pts[0].field.is_zero(_det3(framed[1]))
 
 
 def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
@@ -373,16 +379,98 @@ def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
     return _unique_conic(pts)
 
 
-def _conic_basis(pts: Sequence[ProjPoint]) -> tuple:
-    """Echelon basis of the conics through points of one field: the kernel of
-    their Veronese rows, which are already canonical."""
-    return _kernel_rows(pts[0].field, [veronese(p) for p in pts], 6).basis
+def _reduced(p: Optional[int], vals: tuple) -> tuple:
+    """Residues of the ints ``vals`` over GF(p); over QQ (``p`` None) the ints."""
+    return tuple(v % p for v in vals) if p else vals
+
+
+def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
+    """The conics through points of one field, as linear conditions in a
+    frame of three of the points; None when the points lie on one line.
+
+    The frame is A, the first point, B, the first point other than A, and C,
+    the first point off the line AB.  The adjugate of the matrix M with
+    columns A, B, C has the rows r0 = B x C, r1 = C x A and r2 = A x B:
+    r0 . A = r1 . B = r2 . C = det M, and r_i . P = 0 for the two other
+    frame points P.  So X -> adj X is a projective change of coordinates
+    that moves A, B, C to the coordinate points.  A change of coordinates is
+    an isomorphism of the spaces of conics: q'(Y) = q(M Y) has
+    q'(adj X) = (det M)^2 q(X), so q' passes through adj P exactly when q
+    passes through P.  So whether the conic through the points is unique,
+    and the conic itself, can be read off in the new frame.  There the
+    conics through the three coordinate points are q' = a yz + b xz + c xy,
+    and every other point P, moved to (u, v, w) = (r0 . P, r1 . P, r2 . P),
+    gives one condition (vw, uw, uv) . (a, b, c) = 0.
+
+    Returns the adjugate rows and the nonzero conditions, one per point off
+    the frame in order (only a repeated frame point gives a zero one), as
+    residues over GF(p) and ints over QQ.
+    """
+    field = pts[0].field
+    p = field.p
+    keys = [q.key for q in pts]
+    a = keys[0]
+    j = next((j for j, key in enumerate(keys) if key != a), None)
+    if j is None:
+        return None
+    b = keys[j]
+    ab = _cross(a, b)
+    i = next((i for i in range(j + 1, len(keys)) if not field.is_zero(
+        ab[0] * keys[i][0] + ab[1] * keys[i][1] + ab[2] * keys[i][2])), None)
+    if i is None:
+        return None
+    c = keys[i]
+    adj = (_reduced(p, _cross(b, c)), _reduced(p, _cross(c, a)), _reduced(p, ab))
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = adj
+    conditions = []
+    for x, y, z in keys[j + 1:i] + keys[i + 1:]:
+        u = r00 * x + r01 * y + r02 * z
+        v = r10 * x + r11 * y + r12 * z
+        w = r20 * x + r21 * y + r22 * z
+        row = _reduced(p, (v * w, u * w, u * v))
+        if any(row):
+            conditions.append(row)
+    return adj, conditions
 
 
 def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
-    """The conic through points of one field when it exists and is unique."""
-    basis = _conic_basis(pts)
-    return Conic(pts[0].field, basis[0]) if len(basis) == 1 else None
+    """The conic through points of one field when it exists and is unique.
+
+    In the frame of :func:`_framed_conditions` the conic is unique exactly
+    when the conditions have rank 2.  It is then q' = a yz + b xz + c xy with
+    (a, b, c) the cross product of two independent conditions, which every
+    other condition must annul.  q(X) = q'(X0 k0 + X1 k1 + X2 k2) over the
+    adjugate's columns k0, k1, k2, so the coefficient of Xi^2 is q'(ki) and
+    that of Xi Xj is the polarization q'(ki + kj) - q'(ki) - q'(kj).  No
+    matrix is eliminated; :class:`Conic` scales the result to its key.
+    """
+    field = pts[0].field
+    framed = _framed_conditions(pts)
+    if framed is None:
+        return None
+    adj, conditions = framed
+    for n, row in enumerate(conditions):
+        abc = _reduced(field.p, _cross(conditions[0], row))
+        if any(abc):
+            break
+    else:
+        # rank at most 1: every condition is a multiple of the first
+        return None
+    a, b, c = abc
+    for s, t, r in conditions[n + 1:]:
+        if not field.is_zero(s * a + t * b + r * c):
+            return None
+
+    def square(k):
+        return a * k[1] * k[2] + b * k[0] * k[2] + c * k[0] * k[1]
+
+    def polar(k, m):
+        return (a * (k[1] * m[2] + k[2] * m[1]) + b * (k[0] * m[2] + k[2] * m[0])
+                + c * (k[0] * m[1] + k[1] * m[0]))
+
+    k0, k1, k2 = zip(*adj)
+    return Conic(field, (square(k0), square(k1), square(k2),
+                         polar(k0, k1), polar(k0, k2), polar(k1, k2)))
 
 
 def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:

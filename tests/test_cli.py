@@ -321,11 +321,13 @@ def test_classify_line_times_nodal_cubic(tmp_path, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["line_triangle", "double_conic"])
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic"])
 def test_classify_report_matches_stored(name, capsys, monkeypatch):
     # line_triangle: a doubled line times a triangle with vertices (0:0:1),
     # (0:1:3) and one in the chart x = 1 (type 41); double_conic: a rational
-    # doubled conic times a line, reduced to GF(101) (type 33)
+    # doubled conic times a line, reduced to GF(101) (type 33); six_on_conic:
+    # an integer member of a rational type 24 system, singular at six points
+    # on a nondegenerate conic, which the classifier's six-point branch finds
     monkeypatch.chdir(DATA)
     code, out, _ = run(capsys, "classify", "--poly", f"classify_{name}.json",
                        "--prime", "101")
@@ -333,7 +335,7 @@ def test_classify_report_matches_stored(name, capsys, monkeypatch):
     assert out == (DATA / f"classify_{name}.expected.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["line_triangle", "double_conic"])
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic"])
 def test_classify_report_at_largest_prime_matches_stored(name, capsys, monkeypatch):
     # at MAX_BRUTEFORCE_PRIME = 251 the sieve's packed columns are at their
     # largest slot values; line_triangle reduces to a two-point form there
@@ -433,6 +435,23 @@ def test_config_roundtrip_rational_with_components():
 
     cfg = sample_generic(31, QQ, 2)
     assert config_from_json(config_to_json(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    ("whole_plane", "false"), ("whole_plane", 0), ("whole_plane", None),
+    ("type_id", [1]), ("type_id", 0), ("type_id", 43), ("type_id", 4.0),
+    ("type_id", True), ("type_id", "4"),
+])
+def test_config_fields_must_have_their_json_types(key, value):
+    from quintics.errors import InputError
+    from quintics.exactalg import QQ
+
+    data = {"field": "qq", "points": [[1, 0, 0]], key: value}
+    with pytest.raises(InputError, match="^malformed configuration file: "):
+        config_from_json(data)
+    cfg = config_from_json({"field": "qq", "whole_plane": True, "type_id": 42})
+    assert (cfg.whole_plane, cfg.type_id, cfg.field) == (True, 42, QQ)
+    assert config_from_json({"field": "qq"}).type_id == "untyped"
 
 
 def test_poly_roundtrip():

@@ -1086,31 +1086,23 @@ def test_check_conditions_subset_walk_matches_stored():
     assert samples == len(stored)
 
 
-def test_check_conditions_asks_each_conic_once_and_never_joins_over_fp(monkeypatch):
+def test_check_conditions_never_joins_over_fp(monkeypatch):
     from quintics import lsys, projgeom
 
     field = PrimeField(65521)
     samples = [sample_generic(t, field, seed) for t in (36, 38, 39, 40) for seed in (1, 2)]
     rational = sample_generic(36, QQ, 1).points
-    asked, joins = [], []
-
-    def recording_conic(points):
-        asked.append(frozenset(points))
-        return projgeom._unique_conic(points)
-
+    joins = []
     join_key = projgeom._join_key
 
     def counting_join(*args):
         joins.append(args)
         return join_key(*args)
 
-    monkeypatch.setattr(lsys, "_unique_conic", recording_conic)
     monkeypatch.setattr(projgeom, "_join_key", counting_join)
     for cfg in samples:
-        asked.clear()
         report = check_conditions([cfg])
         assert report == lsys.ConditionReport(1, 2 ** len(cfg.points) - 2, [])
-        assert asked and len(asked) == len(set(asked)), cfg.type_id
     assert joins == []
     # the counter sees the QQ joins: one per pair of seven points
     _index_groups(rational)

@@ -196,7 +196,94 @@ def test_conic_through_five_points():
     assert not conic.is_degenerate()
 
 
-# --- samplers ----------------------------------------------------------------
+# --- closed-form conics against the Veronese kernel ---------------------------
+
+def _matches_kernel(pts) -> tuple:
+    """Check the closed-form conic predicates on distinct points of one field
+    against the kernel of their Veronese rows; returns the kernel dimension
+    and whether the unique conic is degenerate (None when there is none)."""
+    from quintics.projgeom import _unique_conic
+
+    pts = tuple(pts)
+    field = pts[0].field
+    basis = _kernel_rows(field, [veronese(q) for q in pts], 6).basis
+    expected = Conic(field, basis[0]) if len(basis) == 1 else None
+    assert _unique_conic(pts) == expected, pts
+    if len(pts) == 5:
+        assert conic_through(pts) == expected, pts
+    if len(pts) == 6:
+        assert on_common_conic(pts) == bool(basis), pts
+    # the degeneracy test needs odd characteristic
+    split = None if expected is None or field.p == 2 else expected.is_degenerate()
+    return len(basis), split
+
+
+@pytest.mark.parametrize("p, sets", [(2, 21 + 7 + 1), (3, 1287 + 1716 + 1716)])
+def test_closed_form_conics_match_the_kernel_on_every_small_plane_set(p, sets):
+    from quintics.lsys import plane_points
+
+    plane = plane_points(p)
+    outcomes = {}
+    for k in (5, 6, 7):
+        for sub in combinations(plane, k):
+            outcome = (k,) + _matches_kernel(sub)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert sum(outcomes.values()) == sets
+    # no conic and a unique conic occur on both planes, a pencil on PG(2, 3)
+    assert {dim for _, dim, _ in outcomes} == ({0, 1} if p == 2 else {0, 1, 2})
+    if p == 3:
+        # a nondegenerate conic has four points over GF(3): only line pairs
+        assert {split for _, dim, split in outcomes if dim == 1} == {True}
+
+
+def _sweep_set(rng: SplitMix64, field, bound: int) -> list:
+    """5 to 9 distinct points: random ones, points on the join of two
+    earlier ones (collinear triples), five or six on one line, or six on a
+    conic, the images of (s^2, st, t^2) under a random matrix.  After 50
+    draws that add no point, the next one is a random point."""
+
+    def draw():
+        return rng.int_in(-bound, bound) if field.p is None else rng.below(field.p)
+
+    k = rng.int_in(5, 9)
+    shape = rng.below(4)
+    on_line = 5 + rng.below(2)
+    matrix = [[draw() for _ in range(3)] for _ in range(3)]
+    pts = []
+    stuck = 0
+    while len(pts) < k:
+        s, t = draw(), draw()
+        if stuck > 50:
+            coords = (s, t, draw())
+        elif shape == 1 and len(pts) >= 2:
+            a, b = pts[rng.below(len(pts))], pts[rng.below(len(pts))]
+            coords = tuple(s * u + t * v for u, v in zip(a.key, b.key))
+        elif shape == 2 and 2 <= len(pts) < on_line:
+            coords = tuple(s * u + t * v for u, v in zip(pts[0].key, pts[1].key))
+        elif shape == 3 and len(pts) < 6:
+            coords = tuple(row[0] * s * s + row[1] * s * t + row[2] * t * t for row in matrix)
+        else:
+            coords = (s, t, draw())
+        q = None if all(field.is_zero(v) for v in coords) else ProjPoint(field, coords)
+        if q is None or q in pts:
+            stuck += 1
+        else:
+            pts.append(q)
+            stuck = 0
+    return pts
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(7), PrimeField(101), FP, QQ],
+                         ids=str)
+def test_closed_form_conics_match_the_kernel_on_a_seeded_sweep(field):
+    rng = SplitMix64(24)
+    outcomes = set()
+    for _ in range(400):
+        pts = _sweep_set(rng, field, 12)
+        outcomes.add((len(pts) >= 6,) + _matches_kernel(pts))
+    assert {dim for _, dim, _ in outcomes} == {0, 1, 2, 3}
+    # six or more points on a nondegenerate conic, and on a line pair
+    assert {(True, 1, False), (True, 1, True)} <= outcomes
 
 def test_sample_type1_single_point():
     cfg = sample_generic(1, FP, 7)
@@ -394,14 +481,13 @@ def test_no_point_set_of_pg23_qualifies_for_a_refused_type():
     # of type t could return has type t and no line through three or more of
     # its points but the construction's own.
     from quintics.lsys import _classify_grouped, plane_points
-    from quintics.projgeom import _unique_conic
 
     plane = plane_points(3)
     typed = 0
     for k in range(4, 11):
         for sub in combinations(plane, k):
             groups = _index_groups(sub)
-            type_id = _classify_grouped(sub, groups, _unique_conic)
+            type_id = _classify_grouped(sub, groups)
             if type_id in GF3_REFUSED_LINES:
                 typed += 1
                 rich = sum(len(on) >= 3 for on in groups.values())
