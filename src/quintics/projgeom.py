@@ -57,6 +57,14 @@ def _cross(u: Sequence, v: Sequence) -> tuple:
     return (b * g - c * e, c * d - a * g, a * e - b * d)
 
 
+def _adjugate(rows: Sequence) -> tuple:
+    """The adjugate of the 3x3 matrix with rows ``rows``, unreduced: its row
+    i is the cross product of columns i + 1 and i + 2 (indices mod 3), so
+    ``_adjugate(m) m = det(m) I``."""
+    c0, c1, c2 = zip(*rows)
+    return _cross(c1, c2), _cross(c2, c0), _cross(c0, c1)
+
+
 def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
     """Key of the cross product of two keys over GF(p), or over QQ when ``p``
     is None; None when it vanishes (the two are one projective object)."""
@@ -144,17 +152,31 @@ def _conic_value(coeffs: Sequence, pt: Sequence):
     return a * x * x + b * y * y + c * z * z + d * x * y + e * x * z + g * y * z
 
 
+def _pullback(coeffs: Sequence, rows: Sequence) -> tuple:
+    """The coefficients of q(R x), unreduced, for the quadratic form q with
+    coefficients ``coeffs`` and the matrix R with rows r0, r1, r2: each
+    monomial x_i x_j of q with a nonzero coefficient becomes
+    (r_i . x)(r_j . x)."""
+    x2 = y2 = z2 = xy = xz = yz = 0
+    # the monomials of CONIC_MONOMIALS as index pairs (i, j)
+    for coef, (i, j) in zip(coeffs, ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        if coef:
+            (a, b, c), (d, e, g) = rows[i], rows[j]
+            x2 += coef * a * d
+            y2 += coef * b * e
+            z2 += coef * c * g
+            xy += coef * (a * e + b * d)
+            xz += coef * (a * g + c * d)
+            yz += coef * (b * g + c * e)
+    return x2, y2, z2, xy, xz, yz
+
+
 class Conic(_Keyed):
     """A conic, built from any nonzero coefficients ordered
     (x^2, y^2, z^2, xy, xz, yz); ``coeffs`` are the normalized ones."""
 
     _length, _wrong_length = 6, "a conic needs 6 coefficients"
     coeffs = _Keyed._normalized
-
-    def evaluate(self, pt: ProjPoint):
-        """The value of the normalized form at the normalized coordinates."""
-        _same_field(self.field, pt.field)
-        return self.field.coerce(_conic_value(self.coeffs, pt.coords))
 
     def is_degenerate(self) -> bool:
         # Determinant of the doubled symmetric matrix; zero iff the conic
@@ -187,10 +209,6 @@ class Config:
             _same_field(self.field, obj.field)
         if len(set(self.points)) != len(self.points):
             raise InputError("configuration points must be pairwise distinct")
-
-    @property
-    def k_points(self) -> int:
-        return len(self.points)
 
     def is_finite(self) -> bool:
         return not (self.lines or self.conics or self.whole_plane)
@@ -390,13 +408,13 @@ def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
 
     The frame is A, the first point, B, the first point other than A, and C,
     the first point off the line AB.  The adjugate of the matrix M with
-    columns A, B, C has the rows r0 = B x C, r1 = C x A and r2 = A x B:
-    r0 . A = r1 . B = r2 . C = det M, and r_i . P = 0 for the two other
-    frame points P.  So X -> adj X is a projective change of coordinates
-    that moves A, B, C to the coordinate points.  A change of coordinates is
-    an isomorphism of the spaces of conics: q'(Y) = q(M Y) has
-    q'(adj X) = (det M)^2 q(X), so q' passes through adj P exactly when q
-    passes through P.  So whether the conic through the points is unique,
+    columns A, B, C has the rows r0 = B x C, r1 = C x A and r2 = A x B
+    (:func:`_adjugate`): r0 . A = r1 . B = r2 . C = det M, and r_i . P = 0
+    for the two other frame points P.  So X -> adj X is a projective change
+    of coordinates that moves A, B, C to the coordinate points.  A change of
+    coordinates is an isomorphism of the spaces of conics: q'(Y) = q(M Y)
+    has q'(adj X) = (det M)^2 q(X), so q' passes through adj P exactly when
+    q passes through P.  So whether the conic through the points is unique,
     and the conic itself, can be read off in the new frame.  There the
     conics through the three coordinate points are q' = a yz + b xz + c xy,
     and every other point P, moved to (u, v, w) = (r0 . P, r1 . P, r2 . P),
@@ -419,8 +437,8 @@ def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
         ab[0] * keys[i][0] + ab[1] * keys[i][1] + ab[2] * keys[i][2])), None)
     if i is None:
         return None
-    c = keys[i]
-    adj = (_reduced(p, _cross(b, c)), _reduced(p, _cross(c, a)), _reduced(p, ab))
+    r0, r1, r2 = _adjugate(zip(a, b, keys[i]))
+    adj = (_reduced(p, r0), _reduced(p, r1), _reduced(p, r2))
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = adj
     conditions = []
     for x, y, z in keys[j + 1:i] + keys[i + 1:]:
@@ -439,10 +457,9 @@ def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
     In the frame of :func:`_framed_conditions` the conic is unique exactly
     when the conditions have rank 2.  It is then q' = a yz + b xz + c xy with
     (a, b, c) the cross product of two independent conditions, which every
-    other condition must annul.  q(X) = q'(X0 k0 + X1 k1 + X2 k2) over the
-    adjugate's columns k0, k1, k2, so the coefficient of Xi^2 is q'(ki) and
-    that of Xi Xj is the polarization q'(ki + kj) - q'(ki) - q'(kj).  No
-    matrix is eliminated; :class:`Conic` scales the result to its key.
+    other condition must annul.  q(X) = q'(adj X) is its pull-back along
+    the adjugate (:func:`_pullback`).  No matrix is eliminated;
+    :class:`Conic` scales the result to its key.
     """
     field = pts[0].field
     framed = _framed_conditions(pts)
@@ -460,17 +477,7 @@ def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
     for s, t, r in conditions[n + 1:]:
         if not field.is_zero(s * a + t * b + r * c):
             return None
-
-    def square(k):
-        return a * k[1] * k[2] + b * k[0] * k[2] + c * k[0] * k[1]
-
-    def polar(k, m):
-        return (a * (k[1] * m[2] + k[2] * m[1]) + b * (k[0] * m[2] + k[2] * m[0])
-                + c * (k[0] * m[1] + k[1] * m[0]))
-
-    k0, k1, k2 = zip(*adj)
-    return Conic(field, (square(k0), square(k1), square(k2),
-                         polar(k0, k1), polar(k0, k2), polar(k1, k2)))
+    return Conic(field, _pullback((0, 0, 0, c, b, a), adj))
 
 
 def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:

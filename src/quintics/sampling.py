@@ -11,14 +11,19 @@ rationals, where finding points on an arbitrary conic would not be possible.
 
 Every construction draws through one guarded helper, ``_Draw.distinct``,
 which makes a bounded number of draws, and runs inside one bounded retry,
-``_retry``; the quartic contact sampler of ``lsys`` uses the same two.
+``_retry``; the quartic contact sampler of ``lsys`` uses the same two.  The
+22 types made of points on one line or two, their meet and points off them
+are all drawn by ``_on_lines``.  Every change of coordinates, of a reference
+conic or of a configuration, pulls forms back along the adjugate with
+``projgeom._adjugate`` and ``projgeom._pullback``.
 
 A type that needs more points on one line than a line over the field has, a
-type whose points cannot exist over a small field (types 18, 26 and 36, and
-nine more over GF(3)), or a conic over GF(2), is refused before any draw, and
-so is the quartic contact system over GF(2).  Sampling that keeps failing its
-predicates gives up after ``MAX_ATTEMPTS`` rejections; over a very small prime
-field this can still be the outcome.
+type whose points cannot exist over a small field (types 18, 21, 26 and 36;
+nine more over GF(3), and three of them, 34, 35 and 37, over GF(5) too), or
+a conic over GF(2), is refused before any draw, and so is the quartic contact
+system over GF(2).  Sampling that keeps failing its predicates gives up after
+``MAX_ATTEMPTS`` rejections; over a very small prime field this can still be
+the outcome.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _adjugate,
     _det3,
     _index_groups,
     _line_basis,
     _no_collinear_triple,
     _odd_characteristic,
+    _pullback,
     collinear,
     conic_line_second_point,
     conic_through,
@@ -186,45 +193,16 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
     """A nondegenerate conic with ``n`` rational points on it.
 
     Applies a random invertible coordinate change T to the parametrized conic
-    x z = y^2; the image conic has coefficients (r0 . x)(r2 . x) - (r1 . x)^2
-    where r0, r1, r2 are the rows of T^{-1}.
+    x z = y^2; the image conic is the pull-back of x z - y^2 along the
+    adjugate of T, which is T^{-1} up to the harmless factor det T.
     """
     f = draw.field
     t_rows = draw.matrix()
-    inv = _adjugate3(t_rows)  # rows of T^{-1} up to the harmless factor det
-    conic = _conic_from_forms(f, inv[0], inv[2], inv[1])
+    conic = Conic(f, _pullback((0, -1, 0, 0, 1, 0), _adjugate(t_rows)))
     params = draw.distinct(n, draw.coord, limit=64 * n + 64)
     points = [ProjPoint(f, tuple(r0 + r1 * t + r2 * t * t for r0, r1, r2 in t_rows))
               for t in params]
     return conic, points
-
-
-def _adjugate3(m) -> list:
-    """Adjugate of a 3x3 matrix, unreduced over GF(p)."""
-    def co(i, j):
-        sub = [[m[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
-        det2 = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-        return det2 if (i + j) % 2 == 0 else -det2
-
-    return [[co(j, i) for j in range(3)] for i in range(3)]
-
-
-def _sym(a, b) -> tuple:
-    """The product of linear forms (a.x)(b.x) in the package conic ordering,
-    unreduced over GF(p)."""
-    return (
-        a[0] * b[0],
-        a[1] * b[1],
-        a[2] * b[2],
-        a[0] * b[1] + a[1] * b[0],
-        a[0] * b[2] + a[2] * b[0],
-        a[1] * b[2] + a[2] * b[1],
-    )
-
-
-def _conic_from_forms(f: Field, u, v, w) -> Conic:
-    """Conic (u.x)(v.x) - (w.x)^2 in the package coefficient ordering."""
-    return Conic(f, tuple(a - b for a, b in zip(_sym(u, v), _sym(w, w))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,40 +213,29 @@ def _points_config(f: Field, pts: Sequence[ProjPoint], tid: int) -> Config:
     return Config(f, points=tuple(pts), type_id=tid)
 
 
-def _k_on_line(draw: _Draw, k: int, tid: int) -> Config:
-    ln = draw.line()
-    pts = draw.distinct_points_on(ln, k)
+def _on_lines(draw: _Draw, counts: Sequence[int], tid: int, meet: bool = False,
+              off: int = 0) -> Config:
+    """``counts[i]`` points on the i-th of one random line or two, off their
+    meet, then the meet when ``meet``, then ``off`` points on no drawn line.
+
+    Only the off points can put three points on another line: such a line
+    meets each drawn line in at most one point of the set.
+    """
+    if len(counts) == 1:
+        lines, meets = [draw.line()], []
+    else:
+        l1, l2, p12 = draw.two_lines()
+        lines, meets = [l1, l2], [p12]
+    pts: list[ProjPoint] = []
+    for ln, k in zip(lines, counts):
+        pts += draw.distinct_points_on(ln, k, avoid=meets + pts)
+    if meet:
+        pts += meets
+    if off:
+        pts += draw.distinct(off, draw.point, skip=lambda q: any(incident(q, ln) for ln in lines))
+        if not _only_allowed_collinear(pts, lines):
+            raise _Reject
     return _points_config(draw.field, pts, tid)
-
-
-def _k_on_line_plus_off(draw: _Draw, k: int, off: int, tid: int) -> Config:
-    ln = draw.line()
-    pts = draw.distinct_points_on(ln, k)
-    pts += draw.distinct(off, draw.point, skip=lambda p: incident(p, ln))
-    if not _only_allowed_collinear(pts, [ln]):
-        raise _Reject
-    return _points_config(draw.field, pts, tid)
-
-
-def _two_line_trios(draw: _Draw, include_intersection: bool, extra_off: int, tid: int) -> Config:
-    l1, l2, p12 = draw.two_lines()
-    a = draw.distinct_points_on(l1, 3, avoid=[p12])
-    b = draw.distinct_points_on(l2, 3, avoid=[p12] + a)
-    pts = a + b
-    if include_intersection:
-        pts.append(p12)
-    pts += draw.distinct(extra_off, draw.point, avoid=pts,
-                         skip=lambda q: incident(q, l1) or incident(q, l2))
-    if not _only_allowed_collinear(pts, [l1, l2]):
-        raise _Reject
-    return _points_config(draw.field, pts, tid)
-
-
-def _two_lines_points(draw: _Draw, k1: int, k2: int, tid: int) -> Config:
-    l1, l2, p12 = draw.two_lines()
-    a = draw.distinct_points_on(l1, k1, avoid=[p12])
-    b = draw.distinct_points_on(l2, k2, avoid=[p12] + a)
-    return _points_config(draw.field, a + b, tid)
 
 
 def _conic_points(draw: _Draw, n: int, extra_off: int, tid: int) -> Config:
@@ -280,14 +247,16 @@ def _conic_points(draw: _Draw, n: int, extra_off: int, tid: int) -> Config:
     return _points_config(draw.field, pts, tid)
 
 
-def _line_component(draw: _Draw, off: int, tid: int, *, off_collinear: bool | None = None) -> Config:
+def _line_component(draw: _Draw, off: int, tid: int, *, off_collinear: bool = False) -> Config:
+    """A line component and ``off`` points off it: on a second line when
+    ``off_collinear``, else no three of them on one line."""
     if off_collinear:
         comp, other, p12 = draw.two_lines()
         pts = draw.distinct_points_on(other, off, avoid=[p12])
     else:
         comp = draw.line()
         pts = draw.distinct(off, draw.point, skip=lambda q: incident(q, comp))
-        if off_collinear is False and len(pts) == 3 and collinear(*pts):
+        if len(pts) == 3 and collinear(*pts):
             raise _Reject
     return Config(draw.field, points=tuple(pts), lines=(comp,), type_id=tid)
 
@@ -393,44 +362,44 @@ _BUILDERS: dict[int, Callable[[_Draw], Config]] = {
     1: lambda d: _points_config(d.field, [d.point()], 1),
     2: lambda d: _generic_points(d, 2, 2),
     3: lambda d: _generic_points(d, 3, 3),
-    4: lambda d: _k_on_line(d, 4, 4),
-    5: lambda d: _k_on_line(d, 5, 5),
-    6: lambda d: _k_on_line(d, 6, 6),
-    7: lambda d: _k_on_line(d, 7, 7),
-    8: lambda d: _k_on_line(d, 8, 8),
-    9: lambda d: _k_on_line(d, 9, 9),
-    10: lambda d: _k_on_line(d, 10, 10),
+    4: lambda d: _on_lines(d, (4,), 4),
+    5: lambda d: _on_lines(d, (5,), 5),
+    6: lambda d: _on_lines(d, (6,), 6),
+    7: lambda d: _on_lines(d, (7,), 7),
+    8: lambda d: _on_lines(d, (8,), 8),
+    9: lambda d: _on_lines(d, (9,), 9),
+    10: lambda d: _on_lines(d, (10,), 10),
     11: lambda d: _line_component(d, 0, 11),
     12: lambda d: _generic_points(d, 4, 12),
-    13: lambda d: _k_on_line_plus_off(d, 4, 1, 13),
-    14: lambda d: _k_on_line_plus_off(d, 5, 1, 14),
-    15: lambda d: _k_on_line_plus_off(d, 6, 1, 15),
-    16: lambda d: _k_on_line_plus_off(d, 7, 1, 16),
+    13: lambda d: _on_lines(d, (4,), 13, off=1),
+    14: lambda d: _on_lines(d, (5,), 14, off=1),
+    15: lambda d: _on_lines(d, (6,), 15, off=1),
+    16: lambda d: _on_lines(d, (7,), 16, off=1),
     17: lambda d: _line_component(d, 1, 17),
     18: lambda d: _generic_points(d, 5, 18),
-    19: lambda d: _k_on_line_plus_off(d, 4, 2, 19),
-    20: lambda d: _k_on_line_plus_off(d, 5, 2, 20),
-    21: lambda d: _k_on_line_plus_off(d, 6, 2, 21),
+    19: lambda d: _on_lines(d, (4,), 19, off=2),
+    20: lambda d: _on_lines(d, (5,), 20, off=2),
+    21: lambda d: _on_lines(d, (6,), 21, off=2),
     22: lambda d: _line_component(d, 2, 22),
-    23: lambda d: _two_line_trios(d, False, 0, 23),
+    23: lambda d: _on_lines(d, (3, 3), 23),
     24: lambda d: _conic_points(d, 6, 0, 24),
-    25: lambda d: _two_line_trios(d, True, 0, 25),
+    25: lambda d: _on_lines(d, (3, 3), 25, meet=True),
     26: lambda d: _generic_points(d, 6, 26),
-    27: lambda d: _two_lines_points(d, 4, 3, 27),
-    28: lambda d: _two_lines_points(d, 5, 3, 28),
+    27: lambda d: _on_lines(d, (4, 3), 27),
+    28: lambda d: _on_lines(d, (5, 3), 28),
     29: lambda d: _line_component(d, 3, 29, off_collinear=True),
-    30: lambda d: _two_lines_points(d, 4, 4, 30),
+    30: lambda d: _on_lines(d, (4, 4), 30),
     31: _two_line_components,
     32: lambda d: _conic_points(d, 7, 0, 32),
     33: _conic_component,
-    34: lambda d: _k_on_line_plus_off(d, 4, 3, 34),
-    35: lambda d: _two_line_trios(d, False, 1, 35),
+    34: lambda d: _on_lines(d, (4,), 34, off=3),
+    35: lambda d: _on_lines(d, (3, 3), 35, off=1),
     36: lambda d: _conic_points(d, 6, 1, 36),
-    37: lambda d: _two_line_trios(d, True, 1, 37),
+    37: lambda d: _on_lines(d, (3, 3), 37, meet=True, off=1),
     38: lambda d: _pencil_quadruple(d, 38),
     39: lambda d: _triangle_conic(d, 39),
     40: lambda d: _five_lines(d, 40),
-    41: lambda d: _line_component(d, 3, 41, off_collinear=False),
+    41: lambda d: _line_component(d, 3, 41),
     42: lambda d: Config(d.field, type_id=42, whole_plane=True),
 }
 
@@ -446,9 +415,10 @@ _POINTS_ON_ONE_LINE = {
 }
 
 
-# Each of these types is refused over the primes below its entry.  For 18, 26
-# and 36 the entry is the least prime with a configuration at all; the others
-# are refused over GF(3) only, where no point set passes their checks:
+# Each of these types is refused over the primes below its entry, where no
+# point set passes its checks.  For 18, 21, 26, 34, 35, 36 and 37 the entry is
+# the least prime with a configuration at all; the others are refused over
+# GF(3) only:
 # - 18 needs a 5-arc (five points, no three collinear).  An arc over GF(q)
 #   has at most q + 2 points, q + 1 for odd q, so GF(2) and GF(3) have none.
 # - 26 needs a 6-arc on no conic.  GF(2) and GF(3) have no 6-arc, and over
@@ -458,25 +428,31 @@ _POINTS_ON_ONE_LINE = {
 #   xz = y^2 leave such a point; every nondegenerate conic is projectively
 #   equivalent to it and the condition is projectively invariant, so no
 #   conic over these fields does.
-# - 19 and 34 need four points on a line and two or three off it with no
-#   other line through three of them.  A line over GF(3) has four points, so
-#   the line through two points off it meets it in one of them.
+# - 19, 21 and 34 need four, six and four points on a line and two, two and
+#   three off it with no other line through three of them.  A line over
+#   GF(3) has four points, so the line through two points off it meets it in
+#   one of them.  Over GF(5) a line has six points: for 21 all of them are
+#   taken, so the join of the two off points meets the line in one of them;
+#   for 34 the three joins of the off points meet the line in its two free
+#   points, so two of the joins coincide and the off points are collinear.
 # - 35 and 37 need three points on each of two lines, off their meet, and a
-#   point off both with no other line through three of them.  Over GF(3)
-#   the trios are all the points of the lines but the meet, and each of the
-#   three lines through the extra point that miss the meet passes through
-#   one point of each trio.
+#   point off both with no other line through three of them.  So each line
+#   through the extra point carries at most one point of the trios, and the
+#   one through a trio point misses the meet.  Over GF(p) p of the p + 1
+#   lines through the extra point miss the meet, and 3 + 3 > p for p = 3, 5.
 # - 24, 32, 38 and 39 need a nondegenerate conic through at least five given
 #   points: six or seven points on it, four base points and a point of a
 #   line, or five of the points where it cuts a triangle's sides.  Over
 #   GF(3) such a conic has only four points.
 # - 40 needs five lines with no three through one point, dually a 5-arc,
 #   which GF(3) does not have (as for 18).
-_MIN_PRIME = {18: 5, 19: 5, 24: 5, 26: 7, 32: 5, 34: 5, 35: 5, 36: 11,
-              37: 5, 38: 5, 39: 5, 40: 5}
+_MIN_PRIME = {18: 5, 19: 5, 21: 7, 24: 5, 26: 7, 32: 5, 34: 7, 35: 7, 36: 11,
+              37: 7, 38: 5, 39: 5, 40: 5}
 _MIN_PRIME_NEEDS = {
     18: "five points with no three collinear, and no such points exist",
     19: "four points on a line and two off it with no other three collinear, "
+        "and no such points exist",
+    21: "six points on a line and two off it with no other three collinear, "
         "and no such points exist",
     24: "six points on a nondegenerate conic, and such a conic has fewer points",
     26: "six points with no three collinear and not on one conic, "
@@ -546,23 +522,14 @@ def apply_transform_to_line(m: list, ln: ProjLine) -> ProjLine:
     # by a nonzero determinant factor, which projective normalization kills.
     a, b, c = ln.key
     return ProjLine(ln.field, tuple(a * c0 + b * c1 + c * c2
-                                    for c0, c1, c2 in zip(*_adjugate3(m))))
+                                    for c0, c1, c2 in zip(*_adjugate(m))))
 
 
 def apply_transform_to_config(m: list, cfg: Config) -> Config:
     pts = tuple(apply_transform_to_point(m, p) for p in cfg.points)
     lines = tuple(apply_transform_to_line(m, ln) for ln in cfg.lines)
-    conics = tuple(_transform_conic(m, c) for c in cfg.conics)
+    # Conics pull their forms back along the adjugate (the inverse up to scale).
+    adj = _adjugate(m)
+    conics = tuple(Conic(c.field, _pullback(c.key, adj)) for c in cfg.conics)
     return Config(cfg.field, points=pts, lines=lines, conics=conics,
                   type_id=cfg.type_id, whole_plane=cfg.whole_plane)
-
-
-def _transform_conic(m: list, c: Conic) -> Conic:
-    # Pull back the quadratic form along the adjugate (inverse up to scale):
-    # q'(x) = q(Ax) with A = adjugate(m), expanded through the Veronese map.
-    r0, r1, r2 = _adjugate3(m)
-    acc = [0] * 6
-    for coef, (u, v) in zip(c.key, ((r0, r0), (r1, r1), (r2, r2), (r0, r1), (r0, r2), (r1, r2))):
-        for i, val in enumerate(_sym(u, v)):
-            acc[i] += coef * val
-    return Conic(c.field, tuple(acc))

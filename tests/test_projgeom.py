@@ -18,9 +18,12 @@ from quintics.projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _adjugate,
+    _conic_value,
     _from_key,
     _index_groups,
     _no_collinear_triple,
+    _pullback,
     collinear,
     conic_line_second_point,
     conic_through,
@@ -33,6 +36,7 @@ from quintics.projgeom import (
     veronese,
 )
 from quintics.sampling import (
+    _Draw,
     _only_allowed_collinear,
     apply_transform_to_config,
     apply_transform_to_point,
@@ -475,6 +479,9 @@ def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkey
 # more of its points.
 GF3_REFUSED_LINES = {19: 1, 24: 0, 32: 0, 34: 1, 35: 2, 37: 2, 38: 1, 39: 3, 40: 5}
 
+# The types refused over GF(5) as well; _gf5_configurations searches for them.
+GF5_REFUSED = {21, 34, 35, 37}
+
 
 def test_no_point_set_of_pg23_qualifies_for_a_refused_type():
     # Every set of 4 to 10 points of PG(2,3) is classified; a set the sampler
@@ -501,17 +508,119 @@ def test_sampler_refuses_gf3_types_before_any_attempt(monkeypatch):
     def no_attempts(*args):
         raise AssertionError("the sampler tried before refusing")
 
-    assert {t for t, p in sampling_mod._MIN_PRIME.items() if p == 5} == {18} | set(GF3_REFUSED_LINES)
+    assert ({t for t, p in sampling_mod._MIN_PRIME.items() if p == 5}
+            == {18} | set(GF3_REFUSED_LINES) - GF5_REFUSED)
     monkeypatch.setattr(sampling_mod, "_retry", no_attempts)
     for type_id in GF3_REFUSED_LINES:
         for seed in (0, 1):
             with pytest.raises(SamplingError, match=f"^type {type_id} needs .* over fp:3$"):
                 sample_generic(type_id, PrimeField(3), seed)
-        with pytest.raises(AssertionError, match="tried"):
-            sample_generic(type_id, PrimeField(5), 0)
+        if type_id not in GF5_REFUSED:
+            with pytest.raises(AssertionError, match="tried"):
+                sample_generic(type_id, PrimeField(5), 0)
     monkeypatch.undo()
     for type_id in GF3_REFUSED_LINES:
         assert sample_generic(type_id, PrimeField(7), 0).type_id == type_id
+
+
+def _gf5_configurations() -> dict:
+    """For each type of GF5_REFUSED, and for type 19 as a control, the number
+    of point sets of PG(2,5) its construction could draw that pass its check
+    (no line but the drawn ones through three of the points).  The drawn
+    lines are fixed: PGL(3) acts transitively on lines and on pairs of lines."""
+    from quintics.lsys import plane_points
+
+    f = PrimeField(5)
+    l1, l2 = ProjLine(f, (0, 0, 1)), ProjLine(f, (0, 1, 0))
+    meet = line_intersection(l1, l2)
+    plane = plane_points(5)
+    on1 = [q for q in plane if incident(q, l1)]
+    off1 = [q for q in plane if not incident(q, l1)]
+    off12 = [q for q in off1 if not incident(q, l2)]
+    trios = [list(a + b) for a in combinations([q for q in on1 if q != meet], 3)
+             for b in combinations([q for q in plane if incident(q, l2) and q != meet], 3)]
+
+    def on_one_line(k, off):
+        return sum(_only_allowed_collinear(list(on + rest), [l1])
+                   for on in combinations(on1, k) for rest in combinations(off1, off))
+
+    return {
+        19: on_one_line(4, 2),
+        21: on_one_line(6, 2),
+        34: on_one_line(4, 3),
+        35: sum(_only_allowed_collinear(t + [x], [l1, l2]) for t in trios for x in off12),
+        37: sum(_only_allowed_collinear(t + [meet, x], [l1, l2]) for t in trios for x in off12),
+    }
+
+
+def test_sampler_refuses_gf5_types_before_any_draw(monkeypatch):
+    import quintics.sampling as sampling_mod
+
+    found = _gf5_configurations()
+    assert found.pop(19) > 0
+    assert found == dict.fromkeys(GF5_REFUSED, 0)
+    assert GF5_REFUSED <= {t for t, p in sampling_mod._MIN_PRIME.items() if p == 7}
+
+    def no_draws(*args):
+        raise AssertionError("the sampler drew before refusing")
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
+    for type_id in GF5_REFUSED:
+        with pytest.raises(SamplingError, match=f"^type {type_id} needs .* over fp:5$"):
+            sample_generic(type_id, PrimeField(5), 0)
+    monkeypatch.undo()
+    for type_id in GF5_REFUSED:
+        assert sample_generic(type_id, PrimeField(7), 0).type_id == type_id
+
+
+def _seeded_matrices(field, seed: int, n: int) -> list:
+    draw = _Draw(field, SplitMix64(seed))
+    return [[draw.coords(3) for _ in range(3)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), FP], ids=str)
+def test_adjugate_times_matrix_is_det_times_identity(field):
+    for m in _seeded_matrices(field, 25, 40) + [[[1, 2, 3], [2, 4, 6], [0, 1, 5]]]:
+        det = m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1]) \
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0]) \
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        adj = _adjugate(m)
+        for i in range(3):
+            for j in range(3):
+                entry = sum(adj[i][k] * m[k][j] for k in range(3))
+                assert field.is_zero(entry - (det if i == j else 0)), (m, i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), FP], ids=str)
+def test_pullback_is_the_form_at_the_moved_point(field):
+    draw = _Draw(field, SplitMix64(26))
+    forms = [draw.coords(6) for _ in range(30)] + [(0, -1, 0, 0, 1, 0), (0, 0, 0, 3, -2, 5)]
+    for q, rows in zip(forms, _seeded_matrices(field, 27, len(forms))):
+        pulled = _pullback(q, rows)
+        for _ in range(5):
+            x = draw.coords(3)
+            moved = [sum(r * v for r, v in zip(row, x)) for row in rows]
+            assert field.is_zero(_conic_value(pulled, x) - _conic_value(q, moved)), (q, rows, x)
+
+
+def test_points_on_drawn_lines_put_three_on_no_other_line():
+    # Every line of PG(2,5) but two lines l1 and l2 meets their union in at
+    # most two points, so _on_lines with off=0 need not check collinearity.
+    from quintics.lsys import plane_points
+
+    f = PrimeField(5)
+    plane = plane_points(5)
+    lines = [ProjLine(f, q.key) for q in plane]
+    for l1, l2 in combinations(lines, 2):
+        union = [q for q in plane if incident(q, l1) or incident(q, l2)]
+        assert len(union) == 11
+        assert all(sum(incident(q, ln) for q in union) <= 2 for ln in lines if ln not in (l1, l2))
+    # the builders draw their points on one line or two and add only the meet
+    for type_id, n_lines in ((4, 1), (5, 1), (6, 1), (23, 2), (25, 2), (27, 2), (28, 2), (30, 2)):
+        for seed in range(3):
+            pts = sample_generic(type_id, f, seed).points
+            rich = [set(on) for on in _index_groups(pts).values() if len(on) >= 3]
+            assert len(rich) == n_lines and set().union(*rich) == set(range(len(pts)))
 
 
 def test_on_common_conic_requires_six_distinct_points():
