@@ -28,7 +28,6 @@ from .ledger import (
     totalize,
 )
 from .lsys import (
-    GOLDEN_DIMS,
     HomogeneousPoly,
     SingularSet,
     check_conditions,
@@ -51,6 +50,7 @@ from .projgeom import (
     on_common_conic,
 )
 from .sampling import sample_generic, sample_generic_points
+from .taxonomy import GOLDEN_DIMS
 from .twisted import (
     ChainComplex,
     ChainMap,

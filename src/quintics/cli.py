@@ -17,20 +17,16 @@ from .errors import InputError, SamplingError
 from .exactalg import PrimeField, parse_field
 from .formats import config_to_json, load_model, load_poly
 from .ledger import (
+    AMBIENT_DIM,
     apply_differentials,
     dataset_quintic,
     quintic_poincare_pipeline,
     totalize,
 )
-from .lsys import (
-    GOLDEN_DIMS,
-    _euler_relation,
-    classify,
-    linear_system_dim,
-    singular_set_bruteforce,
-)
+from .lsys import _euler_relation, classify, linear_system_dim, singular_set_bruteforce
 from .rng import derive_seed
 from .sampling import sample_generic
+from .taxonomy import GOLDEN_DIMS
 from .twisted import BUILTIN_MODELS, betti_poly, homology, induced_map, poincare_dual
 
 
@@ -64,8 +60,8 @@ def _finish(report: dict, out: Optional[str]) -> int:
 def cmd_dims(args) -> int:
     field = parse_field(args.field)
     if args.type == "all":
-        types = list(range(1, 43))
-    elif args.type.isdecimal() and 1 <= int(args.type) <= 42:
+        types = list(GOLDEN_DIMS)
+    elif args.type.isdecimal() and int(args.type) in GOLDEN_DIMS:
         types = [int(args.type)]
     else:
         raise InputError("type must be 1..42 or 'all'")
@@ -107,7 +103,7 @@ def cmd_classify(args) -> int:
             dim = linear_system_dim(cfg, poly.degree)
             results.append(_check(f"type {type_id} dimension", GOLDEN_DIMS[type_id], dim))
             results.append(_check(f"type {type_id} codimension",
-                                  21 - GOLDEN_DIMS[type_id], 21 - dim))
+                                  AMBIENT_DIM - GOLDEN_DIMS[type_id], AMBIENT_DIM - dim))
     report = {
         "command": "classify",
         "inputs": {"poly": args.poly, "prime": p},

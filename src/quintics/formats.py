@@ -15,6 +15,7 @@ from .errors import InputError
 from .exactalg import Field, parse_field
 from .lsys import HomogeneousPoly
 from .projgeom import Config, Conic, ProjLine, ProjPoint
+from .taxonomy import GOLDEN_DIMS
 from .twisted import ChainComplex, ChainMap, assemble
 
 
@@ -64,7 +65,7 @@ def config_from_json(data: dict) -> Config:
         lines = tuple(ProjLine(field, tuple(c)) for c in data.get("lines", []))
         conics = tuple(Conic(field, tuple(c)) for c in data.get("conics", []))
         type_id = data.get("type_id", "untyped")
-        if type_id != "untyped" and not 1 <= _json_int(type_id, "type_id") <= 42:
+        if type_id != "untyped" and _json_int(type_id, "type_id") not in GOLDEN_DIMS:
             raise ValueError(f"type_id must be 1..42 or \"untyped\", got {type_id!r}")
         whole_plane = data.get("whole_plane", False)
         if type(whole_plane) is not bool:

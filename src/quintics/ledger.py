@@ -17,15 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .lsys import GOLDEN_DIMS, K_POINTS
 from .poincare import PoincarePoly, format_one_plus_powers, product_of_cyclotomic_like
+from .taxonomy import GOLDEN_DIMS, K_POINTS
 
 AMBIENT_DIM = 21  # complex dimension of the space of quintic forms
-
-NONDISCRETE_COLUMNS = tuple(t for t, k in K_POINTS.items() if k == "nondiscrete")
 
 
 @dataclass(frozen=True)
@@ -78,38 +76,34 @@ class DifferentialDecl:
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """Data of one filtration column: type index, point count, fiber dimension,
-    and the sign-twisted base polynomial (None when the value is not stored)."""
+    """Data of one filtration column: the type index, whose point count and
+    fiber dimension are those of the taxonomy table, and the sign-twisted base
+    polynomial (None when the value is not stored)."""
 
     index: int
-    k_points: Union[int, str]
-    fiber_dim: int
     base_poly: Optional[PoincarePoly]
 
     def __post_init__(self):
-        if GOLDEN_DIMS.get(self.index) != self.fiber_dim:
-            raise InputError(f"fiber dimension of column {self.index} "
-                             f"disagrees with the golden table")
-        if K_POINTS.get(self.index) != self.k_points:
-            raise InputError(f"point count of column {self.index} "
-                             f"disagrees with the golden table")
+        if self.index not in GOLDEN_DIMS:
+            raise InputError(f"column {self.index} is not a type of the taxonomy table")
 
 
 def column_contribution(spec: ColumnSpec) -> PoincarePoly:
-    """Column total: the base polynomial shifted by 2 * fiber_dim + (k - 1).
+    """Column total: the base polynomial shifted by 2 * fiber_dim + (k - 1),
+    with k and fiber_dim read from the taxonomy table.
 
     Nondiscrete columns carry no shift formula; they are only admitted with a
     zero base, to which they contribute nothing.
     """
     if spec.base_poly is None:
         raise InputError(f"column {spec.index} has no stored base polynomial")
-    if isinstance(spec.k_points, str):
+    k = K_POINTS[spec.index]
+    if isinstance(k, str):
         if not spec.base_poly.is_zero():
             raise InputError("no shift formula applies to a nondiscrete column "
                              "with nonzero base")
         return PoincarePoly.zero()
-    shift = 2 * spec.fiber_dim + (spec.k_points - 1)
-    return spec.base_poly.shift(shift)
+    return spec.base_poly.shift(2 * GOLDEN_DIMS[spec.index] + (k - 1))
 
 
 def apply_differentials(table: E1Table, decls: Sequence[DifferentialDecl]) -> E1Table:
@@ -203,8 +197,8 @@ class QuinticDataset:
     """All stored inputs of the quintic sweep.
 
     ``e1`` is the main first page (it degenerates: no differentials), placed
-    from the column contributions.  The column specs mirror the 42-type
-    golden table; only the three point-count columns carry nonzero bases.
+    from the column contributions.  There is one column spec per type of
+    the taxonomy table; only the three point-count columns carry nonzero bases.
     Auxiliary tables document the internal cancellations of the two hard
     columns, and ``twisted_values`` collects the named twisted Poincaré
     polynomials consumed as inputs.
@@ -244,15 +238,13 @@ def dataset_quintic() -> QuinticDataset:
     The main first page is derived from the column specs: each term of
     degree ``deg`` in a column's contribution sits at (index, deg - index).
     """
-    columns = []
     known_bases: Dict[int, PoincarePoly] = {
         1: grassmann_poincare(1, 2),                 # single points: the plane itself
         2: unordered_points_bm_sign(2, 2),           # unordered pairs in the plane
         3: unordered_points_bm_sign(3, 2),           # unordered triples in the plane
     }
-    for index in range(1, 43):
-        base = known_bases.get(index, PoincarePoly.zero())
-        columns.append(ColumnSpec(index, K_POINTS[index], GOLDEN_DIMS[index], base))
+    columns = [ColumnSpec(index, known_bases.get(index, PoincarePoly.zero()))
+               for index in GOLDEN_DIMS]
     e1 = E1Table.from_dict({
         (spec.index, deg - spec.index): dim
         for spec in columns for deg, dim in column_contribution(spec).coeffs

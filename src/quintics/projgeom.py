@@ -437,8 +437,8 @@ def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
         ab[0] * keys[i][0] + ab[1] * keys[i][1] + ab[2] * keys[i][2])), None)
     if i is None:
         return None
-    r0, r1, r2 = _adjugate(zip(a, b, keys[i]))
-    adj = (_reduced(p, r0), _reduced(p, r1), _reduced(p, r2))
+    c = keys[i]
+    adj = (_reduced(p, _cross(b, c)), _reduced(p, _cross(c, a)), _reduced(p, ab))
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = adj
     conditions = []
     for x, y, z in keys[j + 1:i] + keys[i + 1:]:

@@ -488,7 +488,7 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     ``_MIN_PRIME`` over a field too small for it, fails at once, before any
     draw.
     """
-    if not 1 <= type_id <= 42:
+    if type_id not in _BUILDERS:
         raise InputError(f"type_id {type_id} out of range 1..42")
     _line_capacity(field, _POINTS_ON_ONE_LINE.get(type_id, 0), f"type {type_id}")
     if type_id in _CONIC_TYPES:

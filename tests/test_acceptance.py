@@ -18,8 +18,6 @@ from quintics.ledger import (
     totalize,
 )
 from quintics.lsys import (
-    GOLDEN_DIMS,
-    K_POINTS,
     check_conditions,
     linear_system_dim,
     plane_points,
@@ -32,6 +30,7 @@ from quintics.poincare import PoincarePoly, product_of_cyclotomic_like
 from quintics.projgeom import hausdorff
 from quintics.rng import SplitMix64
 from quintics.sampling import sample_generic, sample_generic_points
+from quintics.taxonomy import GOLDEN_DIMS, K_POINTS
 from quintics.twisted import (
     betti_poly,
     graph_complex,

@@ -151,8 +151,9 @@ def test_modular_law_for_subspace_dims(field):
 
 
 def test_rank_agrees_between_qq_and_fp_on_golden_matrices():
-    from quintics.lsys import K_POINTS, singularity_rows
+    from quintics.lsys import singularity_rows
     from quintics.sampling import sample_generic
+    from quintics.taxonomy import K_POINTS
 
     fp = PrimeField(65521)
     finite_types = [t for t in range(1, 43) if isinstance(K_POINTS[t], int)]

@@ -19,10 +19,7 @@ from quintics.lsys import (
     _monomial_values,
     _remainder_rows,
     _typed_subsets,
-    GOLDEN_DIMS,
     HomogeneousPoly,
-    K_POINTS,
-    TYPE_TABLE,
     SingularSet,
     check_conditions,
     classify,
@@ -40,7 +37,6 @@ from quintics.lsys import (
     singular_set_bruteforce,
     singularity_rows,
     space_dim,
-    verify_taxonomy_table,
 )
 from quintics.projgeom import (
     Config,
@@ -50,6 +46,7 @@ from quintics.projgeom import (
     _from_key,
     _index_groups,
     incident,
+    line_intersection,
 )
 from quintics.rng import SplitMix64, derive_seed
 from quintics.sampling import (
@@ -59,6 +56,7 @@ from quintics.sampling import (
     sample_generic_points,
 )
 from quintics.sieve import _SLOT_BYTES, _horner, _packed_columns
+from quintics.taxonomy import GOLDEN_DIMS, K_POINTS, TYPE_TABLE, verify_taxonomy_table
 
 FP = PrimeField(65521)
 
@@ -707,6 +705,35 @@ def test_conic_peel_finds_a_doubled_conic_at_degree_nine():
     assert got == _reference_singular_set(f, 17)
 
 
+def test_conic_peel_finds_no_conic_among_the_crossings_of_seven_lines(monkeypatch):
+    # Seven lines over GF(11), no three through one point: their product has
+    # 21 singular points, enough for the conic peel to look (12 > 2 (7 - 2)),
+    # but a nondegenerate conic meets each line twice at most, so it passes
+    # through at most 7 of the crossings, never its 12 points.
+    from quintics import lsys
+
+    fp = PrimeField(11)
+    lines = [ProjLine(fp, c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                                        (1, 2, 3), (1, 3, 2), (1, 4, 5))]
+    meets = {line_intersection(a, b) for a, b in combinations(lines, 2)}
+    assert len(meets) == 21
+    f = line_poly(lines[0])
+    for ln in lines[1:]:
+        f = f * line_poly(ln)
+    peel = lsys._peel_conic_component
+    peeled = []
+
+    def recording_peel(*args):
+        peeled.append(peel(*args))
+        return peeled[-1]
+
+    monkeypatch.setattr(lsys, "_peel_conic_component", recording_peel)
+    got = singular_set_bruteforce(f, 11)
+    assert [conics for conics, _ in peeled] == [[]]
+    assert set(got.isolated_points) == meets and len(got.isolated_points) == 21
+    assert got.line_components == () and got.conic_components == ()
+
+
 def test_oracle_forms_reach_every_branch():
     # a doubled conic is grouped at p = 7 already, where 2 deg f > p + 1
     doubled = dict(_oracle_forms(7))["conic^2 line (type 33)"]
@@ -977,6 +1004,24 @@ def test_taxonomy_table_shape():
     assert rec.k_points == 8 and rec.expected_dim == 1
 
 
+def test_taxonomy_table_refusals(monkeypatch):
+    from dataclasses import replace
+
+    from quintics import taxonomy
+    from quintics.errors import TaxonomyError
+
+    table = list(TYPE_TABLE)
+    broken = {
+        "42 entries": table[:-1],
+        "endpoints": table[:-1] + [replace(table[-1], expected_dim=1)],
+        "nonincreasing": table[:2] + [replace(table[2], expected_dim=16)] + table[3:],
+    }
+    for message, records in broken.items():
+        monkeypatch.setattr(taxonomy, "TYPE_TABLE", tuple(records))
+        with pytest.raises(TaxonomyError, match=message):
+            verify_taxonomy_table()
+
+
 def test_check_conditions_small_types():
     samples = [sample_generic(t, FP, s) for t in (2, 4, 19) for s in range(3)]
     report = check_conditions(samples)
@@ -991,6 +1036,24 @@ def test_check_conditions_flags_planted_violation():
     bad = Config(FP, points=cfg.points, type_id=3)
     report = check_conditions([bad])
     assert not report.ok
+
+
+def test_check_conditions_reports_skips_and_refuses(monkeypatch):
+    from quintics import lsys
+
+    # A classifier that gives every set of four or more points the sample's
+    # own type: each such proper subset is a violation, in walk order.
+    cfg = sample_generic(19, FP, 1)
+    monkeypatch.setattr(lsys, "_classify_grouped", lambda pts, groups: cfg.type_id)
+    report = check_conditions([cfg])
+    subsets = [sub for r in (4, 5) for sub in combinations(cfg.points, r)]
+    assert (report.checked, report.subset_checks) == (1, 2 ** 6 - 2)
+    assert report.violations == [(19, sub, 19) for sub in subsets]
+    # a configuration with a line component is skipped
+    assert check_conditions([sample_generic(17, FP, 1)]).checked == 0
+    # a finite configuration without a type is refused
+    with pytest.raises(InputError, match="typed configurations"):
+        check_conditions([Config(FP, points=cfg.points)])
 
 
 def test_classify_points_groups_the_points_once(monkeypatch):

@@ -42,9 +42,22 @@ def test_unused_import_check_sees_orphans():
     assert _unused_imports(source) == [(3, "combinations"), (4, "incident")]
 
 
+def _bound_names(node) -> list:
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment binds (``_X = ...``, ``_X: T = ...``)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _unreferenced_private_defs(sources: dict) -> list:
-    """Module-level functions and classes with a leading underscore that no
-    name or attribute in any of the modules reads outside their own body.
+    """Module-level functions, classes and constants with a leading underscore
+    that no name or attribute in any of the modules reads outside their own
+    definition.
 
     ``sources`` maps a module name to its source text.
     """
@@ -58,10 +71,10 @@ def _unreferenced_private_defs(sources: dict) -> list:
     orphans = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and node.name.startswith("_") and not node.name.startswith("__"):
-                if everywhere.count(node.name) == reads(node).count(node.name):
-                    orphans.append((module, node.lineno, node.name))
+            for name in _bound_names(node):
+                if name.startswith("_") and not name.startswith("__") \
+                        and everywhere.count(name) == reads(node).count(name):
+                    orphans.append((module, node.lineno, name))
     return sorted(orphans)
 
 
@@ -79,13 +92,20 @@ def test_private_helper_check_sees_orphans():
             "class _Orphan:\n    pass\n"
             "def __getattr__(name):\n    raise AttributeError(name)\n"
             "def public():\n    return 2\n"
+            "_ORPHAN = 4\n"
+            "_TABLE: dict = {1: _used}\n"
+            "__all__ = ['public']\n"
         ),
         "b.py": (
             "from .a import _used\n"
             "def _by_attribute():\n    return _used()\n"
             "def _by_name():\n    return 3\n"
         ),
-        "c.py": "from . import b\nfrom .b import _by_name\nVALUE = b._by_attribute() + _by_name()\n",
+        "c.py": (
+            "from . import a, b\nfrom .b import _by_name\n"
+            "VALUE = b._by_attribute() + _by_name() + len(a._TABLE)\n"
+        ),
     }
     assert _unreferenced_private_defs(sources) == [
-        ("a.py", 3, "_orphan"), ("a.py", 5, "_recursive"), ("a.py", 7, "_Orphan")]
+        ("a.py", 3, "_orphan"), ("a.py", 5, "_recursive"), ("a.py", 7, "_Orphan"),
+        ("a.py", 13, "_ORPHAN")]
