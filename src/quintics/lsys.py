@@ -6,14 +6,17 @@ derivative rows per marked point, while a full line or conic component g
 forces divisibility by g^2, which is imposed by the rows of the remainder map
 f -> f mod g^2.  All of these rows are assembled once per configuration as
 plain int rows, so the space of degree-5 curves singular along the
-configuration is their kernel, and its dimension is 21 - rank, computed
-exactly over the chosen field without building a matrix object.
+configuration is their kernel, computed exactly over the chosen field without
+building a matrix object.  The dimension is counted in a frame of three of
+the configuration's points, moved to the coordinate points, where they delete
+nine of the 21 columns instead of adding nine rows.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
 itself is in ``sieve``), grouping of full line/conic components, and
 classification of the resulting incidence pattern into one of the 42
-configuration types, whose table is in ``taxonomy``.
+configuration types, whose table is in ``taxonomy`` and whose decision tree
+for point sets is in ``classifier``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
+from .classifier import _classify_grouped
 from .errors import FieldMismatchError, InputError
 from .exactalg import (
     Field,
@@ -38,17 +43,16 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _frame,
     _from_key,
     _groups_of,
     _index_groups,
-    _unique_conic,
+    _pullback,
     collinear,
-    conic_line_second_point,
     incident,
 )
 from .rng import SplitMix64, derive_seed
 from .sieve import _peel_conic_component, _peel_line_components, _singular_keys
-from .sampling import _Draw, _Reject, _line_capacity, _retry
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +292,10 @@ def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
     return SubspaceBasis(f, space_dim(d), tuple(map(tuple, _rref(f, rows)[0])))
 
 
-def _remainder_rows(comp: Union[ProjLine, Conic], d: int) -> list:
+def _remainder_rows(key: Sequence[int], d: int, p: Optional[int]) -> list:
     """Integer rows whose kernel is the space of degree-d forms divisible by
-    g^2, g the form of the line or conic ``comp``.
+    g^2 over GF(p), or over QQ when ``p`` is None, g the line with the three
+    coefficients ``key`` or the conic with the six.
 
     They are the rows of the remainder map f -> f mod g^2 in graded-lex
     order, one per monomial not divisible by the leading monomial L of
@@ -301,17 +306,16 @@ def _remainder_rows(comp: Union[ProjLine, Conic], d: int) -> list:
     q * (L - G / c), where c is the leading coefficient, whose monomials are
     all smaller and already reduced.
 
-    G is squared from the integer key of ``comp``.  Over GF(p) the entries
-    are residues and G is made monic.  Over QQ the remainder of a monomial
-    reached after h reductions is kept as c^h times itself, so no fraction
-    appears; the rows are then scaled by c^H, H the largest h.
+    G is squared from ``key``, any integer representative of g.  Over GF(p)
+    the entries are residues and G is made monic.  Over QQ the remainder of
+    a monomial reached after h reductions is kept as c^h times itself, so no
+    fraction appears; the rows are then scaled by c^H, H the largest h.
     """
-    mons = CONIC_MONOMIALS if isinstance(comp, Conic) else monomial_basis(1)
+    mons = CONIC_MONOMIALS if len(key) == 6 else monomial_basis(1)
     if d < 2 * sum(mons[0]):
         raise InputError("multiplicity times degree exceeds the ambient degree")
-    p = comp.field.p
     square: dict = {}
-    for (e, a), (f, b) in product(zip(mons, comp.key), repeat=2):
+    for (e, a), (f, b) in product(zip(mons, key), repeat=2):
         m = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
         square[m] = square.get(m, 0) + a * b
     square = {e: v for e, v in square.items() if (v % p if p else v)}
@@ -352,22 +356,68 @@ def _remainder_rows(comp: Union[ProjLine, Conic], d: int) -> list:
     return [list(row) for row in zip(*reduced)]
 
 
-def _system_rows(cfg: Config, d: int) -> list:
-    """Rows whose kernel is the space of degree-d forms singular along ``cfg``.
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    The derivative rows of the marked points, taken at each point's key,
-    are stacked with the remainder rows of each line or conic component.
-    Over GF(p) the entries are residues; over QQ they are ints.  A key is
-    one representative of the point, and the row span does not depend on
-    which.
+
+def _moved(p: Optional[int], vals: Sequence[int]) -> list:
+    """Residues of the ints ``vals`` over GF(p); over QQ (``p`` None) the
+    ints divided by their content."""
+    if p:
+        return [v % p for v in vals]
+    g = gcd(*vals)
+    return [v // g for v in vals]
+
+
+def _system_rows(cfg: Config, d: int, frame: Optional[tuple] = None) -> list:
+    """Rows whose kernel is the space of degree-d forms singular along
+    ``cfg``, in the coordinates of ``frame``, a ``projgeom._frame`` of its
+    points' keys, or in the given coordinates when ``frame`` is None.
+
+    Every point off the frame, moved by the frame's adjugate, contributes
+    its derivative rows; each line or conic component, moved by the frame's
+    matrix M, contributes its remainder rows.  The frame points themselves
+    contribute no rows here (``linear_system_dim`` deletes their columns).
+    Over GF(p) the entries are residues; over QQ they are ints, each moved
+    point or component divided by its content.  A key is one representative
+    of the point, and the row span does not depend on which.
     """
     p = cfg.field.p
+    keys = [pt.key for pt in cfg.points]
+    corners, adj = frame or ((), _IDENTITY)
+    cols = [keys[i] for i in corners] or _IDENTITY
     rows: list = []
-    for pt in cfg.points:
-        rows.extend(_point_rows(pt.key, d, p))
-    for comp in cfg.lines + cfg.conics:
-        rows.extend(_remainder_rows(comp, d))
+    for n, (x, y, z) in enumerate(keys):
+        if n not in corners:
+            moved = _moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
+            rows.extend(_point_rows(moved, d, p))
+    for ln in cfg.lines:
+        l0, l1, l2 = ln.key
+        moved = _moved(p, [l0 * x + l1 * y + l2 * z for x, y, z in cols])
+        rows.extend(_remainder_rows(moved, d, p))
+    m_rows = tuple(zip(*cols))
+    for q in cfg.conics:
+        rows.extend(_remainder_rows(_moved(p, _pullback(q.key, m_rows)), d, p))
     return rows
+
+
+@lru_cache(maxsize=None)
+def _live_columns(d: int, framed: bool) -> tuple:
+    """The columns of degree-d forms that the coordinate points leave free
+    when ``framed``, and all of them otherwise.
+
+    The derivative rows at (1:0:0) are nonzero only at x^d, where the entry
+    is d, and at x^(d-1) y and x^(d-1) z, where it is 1; likewise at
+    (0:1:0) and (0:0:1).  So when the characteristic does not divide d,
+    which ``_euler_relation`` ensures, a form is singular at the three
+    coordinate points exactly when its coefficients vanish at the nonzero
+    positions of their rows: 9 columns at d >= 3, 6 at d = 2, 3 at d = 1
+    and none at d = 0.
+    """
+    dead = set()
+    for e in _IDENTITY if framed else ():
+        for row in _point_rows(e, d, None):
+            dead.update(j for j, v in enumerate(row) if v)
+    return tuple(j for j in range(space_dim(d)) if j not in dead)
 
 
 def _euler_relation(field: Field, d: int) -> None:
@@ -385,18 +435,36 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
 
     Marked points contribute their three derivative rows; a full line or
     conic component g contributes the rows of the remainder map modulo g^2,
-    whose kernel is the forms divisible by g^2.  Both kinds of rows are
-    assembled once as plain int rows S, and the dimension is
-    ``space_dim(d) - rank(S)`` (21 - rank for quintics), ranked by
-    fraction-free elimination on primitive integer rows over QQ and by
-    elimination mod p over GF(p).  The whole-plane configuration is the one
-    case with no matrix: only the zero form is singular everywhere.  A field
-    whose characteristic divides ``d`` raises ``InputError``.
+    whose kernel is the forms divisible by g^2.
+
+    The count runs in a frame of the configuration's own points
+    (``projgeom._frame``).  Three non-collinear points A, B, C move to the
+    coordinate points by the adjugate of M = [A B C], every other point P
+    to adj P, and every component g to g(M Y).  f -> f(M Y) is a linear
+    isomorphism of the degree-d forms that carries the system onto the
+    system of the moved configuration, so the dimension does not change.
+    At (1:0:0) the partials of a form are d a_(d,0,0), a_(d-1,1,0) and
+    a_(d-1,0,1), and likewise at (0:1:0) and (0:0:1).  When the
+    characteristic does not divide d, a form is singular at the three
+    coordinate points exactly when those coefficients vanish, so the frame
+    deletes their columns (``_live_columns``) instead of adding nine rows.
+    A characteristic dividing d would tie no condition to the x^d column;
+    it raises ``InputError`` here, as it must anyway, since the Euler
+    relation then fails.  The dimension is the number of live columns minus
+    the rank of the other rows on them, ranked by fraction-free elimination
+    on primitive integer rows over QQ and by elimination mod p over GF(p).
+    Points on one line, as fewer than three always are, have no frame: the
+    coordinates stay and no column is deleted.  The whole-plane
+    configuration is the one case with no matrix: only the zero form is
+    singular everywhere.
     """
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return 0
-    return space_dim(d) - rank_rows(cfg.field, _system_rows(cfg, d))
+    frame = _frame(cfg.field.p, [pt.key for pt in cfg.points])
+    live = _live_columns(d, frame is not None)
+    rows = _system_rows(cfg, d, frame)
+    return len(live) - rank_rows(cfg.field, [[row[j] for j in live] for row in rows])
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
@@ -405,35 +473,6 @@ def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
     return _kernel_rows(cfg.field, _system_rows(cfg, d), space_dim(d))
-
-
-def sample_quartic_contact_system(field: Field, seed: int) -> list:
-    """The 13 rows of width 15 of the quartic system: 4 vanishing rows on a
-    line, 9 derivative rows.
-
-    Four points on a line contribute one evaluation row each; three further
-    points in general position (not collinear, off the line) contribute their
-    three derivative rows.  For generic data the 13 rows are independent, so
-    the kernel is 2-dimensional.  A field whose lines have fewer than four
-    points (GF(2)) is refused before any draw.
-    """
-    _line_capacity(field, 4, "the quartic contact system")
-
-    def build(draw: _Draw) -> tuple[list, list]:
-        ln = draw.line()
-        on_line = draw.distinct_points_on(ln, 4)
-        off = draw.distinct(3, draw.point, skip=lambda q: incident(q, ln))
-        if collinear(*off):
-            raise _Reject
-        return on_line, off
-
-    on_line, off = _retry(build, field, derive_seed(seed, 13),
-                          f"could not sample the quartic contact system over {field}")
-    p = field.p
-    rows = [_monomial_values(pt.coords, 4, p) for pt in on_line]
-    for pt in off:
-        rows.extend(_point_rows(pt.coords, 4, p))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -549,59 +588,6 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
 # classification
 
 
-def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
-    """Second cut of the line by the conic through the four base points and pt."""
-    q = _unique_conic(list(base) + [pt])
-    if q is None:
-        return None
-    try:
-        return conic_line_second_point(q, ln, pt)
-    except InputError:
-        return None
-
-
-def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
-    """Type 38: the four points off the line with key ``key`` are the base
-    points of a pencil whose conics cut the line in the pairs of ``on_line``."""
-    # No test for three collinear base points: a partner then falls off the set.
-    ln = _from_key(ProjLine, pts[0].field, key)
-    base = [q for i, q in enumerate(pts) if i not in on_line]
-    line_pts = [q for i, q in enumerate(pts) if i in on_line]
-    partner = {}
-    for pt in line_pts:
-        mate = _pencil_partner(base, ln, pt)
-        if mate is None or mate == pt or mate not in line_pts:
-            return None
-        partner[pt] = mate
-    pairs = {frozenset((a, b)) for a, b in partner.items()}
-    if len(pairs) == 2 and all(partner[partner[p]] == p for p in line_pts):
-        return 38
-    return None
-
-
-def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
-    sides = [on for on in sized.values() if len(on) == 4]
-    if len(sides) != 3 or any(len(on) > 4 for on in sized.values()):
-        return None
-    # Three four-point lines on nine points make 12 incidences, and two lines
-    # share at most one point, so the sides meet pairwise in three distinct
-    # points of the set, the vertices, and cover it.
-    a, b, c = sides
-    vertices = (a & b) | (a & c) | (b & c)
-    # A vertex on the conic would put three points of a side on it: no test.
-    six = [q for i, q in enumerate(pts) if i not in vertices]
-    return None if _unique_conic(six) is None else 39
-
-
-def _classify_five_lines(sized: dict) -> Optional[int]:
-    # Five four-point lines on ten points make 20 incidences, and two lines
-    # share at most one point, so each point lies on exactly two of them.
-    lines = [on for on in sized.values() if len(on) == 4]
-    if len(lines) != 5 or any(len(on) > 4 for on in sized.values()):
-        return None
-    return 40
-
-
 def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
     """Classify a finite point set against the taxonomy; None when no type fits.
 
@@ -616,108 +602,6 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
     if k <= 2:
         return k
     return _classify_grouped(pts, _index_groups(pts))
-
-
-def _classify_grouped(pts: tuple, groups: dict) -> Optional[int]:
-    """:func:`classify_points` on 3 to 10 distinct points of one field, given
-    their ``projgeom._index_groups``."""
-    k = len(pts)
-    if k == 3:
-        return 3
-    sized = {key: set(on) for key, on in groups.items() if len(on) >= 3}
-    m = max((len(on) for on in sized.values()), default=2)
-    if m == k:
-        # all points on one line: types 4..10 are 4..10 collinear points
-        return k
-    if k == 4:
-        return 12
-    if k == 5:
-        return 13 if m == 4 else 18
-    if k == 6:
-        if m == 5:
-            return 14
-        if m == 4:
-            return 19
-        if _disjoint_trios(sized):
-            return 23
-        # No four of the six points are collinear, so at most one conic
-        # passes through them: two conics meeting in more than four points
-        # share a line L, and the points off L lie on both residual lines,
-        # which have one common point, so five points would lie on L.
-        through = _unique_conic(pts)
-        if through is None:
-            return 26
-        return None if through.is_degenerate() else 24
-    if k == 7:
-        return _classify_seven(pts, sized, m)
-    if k == 8:
-        return _classify_eight(pts, sized, m)
-    if k == 9:
-        return _classify_triangle_conic(pts, sized)
-    return _classify_five_lines(sized)
-
-
-def _disjoint_trios(sized: dict) -> bool:
-    """True iff two of the three-point lines share no point."""
-    trios = [on for on in sized.values() if len(on) == 3]
-    return any(not (a & b) for a, b in combinations(trios, 2))
-
-
-def _on_one_line(sized: dict, idx: set) -> bool:
-    """True iff the three or more points with indices ``idx`` lie on one line."""
-    return any(idx <= on for on in sized.values())
-
-
-def _classify_seven(pts, sized, m) -> Optional[int]:
-    if m == 6:
-        return 15
-    if m == 5:
-        return 20
-    if m == 4:
-        four = [on for on in sized.values() if len(on) == 4]
-        if len(four) == 2:
-            # two four-point lines among seven points meet in one of them
-            return 25
-        if len(four) == 1:
-            # A line through the other three cannot meet the four-point line
-            # in a point of the set: that line would then carry four points.
-            return 27 if _on_one_line(sized, set(range(7)) - four[0]) else 34
-        return None
-    # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
-    # so that conic is the only one through them.
-    # Seven points with no collinear triple lie on no line pair: no test.
-    if not sized and _unique_conic(pts) is not None:
-        return 32
-    if _disjoint_trios(sized):
-        return 35
-    for skip in range(7):
-        six = _unique_conic([q for i, q in enumerate(pts) if i != skip])
-        if six is not None and not six.is_degenerate() and not six.contains(pts[skip]):
-            return 36
-    return None
-
-
-def _classify_eight(pts, sized, m) -> Optional[int]:
-    if m == 7:
-        return 16
-    if m == 6:
-        return 21
-    if m == 5:
-        (on_line,) = (on for on in sized.values() if len(on) == 5)
-        return 28 if _on_one_line(sized, set(range(8)) - on_line) else None
-    if m == 4:
-        four = {key: on for key, on in sized.items() if len(on) == 4}
-        if len(four) == 2:
-            # Two lines share at most one point; when they share one, the
-            # eighth point is on neither, since each group holds every point
-            # of its line.
-            s1, s2 = four.values()
-            return 37 if s1 & s2 else 30
-        if len(four) == 1:
-            (key, on_line), = four.items()
-            return _classify_pencil_quadruple(pts, key, on_line)
-        return None
-    return None
 
 
 def classify(obj: Union[Config, SingularSet]) -> Optional[int]:

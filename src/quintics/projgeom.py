@@ -14,9 +14,11 @@ The line through two points has the key :func:`_join_key` gives the cross
 product of theirs.  :func:`_groups_of`, which groups the keys of a point set
 by the keys of the lines through their pairs (:func:`_index_groups` on the
 points themselves), is the one place that decides which points of a set are
-collinear.  :func:`_framed_conditions` is the one place that finds the conics
-through a point set: in closed form, in a frame of three of the points,
-without elimination.  :func:`hausdorff` is the exact metric on finite point
+collinear.  :func:`_frame` picks three non-collinear points of a set and the
+change of coordinates that moves them to the coordinate points;
+:func:`_framed_conditions` finds the conics through a point set in that frame,
+in closed form, without elimination, and ``lsys.linear_system_dim`` counts a
+linear system there.  :func:`hausdorff` is the exact metric on finite point
 sets used by the metric axiom tests.
 """
 
@@ -402,43 +404,68 @@ def _reduced(p: Optional[int], vals: tuple) -> tuple:
     return tuple(v % p for v in vals) if p else vals
 
 
-def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
-    """The conics through points of one field, as linear conditions in a
-    frame of three of the points; None when the points lie on one line.
+def _frame(p: Optional[int], keys: Sequence[tuple]) -> Optional[tuple]:
+    """A frame of three of the points with keys ``keys`` over GF(p), or over
+    QQ when ``p`` is None, and the change of coordinates that moves it to the
+    coordinate points; None when the points lie on one line (as fewer than
+    three always do).
 
     The frame is A, the first point, B, the first point other than A, and C,
     the first point off the line AB.  The adjugate of the matrix M with
     columns A, B, C has the rows r0 = B x C, r1 = C x A and r2 = A x B
     (:func:`_adjugate`): r0 . A = r1 . B = r2 . C = det M, and r_i . P = 0
     for the two other frame points P.  So X -> adj X is a projective change
-    of coordinates that moves A, B, C to the coordinate points.  A change of
-    coordinates is an isomorphism of the spaces of conics: q'(Y) = q(M Y)
-    has q'(adj X) = (det M)^2 q(X), so q' passes through adj P exactly when
-    q passes through P.  So whether the conic through the points is unique,
-    and the conic itself, can be read off in the new frame.  There the
-    conics through the three coordinate points are q' = a yz + b xz + c xy,
-    and every other point P, moved to (u, v, w) = (r0 . P, r1 . P, r2 . P),
-    gives one condition (vw, uw, uv) . (a, b, c) = 0.
+    of coordinates that moves A, B, C to the coordinate points (1:0:0),
+    (0:1:0) and (0:0:1), with inverse Y -> M Y.  A form f becomes
+    f'(Y) = f(M Y), and f'(adj X) = f((det M) X), so f' vanishes, or is
+    singular, at adj P exactly when f is at P; a line l becomes l M, the
+    triple (l . A, l . B, l . C), and a conic its pull-back along M
+    (:func:`_pullback` with the rows of M).
 
-    Returns the adjugate rows and the nonzero conditions, one per point off
-    the frame in order (only a repeated frame point gives a zero one), as
-    residues over GF(p) and ints over QQ.
+    Returns the indices (0, j, i) of A, B and C in ``keys`` and the adjugate
+    rows, as residues over GF(p) and ints over QQ.
     """
-    field = pts[0].field
-    p = field.p
-    keys = [q.key for q in pts]
+    if len(keys) < 3:
+        return None
     a = keys[0]
     j = next((j for j, key in enumerate(keys) if key != a), None)
     if j is None:
         return None
     b = keys[j]
     ab = _cross(a, b)
-    i = next((i for i in range(j + 1, len(keys)) if not field.is_zero(
-        ab[0] * keys[i][0] + ab[1] * keys[i][1] + ab[2] * keys[i][2])), None)
-    if i is None:
+    for i in range(j + 1, len(keys)):
+        c = keys[i]
+        det = ab[0] * c[0] + ab[1] * c[1] + ab[2] * c[2]
+        if det % p if p else det:
+            return (0, j, i), (_reduced(p, _cross(b, c)), _reduced(p, _cross(c, a)),
+                               _reduced(p, ab))
+    return None
+
+
+def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
+    """The conics through points of one field, as linear conditions in the
+    :func:`_frame` of three of the points; None when the points lie on one
+    line.
+
+    A change of coordinates is an isomorphism of the spaces of conics:
+    q'(Y) = q(M Y) has q'(adj X) = (det M)^2 q(X), so q' passes through
+    adj P exactly when q passes through P.  So whether the conic through the
+    points is unique, and the conic itself, can be read off in the new
+    frame.  There the conics through the three coordinate points are
+    q' = a yz + b xz + c xy, and every other point P, moved to
+    (u, v, w) = (r0 . P, r1 . P, r2 . P), gives one condition
+    (vw, uw, uv) . (a, b, c) = 0.
+
+    Returns the adjugate rows and the nonzero conditions, one per point off
+    the frame in order (only a repeated frame point gives a zero one), as
+    residues over GF(p) and ints over QQ.
+    """
+    p = pts[0].field.p
+    keys = [q.key for q in pts]
+    frame = _frame(p, keys)
+    if frame is None:
         return None
-    c = keys[i]
-    adj = (_reduced(p, _cross(b, c)), _reduced(p, _cross(c, a)), _reduced(p, ab))
+    (_, j, i), adj = frame
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = adj
     conditions = []
     for x, y, z in keys[j + 1:i] + keys[i + 1:]:

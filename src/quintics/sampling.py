@@ -11,7 +11,7 @@ rationals, where finding points on an arbitrary conic would not be possible.
 
 Every construction draws through one guarded helper, ``_Draw.distinct``,
 which makes a bounded number of draws, and runs inside one bounded retry,
-``_retry``; the quartic contact sampler of ``lsys`` uses the same two.  The
+``_retry``; the quartic contact sampler uses the same two.  The
 22 types made of points on one line or two, their meet and points off them
 are all drawn by ``_on_lines``.  Every change of coordinates, of a reference
 conic or of a configuration, pulls forms back along the adjugate with
@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 from .errors import InputError, SamplingError
 from .exactalg import Field
+from .lsys import _monomial_values, _point_rows
 from .projgeom import (
     Config,
     Conic,
@@ -504,6 +505,35 @@ def sample_generic_points(k: int, field: Field, seed: int) -> Config:
     return _retry(lambda draw: _generic_points(draw, k, "untyped"), field,
                   derive_seed(seed, 100 + k),
                   f"could not place {k} generic points over {field}")
+
+
+def sample_quartic_contact_system(field: Field, seed: int) -> list:
+    """The 13 rows of width 15 of the quartic system: 4 vanishing rows on a
+    line, 9 derivative rows.
+
+    Four points on a line contribute one evaluation row each; three further
+    points in general position (not collinear, off the line) contribute their
+    three derivative rows.  For generic data the 13 rows are independent, so
+    the kernel is 2-dimensional.  A field whose lines have fewer than four
+    points (GF(2)) is refused before any draw.
+    """
+    _line_capacity(field, 4, "the quartic contact system")
+
+    def build(draw: _Draw) -> tuple[list, list]:
+        ln = draw.line()
+        on_line = draw.distinct_points_on(ln, 4)
+        off = draw.distinct(3, draw.point, skip=lambda q: incident(q, ln))
+        if collinear(*off):
+            raise _Reject
+        return on_line, off
+
+    on_line, off = _retry(build, field, derive_seed(seed, 13),
+                          f"could not sample the quartic contact system over {field}")
+    p = field.p
+    rows = [_monomial_values(pt.coords, 4, p) for pt in on_line]
+    for pt in off:
+        rows.extend(_point_rows(pt.coords, 4, p))
+    return rows
 
 
 def random_projective_transform(field: Field, seed: int) -> list:

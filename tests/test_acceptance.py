@@ -22,14 +22,13 @@ from quintics.lsys import (
     linear_system_dim,
     plane_points,
     random_poly,
-    sample_quartic_contact_system,
     singular_points_bruteforce,
     singularity_rows,
 )
 from quintics.poincare import PoincarePoly, product_of_cyclotomic_like
 from quintics.projgeom import hausdorff
 from quintics.rng import SplitMix64
-from quintics.sampling import sample_generic, sample_generic_points
+from quintics.sampling import sample_generic, sample_generic_points, sample_quartic_contact_system
 from quintics.taxonomy import GOLDEN_DIMS, K_POINTS
 from quintics.twisted import (
     betti_poly,

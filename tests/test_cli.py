@@ -359,6 +359,7 @@ def test_classify_double_conic_at_p7_matches_stored(capsys, monkeypatch):
     ("qq", "1", "dims_all_qq_seeds1"),
     ("fp:101", "2", "dims_all_fp101_seeds2"),
     ("fp:65521", "2", "dims_all_fp65521_seeds2"),
+    ("fp:11", "3", "dims_all_fp11_seeds3"),
 ])
 def test_dims_report_matches_stored(field, seeds, name, capsys):
     code, out, _ = run(capsys, "dims", "--type", "all", "--field", field, "--seeds", seeds)

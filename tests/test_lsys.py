@@ -32,7 +32,6 @@ from quintics.lsys import (
     monomial_basis,
     plane_points,
     random_poly,
-    sample_quartic_contact_system,
     singular_points_bruteforce,
     singular_set_bruteforce,
     singularity_rows,
@@ -43,10 +42,13 @@ from quintics.projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _frame,
     _from_key,
     _index_groups,
+    collinear,
     incident,
     line_intersection,
+    points_on_line_basis,
 )
 from quintics.rng import SplitMix64, derive_seed
 from quintics.sampling import (
@@ -54,6 +56,7 @@ from quintics.sampling import (
     random_projective_transform,
     sample_generic,
     sample_generic_points,
+    sample_quartic_contact_system,
 )
 from quintics.sieve import _SLOT_BYTES, _horner, _packed_columns
 from quintics.taxonomy import GOLDEN_DIMS, K_POINTS, TYPE_TABLE, verify_taxonomy_table
@@ -70,9 +73,9 @@ def _evaluation_row(a, d):
     return _monomial_values(a.coords, d, None)
 
 
-def _stacked_point_rows(cfg):
-    # the singularity rows of the marked points only, on quintics
-    return [row for a in cfg.points for row in singularity_rows(a, 5)]
+def _stacked_point_rows(cfg, d=5):
+    # the singularity rows of the marked points only, on degree-d forms
+    return [row for a in cfg.points for row in singularity_rows(a, d)]
 
 
 def _line_groups(points):
@@ -271,16 +274,16 @@ def test_dim_component_edge_cases(field):
         linear_system_dim(Config(field, conics=(conic,)), 3)
 
 
-def _reference_basis(cfg):
+def _reference_basis(cfg, d=5):
     # kernel of the point rows, then one annihilator intersection per
     # squared component; the remainder rows it checks are never used
     if cfg.whole_plane:
-        return SubspaceBasis(cfg.field, 21, ())
-    space = _kernel_rows(cfg.field, _stacked_point_rows(cfg), 21)
+        return SubspaceBasis(cfg.field, space_dim(d), ())
+    space = _kernel_rows(cfg.field, _stacked_point_rows(cfg, d), space_dim(d))
     for ln in cfg.lines:
-        space = intersect(space, divisibility_subspace(line_poly(ln), 2, 5))
+        space = intersect(space, divisibility_subspace(line_poly(ln), 2, d))
     for qc in cfg.conics:
-        space = intersect(space, divisibility_subspace(conic_poly(qc), 2, 5))
+        space = intersect(space, divisibility_subspace(conic_poly(qc), 2, d))
     return space
 
 
@@ -291,6 +294,104 @@ def test_linear_system_basis_matches_reference_construction(field):
         got = linear_system_basis(cfg)
         assert got == _reference_basis(cfg), type_id
         assert got.dim == linear_system_dim(cfg) == GOLDEN_DIMS[type_id], type_id
+
+
+def _assert_frame_route_matches_reference(cfg, degrees):
+    """``linear_system_dim`` against the reference construction and the
+    plain rows of ``linear_system_basis`` at each degree the field admits;
+    below twice a component's degree all three refuse the configuration."""
+    p = cfg.field.p
+    for d in degrees:
+        if p and d % p == 0:
+            continue
+        if d < (4 if cfg.conics else 2 if cfg.lines else 0):
+            for route in (linear_system_dim, linear_system_basis, _reference_basis):
+                with pytest.raises(InputError):
+                    route(cfg, d)
+            continue
+        if cfg.is_finite():
+            want = space_dim(d) - rank_rows(cfg.field, _stacked_point_rows(cfg, d))
+        else:
+            want = _reference_basis(cfg, d).dim
+        assert linear_system_dim(cfg, d) == want == linear_system_basis(cfg, d).dim, (cfg, d)
+
+
+def test_frame_route_on_every_small_point_set_of_pg23():
+    # 715 + 1287 + 1716 sets of 4, 5 and 6 points, framed or all collinear,
+    # at the degrees 1, 2, 4, 5 and 7 that GF(3) admits; the reference is
+    # the rank of the stacked singularity rows, made once per point
+    plane = plane_points(3)
+    field = plane[0].field
+    degrees = (1, 2, 4, 5, 7)
+    rows = {(q, d): singularity_rows(q, d) for q in plane for d in degrees}
+    framed = 0
+    for k in (4, 5, 6):
+        for sub in combinations(plane, k):
+            cfg = Config(field, points=sub)
+            framed += _frame(3, [q.key for q in sub]) is not None
+            for d in degrees:
+                want = space_dim(d) - rank_rows(field, [r for q in sub for r in rows[q, d]])
+                assert linear_system_dim(cfg, d) == want == linear_system_basis(cfg, d).dim
+    assert 0 < framed < 715 + 1287 + 1716
+
+
+def _frame_sweep_configs(field, seed):
+    """Seeded configurations that reach every branch of the frame route:
+    random point sets of 0 to 7 points (at most two points, or all of them
+    on one line, have no frame), and lines, conics and both with at most
+    two points or with three non-collinear ones."""
+    rng = SplitMix64(seed)
+
+    def coord():
+        return rng.below(field.p) if field.p else rng.int_in(-4, 4)
+
+    def draw(cls, n):
+        while True:
+            vals = [coord() for _ in range(n)]
+            if any(vals):
+                return cls(field, vals)
+
+    def distinct(make, k):
+        out = []
+        while len(out) < k:
+            q = make()
+            if q not in out:
+                out.append(q)
+        return out
+
+    def on_line(ln):
+        (u, v), s, t = points_on_line_basis(ln), coord(), coord()
+        if not (s or t):
+            s = 1
+        return ProjPoint(field, [s * a + t * b for a, b in zip(u.key, v.key)])
+
+    def general(k):
+        while True:
+            pts = distinct(lambda: draw(ProjPoint, 3), k)
+            if k < 3 or not collinear(*pts[:3]):
+                return pts
+
+    configs = []
+    for k in range(8):
+        configs.append(Config(field, points=distinct(lambda: draw(ProjPoint, 3), k)))
+    for k in (3, 4, 5):
+        ln = draw(ProjLine, 3)
+        configs.append(Config(field, points=distinct(lambda: on_line(ln), k)))
+    for k in (0, 2, 3, 4):
+        pts = general(k)
+        configs.append(Config(field, points=pts, lines=[draw(ProjLine, 3)]))
+        configs.append(Config(field, points=pts, conics=[draw(Conic, 6)]))
+        configs.append(Config(field, points=pts, lines=distinct(lambda: draw(ProjLine, 3), 2),
+                              conics=[draw(Conic, 6)]))
+    return configs
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(11), PrimeField(65521), QQ],
+                         ids=["fp7", "fp11", "fp65521", "qq"])
+def test_frame_route_matches_reference_on_random_configurations(field):
+    for seed in range(4):
+        for cfg in _frame_sweep_configs(field, derive_seed(27, seed)):
+            _assert_frame_route_matches_reference(cfg, range(8))
 
 
 def _component_cases(field):
@@ -314,14 +415,14 @@ def test_remainder_rows_cut_out_divisibility_subspace(field):
     for comp in _component_cases(field):
         g = line_poly(comp) if isinstance(comp, ProjLine) else conic_poly(comp)
         for d in range(2 * g.degree, 7):
-            rows = _remainder_rows(comp, d)
+            rows = _remainder_rows(comp.key, d, field.p)
             assert len(rows) == space_dim(d) - space_dim(d - 2 * g.degree), (comp, d)
             got = _kernel_rows(field, rows, space_dim(d))
             assert got == divisibility_subspace(g, 2, d), (comp, d)
     with pytest.raises(InputError):
-        _remainder_rows(_component_cases(field)[0], 1)
+        _remainder_rows(_component_cases(field)[0].key, 1, field.p)
     with pytest.raises(InputError):
-        _remainder_rows(_component_cases(field)[3], 3)
+        _remainder_rows(_component_cases(field)[3].key, 3, field.p)
 
 
 def test_integer_clearing_over_qq_with_large_coordinates():
@@ -1059,7 +1160,7 @@ def test_check_conditions_reports_skips_and_refuses(monkeypatch):
 def test_classify_points_groups_the_points_once(monkeypatch):
     """One index grouping per classification, no second collinearity test,
     and no line object except the one the type-38 test cuts with conics."""
-    from quintics import lsys, projgeom
+    from quintics import classifier, lsys, projgeom
 
     calls = {"groups": 0, "lines": 0}
 
@@ -1081,10 +1182,10 @@ def test_classify_points_groups_the_points_once(monkeypatch):
         raise AssertionError("the classifier asked a second collinearity question")
 
     monkeypatch.setattr(lsys, "_index_groups", counting_groups)
-    monkeypatch.setattr(lsys, "_from_key", counting_from_key)
+    monkeypatch.setattr(classifier, "_from_key", counting_from_key)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
     for name in ("_no_collinear_triple", "conic_through"):
-        assert not hasattr(lsys, name)
+        assert not hasattr(lsys, name) and not hasattr(classifier, name)
         monkeypatch.setattr(projgeom, name, regrouped)
     for field in (FP, QQ):
         for t, k in K_POINTS.items():

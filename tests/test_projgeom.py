@@ -12,7 +12,7 @@ from quintics.errors import InputError, SamplingError
 from quintics.exactalg import QQ, PrimeField, _kernel_rows, parse_field
 from quintics.formats import config_to_json, value_list
 from quintics.rng import SplitMix64
-from quintics.lsys import classify, sample_quartic_contact_system
+from quintics.lsys import classify
 from quintics.projgeom import (
     Config,
     Conic,
@@ -43,6 +43,7 @@ from quintics.sampling import (
     random_projective_transform,
     sample_generic,
     sample_generic_points,
+    sample_quartic_contact_system,
 )
 
 FP = PrimeField(65521)
@@ -487,7 +488,8 @@ def test_no_point_set_of_pg23_qualifies_for_a_refused_type():
     # Every set of 4 to 10 points of PG(2,3) is classified; a set the sampler
     # of type t could return has type t and no line through three or more of
     # its points but the construction's own.
-    from quintics.lsys import _classify_grouped, plane_points
+    from quintics.classifier import _classify_grouped
+    from quintics.lsys import plane_points
 
     plane = plane_points(3)
     typed = 0
