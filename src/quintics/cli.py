@@ -165,13 +165,14 @@ def cmd_ledger(args) -> int:
 
 
 _MODEL_EXPECTATIONS = {
-    # built-in model -> (dual polynomial, induced map per chain degree).
+    # built-in model -> (dual polynomial, induced map per chain degree); None
+    # checks the model against the ledger's twisted value of the same name.
     # Chain degree k corresponds to dual degree 2n - k; for the pair models
     # (n = 2) the +1 on H1 is the preserved dual-degree-3 class and the -1 on
     # H2 the flipped dual-degree-2 class.
-    "pairs-a1": ("t^2 + t^3", {"H1": "1", "H2": "-1"}),
-    "pairs-a2": ("0", {}),
-    "pairs-a3": ("t^2 + t^3", {"H1": "1", "H2": "-1"}),
+    "pairs-a1": (None, {"H1": "1", "H2": "-1"}),
+    "pairs-a2": (None, {}),
+    "pairs-a3": (None, {"H1": "1", "H2": "-1"}),
     "punctured-line": ("t", {"H1": "-1"}),
 }
 
@@ -197,6 +198,8 @@ def cmd_homology(args) -> int:
         body["induced_map"] = [[[str(v) for v in row] for row in m] for m in mats]
     if args.model in _MODEL_EXPECTATIONS:
         exp_dual, exp_maps = _MODEL_EXPECTATIONS[args.model]
+        if exp_dual is None:
+            exp_dual = dataset_quintic().twisted_values[args.model].format()
         results.append(_check("dual poincare polynomial", exp_dual,
                               dual.format() if dual is not None else None))
         for name, want in exp_maps.items():

@@ -593,15 +593,16 @@ def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
 
     Every collinearity fact comes from one :func:`projgeom._index_groups`
     call, kept as the set of point indices on each line through three or
-    more of the points.  Repeated points raise ``InputError``.
+    more of the points.  Repeated points raise ``InputError`` and points over
+    different fields ``FieldMismatchError``, at every size.
     """
     pts = tuple(points)
     k = len(pts)
-    if k == 0 or k > 10:
-        return None
-    if k <= 2:
-        return k
-    return _classify_grouped(pts, _index_groups(pts))
+    if 3 <= k <= 10:
+        return _classify_grouped(pts, _index_groups(pts))
+    if pts:
+        Config(pts[0].field, points=pts)  # one field, no repeated point
+    return k if 1 <= k <= 2 else None
 
 
 def classify(obj: Union[Config, SingularSet]) -> Optional[int]:

@@ -328,8 +328,10 @@ def _groups_of(p: Optional[int], reps: Sequence) -> dict:
     return groups
 
 
-def _no_collinear_triple(points: Sequence[ProjPoint]) -> bool:
-    return all(len(on) < 3 for on in _index_groups(points).values())
+def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
+    """No line but an allowed one passes through three or more of the points."""
+    keys = {ln.key for ln in allowed}
+    return all(key in keys for key, on in _index_groups(points).items() if len(on) >= 3)
 
 
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:

@@ -10,25 +10,28 @@ invertible change of coordinates, so sampling works verbatim over the
 rationals, where finding points on an arbitrary conic would not be possible.
 
 Every construction draws through one guarded helper, ``_Draw.distinct``,
-which makes a bounded number of draws, and runs inside one bounded retry,
-``_retry``; the quartic contact sampler uses the same two.  The
-22 types made of points on one line or two, their meet and points off them
-are all drawn by ``_on_lines``.  Every change of coordinates, of a reference
-conic or of a configuration, pulls forms back along the adjugate with
-``projgeom._adjugate`` and ``projgeom._pullback``.
+which makes a bounded number of draws (a ``make`` that returns None spends
+one), and runs inside one bounded retry, ``_retry``; the quartic contact
+sampler uses the same two.  Only the redraw of nonzero coordinates is
+unbounded.  The 22 types made of points on one line or two, their meet and
+points off them are all drawn by ``_on_lines``.  Each construction returns
+its configuration's parts, and ``sample_generic`` stamps the type once.
+Every change of coordinates, of a reference conic or of a configuration,
+pulls forms back along the adjugate with ``projgeom._adjugate`` and
+``projgeom._pullback``.
 
 A type that needs more points on one line than a line over the field has, a
 type whose points cannot exist over a small field (types 18, 21, 26 and 36;
-nine more over GF(3), and three of them, 34, 35 and 37, over GF(5) too), or
-a conic over GF(2), is refused before any draw, and so is the quartic contact
-system over GF(2).  Sampling that keeps failing its predicates gives up after
+nine more over GF(3), and five of them, 32, 34, 35, 37 and 38, over GF(5)
+too), or a conic over GF(2), is refused before any draw, and so is the
+quartic contact system over GF(2).  Sampling that keeps failing its predicates gives up after
 ``MAX_ATTEMPTS`` rejections; over a very small prime field this can still be
 the outcome.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import InputError, SamplingError
@@ -41,10 +44,9 @@ from .projgeom import (
     ProjPoint,
     _adjugate,
     _det3,
-    _index_groups,
     _line_basis,
-    _no_collinear_triple,
     _odd_characteristic,
+    _only_allowed_collinear,
     _pullback,
     collinear,
     conic_line_second_point,
@@ -128,34 +130,24 @@ class _Draw:
     def distinct(self, n: int, make: Callable[[], object], avoid: Sequence = (),
                  skip: Callable[[object], bool] | None = None, limit: int = 200) -> list:
         """``n`` distinct values of ``make()``, none in ``avoid`` and none that
-        ``skip`` accepts.  Each draw is counted before it is made, and the
-        draw that would exceed ``limit`` raises ``_Reject`` instead."""
+        ``skip`` accepts.  Each call of ``make`` is one draw, counted before it
+        is made, and a None it returns is a rejected draw; the draw that would
+        exceed ``limit`` raises ``_Reject`` instead."""
         got: list = []
+        seen = set(avoid)
         drawn = 0
         while len(got) < n:
             if drawn == limit:
                 raise _Reject
             drawn += 1
             value = make()
-            if value not in got and value not in avoid and not (skip is not None and skip(value)):
+            if value is not None and value not in seen and not (skip is not None and skip(value)):
                 got.append(value)
+                seen.add(value)
         return got
 
     def distinct_points_on(self, ln: ProjLine, n: int, avoid: Sequence[ProjPoint] = ()) -> list:
-        got: list[ProjPoint] = []
-        banned = set(avoid)
-        # Each draw is counted after it is made, one more than ``distinct``
-        # allows; folding this loop into it would shift the stream after a
-        # line runs out of points.
-        for drawn in count(1):
-            if len(got) == n:
-                return got
-            p = self.point_on(ln)
-            if p not in banned:
-                got.append(p)
-                banned.add(p)
-            if drawn > 64 * n + 64:
-                raise _Reject
+        return self.distinct(n, lambda: self.point_on(ln), avoid=avoid, limit=64 * n + 64)
 
 
 class _Reject(Exception):
@@ -184,12 +176,6 @@ def _line_capacity(field: Field, need: int, what: str) -> None:
             f"line over {field} has only {field.p + 1}")
 
 
-def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
-    """Every line through three or more of the points must be an allowed line."""
-    keys = {ln.key for ln in allowed}
-    return all(key in keys for key, on in _index_groups(points).items() if len(on) >= 3)
-
-
 def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]]:
     """A nondegenerate conic with ``n`` rational points on it.
 
@@ -207,15 +193,11 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
 
 
 # ---------------------------------------------------------------------------
-# per-type constructions
+# per-type constructions: each returns its configuration's parts, as keyword
+# arguments of ``Config``
 
 
-def _points_config(f: Field, pts: Sequence[ProjPoint], tid: int) -> Config:
-    return Config(f, points=tuple(pts), type_id=tid)
-
-
-def _on_lines(draw: _Draw, counts: Sequence[int], tid: int, meet: bool = False,
-              off: int = 0) -> Config:
+def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int = 0) -> dict:
     """``counts[i]`` points on the i-th of one random line or two, off their
     meet, then the meet when ``meet``, then ``off`` points on no drawn line.
 
@@ -236,19 +218,19 @@ def _on_lines(draw: _Draw, counts: Sequence[int], tid: int, meet: bool = False,
         pts += draw.distinct(off, draw.point, skip=lambda q: any(incident(q, ln) for ln in lines))
         if not _only_allowed_collinear(pts, lines):
             raise _Reject
-    return _points_config(draw.field, pts, tid)
+    return {"points": pts}
 
 
-def _conic_points(draw: _Draw, n: int, extra_off: int, tid: int) -> Config:
+def _conic_points(draw: _Draw, n: int, extra_off: int) -> dict:
     conic, pts = _reference_conic_points(draw, n)
     if conic.is_degenerate():
         raise _Reject
-    pts += draw.distinct(extra_off, draw.point, avoid=pts,
-                         skip=lambda q: conic.contains(q) or not _no_collinear_triple(pts + [q]))
-    return _points_config(draw.field, pts, tid)
+    pts += draw.distinct(extra_off, draw.point, avoid=pts, skip=lambda q: (
+        conic.contains(q) or not _only_allowed_collinear(pts + [q], ())))
+    return {"points": pts}
 
 
-def _line_component(draw: _Draw, off: int, tid: int, *, off_collinear: bool = False) -> Config:
+def _line_component(draw: _Draw, off: int, *, off_collinear: bool = False) -> dict:
     """A line component and ``off`` points off it: on a second line when
     ``off_collinear``, else no three of them on one line."""
     if off_collinear:
@@ -259,35 +241,36 @@ def _line_component(draw: _Draw, off: int, tid: int, *, off_collinear: bool = Fa
         pts = draw.distinct(off, draw.point, skip=lambda q: incident(q, comp))
         if len(pts) == 3 and collinear(*pts):
             raise _Reject
-    return Config(draw.field, points=tuple(pts), lines=(comp,), type_id=tid)
+    return {"points": pts, "lines": (comp,)}
 
 
-def _pencil_quadruple(draw: _Draw, tid: int) -> Config:
+def _pencil_quadruple(draw: _Draw) -> dict:
     """Four generic base points plus the four cuts of a line by two conics
     through the base points."""
     base = draw.distinct(4, draw.point)
-    if not _no_collinear_triple(base):
+    if not _only_allowed_collinear(base, ()):
         raise _Reject
     ln = draw.line()
     if any(incident(p, ln) for p in base):
         raise _Reject
 
-    def cut_pair(avoid: set) -> tuple[ProjPoint, ProjPoint, Conic]:
-        for _ in range(64):
-            p = draw.point_on(ln)
-            if p in avoid:
-                continue
-            q = conic_through(base + [p])
-            if q is None or q.is_degenerate():
-                continue
-            other = conic_line_second_point(q, ln, p)
-            if other is None or other == p or other in avoid:
-                continue
-            return p, other, q
-        raise _Reject
+    def cut(avoid: Sequence[ProjPoint]) -> tuple[ProjPoint, ProjPoint, Conic] | None:
+        """A random point p of the line, the second point where the conic q
+        through the base and p cuts it, and q; None when q is degenerate or
+        tangent at p, or p or the second point is in ``avoid``."""
+        p = draw.point_on(ln)
+        if p in avoid:
+            return None
+        q = conic_through(base + [p])
+        if q is None or q.is_degenerate():
+            return None
+        other = conic_line_second_point(q, ln, p)
+        if other is None or other == p or other in avoid:
+            return None
+        return p, other, q
 
-    p1, p1x, q1 = cut_pair(set())
-    p2, p2x, q2 = cut_pair({p1, p1x})
+    p1, p1x, q1 = draw.distinct(1, lambda: cut(()), limit=64)[0]
+    p2, p2x, q2 = draw.distinct(1, lambda: cut((p1, p1x)), limit=64)[0]
     if q2 == q1:
         raise _Reject
     pts = base + [p1, p1x, p2, p2x]
@@ -295,10 +278,10 @@ def _pencil_quadruple(draw: _Draw, tid: int) -> Config:
         raise _Reject
     if not _only_allowed_collinear(pts, [ln]):
         raise _Reject
-    return _points_config(draw.field, pts, tid)
+    return {"points": pts}
 
 
-def _triangle_conic(draw: _Draw, tid: int) -> Config:
+def _triangle_conic(draw: _Draw) -> dict:
     """Three generic vertices plus the six cuts of the triangle sides by a
     conic avoiding the vertices."""
     verts = draw.distinct(3, draw.point)
@@ -320,10 +303,10 @@ def _triangle_conic(draw: _Draw, tid: int) -> Config:
     pts = verts + q12 + q34 + [q5, q6]
     if not _only_allowed_collinear(pts, [ab, bc, ca]):
         raise _Reject
-    return _points_config(draw.field, pts, tid)
+    return {"points": pts}
 
 
-def _five_lines(draw: _Draw, tid: int) -> Config:
+def _five_lines(draw: _Draw) -> dict:
     lines = draw.distinct(5, draw.line)
     pts = []
     for l1, l2 in combinations(lines, 2):
@@ -333,75 +316,75 @@ def _five_lines(draw: _Draw, tid: int) -> Config:
         pts.append(p)
     if not _only_allowed_collinear(pts, lines):
         raise _Reject
-    return _points_config(draw.field, pts, tid)
+    return {"points": pts}
 
 
-def _generic_points(draw: _Draw, k: int, tid: int | str) -> Config:
+def _generic_points(draw: _Draw, k: int) -> dict:
     pts = draw.distinct(k, draw.point, limit=400)
-    if not _no_collinear_triple(pts):
+    if not _only_allowed_collinear(pts, ()):
         raise _Reject
     if k >= 6:
         for six in combinations(pts, 6):
             if on_common_conic(six):
                 raise _Reject
-    return _points_config(draw.field, pts, tid)
+    return {"points": pts}
 
 
-def _two_line_components(draw: _Draw) -> Config:
+def _two_line_components(draw: _Draw) -> dict:
     l1, l2, _ = draw.two_lines()
-    return Config(draw.field, lines=(l1, l2), type_id=31)
+    return {"lines": (l1, l2)}
 
 
-def _conic_component(draw: _Draw) -> Config:
+def _conic_component(draw: _Draw) -> dict:
     conic = Conic(draw.field, draw._redraw(6, draw._nonzero))
     if conic.is_degenerate():
         raise _Reject
-    return Config(draw.field, conics=(conic,), type_id=33)
+    return {"conics": (conic,)}
 
 
-_BUILDERS: dict[int, Callable[[_Draw], Config]] = {
-    1: lambda d: _points_config(d.field, [d.point()], 1),
-    2: lambda d: _generic_points(d, 2, 2),
-    3: lambda d: _generic_points(d, 3, 3),
-    4: lambda d: _on_lines(d, (4,), 4),
-    5: lambda d: _on_lines(d, (5,), 5),
-    6: lambda d: _on_lines(d, (6,), 6),
-    7: lambda d: _on_lines(d, (7,), 7),
-    8: lambda d: _on_lines(d, (8,), 8),
-    9: lambda d: _on_lines(d, (9,), 9),
-    10: lambda d: _on_lines(d, (10,), 10),
-    11: lambda d: _line_component(d, 0, 11),
-    12: lambda d: _generic_points(d, 4, 12),
-    13: lambda d: _on_lines(d, (4,), 13, off=1),
-    14: lambda d: _on_lines(d, (5,), 14, off=1),
-    15: lambda d: _on_lines(d, (6,), 15, off=1),
-    16: lambda d: _on_lines(d, (7,), 16, off=1),
-    17: lambda d: _line_component(d, 1, 17),
-    18: lambda d: _generic_points(d, 5, 18),
-    19: lambda d: _on_lines(d, (4,), 19, off=2),
-    20: lambda d: _on_lines(d, (5,), 20, off=2),
-    21: lambda d: _on_lines(d, (6,), 21, off=2),
-    22: lambda d: _line_component(d, 2, 22),
-    23: lambda d: _on_lines(d, (3, 3), 23),
-    24: lambda d: _conic_points(d, 6, 0, 24),
-    25: lambda d: _on_lines(d, (3, 3), 25, meet=True),
-    26: lambda d: _generic_points(d, 6, 26),
-    27: lambda d: _on_lines(d, (4, 3), 27),
-    28: lambda d: _on_lines(d, (5, 3), 28),
-    29: lambda d: _line_component(d, 3, 29, off_collinear=True),
-    30: lambda d: _on_lines(d, (4, 4), 30),
+_BUILDERS: dict[int, Callable[[_Draw], dict]] = {
+    1: lambda d: {"points": [d.point()]},
+    2: lambda d: _generic_points(d, 2),
+    3: lambda d: _generic_points(d, 3),
+    4: lambda d: _on_lines(d, (4,)),
+    5: lambda d: _on_lines(d, (5,)),
+    6: lambda d: _on_lines(d, (6,)),
+    7: lambda d: _on_lines(d, (7,)),
+    8: lambda d: _on_lines(d, (8,)),
+    9: lambda d: _on_lines(d, (9,)),
+    10: lambda d: _on_lines(d, (10,)),
+    11: lambda d: _line_component(d, 0),
+    12: lambda d: _generic_points(d, 4),
+    13: lambda d: _on_lines(d, (4,), off=1),
+    14: lambda d: _on_lines(d, (5,), off=1),
+    15: lambda d: _on_lines(d, (6,), off=1),
+    16: lambda d: _on_lines(d, (7,), off=1),
+    17: lambda d: _line_component(d, 1),
+    18: lambda d: _generic_points(d, 5),
+    19: lambda d: _on_lines(d, (4,), off=2),
+    20: lambda d: _on_lines(d, (5,), off=2),
+    21: lambda d: _on_lines(d, (6,), off=2),
+    22: lambda d: _line_component(d, 2),
+    23: lambda d: _on_lines(d, (3, 3)),
+    24: lambda d: _conic_points(d, 6, 0),
+    25: lambda d: _on_lines(d, (3, 3), meet=True),
+    26: lambda d: _generic_points(d, 6),
+    27: lambda d: _on_lines(d, (4, 3)),
+    28: lambda d: _on_lines(d, (5, 3)),
+    29: lambda d: _line_component(d, 3, off_collinear=True),
+    30: lambda d: _on_lines(d, (4, 4)),
     31: _two_line_components,
-    32: lambda d: _conic_points(d, 7, 0, 32),
+    32: lambda d: _conic_points(d, 7, 0),
     33: _conic_component,
-    34: lambda d: _on_lines(d, (4,), 34, off=3),
-    35: lambda d: _on_lines(d, (3, 3), 35, off=1),
-    36: lambda d: _conic_points(d, 6, 1, 36),
-    37: lambda d: _on_lines(d, (3, 3), 37, meet=True, off=1),
-    38: lambda d: _pencil_quadruple(d, 38),
-    39: lambda d: _triangle_conic(d, 39),
-    40: lambda d: _five_lines(d, 40),
-    41: lambda d: _line_component(d, 3, 41),
-    42: lambda d: Config(d.field, type_id=42, whole_plane=True),
+    34: lambda d: _on_lines(d, (4,), off=3),
+    35: lambda d: _on_lines(d, (3, 3), off=1),
+    36: lambda d: _conic_points(d, 6, 1),
+    37: lambda d: _on_lines(d, (3, 3), meet=True, off=1),
+    38: _pencil_quadruple,
+    39: _triangle_conic,
+    40: _five_lines,
+    41: lambda d: _line_component(d, 3),
+    42: lambda d: {"whole_plane": True},
 }
 
 
@@ -416,10 +399,11 @@ _POINTS_ON_ONE_LINE = {
 }
 
 
-# Each of these types is refused over the primes below its entry, where no
-# point set passes its checks.  For 18, 21, 26, 34, 35, 36 and 37 the entry is
-# the least prime with a configuration at all; the others are refused over
-# GF(3) only:
+# Each of these types is refused over the primes below its least prime, where
+# no point set passes its checks; the entry gives that prime and what the
+# type needs.  For 18, 21, 26, 32, 34, 35, 36, 37 and 38 the least prime is
+# the least with a configuration at all; the others are refused over GF(3)
+# only:
 # - 18 needs a 5-arc (five points, no three collinear).  An arc over GF(q)
 #   has at most q + 2 points, q + 1 for odd q, so GF(2) and GF(3) have none.
 # - 26 needs a 6-arc on no conic.  GF(2) and GF(3) have no 6-arc, and over
@@ -444,34 +428,35 @@ _POINTS_ON_ONE_LINE = {
 # - 24, 32, 38 and 39 need a nondegenerate conic through at least five given
 #   points: six or seven points on it, four base points and a point of a
 #   line, or five of the points where it cuts a triangle's sides.  Over
-#   GF(3) such a conic has only four points.
+#   GF(3) such a conic has only four points; over GF(5) it has six, too few
+#   for 32.  For 38 over GF(5) a search with the standard frame as base
+#   finds no two cut pairs from distinct conics and no other 3-point line.
 # - 40 needs five lines with no three through one point, dually a 5-arc,
 #   which GF(3) does not have (as for 18).
-_MIN_PRIME = {18: 5, 19: 5, 21: 7, 24: 5, 26: 7, 32: 5, 34: 7, 35: 7, 36: 11,
-              37: 7, 38: 5, 39: 5, 40: 5}
-_MIN_PRIME_NEEDS = {
-    18: "five points with no three collinear, and no such points exist",
-    19: "four points on a line and two off it with no other three collinear, "
-        "and no such points exist",
-    21: "six points on a line and two off it with no other three collinear, "
-        "and no such points exist",
-    24: "six points on a nondegenerate conic, and such a conic has fewer points",
-    26: "six points with no three collinear and not on one conic, "
-        "and no such points exist",
-    32: "seven points on a nondegenerate conic, and such a conic has fewer points",
-    34: "four points on a line and three off it with no other three collinear, "
-        "and no such points exist",
-    35: "three points on each of two lines, off their meet, and a point off "
-        "both with no other three collinear, and no such points exist",
-    36: "a point off a conic and off every secant of six points on it, "
-        "and no such point exists",
-    37: "three points on each of two lines, their meet, and a point off both "
-        "with no other three collinear, and no such points exist",
-    38: "four points and two points of a line on one nondegenerate conic, "
-        "and such a conic has fewer points",
-    39: "the six points where a nondegenerate conic cuts a triangle's sides, "
-        "and such a conic has fewer points",
-    40: "five lines with no three through one point, and no such lines exist",
+_MIN_PRIME = {
+    18: (5, "five points with no three collinear, and no such points exist"),
+    19: (5, "four points on a line and two off it with no other three collinear, "
+            "and no such points exist"),
+    21: (7, "six points on a line and two off it with no other three collinear, "
+            "and no such points exist"),
+    24: (5, "six points on a nondegenerate conic, and such a conic has fewer points"),
+    26: (7, "six points with no three collinear and not on one conic, "
+            "and no such points exist"),
+    32: (7, "seven points on a nondegenerate conic, and such a conic has fewer points"),
+    34: (7, "four points on a line and three off it with no other three collinear, "
+            "and no such points exist"),
+    35: (7, "three points on each of two lines, off their meet, and a point off "
+            "both with no other three collinear, and no such points exist"),
+    36: (11, "a point off a conic and off every secant of six points on it, "
+             "and no such point exists"),
+    37: (7, "three points on each of two lines, their meet, and a point off both "
+            "with no other three collinear, and no such points exist"),
+    38: (7, "four points and the two cuts of a line by each of two nondegenerate "
+            "conics through them with no other three collinear, "
+            "and no such points exist"),
+    39: (5, "the six points where a nondegenerate conic cuts a triangle's sides, "
+            "and such a conic has fewer points"),
+    40: (5, "five lines with no three through one point, and no such lines exist"),
 }
 
 
@@ -494,17 +479,19 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     _line_capacity(field, _POINTS_ON_ONE_LINE.get(type_id, 0), f"type {type_id}")
     if type_id in _CONIC_TYPES:
         _odd_characteristic(field)
-    if field.p is not None and field.p < _MIN_PRIME.get(type_id, 0):
-        raise SamplingError(f"type {type_id} needs {_MIN_PRIME_NEEDS[type_id]} over {field}")
-    return _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
-                  f"could not satisfy genericity for type {type_id} over {field}")
+    least, needs = _MIN_PRIME.get(type_id, (0, ""))
+    if field.p is not None and field.p < least:
+        raise SamplingError(f"type {type_id} needs {needs} over {field}")
+    parts = _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
+                   f"could not satisfy genericity for type {type_id} over {field}")
+    return Config(field, type_id=type_id, **parts)
 
 
 def sample_generic_points(k: int, field: Field, seed: int) -> Config:
     """Sample k points in general position: no 3 collinear, no 6 on a conic."""
-    return _retry(lambda draw: _generic_points(draw, k, "untyped"), field,
-                  derive_seed(seed, 100 + k),
-                  f"could not place {k} generic points over {field}")
+    return Config(field, **_retry(lambda draw: _generic_points(draw, k), field,
+                                  derive_seed(seed, 100 + k),
+                                  f"could not place {k} generic points over {field}"))
 
 
 def sample_quartic_contact_system(field: Field, seed: int) -> list:

@@ -200,6 +200,29 @@ def test_homology_builtin_models(capsys, model, expected_dual):
     assert report["dual_poincare"] == expected_dual
 
 
+def test_pair_models_are_checked_against_the_ledger_values(capsys, monkeypatch):
+    import dataclasses
+
+    import quintics.cli as cli
+    from quintics.ledger import dataset_quintic
+    from quintics.poincare import PoincarePoly
+
+    data = dataset_quintic()
+    for model in ("pairs-a1", "pairs-a2", "pairs-a3"):
+        code, out, _ = run(capsys, "homology", "--model", model)
+        (dual,) = [r for r in json.loads(out)["results"] if r["check"] == "dual poincare polynomial"]
+        assert code == 0 and dual["expected"] == data.twisted_values[model].format()
+    # a ledger input that the model contradicts fails the model's check
+    values = dict(data.twisted_values, **{"pairs-a2": PoincarePoly.one()})
+    monkeypatch.setattr(cli, "dataset_quintic",
+                        lambda: dataclasses.replace(data, twisted_values=values))
+    code, out, _ = run(capsys, "homology", "--model", "pairs-a2")
+    assert code == 1
+    (dual,) = [r for r in json.loads(out)["results"] if r["check"] == "dual poincare polynomial"]
+    assert dual == {"check": "dual poincare polynomial", "expected": "1", "computed": "0",
+                    "pass": False}
+
+
 def test_homology_punctured_line(capsys):
     code, out, _ = run(capsys, "homology", "--model", "punctured-line")
     assert code == 0

@@ -1098,6 +1098,25 @@ def test_classify_rejects_unknown_patterns():
         assert classify_points(pts) is None
 
 
+def test_classify_points_refuses_repeats_and_mixed_fields_at_every_size():
+    from quintics.errors import FieldMismatchError
+
+    for field, stranger in ((QQ, PrimeField(7)), (PrimeField(7), QQ)):
+        good = [pt(1, 2, 3, field=field), pt(0, 1, 0, field=field), pt(0, 0, 1, field=field)]
+        odd = pt(1, 2, 3, field=stranger)
+        for k in (1, 2, 3):
+            assert classify_points(good[:k]) == k
+            if k >= 2:
+                with pytest.raises(InputError):
+                    classify_points(good[:k - 1] + [good[0]])
+                with pytest.raises(FieldMismatchError):
+                    classify_points(good[:k - 1] + [odd])
+    eleven = list(plane_points(7)[:11])
+    assert classify_points(eleven) is None
+    with pytest.raises(InputError):
+        classify_points(eleven[:10] + [eleven[0]])
+
+
 def test_taxonomy_table_shape():
     verify_taxonomy_table()
     assert sum(1 for t in range(1, 43) if K_POINTS[t] == "nondiscrete") == 8
@@ -1184,7 +1203,7 @@ def test_classify_points_groups_the_points_once(monkeypatch):
     monkeypatch.setattr(lsys, "_index_groups", counting_groups)
     monkeypatch.setattr(classifier, "_from_key", counting_from_key)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
-    for name in ("_no_collinear_triple", "conic_through"):
+    for name in ("_only_allowed_collinear", "conic_through"):
         assert not hasattr(lsys, name) and not hasattr(classifier, name)
         monkeypatch.setattr(projgeom, name, regrouped)
     for field in (FP, QQ):

@@ -22,7 +22,7 @@ from quintics.projgeom import (
     _conic_value,
     _from_key,
     _index_groups,
-    _no_collinear_triple,
+    _only_allowed_collinear,
     _pullback,
     collinear,
     conic_line_second_point,
@@ -37,7 +37,6 @@ from quintics.projgeom import (
 )
 from quintics.sampling import (
     _Draw,
-    _only_allowed_collinear,
     apply_transform_to_config,
     apply_transform_to_point,
     random_projective_transform,
@@ -374,6 +373,54 @@ def test_distinct_draw_keeps_its_guard_semantics():
     assert next(cycle) == 50
 
 
+def test_distinct_counts_a_none_as_one_rejected_draw():
+    from quintics.sampling import _Reject
+
+    draw = _Draw(PrimeField(101), _CountingRng(0))
+    made = []
+
+    def stub(values):
+        stream = iter(values)
+
+        def make():
+            made.append(next(stream))
+            return made[-1]
+        return make
+
+    # a None is a drawn, rejected candidate, never returned
+    assert draw.distinct(2, stub([None, 1, None, None, 2]), limit=5) == [1, 2]
+    assert made == [None, 1, None, None, 2]
+    made.clear()
+    with pytest.raises(_Reject):
+        draw.distinct(2, stub([None, 1, None, None, 2]), limit=4)
+    assert made == [None, 1, None, None]
+    # nothing but None: _Reject after exactly ``limit`` draws
+    for limit in (1, 4, 64):
+        made.clear()
+        with pytest.raises(_Reject):
+            draw.distinct(1, stub([None] * 100), limit=limit)
+        assert len(made) == limit
+    # a value in ``avoid``, one ``skip`` accepts and a repeat are all refused,
+    # and ``skip`` is asked only about values the other two let through
+    made.clear()
+    asked = []
+    got = draw.distinct(3, stub([1, 2, 1, 3, 4, 5, 6]), avoid=[2],
+                        skip=lambda v: asked.append(v) or v == 4)
+    assert got == [1, 3, 5]
+    assert made == [1, 2, 1, 3, 4, 5]
+    assert asked == [1, 3, 4, 5]
+    assert draw.rng.calls == 0
+    # a line that runs out of points: _Reject after exactly 64 n + 64 points
+    line = ProjLine(PrimeField(3), (0, 0, 1))
+    small = _Draw(PrimeField(3), SplitMix64(0))
+    point_on = small.point_on
+    small.point_on = lambda ln: made.append(ln) or point_on(ln)
+    made.clear()
+    with pytest.raises(_Reject):
+        small.distinct_points_on(line, 5)
+    assert made == [line] * (64 * 5 + 64)
+
+
 def _type36_feasible(p):
     # exhaustive over the six-subsets of the conic xz = y^2: is there one with
     # a point of the plane off the conic and off the 15 secants of the six?
@@ -453,8 +500,8 @@ def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkey
 
     primes = (2, 3, 5, 7, 11)
     arcs = {p: _arcs_through_frame(p) for p in primes}
-    assert min(p for p in primes if arcs[p][0]) == sampling_mod._MIN_PRIME[18] == 5
-    assert min(p for p in primes if arcs[p][1]) == sampling_mod._MIN_PRIME[26] == 7
+    assert min(p for p in primes if arcs[p][0]) == sampling_mod._MIN_PRIME[18][0] == 5
+    assert min(p for p in primes if arcs[p][1]) == sampling_mod._MIN_PRIME[26][0] == 7
 
     def no_draws(*args):
         raise AssertionError("the sampler drew before refusing")
@@ -470,9 +517,9 @@ def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkey
                     sample_generic(type_id, PrimeField(p), 0)
     monkeypatch.undo()
     five = sample_generic(18, PrimeField(5), 0).points
-    assert len(five) == 5 and _no_collinear_triple(five)
+    assert len(five) == 5 and _only_allowed_collinear(five, ())
     six = sample_generic(26, PrimeField(7), 0).points
-    assert len(six) == 6 and _no_collinear_triple(six) and not on_common_conic(six)
+    assert len(six) == 6 and _only_allowed_collinear(six, ()) and not on_common_conic(six)
 
 
 # The types refused over GF(3) beyond the line capacity and types 18, 26 and
@@ -481,7 +528,7 @@ def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkey
 GF3_REFUSED_LINES = {19: 1, 24: 0, 32: 0, 34: 1, 35: 2, 37: 2, 38: 1, 39: 3, 40: 5}
 
 # The types refused over GF(5) as well; _gf5_configurations searches for them.
-GF5_REFUSED = {21, 34, 35, 37}
+GF5_REFUSED = {21, 32, 34, 35, 37, 38}
 
 
 def test_no_point_set_of_pg23_qualifies_for_a_refused_type():
@@ -510,7 +557,7 @@ def test_sampler_refuses_gf3_types_before_any_attempt(monkeypatch):
     def no_attempts(*args):
         raise AssertionError("the sampler tried before refusing")
 
-    assert ({t for t, p in sampling_mod._MIN_PRIME.items() if p == 5}
+    assert ({t for t, (p, _) in sampling_mod._MIN_PRIME.items() if p == 5}
             == {18} | set(GF3_REFUSED_LINES) - GF5_REFUSED)
     monkeypatch.setattr(sampling_mod, "_retry", no_attempts)
     for type_id in GF3_REFUSED_LINES:
@@ -525,11 +572,42 @@ def test_sampler_refuses_gf3_types_before_any_attempt(monkeypatch):
         assert sample_generic(type_id, PrimeField(7), 0).type_id == type_id
 
 
+def _pencil_quadruples(p: int) -> int:
+    """The number of point sets of PG(2,p) that type 38's construction could
+    return with the standard frame as its base points: the frame and two cut
+    pairs of a line off it by distinct nondegenerate conics through the frame,
+    with no other line through three of the points.  Any four points with no
+    three collinear are the frame after a change of coordinates."""
+    from quintics.lsys import plane_points
+
+    f = PrimeField(p)
+    base = [pt(1, 0, 0, field=f), pt(0, 1, 0, field=f), pt(0, 0, 1, field=f), pt(1, 1, 1, field=f)]
+    plane = plane_points(p)
+    found = 0
+    for line in (ProjLine(f, q.key) for q in plane):
+        if any(incident(b, line) for b in base):
+            continue
+        cuts = set()
+        for q in plane:
+            if not incident(q, line):
+                continue
+            conic = conic_through(base + [q])
+            if conic is None or conic.is_degenerate():
+                continue
+            other = conic_line_second_point(conic, line, q)
+            if other is not None and other != q:
+                cuts.add((frozenset({q, other}), conic))
+        found += sum(c1 != c2 and _only_allowed_collinear(base + list(a | b), [line])
+                     for (a, c1), (b, c2) in combinations(cuts, 2))
+    return found
+
+
 def _gf5_configurations() -> dict:
     """For each type of GF5_REFUSED, and for type 19 as a control, the number
     of point sets of PG(2,5) its construction could draw that pass its check
     (no line but the drawn ones through three of the points).  The drawn
-    lines are fixed: PGL(3) acts transitively on lines and on pairs of lines."""
+    lines are fixed: PGL(3) acts transitively on lines and on pairs of lines,
+    and every nondegenerate conic is xz = y^2 in some coordinates."""
     from quintics.lsys import plane_points
 
     f = PrimeField(5)
@@ -539,6 +617,7 @@ def _gf5_configurations() -> dict:
     on1 = [q for q in plane if incident(q, l1)]
     off1 = [q for q in plane if not incident(q, l1)]
     off12 = [q for q in off1 if not incident(q, l2)]
+    conic = Conic(f, (0, -1, 0, 0, 1, 0))  # xz = y^2
     trios = [list(a + b) for a in combinations([q for q in on1 if q != meet], 3)
              for b in combinations([q for q in plane if incident(q, l2) and q != meet], 3)]
 
@@ -552,6 +631,8 @@ def _gf5_configurations() -> dict:
         34: on_one_line(4, 3),
         35: sum(_only_allowed_collinear(t + [x], [l1, l2]) for t in trios for x in off12),
         37: sum(_only_allowed_collinear(t + [meet, x], [l1, l2]) for t in trios for x in off12),
+        32: sum(1 for _ in combinations([q for q in plane if conic.contains(q)], 7)),
+        38: _pencil_quadruples(5),
     }
 
 
@@ -560,8 +641,9 @@ def test_sampler_refuses_gf5_types_before_any_draw(monkeypatch):
 
     found = _gf5_configurations()
     assert found.pop(19) > 0
+    assert _pencil_quadruples(7) == 3
     assert found == dict.fromkeys(GF5_REFUSED, 0)
-    assert GF5_REFUSED <= {t for t, p in sampling_mod._MIN_PRIME.items() if p == 7}
+    assert GF5_REFUSED <= {t for t, (p, _) in sampling_mod._MIN_PRIME.items() if p == 7}
 
     def no_draws(*args):
         raise AssertionError("the sampler drew before refusing")
@@ -772,7 +854,6 @@ def test_line_groups_matches_incidence_scan(field):
         groups = _line_groups(points)
         assert list(groups.items()) == list(_reference_line_groups(points).items())
         collinear_lines = _reference_collinear_lines(points)
-        assert _no_collinear_triple(points) == (not collinear_lines)
         sized = [line for line, on in groups.items() if len(on) >= 3]
         planted += any(len(on) == 5 for on in groups.values()) \
             and any(len(on) == 4 for on in groups.values())
@@ -787,7 +868,7 @@ def test_line_groups_matches_incidence_scan(field):
                 with pytest.raises(InputError):
                     _line_groups(bad)
                 with pytest.raises(InputError):
-                    _no_collinear_triple(bad)
+                    _only_allowed_collinear(bad, ())
                 with pytest.raises(InputError):
                     _only_allowed_collinear(bad, sized)
     assert planted >= 4
@@ -846,7 +927,7 @@ def test_line_groups_refuse_coincident_points_and_mixed_fields():
             with pytest.raises(InputError, match="coincident"):
                 _line_groups(points)
             with pytest.raises(InputError, match="coincident"):
-                _no_collinear_triple(points)
+                _only_allowed_collinear(points, ())
     with pytest.raises(FieldMismatchError):
         _line_groups([pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7))])
     with pytest.raises(FieldMismatchError):
