@@ -7,9 +7,13 @@ forces divisibility by g^2, which is imposed by the rows of the remainder map
 f -> f mod g^2.  All of these rows are assembled once per configuration as
 plain int rows, so the space of degree-5 curves singular along the
 configuration is their kernel, computed exactly over the chosen field without
-building a matrix object.  The dimension is counted in a frame of three of
-the configuration's points, moved to the coordinate points, where they delete
-nine of the 21 columns instead of adding nine rows.
+building a matrix object.  The dimension is counted in a frame of the
+configuration's own points and lines: up to three points moved to the
+coordinate points, or one or two line components moved to coordinate lines.
+There a point's derivative rows and a line's remainder rows are unit vectors,
+since x_i^2 divides a form exactly when its coefficients of x_i-degree at most
+1 vanish, so they delete columns instead of adding rows: at d = 5 three points
+delete 9 of the 21 columns, a line 11, two lines 18.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
@@ -43,6 +47,7 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _IDENTITY,
     _frame,
     _from_key,
     _groups_of,
@@ -356,9 +361,6 @@ def _remainder_rows(key: Sequence[int], d: int, p: Optional[int]) -> list:
     return [list(row) for row in zip(*reduced)]
 
 
-_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def _moved(p: Optional[int], vals: Sequence[int]) -> list:
     """Residues of the ints ``vals`` over GF(p); over QQ (``p`` None) the
     ints divided by their content."""
@@ -371,52 +373,64 @@ def _moved(p: Optional[int], vals: Sequence[int]) -> list:
 def _system_rows(cfg: Config, d: int, frame: Optional[tuple] = None) -> list:
     """Rows whose kernel is the space of degree-d forms singular along
     ``cfg``, in the coordinates of ``frame``, a ``projgeom._frame`` of its
-    points' keys, or in the given coordinates when ``frame`` is None.
+    points' and lines' keys, or on the keys themselves when ``frame`` is
+    None.
 
-    Every point off the frame, moved by the frame's adjugate, contributes
-    its derivative rows; each line or conic component, moved by the frame's
-    matrix M, contributes its remainder rows.  The frame points themselves
-    contribute no rows here (``linear_system_dim`` deletes their columns).
-    Over GF(p) the entries are residues; over QQ they are ints, each moved
-    point or component divided by its content.  A key is one representative
-    of the point, and the row span does not depend on which.
+    Every point, moved by the frame's adjugate, contributes its derivative
+    rows; each line or conic component, moved by the frame's matrix M,
+    contributes its remainder rows.  The frame's corners that are
+    configuration points and its axes that are components contribute no
+    rows here (``linear_system_dim`` deletes their columns).  Over GF(p) the
+    entries are residues; over QQ they are ints, each moved point or
+    component divided by its content.  A key is one representative of the
+    point, and the row span does not depend on which.
     """
     p = cfg.field.p
-    keys = [pt.key for pt in cfg.points]
-    corners, adj = frame or ((), _IDENTITY)
-    cols = [keys[i] for i in corners] or _IDENTITY
+    if frame is None:
+        points = [pt.key for pt in cfg.points]
+        comps = [c.key for c in cfg.lines + cfg.conics]
+    else:
+        corners, axes, cols, adj = frame
+        points = [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
+                  for n, (x, y, z) in enumerate(pt.key for pt in cfg.points)
+                  if n not in corners]
+        comps = [_moved(p, [l0 * x + l1 * y + l2 * z for x, y, z in cols])
+                 for n, (l0, l1, l2) in enumerate(ln.key for ln in cfg.lines)
+                 if n not in axes]
+        m_rows = tuple(zip(*cols))
+        comps += [_moved(p, _pullback(q.key, m_rows)) for q in cfg.conics]
     rows: list = []
-    for n, (x, y, z) in enumerate(keys):
-        if n not in corners:
-            moved = _moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
-            rows.extend(_point_rows(moved, d, p))
-    for ln in cfg.lines:
-        l0, l1, l2 = ln.key
-        moved = _moved(p, [l0 * x + l1 * y + l2 * z for x, y, z in cols])
-        rows.extend(_remainder_rows(moved, d, p))
-    m_rows = tuple(zip(*cols))
-    for q in cfg.conics:
-        rows.extend(_remainder_rows(_moved(p, _pullback(q.key, m_rows)), d, p))
+    for key in points:
+        rows.extend(_point_rows(key, d, p))
+    for key in comps:
+        rows.extend(_remainder_rows(key, d, p))
     return rows
 
 
 @lru_cache(maxsize=None)
-def _live_columns(d: int, framed: bool) -> tuple:
-    """The columns of degree-d forms that the coordinate points leave free
-    when ``framed``, and all of them otherwise.
+def _live_columns(d: int, points: tuple, axes: tuple) -> tuple:
+    """The columns of degree-d forms that a frame leaves free, when
+    ``points[i]`` says whether the coordinate point e_i is a configuration
+    point and ``axes[i]`` whether the coordinate line x_i = 0 is a
+    component.
 
-    The derivative rows at (1:0:0) are nonzero only at x^d, where the entry
-    is d, and at x^(d-1) y and x^(d-1) z, where it is 1; likewise at
-    (0:1:0) and (0:0:1).  So when the characteristic does not divide d,
-    which ``_euler_relation`` ensures, a form is singular at the three
-    coordinate points exactly when its coefficients vanish at the nonzero
-    positions of their rows: 9 columns at d >= 3, 6 at d = 2, 3 at d = 1
-    and none at d = 0.
+    The deleted columns are read off the row builders.  The derivative rows
+    at (1:0:0) are nonzero only at x^d, where the entry is d, and at
+    x^(d-1) y and x^(d-1) z, where it is 1; likewise at (0:1:0) and
+    (0:0:1).  The remainder rows of x_i^2 are the unit vectors of the
+    monomials of x_i-degree at most 1, since x_i^2 divides a form exactly
+    when all their coefficients vanish, in every characteristic.  So every
+    such row is zero or has one nonzero entry, and a form meets all those
+    conditions exactly when its coefficients vanish at their nonzero
+    positions.  For a coordinate point this needs the characteristic not to
+    divide d, which ``_euler_relation`` ensures; a coordinate line's entries
+    are all 1 and need nothing.  A point deletes 3 columns at d >= 1 and
+    none at d = 0; a line 2d + 1.  A line at d < 2 raises ``InputError``
+    from ``_remainder_rows``, as the row route does.
     """
-    dead = set()
-    for e in _IDENTITY if framed else ():
-        for row in _point_rows(e, d, None):
-            dead.update(j for j, v in enumerate(row) if v)
+    rows = [row for e, on in zip(_IDENTITY, points) if on for row in _point_rows(e, d, None)]
+    rows += [row for e, on in zip(_IDENTITY, axes) if on for row in _remainder_rows(e, d, None)]
+    dead = {j for row in rows for j, v in enumerate(row) if v}
     return tuple(j for j in range(space_dim(d)) if j not in dead)
 
 
@@ -437,32 +451,40 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     conic component g contributes the rows of the remainder map modulo g^2,
     whose kernel is the forms divisible by g^2.
 
-    The count runs in a frame of the configuration's own points
-    (``projgeom._frame``).  Three non-collinear points A, B, C move to the
-    coordinate points by the adjugate of M = [A B C], every other point P
+    The count runs in a frame of the configuration's own points and lines
+    (``projgeom._frame``).  Three points A, B, C, not all on one line, move
+    to the coordinate points by the adjugate of M = [A B C], every point P
     to adj P, and every component g to g(M Y).  f -> f(M Y) is a linear
     isomorphism of the degree-d forms that carries the system onto the
     system of the moved configuration, so the dimension does not change.
-    At (1:0:0) the partials of a form are d a_(d,0,0), a_(d-1,1,0) and
-    a_(d-1,0,1), and likewise at (0:1:0) and (0:0:1).  When the
-    characteristic does not divide d, a form is singular at the three
-    coordinate points exactly when those coefficients vanish, so the frame
-    deletes their columns (``_live_columns``) instead of adding nine rows.
-    A characteristic dividing d would tie no condition to the x^d column;
-    it raises ``InputError`` here, as it must anyway, since the Euler
-    relation then fails.  The dimension is the number of live columns minus
-    the rank of the other rows on them, ranked by fraction-free elimination
-    on primitive integer rows over QQ and by elimination mod p over GF(p).
-    Points on one line, as fewer than three always are, have no frame: the
-    coordinates stay and no column is deleted.  The whole-plane
-    configuration is the one case with no matrix: only the zero form is
-    singular everywhere.
+    The frame puts up to three configuration points on coordinate points,
+    or one or two line components on coordinate lines, and there their
+    conditions are unit rows, which delete columns (``_live_columns``)
+    instead of adding rows.  At (1:0:0) the partials of a form are
+    d a_(d,0,0), a_(d-1,1,0) and a_(d-1,0,1), and likewise at (0:1:0) and
+    (0:0:1): when the characteristic does not divide d, a form is singular
+    there exactly when those coefficients vanish, 3 columns.  A
+    characteristic dividing d would tie no condition to the x^d column; it
+    raises ``InputError`` here, as it must anyway, since the Euler relation
+    then fails.  x_i^2 divides a form exactly when every coefficient of
+    x_i-degree at most 1 vanishes, in every characteristic, so a line on
+    the coordinate line x_i = 0 deletes those 2d + 1 columns and needs no
+    such condition.  Two lines, or one line and a point off it, or three
+    points, delete 18, 14 or 9 of the 21 columns at d = 5; collinear points
+    delete 6, and a single point 3.  The dimension is the number of live
+    columns minus the rank of the other rows on them, ranked by
+    fraction-free elimination on primitive integer rows over QQ and by
+    elimination mod p over GF(p).  A configuration of conics only keeps its
+    coordinates.  The whole-plane configuration is the one case with no
+    matrix: only the zero form is singular everywhere.
     """
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return 0
-    frame = _frame(cfg.field.p, [pt.key for pt in cfg.points])
-    live = _live_columns(d, frame is not None)
+    corners, axes, _, _ = frame = _frame(cfg.field.p, [pt.key for pt in cfg.points],
+                                         [ln.key for ln in cfg.lines])
+    live = _live_columns(d, tuple(n is not None for n in corners),
+                         tuple(n is not None for n in axes))
     rows = _system_rows(cfg, d, frame)
     return len(live) - rank_rows(cfg.field, [[row[j] for j in live] for row in rows])
 

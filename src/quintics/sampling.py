@@ -23,10 +23,12 @@ pulls forms back along the adjugate with ``projgeom._adjugate`` and
 A type that needs more points on one line than a line over the field has, a
 type whose points cannot exist over a small field (types 18, 21, 26 and 36;
 nine more over GF(3), and five of them, 32, 34, 35, 37 and 38, over GF(5)
-too), or a conic over GF(2), is refused before any draw, and so is the
-quartic contact system over GF(2).  Sampling that keeps failing its predicates gives up after
-``MAX_ATTEMPTS`` rejections; over a very small prime field this can still be
-the outcome.
+too), a type that needs more points of one conic than the parametrization
+reaches (drawn at s = 1, it reaches p of the conic's p + 1 points over GF(p),
+so type 24 over GF(5)), or a conic over GF(2), is refused before any draw,
+and so is the quartic contact system over GF(2).  Sampling that keeps
+failing its predicates gives up after ``MAX_ATTEMPTS`` rejections; over a
+very small prime field this can still be the outcome.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class _Draw:
         common factor, so the projective point does not depend on it."""
         basis = self._line_bases.get(ln)
         if basis is None:
-            basis = self._line_bases[ln] = _line_basis(ln)
+            basis = self._line_bases[ln] = _line_basis(ln.key)
         u, v = basis
         return ProjPoint(self.field, self._redraw(
             2, lambda st: self._nonzero([st[0] * a + st[1] * b for a, b in zip(u, v)])))
@@ -460,6 +462,15 @@ _MIN_PRIME = {
 }
 
 
+# The points of one conic that the construction of a type draws.
+# ``_reference_conic_points`` draws them at parameters t in GF(p), whose
+# images are p of the conic's p + 1 points (the image of t = infinity is
+# never drawn), so it cannot draw more than p.  Only type 24 over GF(5) meets
+# this limit below its least prime: six points of a conic over GF(5) exist,
+# all of its points, but the construction reaches five.
+_POINTS_ON_ONE_CONIC = {24: 6, 32: 7, 36: 6}
+
+
 # Types whose construction tests a conic for degeneracy, which the package
 # decides in odd characteristic only.  Types 36, 38 and 39 are built on conics
 # too, but the other checks already refuse them over GF(2).
@@ -470,9 +481,10 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     """Deterministically sample a generic configuration of the given type.
 
     A type whose construction needs more points on one line than a line over
-    the field has, a type built on a conic over GF(2), or a type of
-    ``_MIN_PRIME`` over a field too small for it, fails at once, before any
-    draw.
+    the field has, a type built on a conic over GF(2), a type of
+    ``_MIN_PRIME`` over a field too small for it, or a type that draws more
+    points of one conic than its construction reaches (``_POINTS_ON_ONE_CONIC``),
+    fails at once, before any draw.
     """
     if type_id not in _BUILDERS:
         raise InputError(f"type_id {type_id} out of range 1..42")
@@ -482,6 +494,12 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     least, needs = _MIN_PRIME.get(type_id, (0, ""))
     if field.p is not None and field.p < least:
         raise SamplingError(f"type {type_id} needs {needs} over {field}")
+    on_conic = _POINTS_ON_ONE_CONIC.get(type_id, 0)
+    if field.p is not None and on_conic > field.p:
+        raise SamplingError(
+            f"type {type_id} needs {on_conic} points of one conic; such configurations "
+            f"exist over {field}, but the construction draws the points at parameters "
+            f"in {field}, which reach only {field.p} of the conic's {field.p + 1}")
     parts = _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
                    f"could not satisfy genericity for type {type_id} over {field}")
     return Config(field, type_id=type_id, **parts)

@@ -380,6 +380,7 @@ def test_classify_double_conic_at_p7_matches_stored(capsys, monkeypatch):
 
 @pytest.mark.parametrize("field,seeds,name", [
     ("qq", "1", "dims_all_qq_seeds1"),
+    ("qq", "3", "dims_all_qq_seeds3"),
     ("fp:101", "2", "dims_all_fp101_seeds2"),
     ("fp:65521", "2", "dims_all_fp65521_seeds2"),
     ("fp:11", "3", "dims_all_fp11_seeds3"),

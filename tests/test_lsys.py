@@ -16,7 +16,9 @@ from quintics.exactalg import (
     rank_rows,
 )
 from quintics.lsys import (
+    _live_columns,
     _monomial_values,
+    _point_rows,
     _remainder_rows,
     _typed_subsets,
     HomogeneousPoly,
@@ -317,9 +319,10 @@ def _assert_frame_route_matches_reference(cfg, degrees):
 
 
 def test_frame_route_on_every_small_point_set_of_pg23():
-    # 715 + 1287 + 1716 sets of 4, 5 and 6 points, framed or all collinear,
-    # at the degrees 1, 2, 4, 5 and 7 that GF(3) admits; the reference is
-    # the rank of the stacked singularity rows, made once per point
+    # 715 + 1287 + 1716 sets of 4, 5 and 6 points, framed by three of them
+    # or all collinear, at the degrees 1, 2, 4, 5 and 7 that GF(3) admits;
+    # the reference is the rank of the stacked singularity rows, made once
+    # per point
     plane = plane_points(3)
     field = plane[0].field
     degrees = (1, 2, 4, 5, 7)
@@ -328,7 +331,7 @@ def test_frame_route_on_every_small_point_set_of_pg23():
     for k in (4, 5, 6):
         for sub in combinations(plane, k):
             cfg = Config(field, points=sub)
-            framed += _frame(3, [q.key for q in sub]) is not None
+            framed += None not in _frame(3, [q.key for q in sub])[0]
             for d in degrees:
                 want = space_dim(d) - rank_rows(field, [r for q in sub for r in rows[q, d]])
                 assert linear_system_dim(cfg, d) == want == linear_system_basis(cfg, d).dim
@@ -337,9 +340,12 @@ def test_frame_route_on_every_small_point_set_of_pg23():
 
 def _frame_sweep_configs(field, seed):
     """Seeded configurations that reach every branch of the frame route:
-    random point sets of 0 to 7 points (at most two points, or all of them
-    on one line, have no frame), and lines, conics and both with at most
-    two points or with three non-collinear ones."""
+    random point sets of 0 to 7 points (framed by three of them, or by one
+    or two of them and coordinate points), and lines, conics and both with
+    at most two points or with three non-collinear ones; then one or two
+    lines with 0 to 2 random points, two lines through a configuration
+    point at their meet, and collinear points with their own line or with
+    another line as a component."""
     rng = SplitMix64(seed)
 
     def coord():
@@ -383,6 +389,21 @@ def _frame_sweep_configs(field, seed):
         configs.append(Config(field, points=pts, conics=[draw(Conic, 6)]))
         configs.append(Config(field, points=pts, lines=distinct(lambda: draw(ProjLine, 3), 2),
                               conics=[draw(Conic, 6)]))
+    for k in (0, 1, 2):
+        pts = distinct(lambda: draw(ProjPoint, 3), k)
+        configs.append(Config(field, points=pts, lines=[draw(ProjLine, 3)]))
+        configs.append(Config(field, points=pts, lines=distinct(lambda: draw(ProjLine, 3), 2)))
+    l1, l2 = distinct(lambda: draw(ProjLine, 3), 2)
+    meet = line_intersection(l1, l2)
+    for extra in distinct(lambda: draw(ProjPoint, 3), 2):
+        if extra != meet:
+            configs.append(Config(field, points=[meet, extra], lines=[l1, l2]))
+            break
+    configs.append(Config(field, points=[meet], lines=[l2, l1]))
+    ln = draw(ProjLine, 3)
+    on = distinct(lambda: on_line(ln), 3)
+    configs.append(Config(field, points=on, lines=[ln]))
+    configs.append(Config(field, points=on, lines=[draw(ProjLine, 3)]))
     return configs
 
 
@@ -392,6 +413,91 @@ def test_frame_route_matches_reference_on_random_configurations(field):
     for seed in range(4):
         for cfg in _frame_sweep_configs(field, derive_seed(27, seed)):
             _assert_frame_route_matches_reference(cfg, range(8))
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["fp7", "qq"])
+def test_frame_moves_corners_and_axes_onto_coordinates(field):
+    # corner i goes to e_i and axis i to x_i = 0, by a nonsingular change
+    # of coordinates; only points and lines of the configuration are named
+    p = field.p
+
+    def proportional(u, e):
+        # a multiple of the unit vector e: nonzero exactly where e is
+        return [bool(v % p if p else v) for v in u] == [bool(x) for x in e]
+
+    for seed in range(4):
+        for cfg in _frame_sweep_configs(field, derive_seed(29, seed)):
+            keys = [q.key for q in cfg.points]
+            lines = [ln.key for ln in cfg.lines]
+            corners, axes, cols, adj = _frame(p, keys, lines)
+            det = sum(r * c for r, c in zip(adj[0], cols[0]))
+            assert (det % p if p else det), cfg
+            for e, n in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), corners):
+                if n is not None:
+                    moved = [sum(r * x for r, x in zip(row, keys[n])) for row in adj]
+                    assert proportional(moved, e), cfg
+            for e, n in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), axes):
+                if n is not None:
+                    moved = [sum(a * x for a, x in zip(lines[n], col)) for col in cols]
+                    assert proportional(moved, e), cfg
+            assert any(n is not None for n in corners + axes) == bool(keys or lines)
+
+
+def test_coordinate_conditions_are_unit_rows():
+    # the rows the frame route deletes instead of adding: a coordinate
+    # point's derivative rows and a coordinate line's remainder rows each
+    # have at most one nonzero entry, so their kernel is read off columns
+    none = (False, False, False)
+    for d in range(8):
+        for i, e in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            mask = tuple(k == i for k in range(3))
+            rows = _point_rows(e, d, None) + (_remainder_rows(e, d, None) if d >= 2 else [])
+            assert all(sum(1 for v in row if v) <= 1 for row in rows), (e, d)
+            assert len(_live_columns(d, mask, none)) == space_dim(d) - (3 if d else 0)
+            if d >= 2:
+                assert len(_live_columns(d, none, mask)) == space_dim(d) - 2 * d - 1
+        if d >= 2:
+            assert len(_live_columns(d, none, (False, True, True))) == space_dim(d) - 4 * d + 2
+        else:
+            with pytest.raises(InputError):
+                _live_columns(d, none, (False, False, True))
+
+
+def test_lines_and_few_points_on_every_case_of_pg23():
+    # every line with every set of at most two points (13 * 92) and every
+    # pair of lines with at most one point (78 * 14), at the degrees 2, 4, 5
+    # and 7 that GF(3) admits.  The reference is the subspace
+    # _reference_basis builds, counted on the basis of its divisibility part
+    # (made once per line set): the forms c . B singular at the points are
+    # the kernel of the point rows times B^T.  For one line and one point at
+    # d = 5 the plain rows of linear_system_basis give _reference_basis
+    # itself.  At d = 1 every route refuses a line.
+    plane = plane_points(3)
+    field = plane[0].field
+    lines = [ProjLine(field, q.key) for q in plane]
+    cases = [(sub, (ln,)) for ln in lines for k in (0, 1, 2) for sub in combinations(plane, k)]
+    cases += [(sub, pair) for pair in combinations(lines, 2)
+              for k in (0, 1) for sub in combinations(plane, k)]
+    assert len(cases) == 13 * 92 + 78 * 14
+    for d in (2, 4, 5, 7):
+        div = {ln: divisibility_subspace(line_poly(ln), 2, d) for ln in lines}
+        base = {(ln,): div[ln] for ln in lines}
+        base.update({pair: intersect(div[pair[0]], div[pair[1]])
+                     for pair in combinations(lines, 2)})
+        for sub, comps in cases:
+            cfg = Config(field, points=sub, lines=comps)
+            basis = base[comps].basis
+            on_base = [[sum(a * b for a, b in zip(row, vec)) for vec in basis]
+                       for q in sub for row in singularity_rows(q, d)]
+            want = len(basis) - rank_rows(field, on_base)
+            assert linear_system_dim(cfg, d) == want, (cfg, d)
+            if d == 5 and len(sub) == len(comps) == 1:
+                assert linear_system_basis(cfg, d) == _reference_basis(cfg, d), cfg
+    for sub, comps in cases:
+        cfg = Config(field, points=sub, lines=comps)
+        for route in (linear_system_dim, linear_system_basis, _reference_basis):
+            with pytest.raises(InputError):
+                route(cfg, 1)
 
 
 def _component_cases(field):

@@ -564,12 +564,38 @@ def test_sampler_refuses_gf3_types_before_any_attempt(monkeypatch):
         for seed in (0, 1):
             with pytest.raises(SamplingError, match=f"^type {type_id} needs .* over fp:3$"):
                 sample_generic(type_id, PrimeField(3), seed)
-        if type_id not in GF5_REFUSED:
+        if type_id not in GF5_REFUSED | {24}:
             with pytest.raises(AssertionError, match="tried"):
                 sample_generic(type_id, PrimeField(5), 0)
     monkeypatch.undo()
     for type_id in GF3_REFUSED_LINES:
         assert sample_generic(type_id, PrimeField(7), 0).type_id == type_id
+
+
+def test_sampler_refuses_type24_over_gf5_before_any_draw(monkeypatch):
+    # all six points of a conic over GF(5) make a type-24 configuration, but
+    # the construction draws t in GF(5) and so reaches only five of them
+    import quintics.sampling as sampling_mod
+    from quintics.lsys import plane_points
+
+    f = PrimeField(5)
+    conic = Conic(f, (0, -1, 0, 0, 1, 0))  # xz = y^2
+    six = [q for q in plane_points(5) if conic.contains(q)]
+    assert len(six) == 6 and classify(Config(f, points=six)) == 24
+    rngs = []
+
+    def counting(seed):
+        rngs.append(_CountingRng(seed))
+        return rngs[-1]
+
+    monkeypatch.setattr(sampling_mod, "SplitMix64", counting)
+    for seed in (0, 1, 2):
+        with pytest.raises(SamplingError, match=r"^type 24 needs 6 points of one conic; "
+                           r"such configurations exist over fp:5, .* only 5 of the conic's 6$"):
+            sample_generic(24, f, seed)
+    assert sum(rng.calls for rng in rngs) == 0
+    assert sample_generic(24, PrimeField(7), 0).type_id == 24
+    assert sum(rng.calls for rng in rngs) > 0
 
 
 def _pencil_quadruples(p: int) -> int:
