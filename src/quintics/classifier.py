@@ -1,12 +1,15 @@
-"""The decision tree that types a finite point set against the taxonomy.
+"""Every typing of a configuration against the 42-type taxonomy.
 
-:func:`_classify_grouped` takes 3 to 10 distinct points of one field with
-their collinear groups (the point indices on each line through three or more
-of them, from ``projgeom._index_groups`` or ``projgeom._groups_of``) and
-returns the type in ``taxonomy`` whose pattern they match, or None.  The
-groups answer every collinearity question; conics are found in closed form by
-``projgeom._unique_conic``.  ``lsys.classify_points`` and
-``lsys.check_conditions`` are the entry points.
+:func:`_classify_config` types a configuration: the whole plane, a lone
+conic, one or two line components, or a point set, which goes to the one
+size rule :func:`_classify_keys` that the subset walk :func:`_typed_subsets`
+uses too.  :func:`_classify_grouped` is the decision tree for 3 to 10
+distinct points of one field, given their collinear groups (the point indices
+on each line through three or more of them, from ``projgeom._index_groups``
+or ``projgeom._groups_of``); it returns the type in ``taxonomy`` whose
+pattern they match, or None.  The groups answer every collinearity question;
+conics are found in closed form by ``projgeom._unique_conic``.
+``lsys.classify`` and ``lsys.check_conditions`` are the entry points.
 """
 
 from __future__ import annotations
@@ -15,7 +18,18 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .projgeom import ProjLine, ProjPoint, _from_key, _unique_conic, conic_line_second_point
+from .projgeom import (
+    Config,
+    ProjLine,
+    ProjPoint,
+    _from_key,
+    _groups_of,
+    _index_groups,
+    _unique_conic,
+    collinear,
+    conic_line_second_point,
+    incident,
+)
 
 
 def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
@@ -72,7 +86,7 @@ def _classify_five_lines(sized: dict) -> Optional[int]:
 
 
 def _classify_grouped(pts: tuple, groups: dict) -> Optional[int]:
-    """``lsys.classify_points`` on 3 to 10 distinct points of one field,
+    """:func:`classify_points` on 3 to 10 distinct points of one field,
     given their ``projgeom._index_groups``."""
     k = len(pts)
     if k == 3:
@@ -171,3 +185,76 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
             return _classify_pencil_quadruple(pts, key, on_line)
         return None
     return None
+
+
+def _classify_config(cfg: Config) -> Optional[int]:
+    """The type of ``cfg``, or None when no pattern fits: full components
+    first, then the points.  A conic over GF(2) raises ``InputError``, as
+    ``is_degenerate`` does."""
+    if cfg.whole_plane:
+        return 42
+    if cfg.conics:
+        lone = len(cfg.conics) == 1 and not cfg.lines and not cfg.points
+        return 33 if lone and not cfg.conics[0].is_degenerate() else None
+    if cfg.lines:
+        return _classify_with_lines(cfg)
+    return _classify_keys(cfg.points, cfg.field.p, [q.key for q in cfg.points])
+
+
+def _classify_with_lines(cfg: Config) -> Optional[int]:
+    if len(cfg.lines) == 2 and not cfg.points:
+        return 31 if cfg.lines[0] != cfg.lines[1] else None
+    if len(cfg.lines) != 1:
+        return None
+    comp = cfg.lines[0]
+    pts = cfg.points
+    if any(incident(q, comp) for q in pts):
+        return None
+    n = len(pts)
+    if n <= 2:
+        return (11, 17, 22)[n]
+    if n == 3:
+        # the points are off the component, so their line meets it off the set
+        return 29 if collinear(*pts) else 41
+    return None
+
+
+def _classify_keys(pts: Sequence[ProjPoint], p: Optional[int], keys: Sequence) -> Optional[int]:
+    """The type of the distinct points ``pts`` over GF(p), or QQ when ``p``
+    is None, with keys ``keys``: at most three are typed by their count, 4
+    to 10 by the decision tree on ``projgeom._groups_of`` of the keys, and
+    more than ten get none."""
+    k = len(pts)
+    if k <= 3:
+        return k or None
+    return _classify_grouped(pts, _groups_of(p, keys)) if k <= 10 else None
+
+
+def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
+    """Classify a finite point set against the taxonomy; None when no type fits.
+
+    Every collinearity fact comes from one :func:`projgeom._index_groups`
+    call, kept as the set of point indices on each line through three or
+    more of the points.  Repeated points raise ``InputError`` and points over
+    different fields ``FieldMismatchError``, at every size.
+    """
+    pts = tuple(points)
+    k = len(pts)
+    if 3 <= k <= 10:
+        return _classify_grouped(pts, _index_groups(pts))
+    if pts:
+        Config(pts[0].field, points=pts)  # one field, no repeated point
+    return k if 1 <= k <= 2 else None
+
+
+def _typed_subsets(cfg: Config):
+    """Yield (points, type) for the points of a finite configuration, then
+    for each proper nonempty subset of them by size, each size in
+    combinations order, typed by :func:`_classify_keys` on keys read once."""
+    pts = cfg.points
+    p = cfg.field.p
+    reps = [q.key for q in pts]
+    yield pts, _classify_keys(pts, p, reps)
+    for r in range(1, len(pts)):
+        for sub_reps, sub in zip(combinations(reps, r), combinations(pts, r)):
+            yield sub, _classify_keys(sub, p, sub_reps)

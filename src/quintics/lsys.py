@@ -17,21 +17,21 @@ delete 9 of the 21 columns, a line 11, two lines 18.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
-itself is in ``sieve``), grouping of full line/conic components, and
-classification of the resulting incidence pattern into one of the 42
-configuration types, whose table is in ``taxonomy`` and whose decision tree
-for point sets is in ``classifier``.
+itself is in ``sieve``) and grouping of full line/conic components.  Its two
+typing entry points, ``classify`` of a configuration or singular set and
+``check_conditions`` over every subset of a sample, hand every decision to
+``classifier``; the table of the 42 types is in ``taxonomy``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
-from .classifier import _classify_grouped
+from .classifier import _classify_config, _typed_subsets
 from .errors import FieldMismatchError, InputError
 from .exactalg import (
     Field,
@@ -50,11 +50,7 @@ from .projgeom import (
     _IDENTITY,
     _frame,
     _from_key,
-    _groups_of,
-    _index_groups,
     _pullback,
-    collinear,
-    incident,
 )
 from .rng import SplitMix64, derive_seed
 from .sieve import _peel_conic_component, _peel_line_components, _singular_keys
@@ -610,67 +606,16 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
 # classification
 
 
-def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
-    """Classify a finite point set against the taxonomy; None when no type fits.
-
-    Every collinearity fact comes from one :func:`projgeom._index_groups`
-    call, kept as the set of point indices on each line through three or
-    more of the points.  Repeated points raise ``InputError`` and points over
-    different fields ``FieldMismatchError``, at every size.
-    """
-    pts = tuple(points)
-    k = len(pts)
-    if 3 <= k <= 10:
-        return _classify_grouped(pts, _index_groups(pts))
-    if pts:
-        Config(pts[0].field, points=pts)  # one field, no repeated point
-    return k if 1 <= k <= 2 else None
-
-
 def classify(obj: Union[Config, SingularSet]) -> Optional[int]:
     """Match a configuration or singular set against the 42-type taxonomy.
 
     Returns the unique matching type id, or None when no pattern fits.  The
-    decision tree checks full components first, then maximal collinear
-    subsets, then conic membership, then intersection-point membership.  A
-    conic component over GF(2) raises ``InputError``, as ``is_degenerate`` does.
+    decision, in ``classifier``, checks full components first, then maximal
+    collinear subsets, then conic membership, then intersection-point
+    membership.  A conic component over GF(2) raises ``InputError``, as
+    ``is_degenerate`` does.
     """
-    if isinstance(obj, SingularSet):
-        cfg = obj.as_config()
-    else:
-        cfg = obj
-    if cfg.whole_plane:
-        return 42
-    if cfg.conics:
-        if len(cfg.conics) == 1 and not cfg.lines and not cfg.points \
-                and not cfg.conics[0].is_degenerate():
-            return 33
-        return None
-    if cfg.lines:
-        return _classify_with_lines(cfg)
-    return classify_points(cfg.points)
-
-
-def _classify_with_lines(cfg: Config) -> Optional[int]:
-    if len(cfg.lines) == 2 and not cfg.points:
-        return 31 if cfg.lines[0] != cfg.lines[1] else None
-    if len(cfg.lines) != 1:
-        return None
-    comp = cfg.lines[0]
-    pts = cfg.points
-    if any(incident(q, comp) for q in pts):
-        return None
-    n = len(pts)
-    if n == 0:
-        return 11
-    if n == 1:
-        return 17
-    if n == 2:
-        return 22
-    if n == 3:
-        # the points are off the component, so their line meets it off the set
-        return 29 if collinear(*pts) else 41
-    return None
+    return _classify_config(obj.as_config() if isinstance(obj, SingularSet) else obj)
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +639,8 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
     For every finite sample K of type i: K itself must classify back to i
     (the patterns are mutually exclusive and exhaustive on their strata), and
     every proper subset that matches any type at all must match one with a
-    strictly smaller index.  The types come from :func:`_typed_subsets`,
-    which gives what ``classify_points`` gives.
+    strictly smaller index.  The types come from ``classifier._typed_subsets``,
+    which gives what ``classifier.classify_points`` gives.
     """
     checked = 0
     subset_checks = 0
@@ -716,29 +661,3 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
             if sub_type is not None and sub_type >= cfg.type_id:
                 violations.append((cfg.type_id, subset, sub_type))
     return ConditionReport(checked, subset_checks, violations)
-
-
-def _typed_subsets(cfg: Config):
-    """Yield (points, type) for the points of a finite configuration, then
-    for each proper nonempty subset of them by size, each size in
-    combinations order, with the type ``classify_points`` gives.
-
-    A set of at most three points is typed by its size, since a
-    configuration's points are distinct; a larger one is grouped by
-    ``projgeom._groups_of`` on its points' keys.
-    """
-    pts = cfg.points
-    p = cfg.field.p
-    reps = [q.key for q in pts]
-
-    def typed(sub, sub_reps):
-        k = len(sub)
-        if k <= 3:
-            return k or None
-        return _classify_grouped(sub, _groups_of(p, sub_reps)) if k <= 10 else None
-
-    yield pts, typed(pts, reps)
-    for r in range(1, len(pts)):
-        for sub_reps, sub in zip(combinations(reps, r), combinations(pts, r)):
-            yield sub, typed(sub, sub_reps)
-

@@ -13,9 +13,10 @@ Every construction draws through one guarded helper, ``_Draw.distinct``,
 which makes a bounded number of draws (a ``make`` that returns None spends
 one), and runs inside one bounded retry, ``_retry``; the quartic contact
 sampler uses the same two.  Only the redraw of nonzero coordinates is
-unbounded.  The 22 types made of points on one line or two, their meet and
-points off them are all drawn by ``_on_lines``.  Each construction returns
-its configuration's parts, and ``sample_generic`` stamps the type once.
+unbounded.  The 28 types made of one line or two, with points on them or as
+line components, their meet and points off them are all drawn by
+``_on_lines``.  Each construction returns its configuration's parts, and
+``sample_generic`` stamps the type once.
 Every change of coordinates, of a reference conic or of a configuration,
 pulls forms back along the adjugate with ``projgeom._adjugate`` and
 ``projgeom._pullback``.
@@ -199,9 +200,12 @@ def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]
 # arguments of ``Config``
 
 
-def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int = 0) -> dict:
+def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int = 0,
+              components: int = 0) -> dict:
     """``counts[i]`` points on the i-th of one random line or two, off their
-    meet, then the meet when ``meet``, then ``off`` points on no drawn line.
+    meet, then the meet when ``meet``, then ``off`` points on no drawn line;
+    the first ``components`` lines are line components.  A count of 0 draws
+    nothing.
 
     Only the off points can put three points on another line: such a line
     meets each drawn line in at most one point of the set.
@@ -220,7 +224,7 @@ def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int =
         pts += draw.distinct(off, draw.point, skip=lambda q: any(incident(q, ln) for ln in lines))
         if not _only_allowed_collinear(pts, lines):
             raise _Reject
-    return {"points": pts}
+    return {"points": pts, "lines": tuple(lines[:components])}
 
 
 def _conic_points(draw: _Draw, n: int, extra_off: int) -> dict:
@@ -230,20 +234,6 @@ def _conic_points(draw: _Draw, n: int, extra_off: int) -> dict:
     pts += draw.distinct(extra_off, draw.point, avoid=pts, skip=lambda q: (
         conic.contains(q) or not _only_allowed_collinear(pts + [q], ())))
     return {"points": pts}
-
-
-def _line_component(draw: _Draw, off: int, *, off_collinear: bool = False) -> dict:
-    """A line component and ``off`` points off it: on a second line when
-    ``off_collinear``, else no three of them on one line."""
-    if off_collinear:
-        comp, other, p12 = draw.two_lines()
-        pts = draw.distinct_points_on(other, off, avoid=[p12])
-    else:
-        comp = draw.line()
-        pts = draw.distinct(off, draw.point, skip=lambda q: incident(q, comp))
-        if len(pts) == 3 and collinear(*pts):
-            raise _Reject
-    return {"points": pts, "lines": (comp,)}
 
 
 def _pencil_quadruple(draw: _Draw) -> dict:
@@ -332,11 +322,6 @@ def _generic_points(draw: _Draw, k: int) -> dict:
     return {"points": pts}
 
 
-def _two_line_components(draw: _Draw) -> dict:
-    l1, l2, _ = draw.two_lines()
-    return {"lines": (l1, l2)}
-
-
 def _conic_component(draw: _Draw) -> dict:
     conic = Conic(draw.field, draw._redraw(6, draw._nonzero))
     if conic.is_degenerate():
@@ -355,27 +340,27 @@ _BUILDERS: dict[int, Callable[[_Draw], dict]] = {
     8: lambda d: _on_lines(d, (8,)),
     9: lambda d: _on_lines(d, (9,)),
     10: lambda d: _on_lines(d, (10,)),
-    11: lambda d: _line_component(d, 0),
+    11: lambda d: _on_lines(d, (0,), components=1),
     12: lambda d: _generic_points(d, 4),
     13: lambda d: _on_lines(d, (4,), off=1),
     14: lambda d: _on_lines(d, (5,), off=1),
     15: lambda d: _on_lines(d, (6,), off=1),
     16: lambda d: _on_lines(d, (7,), off=1),
-    17: lambda d: _line_component(d, 1),
+    17: lambda d: _on_lines(d, (0,), off=1, components=1),
     18: lambda d: _generic_points(d, 5),
     19: lambda d: _on_lines(d, (4,), off=2),
     20: lambda d: _on_lines(d, (5,), off=2),
     21: lambda d: _on_lines(d, (6,), off=2),
-    22: lambda d: _line_component(d, 2),
+    22: lambda d: _on_lines(d, (0,), off=2, components=1),
     23: lambda d: _on_lines(d, (3, 3)),
     24: lambda d: _conic_points(d, 6, 0),
     25: lambda d: _on_lines(d, (3, 3), meet=True),
     26: lambda d: _generic_points(d, 6),
     27: lambda d: _on_lines(d, (4, 3)),
     28: lambda d: _on_lines(d, (5, 3)),
-    29: lambda d: _line_component(d, 3, off_collinear=True),
+    29: lambda d: _on_lines(d, (0, 3), components=1),
     30: lambda d: _on_lines(d, (4, 4)),
-    31: _two_line_components,
+    31: lambda d: _on_lines(d, (0, 0), components=2),
     32: lambda d: _conic_points(d, 7, 0),
     33: _conic_component,
     34: lambda d: _on_lines(d, (4,), off=3),
@@ -385,14 +370,17 @@ _BUILDERS: dict[int, Callable[[_Draw], dict]] = {
     38: _pencil_quadruple,
     39: _triangle_conic,
     40: _five_lines,
-    41: lambda d: _line_component(d, 3),
+    41: lambda d: _on_lines(d, (0,), off=3, components=1),
     42: lambda d: {"whole_plane": True},
 }
 
 
 # The most distinct points of one line that the construction of a type uses,
-# counting the intersection points it must avoid there.  A line over GF(p)
-# has p + 1 points, so a larger count can never be met.
+# counting the intersection points it must avoid there: for ``_on_lines`` the
+# largest count, plus the meet of two lines on a line with points.  A line
+# over GF(p) has p + 1 points, so a larger count can never be met.  38, 39
+# and 40 are built otherwise, with four points on a line: two cut pairs, two
+# vertices and two cuts on a side, a line's meets with the other four.
 _POINTS_ON_ONE_LINE = {
     4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10,
     13: 4, 14: 5, 15: 6, 16: 7, 19: 4, 20: 5, 21: 6,

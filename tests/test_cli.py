@@ -344,13 +344,15 @@ def test_classify_line_times_nodal_cubic(tmp_path, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic"])
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic", "two_lines"])
 def test_classify_report_matches_stored(name, capsys, monkeypatch):
     # line_triangle: a doubled line times a triangle with vertices (0:0:1),
     # (0:1:3) and one in the chart x = 1 (type 41); double_conic: a rational
     # doubled conic times a line, reduced to GF(101) (type 33); six_on_conic:
     # an integer member of a rational type 24 system, singular at six points
-    # on a nondegenerate conic, which the classifier's six-point branch finds
+    # on a nondegenerate conic, which the classifier's six-point branch finds;
+    # two_lines: x^2 y^2 (x + y + z), the doubled lines x = 0 and y = 0 with
+    # no point off them (type 31)
     monkeypatch.chdir(DATA)
     code, out, _ = run(capsys, "classify", "--poly", f"classify_{name}.json",
                        "--prime", "101")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from quintics.classifier import _typed_subsets, classify_points
 from quintics.errors import InputError
 from quintics.exactalg import (
     QQ,
@@ -20,12 +21,10 @@ from quintics.lsys import (
     _monomial_values,
     _point_rows,
     _remainder_rows,
-    _typed_subsets,
     HomogeneousPoly,
     SingularSet,
     check_conditions,
     classify,
-    classify_points,
     conic_poly,
     divisibility_subspace,
     line_poly,
@@ -1265,12 +1264,12 @@ def test_check_conditions_flags_planted_violation():
 
 
 def test_check_conditions_reports_skips_and_refuses(monkeypatch):
-    from quintics import lsys
+    from quintics import classifier
 
     # A classifier that gives every set of four or more points the sample's
     # own type: each such proper subset is a violation, in walk order.
     cfg = sample_generic(19, FP, 1)
-    monkeypatch.setattr(lsys, "_classify_grouped", lambda pts, groups: cfg.type_id)
+    monkeypatch.setattr(classifier, "_classify_grouped", lambda pts, groups: cfg.type_id)
     report = check_conditions([cfg])
     subsets = [sub for r in (4, 5) for sub in combinations(cfg.points, r)]
     assert (report.checked, report.subset_checks) == (1, 2 ** 6 - 2)
@@ -1306,12 +1305,15 @@ def test_classify_points_groups_the_points_once(monkeypatch):
     def regrouped(*args):
         raise AssertionError("the classifier asked a second collinearity question")
 
-    monkeypatch.setattr(lsys, "_index_groups", counting_groups)
+    monkeypatch.setattr(classifier, "_index_groups", counting_groups)
     monkeypatch.setattr(classifier, "_from_key", counting_from_key)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
     for name in ("_only_allowed_collinear", "conic_through"):
         assert not hasattr(lsys, name) and not hasattr(classifier, name)
         monkeypatch.setattr(projgeom, name, regrouped)
+    # every typing decision is in classifier: lsys groups and tests nothing
+    for name in ("_classify_grouped", "_groups_of", "_index_groups", "collinear", "incident"):
+        assert not hasattr(lsys, name), name
     for field in (FP, QQ):
         for t, k in K_POINTS.items():
             if isinstance(k, int) and k >= 3:
@@ -1327,9 +1329,9 @@ SUBSET_CASES = (("fp:65521", (1, 2)), ("fp:101", (1, 2)), ("qq", (1,)))
 SUBSET_TYPES = Path(__file__).resolve().parent / "data" / "subset_types.expected.json"
 
 
-def _subset_samples():
+def _subset_samples(cases=SUBSET_CASES):
     """The (key, configuration) pairs of ``_subset_types``, in its order."""
-    for name, seeds in SUBSET_CASES:
+    for name, seeds in cases:
         field = parse_field(name)
         for seed in seeds:
             for t in range(1, 43):
@@ -1373,6 +1375,20 @@ def test_check_conditions_subset_walk_matches_stored():
         assert types[1:] + types[:1] == stored[key], key
         samples += 1
     assert samples == len(stored)
+
+
+def test_classify_of_every_subset_matches_stored():
+    # classify types a point configuration through the size rule it shares
+    # with the subset walk, not through classify_points
+    stored = json.loads(SUBSET_TYPES.read_text(encoding="utf-8"))
+    samples = 0
+    for key, cfg in _subset_samples((("fp:65521", (1,)),)):
+        pts = cfg.points
+        types = [classify(Config(cfg.field, points=sub))
+                 for r in range(1, len(pts) + 1) for sub in combinations(pts, r)]
+        assert types == stored[key], key
+        samples += 1
+    assert samples == 34
 
 
 def test_check_conditions_never_joins_over_fp(monkeypatch):

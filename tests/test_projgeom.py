@@ -330,6 +330,33 @@ def test_sampler_refuses_too_many_points_on_a_line_before_any_draw(type_id, p, m
         sample_generic(type_id, PrimeField(p), 0)
 
 
+def test_points_on_one_line_agree_with_the_constructions(monkeypatch):
+    # _POINTS_ON_ONE_LINE restates what the _on_lines arguments of each type
+    # imply: the most points drawn on one line, plus the meet of two lines
+    # on a line that carries points, since the draws there avoid it
+    import quintics.sampling as sampling_mod
+
+    recorded = []
+
+    def recorder(draw, counts, **kwargs):
+        recorded.append(tuple(counts))
+        return {}
+
+    monkeypatch.setattr(sampling_mod, "_on_lines", recorder)
+    table = sampling_mod._POINTS_ON_ONE_LINE
+    built_otherwise = set()
+    for t in sorted(sampling_mod._BUILDERS):
+        recorded.clear()
+        sample_generic(t, FP, 0)
+        if not recorded:
+            built_otherwise.add(t)
+            continue
+        (counts,) = recorded
+        on_one = max(k + (len(counts) == 2 and k > 0) for k in counts)
+        assert table.get(t, 0) == on_one, t
+    assert {t: table[t] for t in table.keys() & built_otherwise} == {38: 4, 39: 4, 40: 4}
+
+
 class _CountingRng(SplitMix64):
     """A SplitMix64 that counts its calls; over GF(p) each coordinate is one."""
 
