@@ -366,11 +366,10 @@ def _moved(p: Optional[int], vals: Sequence[int]) -> list:
     return [v // g for v in vals]
 
 
-def _system_rows(cfg: Config, d: int, frame: Optional[tuple] = None) -> list:
+def _system_rows(cfg: Config, d: int, frame: tuple) -> list:
     """Rows whose kernel is the space of degree-d forms singular along
     ``cfg``, in the coordinates of ``frame``, a ``projgeom._frame`` of its
-    points' and lines' keys, or on the keys themselves when ``frame`` is
-    None.
+    points' and lines' keys.
 
     Every point, moved by the frame's adjugate, contributes its derivative
     rows; each line or conic component, moved by the frame's matrix M,
@@ -382,19 +381,15 @@ def _system_rows(cfg: Config, d: int, frame: Optional[tuple] = None) -> list:
     point, and the row span does not depend on which.
     """
     p = cfg.field.p
-    if frame is None:
-        points = [pt.key for pt in cfg.points]
-        comps = [c.key for c in cfg.lines + cfg.conics]
-    else:
-        corners, axes, cols, adj = frame
-        points = [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
-                  for n, (x, y, z) in enumerate(pt.key for pt in cfg.points)
-                  if n not in corners]
-        comps = [_moved(p, [l0 * x + l1 * y + l2 * z for x, y, z in cols])
-                 for n, (l0, l1, l2) in enumerate(ln.key for ln in cfg.lines)
-                 if n not in axes]
-        m_rows = tuple(zip(*cols))
-        comps += [_moved(p, _pullback(q.key, m_rows)) for q in cfg.conics]
+    corners, axes, cols, adj = frame
+    points = [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
+              for n, (x, y, z) in enumerate(pt.key for pt in cfg.points)
+              if n not in corners]
+    comps = [_moved(p, [l0 * x + l1 * y + l2 * z for x, y, z in cols])
+             for n, (l0, l1, l2) in enumerate(ln.key for ln in cfg.lines)
+             if n not in axes]
+    m_rows = tuple(zip(*cols))
+    comps += [_moved(p, _pullback(q.key, m_rows)) for q in cfg.conics]
     rows: list = []
     for key in points:
         rows.extend(_point_rows(key, d, p))
@@ -486,11 +481,12 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
-    """Echelonized basis of the same space ``linear_system_dim`` measures."""
+    """Echelonized basis of the same space ``linear_system_dim`` measures, in
+    the frame of no points and no lines, the identity, which moves no key."""
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
-    return _kernel_rows(cfg.field, _system_rows(cfg, d), space_dim(d))
+    return _kernel_rows(cfg.field, _system_rows(cfg, d, _frame(cfg.field.p, ())), space_dim(d))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,20 @@ Every construction draws through one guarded helper, ``_Draw.distinct``,
 which makes a bounded number of draws (a ``make`` that returns None spends
 one), and runs inside one bounded retry, ``_retry``; the quartic contact
 sampler uses the same two.  Only the redraw of nonzero coordinates is
-unbounded.  The 28 types made of one line or two, with points on them or as
-line components, their meet and points off them are all drawn by
-``_on_lines``.  Each construction returns its configuration's parts, and
-``sample_generic`` stamps the type once.
+unbounded.  ``_plan`` reads each type's construction off its structure in
+``taxonomy``: ``_on_lines`` draws the 28 types of one line or two, with
+their points, meet, components and points off them, ``_conic_points`` points
+on a conic and ``_generic_points`` points on no declared line or conic; a
+conic component and types 38, 39 and 40 have their own code.  Each
+construction returns its configuration's parts, and ``sample_generic``
+stamps the type once.
 Every change of coordinates, of a reference conic or of a configuration,
 pulls forms back along the adjugate with ``projgeom._adjugate`` and
 ``projgeom._pullback``.
 
-A type that needs more points on one line than a line over the field has, a
-type whose points cannot exist over a small field (types 18, 21, 26 and 36;
+A type that needs more points on one line than a line over the field has
+(its largest declared line, with the meets its draws avoid), a type whose
+points cannot exist over a small field (types 18, 21, 26 and 36;
 nine more over GF(3), and five of them, 32, 34, 35, 37 and 38, over GF(5)
 too), a type that needs more points of one conic than the parametrization
 reaches (drawn at s = 1, it reaches p of the conic's p + 1 points over GF(p),
@@ -34,6 +38,7 @@ very small prime field this can still be the outcome.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -60,6 +65,7 @@ from .projgeom import (
     on_common_conic,
 )
 from .rng import SplitMix64, derive_seed
+from .taxonomy import TYPE_TABLE, _Structure
 
 MAX_ATTEMPTS = 1000
 
@@ -329,64 +335,36 @@ def _conic_component(draw: _Draw) -> dict:
     return {"conics": (conic,)}
 
 
-_BUILDERS: dict[int, Callable[[_Draw], dict]] = {
-    1: lambda d: {"points": [d.point()]},
-    2: lambda d: _generic_points(d, 2),
-    3: lambda d: _generic_points(d, 3),
-    4: lambda d: _on_lines(d, (4,)),
-    5: lambda d: _on_lines(d, (5,)),
-    6: lambda d: _on_lines(d, (6,)),
-    7: lambda d: _on_lines(d, (7,)),
-    8: lambda d: _on_lines(d, (8,)),
-    9: lambda d: _on_lines(d, (9,)),
-    10: lambda d: _on_lines(d, (10,)),
-    11: lambda d: _on_lines(d, (0,), components=1),
-    12: lambda d: _generic_points(d, 4),
-    13: lambda d: _on_lines(d, (4,), off=1),
-    14: lambda d: _on_lines(d, (5,), off=1),
-    15: lambda d: _on_lines(d, (6,), off=1),
-    16: lambda d: _on_lines(d, (7,), off=1),
-    17: lambda d: _on_lines(d, (0,), off=1, components=1),
-    18: lambda d: _generic_points(d, 5),
-    19: lambda d: _on_lines(d, (4,), off=2),
-    20: lambda d: _on_lines(d, (5,), off=2),
-    21: lambda d: _on_lines(d, (6,), off=2),
-    22: lambda d: _on_lines(d, (0,), off=2, components=1),
-    23: lambda d: _on_lines(d, (3, 3)),
-    24: lambda d: _conic_points(d, 6, 0),
-    25: lambda d: _on_lines(d, (3, 3), meet=True),
-    26: lambda d: _generic_points(d, 6),
-    27: lambda d: _on_lines(d, (4, 3)),
-    28: lambda d: _on_lines(d, (5, 3)),
-    29: lambda d: _on_lines(d, (0, 3), components=1),
-    30: lambda d: _on_lines(d, (4, 4)),
-    31: lambda d: _on_lines(d, (0, 0), components=2),
-    32: lambda d: _conic_points(d, 7, 0),
-    33: _conic_component,
-    34: lambda d: _on_lines(d, (4,), off=3),
-    35: lambda d: _on_lines(d, (3, 3), off=1),
-    36: lambda d: _conic_points(d, 6, 1),
-    37: lambda d: _on_lines(d, (3, 3), meet=True, off=1),
-    38: _pencil_quadruple,
-    39: _triangle_conic,
-    40: _five_lines,
-    41: lambda d: _on_lines(d, (0,), off=3, components=1),
-    42: lambda d: {"whole_plane": True},
-}
+# Types 38, 39 and 40 keep their own code; their structure is data too.
+_SPECIAL = {38: _pencil_quadruple, 39: _triangle_conic, 40: _five_lines}
 
 
-# The most distinct points of one line that the construction of a type uses,
-# counting the intersection points it must avoid there: for ``_on_lines`` the
-# largest count, plus the meet of two lines on a line with points.  A line
-# over GF(p) has p + 1 points, so a larger count can never be met.  38, 39
-# and 40 are built otherwise, with four points on a line: two cut pairs, two
-# vertices and two cuts on a side, a line's meets with the other four.
-_POINTS_ON_ONE_LINE = {
-    4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10,
-    13: 4, 14: 5, 15: 6, 16: 7, 19: 4, 20: 5, 21: 6,
-    23: 4, 25: 4, 27: 5, 28: 6, 29: 4, 30: 5, 34: 4,
-    35: 4, 37: 4, 38: 4, 39: 4, 40: 4,
-}
+def _plan(type_id: int, s: _Structure) -> tuple[Callable[[_Draw], dict], int, int]:
+    """The construction of a type of structure ``s``, the most distinct points
+    of one line it uses (a line's points, and its meet with each other
+    declared line it shares none with, which the draws avoid) and the points
+    of one conic it draws at parameters (``_conic_points`` only)."""
+    lines = [set(ln) for ln in s.lines]
+    on_line = max((len(a) + sum(not a & b for j, b in enumerate(lines) if j != i)
+                   for i, a in enumerate(lines) if a), default=0)
+    if type_id in _SPECIAL:
+        return _SPECIAL[type_id], on_line, 0
+    if s.whole_plane:
+        return (lambda draw: {"whole_plane": True}), 0, 0
+    if s.conics:
+        if s.components:
+            return _conic_component, 0, 0
+        n = len(s.conics[0])
+        return partial(_conic_points, n=n, extra_off=s.points - n), 0, n
+    if lines:
+        meet = len(lines) == 2 and bool(lines[0] & lines[1])
+        return partial(_on_lines, counts=tuple(len(a) - meet for a in lines), meet=meet,
+                       off=s.points - len(set().union(*lines)),
+                       components=s.components), on_line, 0
+    return partial(_generic_points, k=s.points), 0, 0
+
+
+_PLANS = {rec.type_id: _plan(rec.type_id, rec.structure) for rec in TYPE_TABLE}
 
 
 # Each of these types is refused over the primes below its least prime, where
@@ -450,15 +428,6 @@ _MIN_PRIME = {
 }
 
 
-# The points of one conic that the construction of a type draws.
-# ``_reference_conic_points`` draws them at parameters t in GF(p), whose
-# images are p of the conic's p + 1 points (the image of t = infinity is
-# never drawn), so it cannot draw more than p.  Only type 24 over GF(5) meets
-# this limit below its least prime: six points of a conic over GF(5) exist,
-# all of its points, but the construction reaches five.
-_POINTS_ON_ONE_CONIC = {24: 6, 32: 7, 36: 6}
-
-
 # Types whose construction tests a conic for degeneracy, which the package
 # decides in odd characteristic only.  Types 36, 38 and 39 are built on conics
 # too, but the other checks already refuse them over GF(2).
@@ -471,24 +440,25 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
     A type whose construction needs more points on one line than a line over
     the field has, a type built on a conic over GF(2), a type of
     ``_MIN_PRIME`` over a field too small for it, or a type that draws more
-    points of one conic than its construction reaches (``_POINTS_ON_ONE_CONIC``),
-    fails at once, before any draw.
+    points of one conic than its construction reaches, fails at once, before
+    any draw.
     """
-    if type_id not in _BUILDERS:
+    plan = _PLANS.get(type_id)
+    if plan is None:
         raise InputError(f"type_id {type_id} out of range 1..42")
-    _line_capacity(field, _POINTS_ON_ONE_LINE.get(type_id, 0), f"type {type_id}")
+    build, on_line, on_conic = plan
+    _line_capacity(field, on_line, f"type {type_id}")
     if type_id in _CONIC_TYPES:
         _odd_characteristic(field)
     least, needs = _MIN_PRIME.get(type_id, (0, ""))
     if field.p is not None and field.p < least:
         raise SamplingError(f"type {type_id} needs {needs} over {field}")
-    on_conic = _POINTS_ON_ONE_CONIC.get(type_id, 0)
     if field.p is not None and on_conic > field.p:
         raise SamplingError(
             f"type {type_id} needs {on_conic} points of one conic; such configurations "
             f"exist over {field}, but the construction draws the points at parameters "
             f"in {field}, which reach only {field.p} of the conic's {field.p + 1}")
-    parts = _retry(_BUILDERS[type_id], field, derive_seed(seed, type_id),
+    parts = _retry(build, field, derive_seed(seed, type_id),
                    f"could not satisfy genericity for type {type_id} over {field}")
     return Config(field, type_id=type_id, **parts)
 

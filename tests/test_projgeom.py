@@ -317,7 +317,7 @@ def test_sampler_exhaustion_over_tiny_field():
         sample_generic(10, PrimeField(5), 0)
 
 
-@pytest.mark.parametrize("type_id,p", [(10, 5), (7, 5), (28, 3), (40, 2)])
+@pytest.mark.parametrize("type_id,p", [(10, 5), (7, 5), (28, 3), (38, 2), (39, 2), (40, 2)])
 def test_sampler_refuses_too_many_points_on_a_line_before_any_draw(type_id, p, monkeypatch):
     import quintics.sampling as sampling_mod
     from quintics.errors import SamplingError
@@ -326,35 +326,59 @@ def test_sampler_refuses_too_many_points_on_a_line_before_any_draw(type_id, p, m
         raise AssertionError("the sampler drew before refusing")
 
     monkeypatch.setattr(sampling_mod, "SplitMix64", no_draws)
-    with pytest.raises(SamplingError, match=f"type {type_id} .*fp:{p}"):
+    with pytest.raises(SamplingError,
+                       match=f"^type {type_id} needs .* distinct points on one line, .*fp:{p} "):
         sample_generic(type_id, PrimeField(p), 0)
 
 
-def test_points_on_one_line_agree_with_the_constructions(monkeypatch):
-    # _POINTS_ON_ONE_LINE restates what the _on_lines arguments of each type
-    # imply: the most points drawn on one line, plus the meet of two lines
-    # on a line that carries points, since the draws there avoid it
-    import quintics.sampling as sampling_mod
+@pytest.mark.parametrize("name", ["fp:65521", "fp:101", "fp:11", "qq"])
+def test_samples_realize_exactly_their_declared_structure(name):
+    # the lines through three or more points of a sample and the largest sets
+    # of six or more of its points on one nondegenerate conic are the lines
+    # and conics its type declares, and it carries the declared components
+    from quintics.projgeom import _unique_conic
+    from quintics.taxonomy import TYPE_TABLE
 
-    recorded = []
+    field = parse_field(name)
+    for rec in TYPE_TABLE:
+        s = rec.structure
+        for seed in (1, 2):
+            cfg = sample_generic(rec.type_id, field, seed)
+            pts = cfg.points
+            assert (len(pts), cfg.whole_plane) == (s.points, s.whole_plane)
+            assert (len(cfg.lines), len(cfg.conics)) == (
+                (0, s.components) if s.conics else (s.components, 0))
+            rich = {frozenset(on) for on in _index_groups(pts).values() if len(on) >= 3}
+            assert rich == {frozenset(on) for on in s.lines if on}, (rec.type_id, seed)
+            on_conics = set()
+            for six in combinations(pts, 6):
+                conic = _unique_conic(six)
+                if conic is not None and not conic.is_degenerate():
+                    on_conics.add(frozenset(i for i, q in enumerate(pts) if conic.contains(q)))
+            assert on_conics == {frozenset(on) for on in s.conics if on}, (rec.type_id, seed)
 
-    def recorder(draw, counts, **kwargs):
-        recorded.append(tuple(counts))
-        return {}
 
-    monkeypatch.setattr(sampling_mod, "_on_lines", recorder)
-    table = sampling_mod._POINTS_ON_ONE_LINE
-    built_otherwise = set()
-    for t in sorted(sampling_mod._BUILDERS):
-        recorded.clear()
-        sample_generic(t, FP, 0)
-        if not recorded:
-            built_otherwise.add(t)
-            continue
-        (counts,) = recorded
-        on_one = max(k + (len(counts) == 2 and k > 0) for k in counts)
-        assert table.get(t, 0) == on_one, t
-    assert {t: table[t] for t in table.keys() & built_otherwise} == {38: 4, 39: 4, 40: 4}
+SMALL_FIELD_SAMPLES = Path(__file__).resolve().parent / "data" / "samples_small_fields.expected.json"
+
+
+def test_small_field_samples_and_refusals_match_stored():
+    # ``sample_generic(t, GF(p), 1)`` for every type at p = 2, 3 and 5, keyed
+    # "<field> type <t>": a ``config_to_json`` dict, or the class and message
+    # of the error that refuses it.  Stored in the layout of
+    # ``samples.expected.json`` before the sampler read its constructions
+    # and refusals off the taxonomy's structures.
+    out = {}
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for t in range(1, 43):
+            try:
+                value = config_to_json(sample_generic(t, field, 1))
+            except (InputError, SamplingError) as exc:
+                value = [type(exc).__name__, str(exc)]
+            out[f"{field} type {t}"] = value
+    stored = json.loads(SMALL_FIELD_SAMPLES.read_text(encoding="utf-8"))
+    assert list(out.items()) == list(stored.items())
+    assert sum(isinstance(v, list) for v in stored.values()) == 72
 
 
 class _CountingRng(SplitMix64):
