@@ -208,6 +208,17 @@ class SubspaceBasis:
         return len(self.basis)
 
 
+def _trusted_basis(field: Field, ambient_dim: int, basis: tuple) -> SubspaceBasis:
+    """The ``SubspaceBasis`` of rows this module has just put in reduced
+    echelon form, built without a second pass through ``__post_init__``'s
+    checks, which every basis from outside the module still takes."""
+    obj = object.__new__(SubspaceBasis)
+    object.__setattr__(obj, "field", field)
+    object.__setattr__(obj, "ambient_dim", ambient_dim)
+    object.__setattr__(obj, "basis", basis)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # elimination cores
 
@@ -461,7 +472,7 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
                 break
             vec[last - pc] = field.coerce(-reduced[i][fc])
         vectors.append(tuple(vec))
-    return SubspaceBasis(field, ncols, tuple(vectors))
+    return _trusted_basis(field, ncols, tuple(vectors))
 
 
 def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:

@@ -13,7 +13,8 @@ coordinate points, or one or two line components moved to coordinate lines.
 There a point's derivative rows and a line's remainder rows are unit vectors,
 since x_i^2 divides a form exactly when its coefficients of x_i-degree at most
 1 vanish, so they delete columns instead of adding rows: at d = 5 three points
-delete 9 of the 21 columns, a line 11, two lines 18.
+delete 9 of the 21 columns, a line 11, two lines 18.  The other points' rows
+are built on the columns left.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
@@ -214,50 +215,64 @@ def random_poly(field: Field, degree: int, seed: int) -> HomogeneousPoly:
 
 
 @lru_cache(maxsize=None)
-def _derivative_table(d: int) -> tuple:
-    """Per variable, the (column, exponent e, index k) triples of its partial
-    derivative on degree-d forms: the monomial in column j, with exponent e in
-    that variable, differentiates to e times monomial k of degree d - 1."""
-    lower = {exps: k for k, exps in enumerate(monomial_basis(d - 1))} if d else {}
+def _derivative_table(d: int, columns: Optional[tuple]) -> tuple:
+    """Per variable, one (e, a, b, c) per column of degree-d forms in
+    ``columns``, every column when None: the monomial in that column, with
+    exponent e in that variable, differentiates to e x^a y^b z^c.  A
+    monomial free of the variable differentiates to 0 and gets
+    (0, 0, 0, 0), as does every column at d = 0."""
+    basis = monomial_basis(d)
     table = []
     for var in range(3):
         entries = []
-        for j, exps in enumerate(monomial_basis(d)):
+        for j in range(len(basis)) if columns is None else columns:
+            exps = list(basis[j])
             e = exps[var]
             if e:
-                shifted = list(exps)
-                shifted[var] = e - 1
-                entries.append((j, e, lower[tuple(shifted)]))
+                exps[var] = e - 1
+                entries.append((e, *exps))
+            else:
+                entries.append((0, 0, 0, 0))
         table.append(tuple(entries))
     return tuple(table)
 
 
-def _monomial_values(coords: Sequence, m: int, p: Optional[int]) -> list:
-    """The degree-m monomials at ``coords`` in ``monomial_basis(m)`` order,
-    as residues mod p, or exactly when p is None."""
+def _powers(coords: Sequence, m: int, p: Optional[int]) -> list:
+    """Per coordinate, its powers 0..m, as residues mod p, or exactly when p
+    is None; only the 0th at m < 0."""
     pows = []
     for v in coords:
         col = [1]
         for _ in range(m):
             col.append(col[-1] * v % p if p else col[-1] * v)
         pows.append(col)
-    px, py, pz = pows
+    return pows
+
+
+def _monomial_values(coords: Sequence, m: int, p: Optional[int]) -> list:
+    """The degree-m monomials at ``coords`` in ``monomial_basis(m)`` order,
+    as residues mod p, or exactly when p is None."""
+    px, py, pz = _powers(coords, m, p)
     vals = [px[a] * py[b] * pz[c] for a, b, c in monomial_basis(m)]
     return [v % p for v in vals] if p else vals
 
 
-def _point_rows(coords: Sequence, d: int, p: Optional[int]) -> list:
+def _point_rows(coords: Sequence, d: int, p: Optional[int],
+                columns: Optional[tuple] = None) -> list:
     """The three derivative rows at ``coords`` on degree-d forms, as residues
-    mod p, or exactly when p is None."""
-    mon = _monomial_values(coords, d - 1, p) if d else []
-    n = space_dim(d)
-    rows = []
-    for entries in _derivative_table(d):
-        row = [0] * n
-        for j, e, k in entries:
-            row[j] = e * mon[k]
-        rows.append([v % p for v in row] if p else row)
-    return rows
+    mod p, or exactly when p is None, on the columns ``columns`` (increasing
+    indices into ``monomial_basis(d)``), every column when None.
+
+    The entry of the row of a variable in a column is the partial in that
+    variable of the column's monomial at ``coords``, e x^a y^b z^c from
+    ``_derivative_table(d, columns)``, so a row is built on those columns
+    alone; at d = 0 every entry is 0.
+    """
+    px, py, pz = _powers(coords, d - 1, p)
+    table = _derivative_table(d, columns)
+    if p:
+        return [[e * px[a] * py[b] * pz[c] % p for e, a, b, c in entries] for entries in table]
+    return [[e * px[a] * py[b] * pz[c] for e, a, b, c in entries] for entries in table]
 
 
 def singularity_rows(a: ProjPoint, d: int) -> list:
@@ -366,19 +381,20 @@ def _moved(p: Optional[int], vals: Sequence[int]) -> list:
     return [v // g for v in vals]
 
 
-def _system_rows(cfg: Config, d: int, frame: tuple) -> list:
+def _system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple] = None) -> list:
     """Rows whose kernel is the space of degree-d forms singular along
     ``cfg``, in the coordinates of ``frame``, a ``projgeom._frame`` of its
-    points' and lines' keys.
+    points' and lines' keys, on the columns ``live``, every column when None.
 
     Every point, moved by the frame's adjugate, contributes its derivative
-    rows; each line or conic component, moved by the frame's matrix M,
-    contributes its remainder rows.  The frame's corners that are
-    configuration points and its axes that are components contribute no
-    rows here (``linear_system_dim`` deletes their columns).  Over GF(p) the
-    entries are residues; over QQ they are ints, each moved point or
-    component divided by its content.  A key is one representative of the
-    point, and the row span does not depend on which.
+    rows, built on ``live`` alone; each line or conic component, moved by
+    the frame's matrix M, contributes its remainder rows, cut down to
+    ``live``.  The frame's corners that are configuration points and its
+    axes that are components contribute no rows here (``linear_system_dim``
+    deletes their columns).  Over GF(p) the entries are residues; over QQ
+    they are ints, each moved point or component divided by its content.  A
+    key is one representative of the point, and the row span does not
+    depend on which.
     """
     p = cfg.field.p
     corners, axes, cols, adj = frame
@@ -392,9 +408,10 @@ def _system_rows(cfg: Config, d: int, frame: tuple) -> list:
     comps += [_moved(p, _pullback(q.key, m_rows)) for q in cfg.conics]
     rows: list = []
     for key in points:
-        rows.extend(_point_rows(key, d, p))
+        rows.extend(_point_rows(key, d, p, live))
     for key in comps:
-        rows.extend(_remainder_rows(key, d, p))
+        rem = _remainder_rows(key, d, p)
+        rows.extend(rem if live is None else ([row[j] for j in live] for row in rem))
     return rows
 
 
@@ -463,7 +480,10 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     such condition.  Two lines, or one line and a point off it, or three
     points, delete 18, 14 or 9 of the 21 columns at d = 5; collinear points
     delete 6, and a single point 3.  The dimension is the number of live
-    columns minus the rank of the other rows on them, ranked by
+    columns minus the rank of the other rows on them.  Each other point's
+    derivative rows are built on the live columns alone (``_point_rows``
+    on ``_live_columns``'s tuple), and only a component off the frame's
+    axes has its remainder rows cut down to them.  The rows are ranked by
     fraction-free elimination on primitive integer rows over QQ and by
     elimination mod p over GF(p).  A configuration of conics only keeps its
     coordinates.  The whole-plane configuration is the one case with no
@@ -476,8 +496,7 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
                                          [ln.key for ln in cfg.lines])
     live = _live_columns(d, tuple(n is not None for n in corners),
                          tuple(n is not None for n in axes))
-    rows = _system_rows(cfg, d, frame)
-    return len(live) - rank_rows(cfg.field, [[row[j] for j in live] for row in rows])
+    return len(live) - rank_rows(cfg.field, _system_rows(cfg, d, frame, live))
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:

@@ -39,20 +39,23 @@ from .exactalg import QQ, Field, _integer_row
 def _normalize(field: Field, coords: Sequence) -> tuple:
     """The key of nonzero homogeneous coordinates (ints, Fractions or numeric
     strings): residues scaled to a leading 1 over GF(p), the primitive
-    integer vector with a positive leading entry over QQ."""
+    integer vector with a positive leading entry over QQ.  Over GF(p) an
+    int is reduced in the same pass that coerces any other value."""
     p = field.p
     if p is None:
         vals = _integer_row([v if type(v) is int else field.coerce(v) for v in coords])
     else:
-        vals = [field.coerce(v) for v in coords]
-    lead = next((v for v in vals if v), None)
-    if lead is None:
+        vals = [v % p if type(v) is int else field.coerce(v) for v in coords]
+    for lead in vals:
+        if lead:
+            break
+    else:
         raise InputError("homogeneous coordinates must not all vanish")
     if p is None:
         s = gcd(*vals) if lead > 0 else -gcd(*vals)
-        return tuple(v // s for v in vals)
+        return tuple([v // s for v in vals])
     inv = pow(lead, -1, p)
-    return tuple(inv * v % p for v in vals)
+    return tuple([inv * v % p for v in vals])
 
 
 def _cross(u: Sequence, v: Sequence) -> tuple:

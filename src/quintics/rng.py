@@ -13,6 +13,7 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_SPAN = 1 << 64
 
 
 def _mix(z: int) -> int:
@@ -38,14 +39,19 @@ class SplitMix64:
         """
         if bound <= 0:
             raise ValueError("bound must be positive")
-        span = 1 << 64
-        while span < bound:
-            span <<= 64
+        if bound <= _SPAN:
+            limit = _SPAN - _SPAN % bound
+            v = self.next_u64()
+            while v >= limit:
+                v = self.next_u64()
+            return v % bound
+        words = ((bound - 1).bit_length() + 63) // 64
+        span = 1 << 64 * words
         limit = span - span % bound
         while True:
-            v, rest = self.next_u64(), span >> 64
-            while rest > 1:
-                v, rest = v << 64 | self.next_u64(), rest >> 64
+            v = self.next_u64()
+            for _ in range(words - 1):
+                v = v << 64 | self.next_u64()
             if v < limit:
                 return v % bound
 

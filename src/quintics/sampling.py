@@ -52,6 +52,7 @@ from .projgeom import (
     ProjPoint,
     _adjugate,
     _det3,
+    _join_key,
     _line_basis,
     _odd_characteristic,
     _only_allowed_collinear,
@@ -214,7 +215,8 @@ def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int =
     nothing.
 
     Only the off points can put three points on another line: such a line
-    meets each drawn line in at most one point of the set.
+    meets each drawn line in at most one point of the set, so only the joins
+    through an off point are tested (``_off_joins_clear``).
     """
     if len(counts) == 1:
         lines, meets = [draw.line()], []
@@ -227,10 +229,30 @@ def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int =
     if meet:
         pts += meets
     if off:
-        pts += draw.distinct(off, draw.point, skip=lambda q: any(incident(q, ln) for ln in lines))
-        if not _only_allowed_collinear(pts, lines):
+        away = draw.distinct(off, draw.point, skip=lambda q: any(incident(q, ln) for ln in lines))
+        if not _off_joins_clear(draw.field.p, pts, away):
             raise _Reject
+        pts += away
     return {"points": pts, "lines": tuple(lines[:components])}
+
+
+def _off_joins_clear(p: int | None, on: Sequence[ProjPoint], off: Sequence[ProjPoint]) -> bool:
+    """No line through a point of ``off`` passes through two more of the
+    points, over GF(p), or over QQ when ``p`` is None.
+
+    When ``on`` lie on one drawn line or two and ``off`` on none, this is
+    ``_only_allowed_collinear(on + off, lines)``.  A line through three of
+    the points that is not drawn meets each drawn line in one point, so it
+    holds at most two points of ``on`` and at least one off point; its joins
+    from its first off point to two of its other points coincide.  So each
+    off point is joined to the points of ``on`` and to the off points after
+    it, and a repeated join is such a line.
+    """
+    for i, q in enumerate(off):
+        joins = [_join_key(p, q.key, r.key) for r in [*on, *off[i + 1:]]]
+        if len(set(joins)) < len(joins):
+            return False
+    return True
 
 
 def _conic_points(draw: _Draw, n: int, extra_off: int) -> dict:

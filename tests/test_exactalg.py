@@ -461,6 +461,41 @@ def test_kernel_of_no_rows_is_the_full_space():
     assert _kernel_rows(QQ, [], 4).dim == 4
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(65521)],
+                         ids=["qq", "fp7", "fp65521"])
+def test_checked_constructor_accepts_every_kernel_basis(field):
+    # _kernel_rows and intersect build their bases without the checks; the
+    # checked constructor accepts each of them as the same object
+    rng = SplitMix64(2024)
+    cases = [(_random_rows(field, rng, rng.int_in(1, 6), ncols), ncols)
+             for ncols in (rng.int_in(1, 7) for _ in range(40))]
+    if field.p is None:
+        cases += [(rows, len(rows[0])) for rows in _mixed_qq_cases()]
+    else:
+        cases += _fp_cases(field.p, SplitMix64(field.p))
+    for rows, ncols in cases:
+        ker = _kernel_rows(field, rows, ncols)
+        for basis in (ker, intersect(ker, _kernel_rows(field, rows[:1], ncols))):
+            checked = SubspaceBasis(field, ncols, basis.basis)
+            assert checked == basis and hash(checked) == hash(basis), rows
+
+
+def test_checked_constructor_refuses_each_kind_of_malformed_basis():
+    fp = PrimeField(7)
+    for field, basis, message in [
+        (QQ, ((1, 0),), "wrong length"),
+        (fp, ((1, 7, 0),), "residues"),
+        (fp, ((1, Fraction(1, 2), 0),), "residues"),
+        (QQ, ((0, 0, 0),), "zero vector"),
+        (fp, ((0, 1, 0), (1, 0, 0)), "echelon order"),
+        (fp, ((0, 1, 0), (0, 1, 1)), "echelon order"),
+        (QQ, ((Fraction(1, 2), 0, 0),), "pivot entries"),
+        (fp, ((1, 3, 0), (0, 1, 0)), "not reduced"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            SubspaceBasis(field, 3, basis)
+
+
 def test_echelon_invariants_enforced():
     with pytest.raises(InputError):
         SubspaceBasis(QQ, 3, ((0, 1, 0), (1, 0, 0)))  # pivots not increasing

@@ -143,6 +143,33 @@ def test_singularity_rows_agree_with_differentiation_oracle():
         assert tuple(applied) == tuple(grads)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), FP], ids=["qq", "fp7", "fp65521"])
+def test_point_rows_on_live_columns_are_the_sliced_full_rows(field):
+    # every frame kind, 0 to 3 corners and 0 to 2 axes, at d = 0..7; the
+    # full rows are the partials of each monomial (HomogeneousPoly.partial)
+    # at the point, and at d = 0, where there are no degree -1 monomials,
+    # they are zero
+    p = field.p
+    rng = SplitMix64(derive_seed(71, p or 0))
+    points = [(1, 0, 0), (0, 0, 1), (3, 0, 5)] + [
+        tuple(rng.below(p) if p else rng.int_in(-9, 9) for _ in range(3)) for _ in range(6)]
+    masks = [tuple(bool(m >> i & 1) for i in range(3)) for m in range(8)]
+    for d in range(8):
+        monomials = [HomogeneousPoly(field, d, {exps: 1}) for exps in monomial_basis(d)]
+        for coords in points:
+            full = _point_rows(coords, d, p)
+            assert full == [[m.partial(v).evaluate(coords) for m in monomials]
+                            for v in range(3)], (coords, d)
+            for corners in masks:
+                for axes in masks:
+                    if sum(axes) > 2 or (any(axes) and d < 2):
+                        continue
+                    live = _live_columns(d, corners, axes)
+                    assert _point_rows(coords, d, p, live) == \
+                        [[row[j] for j in live] for row in full], (coords, d, corners, axes)
+    assert _point_rows((2, 3, 4), 0, p) == [[0], [0], [0]]
+
+
 def test_vanishing_row_examples():
     vec = _evaluation_row(pt(0, 0, 1), 5)
     assert vec[-1] == 1 and all(v == 0 for v in vec[:-1])

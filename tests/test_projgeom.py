@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from quintics.errors import InputError, SamplingError
 from quintics.exactalg import QQ, PrimeField, _kernel_rows, parse_field
 from quintics.formats import config_to_json, value_list
-from quintics.rng import SplitMix64
+from quintics.rng import SplitMix64, derive_seed
 from quintics.lsys import classify
 from quintics.projgeom import (
     Config,
@@ -22,6 +23,7 @@ from quintics.projgeom import (
     _conic_value,
     _from_key,
     _index_groups,
+    _normalize,
     _only_allowed_collinear,
     _pullback,
     collinear,
@@ -37,6 +39,7 @@ from quintics.projgeom import (
 )
 from quintics.sampling import (
     _Draw,
+    _off_joins_clear,
     apply_transform_to_config,
     apply_transform_to_point,
     random_projective_transform,
@@ -79,6 +82,39 @@ def test_point_normalization_canonical():
     assert pt(0, 3, 6).coords == (0, 1, 2)
     with pytest.raises(InputError):
         pt(0, 0, 0)
+
+
+@pytest.mark.parametrize("p", [7, 65521])
+def test_normalize_over_fp_reduces_every_kind_of_value(p):
+    # the reference reduces each value as a Fraction, then scales by the
+    # inverse of the first nonzero residue
+    field = PrimeField(p)
+
+    def reference(values):
+        res = [Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in values]
+        lead = next((v for v in res if v), None)
+        return lead and tuple(v * pow(lead, -1, p) % p for v in res)
+
+    rng = SplitMix64(derive_seed(53, p))
+    kinds = [lambda: rng.int_in(-3 * p, 3 * p),                 # negative and >= p
+             lambda: p * rng.int_in(-2, 2),                       # zero residues
+             lambda: Fraction(rng.int_in(-40, 40), rng.int_in(1, p - 1)),
+             lambda: str(rng.int_in(-p - 5, p + 5)),
+             lambda: f"{rng.int_in(-9, 9)}/{rng.int_in(1, p - 1)}"]
+    for n in (3, 6) * 200:
+        values = [kinds[rng.below(len(kinds))]() for _ in range(n)]
+        want = reference(values)
+        if want:
+            assert _normalize(field, values) == want, values
+        else:
+            with pytest.raises(InputError, match="^homogeneous coordinates must not all vanish$"):
+                _normalize(field, values)
+    assert _normalize(field, [0, 0, p + 3]) == (0, 0, 1)
+    assert _normalize(field, (-1, "3", Fraction(1, 2), 2 * p, p - 1, 5)) == \
+        reference((-1, 3, Fraction(1, 2), 0, -1, 5))
+    for zero in ([0, p, -p], [Fraction(p, 2), "0", -3 * p], [0] * 6, ["0", str(p)] * 3):
+        with pytest.raises(InputError, match="^homogeneous coordinates must not all vanish$"):
+            _normalize(field, zero)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
@@ -547,7 +583,7 @@ def _arcs_through_frame(p):
 def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkeypatch):
     import quintics.sampling as sampling_mod
     from quintics.errors import SamplingError
-    from quintics.rng import SplitMix64
+    from quintics.rng import SplitMix64, derive_seed
 
     primes = (2, 3, 5, 7, 11)
     arcs = {p: _arcs_through_frame(p) for p in primes}
@@ -782,6 +818,36 @@ def test_points_on_drawn_lines_put_three_on_no_other_line():
             pts = sample_generic(type_id, f, seed).points
             rich = [set(on) for on in _index_groups(pts).values() if len(on) >= 3]
             assert len(rich) == n_lines and set().union(*rich) == set(range(len(pts)))
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(7), QQ], ids=["fp5", "fp7", "qq"])
+def test_off_joins_clear_agrees_with_only_allowed_collinear(field):
+    # the shape _on_lines draws: points on one drawn line or two, perhaps
+    # their meet, and off points on neither.  Half the sets get one more off
+    # point, put at a random place among them, on the join of an off point
+    # and another point, so that QQ fails the check too.
+    draw = _Draw(field, SplitMix64(derive_seed(61, field.p or 0)))
+    rng = draw.rng
+    answers = []
+    for _ in range(300):
+        lines = draw.distinct(rng.int_in(1, 2), draw.line)
+        meets = [line_intersection(*lines)] if len(lines) == 2 else []
+        on = meets[:rng.below(2)]
+        for line in lines:
+            on += draw.distinct(rng.int_in(0, 4), partial(draw.point_on, line),
+                                avoid=meets + on)
+        off = draw.distinct(rng.int_in(1, 3), draw.point,
+                            skip=lambda q: any(incident(q, line) for line in lines))
+        others = on + off[:-1]
+        if others and rng.below(2):
+            r = others[rng.below(len(others))]
+            third = ProjPoint(field, [a + b for a, b in zip(off[-1].key, r.key)])
+            if third not in on + off and not any(incident(third, line) for line in lines):
+                off.insert(rng.below(len(off) + 1), third)
+        want = _only_allowed_collinear(on + off, lines)
+        assert _off_joins_clear(field.p, on, off) == want, (on, off, lines)
+        answers.append(want)
+    assert answers.count(True) >= 30 and answers.count(False) >= 30
 
 
 def test_on_common_conic_requires_six_distinct_points():

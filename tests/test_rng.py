@@ -31,3 +31,30 @@ def test_below_draws_above_2_64_in_range(bound):
     draws = [rng.below(bound) for _ in range(200)]
     assert all(0 <= v < bound for v in draws)
     assert min(draws) < bound // 2 < max(draws)
+
+
+def _below_span(rng, bound):
+    """``SplitMix64.below`` as the loop over the span 2^(64k) and the words
+    left to join, for every bound."""
+    span = 1 << 64
+    while span < bound:
+        span <<= 64
+    limit = span - span % bound
+    while True:
+        v, rest = rng.next_u64(), span >> 64
+        while rest > 1:
+            v, rest = v << 64 | rng.next_u64(), rest >> 64
+        if v < limit:
+            return v % bound
+
+
+def test_below_joins_the_least_number_of_words_for_every_bound():
+    sizes = SplitMix64(derive_seed(31, 65))
+    bounds = [1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1, 1 << 128, (1 << 128) + 1,
+              3 * (1 << 127) + 1, 3317044064679887385961813]
+    for _ in range(500):
+        bounds.append(sizes.below(1 << (sizes.below(200) + 1)) + 1)
+    got, want = SplitMix64(9), SplitMix64(9)
+    for bound in bounds:
+        assert got.below(bound) == _below_span(want, bound), bound
+    assert got.state == want.state
