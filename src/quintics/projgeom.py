@@ -11,7 +11,9 @@ views that rebuild the normalized values (leading entry 1, Fractions over QQ)
 for writers and for callers that need the values themselves.
 
 The line through two points has the key :func:`_join_key` gives the cross
-product of theirs.  :func:`_groups_of`, which groups the keys of a point set
+product of theirs: :func:`_int_key`, the one normalizer of an int triple,
+applied to it; the sampler normalizes its draws with it too.
+:func:`_groups_of`, which groups the keys of a point set
 by the keys of the lines through their pairs (:func:`_index_groups` on the
 points themselves), is the one place that decides which points of a set are
 collinear.  :func:`_frame` picks a frame of a configuration's own points and
@@ -72,10 +74,11 @@ def _adjugate(rows: Sequence) -> tuple:
     return _cross(c1, c2), _cross(c2, c0), _cross(c0, c1)
 
 
-def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
-    """Key of the cross product of two keys over GF(p), or over QQ when ``p``
-    is None; None when it vanishes (the two are one projective object)."""
-    x, y, z = _cross(u, v)
+def _int_key(p: Optional[int], vals: Sequence[int]) -> Optional[tuple]:
+    """The key of the int triple ``vals`` over GF(p), or over QQ when ``p``
+    is None: :func:`_normalize` on ints, for a point or a line; None when
+    the triple vanishes."""
+    x, y, z = vals
     if p is None:
         s = gcd(x, y, z)
         if not s:
@@ -90,6 +93,12 @@ def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[
     if y:
         return (0, 1, z * pow(y, -1, p) % p)
     return (0, 0, 1) if z else None
+
+
+def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[tuple]:
+    """Key of the cross product of two keys over GF(p), or over QQ when ``p``
+    is None; None when it vanishes (the two are one projective object)."""
+    return _int_key(p, _cross(u, v))
 
 
 def _from_key(cls, field: Field, key: tuple):
@@ -222,7 +231,7 @@ class Config:
 
 
 def _same_field(a: Field, b: Field) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatchError(f"mixed fields {a} and {b}")
 
 
@@ -333,10 +342,13 @@ def _groups_of(p: Optional[int], reps: Sequence) -> dict:
     return groups
 
 
-def _only_allowed_collinear(points: Sequence[ProjPoint], allowed: Sequence[ProjLine]) -> bool:
-    """No line but an allowed one passes through three or more of the points."""
-    keys = {ln.key for ln in allowed}
-    return all(key in keys for key, on in _index_groups(points).items() if len(on) >= 3)
+def _only_allowed_collinear(p: Optional[int], keys: Sequence[tuple],
+                            allowed: Sequence[tuple] = ()) -> bool:
+    """No line but one with a key in ``allowed`` passes through three or more
+    of the points with keys ``keys``, over GF(p), or over QQ when ``p`` is
+    None.  Repeated points raise :class:`InputError`."""
+    lines = set(allowed)
+    return all(key in lines for key, on in _groups_of(p, keys).items() if len(on) >= 3)
 
 
 def line_intersection(l1: ProjLine, l2: ProjLine) -> ProjPoint:
@@ -388,11 +400,20 @@ def on_common_conic(pts: Sequence[ProjPoint]) -> bool:
         raise InputError("the six points must be distinct")
     for p in pts[1:]:
         _same_field(pts[0].field, p.field)
-    framed = _framed_conditions(pts)
+    return _on_one_conic(pts[0].field.p, [q.key for q in pts])
+
+
+def _on_one_conic(p: Optional[int], keys: Sequence[tuple]) -> bool:
+    """:func:`on_common_conic` on the keys of six distinct points over GF(p),
+    or over QQ when ``p`` is None."""
+    framed = _framed_conditions(p, keys)
     # Six points on one line lie on every line pair through it; otherwise
     # the three points off the frame leave three conditions, which have a
     # common solution exactly when their determinant vanishes.
-    return framed is None or pts[0].field.is_zero(_det3(framed[1]))
+    if framed is None:
+        return True
+    det = _det3(framed[1])
+    return not (det % p if p else det)
 
 
 def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
@@ -503,10 +524,10 @@ def _frame(p: Optional[int], keys: Sequence[tuple], lines: Sequence[tuple] = ())
     return corners, axes, (a, b, c), adj
 
 
-def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
-    """The conics through points of one field, as linear conditions in the
-    :func:`_frame` of three of the points; None when the points lie on one
-    line.
+def _framed_conditions(p: Optional[int], keys: Sequence[tuple]) -> Optional[tuple]:
+    """The conics through the points with keys ``keys`` over GF(p), or over
+    QQ when ``p`` is None, as linear conditions in the :func:`_frame` of
+    three of the points; None when the points lie on one line.
 
     A change of coordinates is an isomorphism of the spaces of conics:
     q'(Y) = q(M Y) has q'(adj X) = (det M)^2 q(X), so q' passes through
@@ -521,8 +542,6 @@ def _framed_conditions(pts: Sequence[ProjPoint]) -> Optional[tuple]:
     the frame in order (only a repeated frame point gives a zero one), as
     residues over GF(p) and ints over QQ.
     """
-    p = pts[0].field.p
-    keys = [q.key for q in pts]
     (_, j, i), _, _, adj = _frame(p, keys)
     if i is None:
         return None
@@ -549,7 +568,7 @@ def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
     :class:`Conic` scales the result to its key.
     """
     field = pts[0].field
-    framed = _framed_conditions(pts)
+    framed = _framed_conditions(field.p, [q.key for q in pts])
     if framed is None:
         return None
     adj, conditions = framed

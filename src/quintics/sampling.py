@@ -17,9 +17,17 @@ unbounded.  ``_plan`` reads each type's construction off its structure in
 ``taxonomy``: ``_on_lines`` draws the 28 types of one line or two, with
 their points, meet, components and points off them, ``_conic_points`` points
 on a conic and ``_generic_points`` points on no declared line or conic; a
-conic component and types 38, 39 and 40 have their own code.  Each
-construction returns its configuration's parts, and ``sample_generic``
-stamps the type once.
+conic component and types 38, 39 and 40 have their own code.
+
+Draws, dedupes and skip tests run on normalized integer keys, the idiom of
+``projgeom``: a point or a line is drawn as its key, ``_Draw.distinct``
+dedupes keys, and a skip test reads them (``projgeom._pairing`` for
+incidence, ``projgeom._conic_value`` for a conic).  One loop draws every key
+over GF(p) and QQ alike; the fields differ only in the coordinate draw and
+the normalizer, and no construction branches on the field.  Each
+construction returns the keys of its configuration's parts, and
+``sample_generic`` builds each part once with ``projgeom._from_key``, then
+the ``Config``, and stamps the type once.
 Every change of coordinates, of a reference conic or of a configuration,
 pulls forms back along the adjugate with ``projgeom._adjugate`` and
 ``projgeom._pullback``.
@@ -51,19 +59,19 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     _adjugate,
+    _conic_value,
     _det3,
+    _from_key,
+    _int_key,
     _join_key,
     _line_basis,
     _odd_characteristic,
+    _on_one_conic,
     _only_allowed_collinear,
+    _pairing,
     _pullback,
-    collinear,
     conic_line_second_point,
     conic_through,
-    incident,
-    line_intersection,
-    line_through,
-    on_common_conic,
 )
 from .rng import SplitMix64, derive_seed
 from .taxonomy import TYPE_TABLE, _Structure
@@ -76,66 +84,79 @@ _QQ_COORD_BOUND = 9
 
 
 class _Draw:
-    """Field-aware random draws from one SplitMix64 stream."""
+    """Random draws from one SplitMix64 stream, as keys.
+
+    A coordinate is a residue over GF(p) and a bounded integer over QQ, and
+    the coordinates of one draw come from one ``SplitMix64.below_n`` call.
+    A point or a line is drawn as its key: fresh coordinates, drawn again
+    while they all vanish (``nonzero``), then normalized by
+    ``projgeom._int_key``, the normalizer of ``_join_key``.  Candidates,
+    dedupes and skip tests all run on these keys; ``_config`` builds each
+    part of an accepted configuration from its key once.
+    """
 
     def __init__(self, field: Field, rng: SplitMix64):
         self.field = field
+        self.p = field.p
         self.rng = rng
+        # over QQ a coordinate is a draw below 2B + 1 shifted down by B
+        if field.p is not None:
+            self._bound, self._shift = field.p, 0
+        else:
+            self._bound, self._shift = 2 * _QQ_COORD_BOUND + 1, _QQ_COORD_BOUND
         self._line_bases: dict = {}
 
     def coord(self) -> int:
         """A plain int: a residue over GF(p), a bounded integer over QQ."""
-        p = self.field.p
-        if p is not None:
-            return self.rng.below(p)
-        return self.rng.int_in(-_QQ_COORD_BOUND, _QQ_COORD_BOUND)
+        return self.rng.below(self._bound) - self._shift
 
     def coords(self, n: int) -> list:
-        return [self.coord() for _ in range(n)]
+        vals = self.rng.below_n(self._bound, n)
+        shift = self._shift
+        return [v - shift for v in vals] if shift else vals
 
-    def _redraw(self, n: int, make: Callable[[list], object]) -> object:
-        """``make(c)`` for the first ``n`` fresh coordinates ``c`` for which it
-        is not None."""
+    def nonzero(self, n: int) -> list:
+        """``n`` fresh coordinates, drawn again while they all vanish."""
         while True:
-            value = make(self.coords(n))
-            if value is not None:
-                return value
+            c = self.coords(n)
+            if any(c):
+                return c
 
-    def _nonzero(self, c: list) -> list | None:
-        return c if any(not self.field.is_zero(v) for v in c) else None
+    def point(self) -> tuple:
+        """The key of a random point."""
+        return _int_key(self.p, self.nonzero(3))
 
-    def point(self) -> ProjPoint:
-        return ProjPoint(self.field, self._redraw(3, self._nonzero))
+    # a line's key is drawn as a point's
+    line = point
 
-    def line(self) -> ProjLine:
-        return ProjLine(self.field, self._redraw(3, self._nonzero))
-
-    def two_lines(self) -> tuple[ProjLine, ProjLine, ProjPoint]:
-        """Two distinct lines and their meet."""
+    def two_lines(self) -> tuple[tuple, tuple, tuple]:
+        """The keys of two distinct lines and of their meet."""
         l1 = self.line()
         l2 = self.line()
         if l1 == l2:
             raise _Reject
-        return l1, l2, line_intersection(l1, l2)
+        return l1, l2, _join_key(self.p, l1, l2)
 
     def matrix(self) -> list:
         """The rows of an invertible 3x3 matrix, unreduced over GF(p)."""
-        def nonsingular(c: list) -> list | None:
+        while True:
+            c = self.coords(9)
             rows = [c[0:3], c[3:6], c[6:9]]
-            return None if self.field.is_zero(_det3(rows)) else rows
+            if not self.field.is_zero(_det3(rows)):
+                return rows
 
-        return self._redraw(9, nonsingular)
-
-    def point_on(self, ln: ProjLine) -> ProjPoint:
-        """s u + t v for a random nonzero (s, t), with u, v the integer basis
-        vectors of the line; both are the echelon kernel basis times one
-        common factor, so the projective point does not depend on it."""
+    def point_on(self, ln: tuple) -> tuple:
+        """The key of s u + t v for a random nonzero (s, t), with u, v the
+        integer basis vectors of the line with key ``ln``.  Both are the
+        echelon kernel basis times one common factor, so the point does not
+        depend on it, and they are independent over the field, so s u + t v
+        vanishes only when (s, t) does."""
         basis = self._line_bases.get(ln)
         if basis is None:
-            basis = self._line_bases[ln] = _line_basis(ln.key)
-        u, v = basis
-        return ProjPoint(self.field, self._redraw(
-            2, lambda st: self._nonzero([st[0] * a + st[1] * b for a, b in zip(u, v)])))
+            basis = self._line_bases[ln] = _line_basis(ln)
+        (a, b, c), (d, e, g) = basis
+        s, t = self.nonzero(2)
+        return _int_key(self.p, (s * a + t * d, s * b + t * e, s * c + t * g))
 
     def distinct(self, n: int, make: Callable[[], object], avoid: Sequence = (),
                  skip: Callable[[object], bool] | None = None, limit: int = 200) -> list:
@@ -156,8 +177,10 @@ class _Draw:
                 seen.add(value)
         return got
 
-    def distinct_points_on(self, ln: ProjLine, n: int, avoid: Sequence[ProjPoint] = ()) -> list:
-        return self.distinct(n, lambda: self.point_on(ln), avoid=avoid, limit=64 * n + 64)
+    def distinct_points_on(self, ln: tuple, n: int, avoid: Sequence[tuple] = ()) -> list:
+        """The keys of ``n`` distinct points of the line with key ``ln``, none
+        in ``avoid``."""
+        return self.distinct(n, partial(self.point_on, ln), avoid=avoid, limit=64 * n + 64)
 
 
 class _Reject(Exception):
@@ -177,6 +200,17 @@ def _retry(build: Callable[[_Draw], object], field: Field, seed: int, failure: s
     raise SamplingError(f"{failure} within {MAX_ATTEMPTS} attempts; the field may be too small")
 
 
+_PART_CLASSES = (("points", ProjPoint), ("lines", ProjLine), ("conics", Conic))
+
+
+def _config(field: Field, parts: dict, type_id: int | str = "untyped") -> Config:
+    """The configuration whose parts ``parts`` gives by their keys, each part
+    built once."""
+    built = {name: [_from_key(cls, field, key) for key in parts.get(name, ())]
+             for name, cls in _PART_CLASSES}
+    return Config(field, type_id=type_id, whole_plane=parts.get("whole_plane", False), **built)
+
+
 def _line_capacity(field: Field, need: int, what: str) -> None:
     """Refuse ``what``, before any draw, when it needs more distinct points on
     one line than a line over ``field`` has."""
@@ -186,25 +220,25 @@ def _line_capacity(field: Field, need: int, what: str) -> None:
             f"line over {field} has only {field.p + 1}")
 
 
-def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[ProjPoint]]:
-    """A nondegenerate conic with ``n`` rational points on it.
+def _reference_conic_points(draw: _Draw, n: int) -> tuple[Conic, list[tuple]]:
+    """A nondegenerate conic and the keys of ``n`` rational points on it.
 
     Applies a random invertible coordinate change T to the parametrized conic
     x z = y^2; the image conic is the pull-back of x z - y^2 along the
-    adjugate of T, which is T^{-1} up to the harmless factor det T.
+    adjugate of T, which is T^{-1} up to the harmless factor det T.  The image
+    of (1, t, t^2) under the invertible T does not vanish.
     """
-    f = draw.field
     t_rows = draw.matrix()
-    conic = Conic(f, _pullback((0, -1, 0, 0, 1, 0), _adjugate(t_rows)))
+    conic = Conic(draw.field, _pullback((0, -1, 0, 0, 1, 0), _adjugate(t_rows)))
     params = draw.distinct(n, draw.coord, limit=64 * n + 64)
-    points = [ProjPoint(f, tuple(r0 + r1 * t + r2 * t * t for r0, r1, r2 in t_rows))
+    points = [_int_key(draw.p, [r0 + r1 * t + r2 * t * t for r0, r1, r2 in t_rows])
               for t in params]
     return conic, points
 
 
 # ---------------------------------------------------------------------------
 # per-type constructions: each returns its configuration's parts, as keyword
-# arguments of ``Config``
+# arguments of ``Config`` that give the keys of the points, lines and conics
 
 
 def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int = 0,
@@ -218,85 +252,100 @@ def _on_lines(draw: _Draw, counts: Sequence[int], meet: bool = False, off: int =
     meets each drawn line in at most one point of the set, so only the joins
     through an off point are tested (``_off_joins_clear``).
     """
+    p = draw.p
     if len(counts) == 1:
         lines, meets = [draw.line()], []
     else:
         l1, l2, p12 = draw.two_lines()
         lines, meets = [l1, l2], [p12]
-    pts: list[ProjPoint] = []
+    pts: list[tuple] = []
     for ln, k in zip(lines, counts):
         pts += draw.distinct_points_on(ln, k, avoid=meets + pts)
     if meet:
         pts += meets
     if off:
-        away = draw.distinct(off, draw.point, skip=lambda q: any(incident(q, ln) for ln in lines))
-        if not _off_joins_clear(draw.field.p, pts, away):
+        away = draw.distinct(off, draw.point,
+                             skip=lambda q: any(not _pairing(p, ln, q) for ln in lines))
+        if not _off_joins_clear(p, pts, away):
             raise _Reject
         pts += away
-    return {"points": pts, "lines": tuple(lines[:components])}
+    return {"points": pts, "lines": lines[:components]}
 
 
-def _off_joins_clear(p: int | None, on: Sequence[ProjPoint], off: Sequence[ProjPoint]) -> bool:
-    """No line through a point of ``off`` passes through two more of the
-    points, over GF(p), or over QQ when ``p`` is None.
+def _off_joins_clear(p: int | None, on: Sequence[tuple], off: Sequence[tuple]) -> bool:
+    """No line through a point with a key in ``off`` passes through two more
+    of the points with keys in ``on`` and ``off``, over GF(p), or over QQ
+    when ``p`` is None.
 
     When ``on`` lie on one drawn line or two and ``off`` on none, this is
-    ``_only_allowed_collinear(on + off, lines)``.  A line through three of
+    ``_only_allowed_collinear(p, on + off, lines)``.  A line through three of
     the points that is not drawn meets each drawn line in one point, so it
     holds at most two points of ``on`` and at least one off point; its joins
     from its first off point to two of its other points coincide.  So each
     off point is joined to the points of ``on`` and to the off points after
-    it, and a repeated join is such a line.
+    it, and a repeated join is such a line.  The same holds when ``on`` lie
+    on a nondegenerate conic, which meets a line in at most two points.
     """
     for i, q in enumerate(off):
-        joins = [_join_key(p, q.key, r.key) for r in [*on, *off[i + 1:]]]
+        joins = [_join_key(p, q, r) for r in [*on, *off[i + 1:]]]
         if len(set(joins)) < len(joins):
             return False
     return True
 
 
 def _conic_points(draw: _Draw, n: int, extra_off: int) -> dict:
+    """``n`` points on a nondegenerate conic, then ``extra_off`` points off
+    it, none on a line through two of the conic's points."""
+    f = draw.field
     conic, pts = _reference_conic_points(draw, n)
     if conic.is_degenerate():
         raise _Reject
-    pts += draw.distinct(extra_off, draw.point, avoid=pts, skip=lambda q: (
-        conic.contains(q) or not _only_allowed_collinear(pts + [q], ())))
+
+    def skip(q: tuple) -> bool:
+        return f.is_zero(_conic_value(conic.key, q)) or not _off_joins_clear(f.p, pts, [q])
+
+    pts += draw.distinct(extra_off, draw.point, avoid=pts, skip=skip)
     return {"points": pts}
 
 
 def _pencil_quadruple(draw: _Draw) -> dict:
     """Four generic base points plus the four cuts of a line by two conics
     through the base points."""
+    p, f = draw.p, draw.field
     base = draw.distinct(4, draw.point)
-    if not _only_allowed_collinear(base, ()):
+    if not _only_allowed_collinear(p, base):
         raise _Reject
     ln = draw.line()
-    if any(incident(p, ln) for p in base):
+    if any(not _pairing(p, ln, b) for b in base):
         raise _Reject
+    base_pts = [_from_key(ProjPoint, f, b) for b in base]
+    line = _from_key(ProjLine, f, ln)
 
-    def cut(avoid: Sequence[ProjPoint]) -> tuple[ProjPoint, ProjPoint, Conic] | None:
-        """A random point p of the line, the second point where the conic q
-        through the base and p cuts it, and q; None when q is degenerate or
-        tangent at p, or p or the second point is in ``avoid``."""
-        p = draw.point_on(ln)
-        if p in avoid:
+    def cut(avoid: Sequence[tuple]) -> tuple[tuple, tuple, Conic] | None:
+        """The key of a random point x of the line, of the second point
+        where the conic q through the base and x cuts it, and q; None when
+        q is degenerate or tangent at x, or x or the second point is in
+        ``avoid``."""
+        x = draw.point_on(ln)
+        if x in avoid:
             return None
-        q = conic_through(base + [p])
+        pt = _from_key(ProjPoint, f, x)
+        q = conic_through(base_pts + [pt])
         if q is None or q.is_degenerate():
             return None
-        other = conic_line_second_point(q, ln, p)
-        if other is None or other == p or other in avoid:
+        other = conic_line_second_point(q, line, pt)
+        if other is None or other.key == x or other.key in avoid:
             return None
-        return p, other, q
+        return x, other.key, q
 
-    p1, p1x, q1 = draw.distinct(1, lambda: cut(()), limit=64)[0]
-    p2, p2x, q2 = draw.distinct(1, lambda: cut((p1, p1x)), limit=64)[0]
+    p1, p1x, q1 = draw.distinct(1, partial(cut, ()), limit=64)[0]
+    p2, p2x, q2 = draw.distinct(1, partial(cut, (p1, p1x)), limit=64)[0]
     if q2 == q1:
         raise _Reject
     pts = base + [p1, p1x, p2, p2x]
     if len(set(pts)) != 8:
         raise _Reject
-    if not _only_allowed_collinear(pts, [ln]):
+    if not _only_allowed_collinear(p, pts, [ln]):
         raise _Reject
     return {"points": pts}
 
@@ -304,57 +353,61 @@ def _pencil_quadruple(draw: _Draw) -> dict:
 def _triangle_conic(draw: _Draw) -> dict:
     """Three generic vertices plus the six cuts of the triangle sides by a
     conic avoiding the vertices."""
+    p, f = draw.p, draw.field
     verts = draw.distinct(3, draw.point)
-    a, b, c = verts
-    if collinear(a, b, c):
+    if f.is_zero(_det3(verts)):
         raise _Reject
-    ab, bc, ca = line_through(a, b), line_through(b, c), line_through(c, a)
+    a, b, c = verts
+    ab, bc, ca = _join_key(p, a, b), _join_key(p, b, c), _join_key(p, c, a)
     q12 = draw.distinct_points_on(ab, 2, avoid=[a, b])
     q34 = draw.distinct_points_on(bc, 2, avoid=[b, c] + q12)
     (q5,) = draw.distinct_points_on(ca, 1, avoid=[c, a] + q12 + q34)
-    quad = conic_through(q12 + q34 + [q5])
+    five = [_from_key(ProjPoint, f, q) for q in q12 + q34 + [q5]]
+    quad = conic_through(five)
     if quad is None or quad.is_degenerate():
         raise _Reject
-    if any(quad.contains(v) for v in verts):
+    if any(f.is_zero(_conic_value(quad.key, v)) for v in verts):
         raise _Reject
-    q6 = conic_line_second_point(quad, ca, q5)
-    if q6 is None or q6 in verts + q12 + q34 + [q5]:
+    q6 = conic_line_second_point(quad, _from_key(ProjLine, f, ca), five[-1])
+    if q6 is None or q6.key in verts + q12 + q34 + [q5]:
         raise _Reject
-    pts = verts + q12 + q34 + [q5, q6]
-    if not _only_allowed_collinear(pts, [ab, bc, ca]):
+    pts = verts + q12 + q34 + [q5, q6.key]
+    if not _only_allowed_collinear(p, pts, [ab, bc, ca]):
         raise _Reject
     return {"points": pts}
 
 
 def _five_lines(draw: _Draw) -> dict:
+    p = draw.p
     lines = draw.distinct(5, draw.line)
     pts = []
     for l1, l2 in combinations(lines, 2):
-        p = line_intersection(l1, l2)
-        if p in pts:
+        meet = _join_key(p, l1, l2)
+        if meet in pts:
             raise _Reject
-        pts.append(p)
-    if not _only_allowed_collinear(pts, lines):
+        pts.append(meet)
+    if not _only_allowed_collinear(p, pts, lines):
         raise _Reject
     return {"points": pts}
 
 
 def _generic_points(draw: _Draw, k: int) -> dict:
+    p = draw.p
     pts = draw.distinct(k, draw.point, limit=400)
-    if not _only_allowed_collinear(pts, ()):
+    if not _only_allowed_collinear(p, pts):
         raise _Reject
     if k >= 6:
         for six in combinations(pts, 6):
-            if on_common_conic(six):
+            if _on_one_conic(p, six):
                 raise _Reject
     return {"points": pts}
 
 
 def _conic_component(draw: _Draw) -> dict:
-    conic = Conic(draw.field, draw._redraw(6, draw._nonzero))
+    conic = Conic(draw.field, draw.nonzero(6))
     if conic.is_degenerate():
         raise _Reject
-    return {"conics": (conic,)}
+    return {"conics": [conic.key]}
 
 
 # Types 38, 39 and 40 keep their own code; their structure is data too.
@@ -482,14 +535,13 @@ def sample_generic(type_id: int, field: Field, seed: int) -> Config:
             f"in {field}, which reach only {field.p} of the conic's {field.p + 1}")
     parts = _retry(build, field, derive_seed(seed, type_id),
                    f"could not satisfy genericity for type {type_id} over {field}")
-    return Config(field, type_id=type_id, **parts)
+    return _config(field, parts, type_id)
 
 
 def sample_generic_points(k: int, field: Field, seed: int) -> Config:
     """Sample k points in general position: no 3 collinear, no 6 on a conic."""
-    return Config(field, **_retry(lambda draw: _generic_points(draw, k), field,
-                                  derive_seed(seed, 100 + k),
-                                  f"could not place {k} generic points over {field}"))
+    return _config(field, _retry(partial(_generic_points, k=k), field, derive_seed(seed, 100 + k),
+                                 f"could not place {k} generic points over {field}"))
 
 
 def sample_quartic_contact_system(field: Field, seed: int) -> list:
@@ -504,20 +556,21 @@ def sample_quartic_contact_system(field: Field, seed: int) -> list:
     """
     _line_capacity(field, 4, "the quartic contact system")
 
+    p = field.p
+
     def build(draw: _Draw) -> tuple[list, list]:
         ln = draw.line()
         on_line = draw.distinct_points_on(ln, 4)
-        off = draw.distinct(3, draw.point, skip=lambda q: incident(q, ln))
-        if collinear(*off):
+        off = draw.distinct(3, draw.point, skip=lambda q: not _pairing(p, ln, q))
+        if field.is_zero(_det3(off)):
             raise _Reject
         return on_line, off
 
     on_line, off = _retry(build, field, derive_seed(seed, 13),
                           f"could not sample the quartic contact system over {field}")
-    p = field.p
-    rows = [_monomial_values(pt.coords, 4, p) for pt in on_line]
-    for pt in off:
-        rows.extend(_point_rows(pt.coords, 4, p))
+    rows = [_monomial_values(_from_key(ProjPoint, field, key).coords, 4, p) for key in on_line]
+    for key in off:
+        rows.extend(_point_rows(_from_key(ProjPoint, field, key).coords, 4, p))
     return rows
 
 

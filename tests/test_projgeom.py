@@ -23,8 +23,10 @@ from quintics.projgeom import (
     _conic_value,
     _from_key,
     _index_groups,
+    _join_key,
     _normalize,
     _only_allowed_collinear,
+    _pairing,
     _pullback,
     collinear,
     conic_line_second_point,
@@ -57,6 +59,13 @@ def pt(*coords, field=QQ):
 
 def ln(*coeffs, field=QQ):
     return ProjLine(field, coeffs)
+
+
+def _allowed_only(points, lines):
+    """``_only_allowed_collinear`` on the keys of points and lines of one
+    field."""
+    return _only_allowed_collinear(points[0].field.p, [q.key for q in points],
+                                   [line.key for line in lines])
 
 
 # --- incidence -------------------------------------------------------------
@@ -418,15 +427,17 @@ def test_small_field_samples_and_refusals_match_stored():
 
 
 class _CountingRng(SplitMix64):
-    """A SplitMix64 that counts its calls; over GF(p) each coordinate is one."""
+    """A SplitMix64 that counts the 64-bit words it gives, at ``next_u64``,
+    the one primitive every draw reaches, batched or not; over GF(p), p below
+    2^64, each coordinate is one word unless the top range rejects it."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.calls = 0
 
-    def below(self, bound):
+    def next_u64(self):
         self.calls += 1
-        return super().below(bound)
+        return super().next_u64()
 
 
 def test_distinct_draw_keeps_its_guard_semantics():
@@ -497,15 +508,44 @@ def test_distinct_counts_a_none_as_one_rejected_draw():
     assert made == [1, 2, 1, 3, 4, 5]
     assert asked == [1, 3, 4, 5]
     assert draw.rng.calls == 0
-    # a line that runs out of points: _Reject after exactly 64 n + 64 points
-    line = ProjLine(PrimeField(3), (0, 0, 1))
-    small = _Draw(PrimeField(3), SplitMix64(0))
+    # a line that runs out of points: _Reject after exactly 64 n + 64 points,
+    # each drawn by one call of point_on, the function that draws one
+    # candidate of a line
+    line = (0, 0, 1)
+    small = _Draw(PrimeField(3), _CountingRng(0))
     point_on = small.point_on
     small.point_on = lambda ln: made.append(ln) or point_on(ln)
     made.clear()
     with pytest.raises(_Reject):
         small.distinct_points_on(line, 5)
     assert made == [line] * (64 * 5 + 64)
+    # each candidate draws its (s, t) from two words at least
+    assert small.rng.calls >= 2 * len(made)
+
+
+@pytest.mark.parametrize("field", [FP, PrimeField(101), PrimeField(7), QQ], ids=str)
+def test_sampled_parts_equal_their_public_construction(field):
+    # the sampler builds each part with _from_key, which trusts its key: the
+    # public constructor, from the key and from the normalized view, must
+    # build the same object, so every key it was handed was normalized
+    built = 0
+    for type_id in range(1, 43):
+        for seed in (1, 2, 3):
+            try:
+                cfg = sample_generic(type_id, field, seed)
+            except SamplingError:
+                assert field.p == 7 and type_id in (9, 10, 36)
+                continue
+            for cls, parts, view in ((ProjPoint, cfg.points, "coords"),
+                                     (ProjLine, cfg.lines, "coeffs"),
+                                     (Conic, cfg.conics, "coeffs")):
+                for obj in parts:
+                    for coords in (obj.key, getattr(obj, view)):
+                        again = cls(field, coords)
+                        assert type(obj) is cls and again == obj, (type_id, seed, obj)
+                        assert again.key == obj.key and hash(again) == hash(obj)
+                    built += 1
+    assert built >= 3 * 200
 
 
 def _type36_feasible(p):
@@ -604,9 +644,9 @@ def test_sampler_refuses_small_fields_for_types_18_and_26_before_any_draw(monkey
                     sample_generic(type_id, PrimeField(p), 0)
     monkeypatch.undo()
     five = sample_generic(18, PrimeField(5), 0).points
-    assert len(five) == 5 and _only_allowed_collinear(five, ())
+    assert len(five) == 5 and _allowed_only(five, ())
     six = sample_generic(26, PrimeField(7), 0).points
-    assert len(six) == 6 and _only_allowed_collinear(six, ()) and not on_common_conic(six)
+    assert len(six) == 6 and _allowed_only(six, ()) and not on_common_conic(six)
 
 
 # The types refused over GF(3) beyond the line capacity and types 18, 26 and
@@ -710,7 +750,7 @@ def _pencil_quadruples(p: int) -> int:
             other = conic_line_second_point(conic, line, q)
             if other is not None and other != q:
                 cuts.add((frozenset({q, other}), conic))
-        found += sum(c1 != c2 and _only_allowed_collinear(base + list(a | b), [line])
+        found += sum(c1 != c2 and _allowed_only(base + list(a | b), [line])
                      for (a, c1), (b, c2) in combinations(cuts, 2))
     return found
 
@@ -735,15 +775,15 @@ def _gf5_configurations() -> dict:
              for b in combinations([q for q in plane if incident(q, l2) and q != meet], 3)]
 
     def on_one_line(k, off):
-        return sum(_only_allowed_collinear(list(on + rest), [l1])
+        return sum(_allowed_only(list(on + rest), [l1])
                    for on in combinations(on1, k) for rest in combinations(off1, off))
 
     return {
         19: on_one_line(4, 2),
         21: on_one_line(6, 2),
         34: on_one_line(4, 3),
-        35: sum(_only_allowed_collinear(t + [x], [l1, l2]) for t in trios for x in off12),
-        37: sum(_only_allowed_collinear(t + [meet, x], [l1, l2]) for t in trios for x in off12),
+        35: sum(_allowed_only(t + [x], [l1, l2]) for t in trios for x in off12),
+        37: sum(_allowed_only(t + [meet, x], [l1, l2]) for t in trios for x in off12),
         32: sum(1 for _ in combinations([q for q in plane if conic.contains(q)], 7)),
         38: _pencil_quadruples(5),
     }
@@ -823,31 +863,69 @@ def test_points_on_drawn_lines_put_three_on_no_other_line():
 @pytest.mark.parametrize("field", [PrimeField(5), PrimeField(7), QQ], ids=["fp5", "fp7", "qq"])
 def test_off_joins_clear_agrees_with_only_allowed_collinear(field):
     # the shape _on_lines draws: points on one drawn line or two, perhaps
-    # their meet, and off points on neither.  Half the sets get one more off
-    # point, put at a random place among them, on the join of an off point
-    # and another point, so that QQ fails the check too.
-    draw = _Draw(field, SplitMix64(derive_seed(61, field.p or 0)))
+    # their meet, and off points on neither, all as keys.  Half the sets get
+    # one more off point, put at a random place among them, on the join of an
+    # off point and another point, so that QQ fails the check too.
+    p = field.p
+    draw = _Draw(field, SplitMix64(derive_seed(61, p or 0)))
     rng = draw.rng
     answers = []
     for _ in range(300):
         lines = draw.distinct(rng.int_in(1, 2), draw.line)
-        meets = [line_intersection(*lines)] if len(lines) == 2 else []
+        meets = [_join_key(p, *lines)] if len(lines) == 2 else []
         on = meets[:rng.below(2)]
         for line in lines:
             on += draw.distinct(rng.int_in(0, 4), partial(draw.point_on, line),
                                 avoid=meets + on)
         off = draw.distinct(rng.int_in(1, 3), draw.point,
-                            skip=lambda q: any(incident(q, line) for line in lines))
+                            skip=lambda q: any(not _pairing(p, line, q) for line in lines))
         others = on + off[:-1]
         if others and rng.below(2):
             r = others[rng.below(len(others))]
-            third = ProjPoint(field, [a + b for a, b in zip(off[-1].key, r.key)])
-            if third not in on + off and not any(incident(third, line) for line in lines):
+            third = ProjPoint(field, [a + b for a, b in zip(off[-1], r)]).key
+            if third not in on + off and all(_pairing(p, line, third) for line in lines):
                 off.insert(rng.below(len(off) + 1), third)
-        want = _only_allowed_collinear(on + off, lines)
-        assert _off_joins_clear(field.p, on, off) == want, (on, off, lines)
+        want = _only_allowed_collinear(p, on + off, lines)
+        assert _off_joins_clear(p, on, off) == want, (on, off, lines)
         answers.append(want)
     assert answers.count(True) >= 30 and answers.count(False) >= 30
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(11), QQ], ids=str)
+def test_off_joins_clear_decides_a_point_off_six_conic_points(field):
+    # the shape _conic_points draws for type 36: six points of a
+    # nondegenerate conic, no three of them on a line, and a point q off the
+    # conic.  A line through three of the seven then passes through q, so
+    # the six joins from q decide what the 21 pairs decide.  Half the off
+    # points are put on the secant through two of the six, off the conic,
+    # which plants a collinear triple.
+    from quintics.sampling import _reference_conic_points
+
+    p = field.p
+    draw = _Draw(field, SplitMix64(derive_seed(62, p or 0)))
+    rng = draw.rng
+    answers = []
+    for _ in range(200):
+        conic, six = _reference_conic_points(draw, 6)
+        assert not conic.is_degenerate()
+
+        def on_conic(q):
+            return field.is_zero(_conic_value(conic.key, q))
+
+        if rng.below(2):
+            i, j = draw.distinct(2, partial(rng.below, 6))
+            s, t = draw.distinct(2, draw.coord, avoid=[0])
+            q = ProjPoint(field, [s * a + t * b for a, b in zip(six[i], six[j])]).key
+        else:
+            (q,) = draw.distinct(1, draw.point, avoid=six, skip=on_conic)
+        assert q not in six and not on_conic(q)
+        want = _only_allowed_collinear(p, six + [q])
+        assert _off_joins_clear(p, six, [q]) == want, (six, q)
+        answers.append(want)
+    # over GF(7) every point off the conic lies on a secant of the six, and
+    # over GF(11) few points avoid all 15 secants
+    assert answers.count(False) >= 80
+    assert answers.count(True) == 0 if p == 7 else answers.count(True) >= (5 if p else 80)
 
 
 def test_on_common_conic_requires_six_distinct_points():
@@ -1001,7 +1079,7 @@ def test_line_groups_matches_incidence_scan(field):
         planted += any(len(on) == 5 for on in groups.values()) \
             and any(len(on) == 4 for on in groups.values())
         for allowed in (sized, sized[1:], sized[:-1], []):
-            assert _only_allowed_collinear(points, allowed) == (collinear_lines <= set(allowed))
+            assert _allowed_only(points, allowed) == (collinear_lines <= set(allowed))
         if len(points) >= 2:
             # the repeated point makes the first, a middle and the last pair
             # of the batched joins coincident, then pairs with the first point
@@ -1011,9 +1089,9 @@ def test_line_groups_matches_incidence_scan(field):
                 with pytest.raises(InputError):
                     _line_groups(bad)
                 with pytest.raises(InputError):
-                    _only_allowed_collinear(bad, ())
+                    _allowed_only(bad, ())
                 with pytest.raises(InputError):
-                    _only_allowed_collinear(bad, sized)
+                    _allowed_only(bad, sized)
     assert planted >= 4
 
 
@@ -1070,7 +1148,7 @@ def test_line_groups_refuse_coincident_points_and_mixed_fields():
             with pytest.raises(InputError, match="coincident"):
                 _line_groups(points)
             with pytest.raises(InputError, match="coincident"):
-                _only_allowed_collinear(points, ())
+                _allowed_only(points, ())
     with pytest.raises(FieldMismatchError):
         _line_groups([pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7))])
     with pytest.raises(FieldMismatchError):

@@ -58,3 +58,34 @@ def test_below_joins_the_least_number_of_words_for_every_bound():
     for bound in bounds:
         assert got.below(bound) == _below_span(want, bound), bound
     assert got.state == want.state
+
+
+def _words_drawn(rng, seed):
+    """The 64-bit words a SplitMix64 seeded by ``seed`` has given: each adds
+    the odd constant to the state."""
+    return (rng.state - seed) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) % (1 << 64)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 101, 65521, (1 << 61) - 1, (1 << 63) + 1, 1 << 64,
+                                   (1 << 64) + 1, 3317044064679887385961813])
+def test_below_n_draws_what_n_calls_of_below_draw(bound):
+    got, want = SplitMix64(11), SplitMix64(11)
+    drawn = 0
+    for n in (0, 1, 2, 3, 9, 1, 50, 200):
+        assert got.below_n(bound, n) == [want.below(bound) for _ in range(n)], n
+        assert got.state == want.state
+        drawn += n
+    words = _words_drawn(got, 11)
+    if bound == (1 << 63) + 1:
+        # the top range rejects almost half the words
+        assert 1.5 * drawn < words < 2.5 * drawn
+    elif bound <= 1 << 64:
+        assert words == drawn
+    else:
+        assert words >= 2 * drawn
+
+
+def test_below_n_refuses_a_bound_below_one():
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            SplitMix64(1).below_n(bound, 2)
