@@ -18,27 +18,28 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InputError
+from .exactalg import Field
 from .projgeom import (
     Config,
-    ProjLine,
     ProjPoint,
-    _from_key,
+    _conic_key,
     _groups_of,
     _index_groups,
+    _second_point_key,
     _unique_conic,
     collinear,
-    conic_line_second_point,
     incident,
 )
 
 
-def _pencil_partner(base: Sequence[ProjPoint], ln: ProjLine, pt: ProjPoint) -> Optional[ProjPoint]:
-    """Second cut of the line by the conic through the four base points and pt."""
-    q = _unique_conic(list(base) + [pt])
+def _pencil_partner(field: Field, base: Sequence[tuple], line: tuple, pt: tuple) -> Optional[tuple]:
+    """Key of the second cut of the line with key ``line`` by the conic
+    through the four base points and pt, all given by their keys."""
+    q = _conic_key(field, list(base) + [pt])
     if q is None:
         return None
     try:
-        return conic_line_second_point(q, ln, pt)
+        return _second_point_key(field, q, line, pt)
     except InputError:
         return None
 
@@ -47,12 +48,12 @@ def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
     """Type 38: the four points off the line with key ``key`` are the base
     points of a pencil whose conics cut the line in the pairs of ``on_line``."""
     # No test for three collinear base points: a partner then falls off the set.
-    ln = _from_key(ProjLine, pts[0].field, key)
-    base = [q for i, q in enumerate(pts) if i not in on_line]
-    line_pts = [q for i, q in enumerate(pts) if i in on_line]
+    field = pts[0].field
+    base = [q.key for i, q in enumerate(pts) if i not in on_line]
+    line_pts = [q.key for i, q in enumerate(pts) if i in on_line]
     partner = {}
     for pt in line_pts:
-        mate = _pencil_partner(base, ln, pt)
+        mate = _pencil_partner(field, base, key, pt)
         if mate is None or mate == pt or mate not in line_pts:
             return None
         partner[pt] = mate

@@ -195,15 +195,20 @@ class Conic(_Keyed):
     coeffs = _Keyed._normalized
 
     def is_degenerate(self) -> bool:
-        # Determinant of the doubled symmetric matrix; zero iff the conic
-        # splits into lines (valid in any odd characteristic).
-        _odd_characteristic(self.field)
-        a, b, c, d, e, g = self.key
-        return self.field.is_zero(_det3(((2 * a, d, e), (d, 2 * b, g), (e, g, 2 * c))))
+        return _degenerate(self.field, self.key)
 
     def contains(self, pt: ProjPoint) -> bool:
         _same_field(self.field, pt.field)
         return self.field.is_zero(_conic_value(self.key, pt.key))
+
+
+def _degenerate(field: Field, coeffs: Sequence) -> bool:
+    """Whether the conic with key ``coeffs`` splits into lines: the
+    determinant of its doubled symmetric matrix vanishes, which is valid in
+    any odd characteristic."""
+    _odd_characteristic(field)
+    a, b, c, d, e, g = coeffs
+    return field.is_zero(_det3(((2 * a, d, e), (d, 2 * b, g), (e, g, 2 * c))))
 
 
 @dataclass(frozen=True)
@@ -427,8 +432,12 @@ def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
 
 
 def _reduced(p: Optional[int], vals: tuple) -> tuple:
-    """Residues of the ints ``vals`` over GF(p); over QQ (``p`` None) the ints."""
-    return tuple(v % p for v in vals) if p else vals
+    """Residues of the int triple ``vals`` over GF(p); over QQ (``p`` None)
+    the ints."""
+    if not p:
+        return vals
+    a, b, c = vals
+    return a % p, b % p, c % p
 
 
 # The coordinate points (1:0:0), (0:1:0), (0:0:1), and the keys of the
@@ -558,17 +567,25 @@ def _framed_conditions(p: Optional[int], keys: Sequence[tuple]) -> Optional[tupl
 
 
 def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
-    """The conic through points of one field when it exists and is unique.
+    """The conic through points of one field when it exists and is unique:
+    :func:`_conic_key` on their keys."""
+    field = pts[0].field
+    key = _conic_key(field, [q.key for q in pts])
+    return None if key is None else _from_key(Conic, field, key)
+
+
+def _conic_key(field: Field, keys: Sequence[tuple]) -> Optional[tuple]:
+    """The key of the conic through the points with keys ``keys`` when it
+    exists and is unique, else None.
 
     In the frame of :func:`_framed_conditions` the conic is unique exactly
     when the conditions have rank 2.  It is then q' = a yz + b xz + c xy with
     (a, b, c) the cross product of two independent conditions, which every
     other condition must annul.  q(X) = q'(adj X) is its pull-back along
-    the adjugate (:func:`_pullback`).  No matrix is eliminated;
-    :class:`Conic` scales the result to its key.
+    the adjugate (:func:`_pullback`).  No matrix is eliminated; the result
+    is scaled to its key.
     """
-    field = pts[0].field
-    framed = _framed_conditions(field.p, [q.key for q in pts])
+    framed = _framed_conditions(field.p, keys)
     if framed is None:
         return None
     adj, conditions = framed
@@ -583,17 +600,7 @@ def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
     for s, t, r in conditions[n + 1:]:
         if not field.is_zero(s * a + t * b + r * c):
             return None
-    return Conic(field, _pullback((0, 0, 0, c, b, a), adj))
-
-
-def _binary_form(c: Conic, p: ProjPoint, q: ProjPoint) -> tuple:
-    """The restriction (A, B, C) of the conic's key to s p + t q on the
-    points' keys, unreduced."""
-    A = _conic_value(c.key, p.key)
-    C = _conic_value(c.key, q.key)
-    # B = c(p+q) - c(p) - c(q), the polarization of the quadratic form.
-    B = _conic_value(c.key, [u + v for u, v in zip(p.key, q.key)]) - A - C
-    return A, B, C
+    return _normalize(field, _pullback((0, 0, 0, c, b, a), adj))
 
 
 def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoint | None:
@@ -607,22 +614,30 @@ def conic_line_second_point(c: Conic, ln: ProjLine, known: ProjPoint) -> ProjPoi
         raise InputError("known point is not on the line")
     if not c.contains(known):
         raise InputError("known point is not on the conic")
-    f = c.field
-    p, q = points_on_line_basis(ln)
-    # Re-parametrize so the known point is the s-axis point: form becomes
-    # B s t + C t^2 with roots t=0 (known) and B s + C t = 0.
-    if q == known:
-        p, q = q, p
-    elif p != known:
-        p = known
-    A, B, C = _binary_form(c, p, q)
-    if not f.is_zero(A):
-        raise InputError("known point is not a root of the restriction")
-    if f.is_zero(B):
-        if f.is_zero(C):
+    key = _second_point_key(c.field, c.key, ln.key, known.key)
+    return None if key is None else _from_key(ProjPoint, c.field, key)
+
+
+def _second_point_key(field: Field, conic: tuple, line: tuple, known: tuple) -> Optional[tuple]:
+    """:func:`conic_line_second_point` on keys, for a point ``known`` on
+    both the conic and the line: the key of the second point, None when the
+    line is tangent there; raises when the line lies inside the conic.
+
+    With q a point of the line's :func:`_line_basis` other than ``known``,
+    the conic restricted to s known + t q is B s t + C t^2, since it vanishes
+    at ``known``; its other root is s : t = C : -B.  That point, and whether
+    B or C vanishes, do not depend on which q is taken.
+    """
+    u, v = _line_basis(line)
+    q = u if any(_reduced(field.p, _cross(u, known))) else v
+    C = _conic_value(conic, q)
+    # B = c(known + q) - c(q), the polarization of the quadratic form
+    B = _conic_value(conic, [a + b for a, b in zip(known, q)]) - C
+    if field.is_zero(B):
+        if field.is_zero(C):
             raise InputError("line is a component of the conic")
         return None
-    return ProjPoint(f, tuple(C * pc - B * qc for pc, qc in zip(p.key, q.key)))
+    return _normalize(field, [C * a - B * b for a, b in zip(known, q)])
 
 
 # ---------------------------------------------------------------------------

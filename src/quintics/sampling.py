@@ -59,7 +59,9 @@ from .projgeom import (
     ProjLine,
     ProjPoint,
     _adjugate,
+    _conic_key,
     _conic_value,
+    _degenerate,
     _det3,
     _from_key,
     _int_key,
@@ -70,8 +72,7 @@ from .projgeom import (
     _only_allowed_collinear,
     _pairing,
     _pullback,
-    conic_line_second_point,
-    conic_through,
+    _second_point_key,
 )
 from .rng import SplitMix64, derive_seed
 from .taxonomy import TYPE_TABLE, _Structure
@@ -318,25 +319,22 @@ def _pencil_quadruple(draw: _Draw) -> dict:
     ln = draw.line()
     if any(not _pairing(p, ln, b) for b in base):
         raise _Reject
-    base_pts = [_from_key(ProjPoint, f, b) for b in base]
-    line = _from_key(ProjLine, f, ln)
 
-    def cut(avoid: Sequence[tuple]) -> tuple[tuple, tuple, Conic] | None:
-        """The key of a random point x of the line, of the second point
-        where the conic q through the base and x cuts it, and q; None when
-        q is degenerate or tangent at x, or x or the second point is in
+    def cut(avoid: Sequence[tuple]) -> tuple[tuple, tuple, tuple] | None:
+        """The keys of a random point x of the line, of the second point
+        where the conic q through the base and x cuts it, and of q; None
+        when q is degenerate or tangent at x, or x or the second point is in
         ``avoid``."""
         x = draw.point_on(ln)
         if x in avoid:
             return None
-        pt = _from_key(ProjPoint, f, x)
-        q = conic_through(base_pts + [pt])
-        if q is None or q.is_degenerate():
+        q = _conic_key(f, base + [x])
+        if q is None or _degenerate(f, q):
             return None
-        other = conic_line_second_point(q, line, pt)
-        if other is None or other.key == x or other.key in avoid:
+        other = _second_point_key(f, q, ln, x)
+        if other is None or other == x or other in avoid:
             return None
-        return x, other.key, q
+        return x, other, q
 
     p1, p1x, q1 = draw.distinct(1, partial(cut, ()), limit=64)[0]
     p2, p2x, q2 = draw.distinct(1, partial(cut, (p1, p1x)), limit=64)[0]
@@ -362,16 +360,15 @@ def _triangle_conic(draw: _Draw) -> dict:
     q12 = draw.distinct_points_on(ab, 2, avoid=[a, b])
     q34 = draw.distinct_points_on(bc, 2, avoid=[b, c] + q12)
     (q5,) = draw.distinct_points_on(ca, 1, avoid=[c, a] + q12 + q34)
-    five = [_from_key(ProjPoint, f, q) for q in q12 + q34 + [q5]]
-    quad = conic_through(five)
-    if quad is None or quad.is_degenerate():
+    quad = _conic_key(f, q12 + q34 + [q5])
+    if quad is None or _degenerate(f, quad):
         raise _Reject
-    if any(f.is_zero(_conic_value(quad.key, v)) for v in verts):
+    if any(f.is_zero(_conic_value(quad, v)) for v in verts):
         raise _Reject
-    q6 = conic_line_second_point(quad, _from_key(ProjLine, f, ca), five[-1])
-    if q6 is None or q6.key in verts + q12 + q34 + [q5]:
+    q6 = _second_point_key(f, quad, ca, q5)
+    if q6 is None or q6 in verts + q12 + q34 + [q5]:
         raise _Reject
-    pts = verts + q12 + q34 + [q5, q6.key]
+    pts = verts + q12 + q34 + [q5, q6]
     if not _only_allowed_collinear(p, pts, [ab, bc, ca]):
         raise _Reject
     return {"points": pts}

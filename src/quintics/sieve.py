@@ -7,6 +7,12 @@ coefficient at all rows at once, one Euclid runs in lockstep over the chart
 x = 1, and a per-row gcd fold takes what leaves it.  Full lines and a full
 conic are peeled off the keys, so that ``lsys`` builds a point object only
 for what is left.
+
+The full lines are read off the same rows.  A line is x = 0, or y = c x
+through (0:0:1), which holds the whole chart row y = c, or z = a x + b y,
+which meets every chart row in exactly one point.  So each kind is found
+exactly, by counting rows or by the lines through one point each of the two
+sparsest rows, whatever the number of lines and the degree of the form.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 from .exactalg import PrimeField
-from .projgeom import ProjLine, ProjPoint, _conic_value, _from_key, _unique_conic
+from .projgeom import Conic, ProjLine, _conic_key, _conic_value, _degenerate, _from_key
 
 if TYPE_CHECKING:
     from .lsys import HomogeneousPoly
@@ -110,23 +116,23 @@ def _chart_zeros(columns: list, p: int) -> list:
     Two partials whose z^m coefficient is a nonzero constant run one Euclid
     in lockstep over all rows, on the columns.  A row leaves the batch when
     its remainder's leading coefficient vanishes.  A zero remainder makes
-    the divisor the gcd of the two.  A linear or quadratic gcd is solved in
-    closed form, and its roots are kept where the third partial vanishes on
-    them; a larger gcd goes with the third partial to the per-row fold
-    ``_row_zeros``.  Any other remainder sends the row's three partials to
-    the fold.  A row reaching a nonzero constant has no zero.  With fewer
-    than two such partials every row goes to the fold.
+    the divisor the gcd of the two.  A linear gcd is solved in closed form,
+    and the quadratic gcds of all rows leaving at one step together by
+    ``_quadratic_exits``; their roots are kept where the third partial
+    vanishes on them.  A larger gcd goes with the third partial to the
+    per-row fold ``_row_zeros``, and so does a nonzero remainder, with the
+    divisor: it has the gcd of the row's two partials, at a lower degree.
+    A row reaching a nonzero constant has no zero.  With fewer than two such
+    partials every row goes to the fold.
 
     The divisor's leading coefficient is nonzero on every row of the batch,
     so a division step that meets a zero leading coefficient in the
     dividend still leaves the unique remainder.
     """
-    def row(y: int) -> list:
-        return [[col[y] for col in polys] for polys in columns]
-
     full = [v for v, polys in enumerate(columns) if polys[0][0]]
     if len(full) < 2:
-        return [_row_zeros(row(y), p) for y in range(p)]
+        return [_row_zeros([[col[y] for col in polys] for polys in columns], p)
+                for y in range(p)]
     third = columns[3 - full[0] - full[1]]
     inverse = _inverses(p)
     zeros: list = [()] * p
@@ -141,25 +147,25 @@ def _chart_zeros(columns: list, p: int) -> list:
                  for uk, vk in zip(u[1:n], v[1:])] + u[n:]
         left = [i for i, t in enumerate(u[0]) if not t]
         if left:
-            # (row, root) pairs of the linear and quadratic gcds; after a
+            # the rows and roots of the linear and quadratic gcds; after a
             # linear divisor the remainder is the constant u[0], zero on
             # every row that leaves
             if n == 2:
-                asked = [(ys[i], -v[1][i] * inv[i] % p) for i in left]
+                at = [ys[i] for i in left]
+                roots = [-v[1][i] * inv[i] % p for i in left]
+            elif n == 3:
+                # the remainder is the constant u[1]: where it is nonzero
+                # the row has no zero
+                quadratic = [i for i in left if not u[1][i]]
+                at, roots = _quadratic_exits(v, inv, [ys[i] for i in quadratic], quadratic, p)
             else:
-                asked = []
+                at = roots = ()
                 for i in left:
                     y = ys[i]
-                    if any(uk[i] for uk in u):
-                        zeros[y] = _row_zeros(row(y), p)
-                    elif n > 3:
-                        zeros[y] = _row_zeros(([vk[i] for vk in v],
-                                               [col[y] for col in third]), p)
-                    else:
-                        asked += [(y, z) for z in
-                                  _quadratic_roots(v[0][i], v[1][i], v[2][i], p)]
-            for (y, z), t in zip(asked, _at_roots(third, asked, p)):
-                if not t:
+                    zeros[y] = _row_zeros(([vk[i] for vk in v], [uk[i] for uk in u],
+                                           [col[y] for col in third]), p)
+            for y, z, t in zip(at, roots, _at_roots(third, at, roots)):
+                if not t % p:
                     zeros[y] += (z,)
             kept = [i for i, t in enumerate(u[0]) if t]
             ys = [ys[i] for i in kept]
@@ -169,13 +175,48 @@ def _chart_zeros(columns: list, p: int) -> list:
     return zeros
 
 
-def _at_roots(columns: list, asked: list, p: int) -> list:
+def _quadratic_exits(v: list, inv: list, at: list, exits: list, p: int) -> tuple:
+    """The roots in GF(p) of the quadratic divisor a z^2 + b z + c on each
+    batch row ``exits[k]``, whose chart row is ``at[k]``; ``v = [a, b, c]``
+    are columns over the batch and ``inv[i]`` is 1/a on batch row i.
+    Returns the chart rows, once per root, and the roots, ascending on each
+    row.
+
+    The discriminant's square root comes from the table of ``_square_roots``
+    and 1/(2a) from the inverse of a already taken for the Euclid, so one
+    pass solves every row.
+    """
+    squares = _square_roots(p)
+    half = (p + 1) // 2
+    a, b, c = v
+    rows: list = []
+    roots: list = []
+    for y, i in zip(at, exits):
+        bi = b[i]
+        root = squares.get((bi * bi - 4 * a[i] * c[i]) % p)
+        if root is None:
+            continue
+        s = inv[i] * half
+        lo, hi = (-root - bi) * s % p, (root - bi) * s % p
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo == hi:
+            rows.append(y)
+            roots.append(lo)
+        else:
+            rows += (y, y)
+            roots += (lo, hi)
+    return rows, roots
+
+
+def _at_roots(columns: list, at: list, roots: list) -> list:
     """The polynomial whose z^(m - k) coefficient on row y is
-    ``columns[k][y]``, reduced mod p at each (y, z) of ``asked``, by Horner's
-    rule run on all of them at once."""
-    acc = [columns[0][y] for y, _ in asked]
+    ``columns[k][y]`` at each row ``at[j]`` and z = ``roots[j]``, by Horner's
+    rule run on all of them at once, unreduced: only its residue mod p is
+    asked, and for a quintic at p <= 251 each value stays below p^5 < 2^40."""
+    acc = [columns[0][y] for y in at]
     for col in columns[1:]:
-        acc = [(a * z + col[y]) % p for a, (y, z) in zip(acc, asked)]
+        acc = [a * z + col[y] for a, z, y in zip(acc, roots, at)]
     return acc
 
 
@@ -199,6 +240,10 @@ def _row_zeros(polys: Sequence, p: int):
                 return ()
     if gcd is None:
         return range(p)
+    if 3 < len(gcd) <= p:
+        # below degree p every root of the gcd g is a simple root of
+        # g / gcd(g, g'), which is often of degree 1 or 2
+        gcd = _quotient_mod(gcd, _gcd_mod(gcd, _derivative_mod(gcd, p), p), p)
     if len(gcd) == 2:
         return (-gcd[1] * _inverses(p)[gcd[0]] % p,)
     if len(gcd) == 3:
@@ -232,6 +277,25 @@ def _gcd_mod(u: list, v: list, p: int) -> list:
     return v
 
 
+def _derivative_mod(u: list, p: int) -> list:
+    """The derivative of a polynomial over GF(p), highest power first; its
+    leading coefficient is nonzero when the degree of u is below p."""
+    n = len(u) - 1
+    return [(n - k) * c % p for k, c in enumerate(u[:-1])]
+
+
+def _quotient_mod(u: list, v: list, p: int) -> list:
+    """The quotient of u by a nonzero v over GF(p), highest power first."""
+    inv = _inverses(p)[v[0]]
+    n = len(v)
+    quotient = []
+    while len(u) >= n:
+        q = u[0] * inv % p
+        quotient.append(q)
+        u = [(a - q * b) % p for a, b in zip(u[1:n], v[1:])] + u[n:]
+    return quotient
+
+
 @lru_cache(maxsize=8)
 def _square_roots(p: int) -> dict:
     """A square root mod p of every square mod p."""
@@ -255,47 +319,64 @@ def _horner(coeffs: Sequence, xs: Sequence) -> list:
 
 def _peel_line_components(keys: list, field: PrimeField) -> tuple[list, list]:
     """Split off every full line (all p + 1 points present) of a set of
-    point keys; returns the lines and the keys on none of them, in order.
+    distinct point keys; returns the lines, sorted by key, and the keys on
+    none of them, in order.
 
-    Each pivot is a point not yet on a found line; the other points are
-    grouped by their line through the pivot, keyed on its normalized
-    coefficient triple, and a group of p points closes a full line.  Pivoting
-    on uncovered points only is exact: another full line meets a full line L
-    in one point, and a nonzero form of degree d < p is singular along at
-    most d/2 full lines (each one's square divides it), fewer than the p + 1
-    points of L, so some point of L stays uncovered until L is found.
-    A pivot stops grouping once no group can still reach p points.
+    The lines are read off the rows of the sieve's chart x = 1, exactly for
+    any key set:
+    - x = 0 is full when every (0:1:z) and (0:0:1) are keys;
+    - a line y = c x, through (0:0:1), is full when the chart row y = c holds
+      all p values of z and (0:0:1) is a key;
+    - any other line z = a x + b y meets each chart row in exactly one point,
+      (1:y:a + b y), and x = 0 in (0:1:b).  So when it is full it passes
+      through a key of the sparsest row and a key of the next sparsest, and
+      the lines through those pairs of keys are all the candidates; one is
+      kept when every row holds its point and (0:1:b) is a key.
+    No count of lines is assumed, so no bound on the degree of the form.
     """
     p = field.p
     inverse = _inverses(p)
-    n = len(keys)
-    covered: set = set()
-    found: set = set()
-    for i, (x1, y1, z1) in enumerate(keys):
-        if i in covered:
-            continue
-        groups: dict = {}
-        largest = 0
-        for j, (x2, y2, z2) in enumerate(keys):
-            if j == i:
-                continue
-            if largest + (n - j) < p:
-                break
-            a = (y1 * z2 - z1 * y2) % p
-            b = (z1 * x2 - x1 * z2) % p
-            c = (x1 * y2 - y1 * x2) % p
-            s = inverse[a or b or c]
-            key = (a * s % p, b * s % p, c * s % p)
-            members = groups.setdefault(key, [])
-            members.append(j)
-            largest = max(largest, len(members))
-        for key, members in groups.items():
-            if len(members) == p:
-                found.add(key)
-                covered.add(i)
-                covered.update(members)
+    rows: list = [[] for _ in range(p)]
+    x_zero = set()
+    apex = False
+    for x, y, z in keys:
+        if x:
+            rows[y].append(z)
+        elif y:
+            x_zero.add(z)
+        else:
+            apex = True
+    sizes = list(map(len, rows))
+    # each full line's key and the keys of its p + 1 points
+    found: dict = {}
+    if apex:
+        if len(x_zero) == p:
+            found[(1, 0, 0)] = [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+        for c, size in enumerate(sizes):
+            if size == p:
+                key = (1, -inverse[c] % p, 0) if c else (0, 1, 0)
+                found[key] = [(1, c, z) for z in range(p)] + [(0, 0, 1)]
+    if min(sizes):
+        held = set(keys)
+        first, second = sorted(range(p), key=sizes.__getitem__)[:2]
+        step = inverse[(second - first) % p]
+        for z1 in rows[first]:
+            for z2 in rows[second]:
+                b = (z2 - z1) * step % p
+                if b not in x_zero:
+                    continue
+                a = (z1 - b * first) % p
+                points = [(1, y, (a + b * y) % p) for y in range(p)]
+                if held.issuperset(points):
+                    s = inverse[a]
+                    key = ((1, b * s % p, -s % p) if a else
+                           (0, 1, -inverse[b] % p) if b else (0, 0, 1))
+                    found[key] = points + [(0, 1, b)]
+    if not found:
+        return [], keys
+    covered = set().union(*found.values())
     lines = [_from_key(ProjLine, field, key) for key in sorted(found)]
-    return lines, [key for k, key in enumerate(keys) if k not in covered]
+    return lines, [key for key in keys if key not in covered]
 
 
 def _peel_conic_component(rest: list, keys: list, nlines: int,
@@ -321,15 +402,14 @@ def _peel_conic_component(rest: list, keys: list, nlines: int,
     """
     p = field.p
     size = len(rest) - (p + 1 - 2 * nlines) + 5
-    head = [_from_key(ProjPoint, field, key) for key in rest[:size]]
-    for five in combinations(head, 5):
-        conic = _unique_conic(five)
-        if conic is None or conic.is_degenerate():
+    for five in combinations(rest[:size], 5):
+        conic = _conic_key(field, five)
+        if conic is None or _degenerate(field, conic):
             continue
 
         def on(key: tuple) -> bool:
-            return _conic_value(conic.key, key) % p == 0
+            return _conic_value(conic, key) % p == 0
 
         if sum(map(on, keys)) == p + 1:
-            return [conic], [key for key in rest if not on(key)]
+            return [_from_key(Conic, field, conic)], [key for key in rest if not on(key)]
     return [], rest

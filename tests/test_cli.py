@@ -344,7 +344,8 @@ def test_classify_line_times_nodal_cubic(tmp_path, capsys):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic", "two_lines"])
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic", "two_lines",
+                                  "slanted_lines", "apex_lines"])
 def test_classify_report_matches_stored(name, capsys, monkeypatch):
     # line_triangle: a doubled line times a triangle with vertices (0:0:1),
     # (0:1:3) and one in the chart x = 1 (type 41); double_conic: a rational
@@ -352,7 +353,12 @@ def test_classify_report_matches_stored(name, capsys, monkeypatch):
     # an integer member of a rational type 24 system, singular at six points
     # on a nondegenerate conic, which the classifier's six-point branch finds;
     # two_lines: x^2 y^2 (x + y + z), the doubled lines x = 0 and y = 0 with
-    # no point off them (type 31)
+    # no point off them (type 31); slanted_lines:
+    # (x + 2y - z)^2 (3x - y + z)^2 (x + y + z), two doubled lines, neither
+    # x = 0 nor through (0:0:1) (type 31); apex_lines:
+    # x^2 (y - 3x)^2 (x + y + z), the doubled lines x = 0 and y = 3x, both
+    # through (0:0:1) (type 31).  The three line forms hold every kind of
+    # full line the sieve's line peel tells apart.
     monkeypatch.chdir(DATA)
     code, out, _ = run(capsys, "classify", "--poly", f"classify_{name}.json",
                        "--prime", "101")
@@ -360,7 +366,8 @@ def test_classify_report_matches_stored(name, capsys, monkeypatch):
     assert out == (DATA / f"classify_{name}.expected.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic"])
+@pytest.mark.parametrize("name", ["line_triangle", "double_conic", "six_on_conic", "two_lines",
+                                  "slanted_lines", "apex_lines"])
 def test_classify_report_at_largest_prime_matches_stored(name, capsys, monkeypatch):
     # at MAX_BRUTEFORCE_PRIME = 251 the sieve's packed columns are at their
     # largest slot values; line_triangle reduces to a two-point form there
@@ -378,6 +385,16 @@ def test_classify_double_conic_at_p7_matches_stored(capsys, monkeypatch):
                        "--prime", "7")
     assert code == 0
     assert out == (DATA / "classify_double_conic_p7.expected.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["two_lines", "slanted_lines", "apex_lines"])
+def test_classify_line_pair_at_p7_matches_stored(name, capsys, monkeypatch):
+    # two doubled lines at p = 7, where a full line has only eight points
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, "classify", "--poly", f"classify_{name}.json",
+                       "--prime", "7")
+    assert code == 0
+    assert out == (DATA / f"classify_{name}_p7.expected.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("field,seeds,name", [

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -46,6 +46,8 @@ from quintics.projgeom import (
     _frame,
     _from_key,
     _index_groups,
+    _int_key,
+    _line_basis,
     collinear,
     incident,
     line_intersection,
@@ -59,7 +61,13 @@ from quintics.sampling import (
     sample_generic_points,
     sample_quartic_contact_system,
 )
-from quintics.sieve import _SLOT_BYTES, _horner, _packed_columns
+from quintics.sieve import (
+    _SLOT_BYTES,
+    _horner,
+    _packed_columns,
+    _peel_line_components,
+    _singular_keys,
+)
 from quintics.taxonomy import GOLDEN_DIMS, K_POINTS, TYPE_TABLE, verify_taxonomy_table
 
 FP = PrimeField(65521)
@@ -1065,13 +1073,15 @@ def test_packed_columns_equal_horner_columns(p):
 @pytest.mark.parametrize("p", [11, 101])
 def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
     """Rows whose batched Euclid ends on a quadratic divisor take its roots
-    in closed form: every per-row gcd on the chart x = 1 folds a row's three
-    partials or a divisor of degree >= 3, none a quadratic divisor and the
-    third partial."""
+    in closed form, in one batched solve: every per-row gcd on the chart
+    x = 1 folds a row's three partials or a divisor of degree >= 3, none a
+    quadratic divisor and the third partial.  A chart fold passes three
+    polynomials, a row's partials or a divisor, its remainder and the third
+    partial, so the length of the first tells a quadratic divisor."""
     from quintics import sieve
 
     chart, fold, gcd = sieve._chart_zeros, sieve._row_zeros, sieve._gcd_mod
-    roots = sieve._quadratic_roots
+    solve = sieve._quadratic_exits
     inside, folds, gcd_folds, quadratic_exits = [], [], [], []
 
     def in_chart(columns, q):
@@ -1093,15 +1103,15 @@ def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
             gcd_folds.append(folds[-1])
         return gcd(u, v, q)
 
-    def counting_roots(*args):
+    def counting_exits(v, inv, at, exits, q):
         if inside and not folds:
-            quadratic_exits.append(args)
-        return roots(*args)
+            quadratic_exits.extend(at)
+        return solve(v, inv, at, exits, q)
 
     monkeypatch.setattr(sieve, "_chart_zeros", in_chart)
     monkeypatch.setattr(sieve, "_row_zeros", in_fold)
     monkeypatch.setattr(sieve, "_gcd_mod", counting_gcd)
-    monkeypatch.setattr(sieve, "_quadratic_roots", counting_roots)
+    monkeypatch.setattr(sieve, "_quadratic_exits", counting_exits)
     forms = dict(_oracle_forms(p))
     # two doubled lines, and a doubled conic: the two leading partials share
     # a quadratic factor in z on almost every row of the chart
@@ -1111,9 +1121,72 @@ def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
         quadratic_exits.clear()
         pts = singular_points_bruteforce(f, p)
         assert all(len(polys) == 3 or len(polys[0]) > 3 for polys in gcd_folds), name
+        assert all(len(polys[0]) > 3 for polys in gcd_folds), name
         assert len(quadratic_exits) > p // 2, name
         if p == 11:
             assert pts == _reference_singular_points(f, p), name
+
+
+def _reference_line_peel(keys, p):
+    """Every line of PG(2, p) whose p + 1 points are all in ``keys``, by
+    key, and the keys on none of them, in order: each line's points are
+    listed from its two basis vectors and looked up one by one."""
+    held = set(keys)
+    lines = []
+    for line in (q.key for q in plane_points(p)):
+        u, v = _line_basis(line)
+        points = chain([u], ([a * t + b for a, b in zip(u, v)] for t in range(p)))
+        # most lines miss one of their first few points
+        if all(_int_key(p, q) in held for q in points):
+            lines.append(line)
+    rest = [key for key in keys
+            if not any(sum(a * b for a, b in zip(line, key)) % p == 0 for line in lines)]
+    return [ProjLine(PrimeField(p), line) for line in sorted(lines)], rest
+
+
+def _line_key_sets(p, count):
+    """Seeded sets of point keys over GF(p), in ``plane_points`` order, with
+    x = 0 or not, 0 to 3 full lines through (0:0:1) besides it, 0 to 3 other
+    full lines and 0 to 5 stray points."""
+    order = {q.key: i for i, q in enumerate(plane_points(p))}
+    rng = SplitMix64(derive_seed(61, p))
+    for _ in range(count):
+        lines = [(1, 0, 0)] if rng.below(2) else []
+        lines += {(rng.below(p), p - 1, 0) for _ in range(rng.below(4))}
+        lines += {(rng.below(p), rng.below(p), p - 1) for _ in range(rng.below(4))}
+        held = {key for key in order
+                if any(sum(a * b for a, b in zip(line, key)) % p == 0 for line in lines)}
+        plane = list(order)
+        held |= {plane[rng.below(len(plane))] for _ in range(rng.below(6))}
+        yield lines, sorted(held, key=order.get)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_line_peel_matches_every_line_of_the_plane(p):
+    """The chart-row peel against a check of all p^2 + p + 1 lines, on key
+    sets with every kind of full line: x = 0, through (0:0:1) and slanted,
+    up to seven at once, with stray points; and on the whole plane."""
+    field = PrimeField(p)
+    whole = [q.key for q in plane_points(p)]
+    cases = list(_line_key_sets(p, 60)) + [(None, whole), ([], [])]
+    for lines, keys in cases:
+        got_lines, rest = _peel_line_components(keys, field)
+        want_lines, want_rest = _reference_line_peel(keys, p)
+        assert got_lines == want_lines, (lines, keys)
+        assert rest == want_rest, (lines, keys)
+        assert all(type(ln) is ProjLine for ln in got_lines)
+    assert len(_peel_line_components(whole, field)[0]) == p * p + p + 1
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 251])
+def test_line_peel_of_oracle_forms_matches_every_line_of_the_plane(p):
+    field = PrimeField(p)
+    for name, f in _oracle_forms(p):
+        keys = _singular_keys(f, p)
+        got_lines, rest = _peel_line_components(keys, field)
+        want_lines, want_rest = _reference_line_peel(keys, p)
+        assert got_lines == want_lines, name
+        assert rest == want_rest, name
 
 
 @pytest.mark.parametrize("p", [7, 11, 101])
@@ -1310,7 +1383,7 @@ def test_check_conditions_reports_skips_and_refuses(monkeypatch):
 
 def test_classify_points_groups_the_points_once(monkeypatch):
     """One index grouping per classification, no second collinearity test,
-    and no line object except the one the type-38 test cuts with conics."""
+    and no line object: the type-38 test cuts its line with conics on keys."""
     from quintics import classifier, lsys, projgeom
 
     calls = {"groups": 0, "lines": 0}
@@ -1319,10 +1392,8 @@ def test_classify_points_groups_the_points_once(monkeypatch):
         calls["groups"] += 1
         return projgeom._index_groups(points)
 
-    def counting_from_key(cls, field, key):
-        calls["lines"] += cls is ProjLine
-        return projgeom._from_key(cls, field, key)
-
+    # without _from_key every line the classifier builds passes __post_init__
+    assert not hasattr(classifier, "_from_key")
     post_init = ProjLine.__post_init__
 
     def counting_post_init(self):
@@ -1333,7 +1404,6 @@ def test_classify_points_groups_the_points_once(monkeypatch):
         raise AssertionError("the classifier asked a second collinearity question")
 
     monkeypatch.setattr(classifier, "_index_groups", counting_groups)
-    monkeypatch.setattr(classifier, "_from_key", counting_from_key)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
     for name in ("_only_allowed_collinear", "conic_through"):
         assert not hasattr(lsys, name) and not hasattr(classifier, name)
@@ -1347,7 +1417,7 @@ def test_classify_points_groups_the_points_once(monkeypatch):
                 points = sample_generic(t, field, 2).points
                 calls.update(groups=0, lines=0)
                 assert classify_points(points) == t
-                assert calls == {"groups": 1, "lines": int(t == 38)}, t
+                assert calls == {"groups": 1, "lines": 0}, t
 
 
 # --- classification of every subset, against stored results --------------------

@@ -237,6 +237,36 @@ def test_conic_line_second_point():
     assert conic_line_second_point(circle, tangent_line, pt(1, 0, 1)) is None
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_conic_line_second_point_matches_enumeration(p):
+    """On every conic of a seeded sample over GF(p), every line through each
+    of its points: the second cut is the other conic point the line's p + 1
+    points hold, None when the line holds only the known one, and a line
+    inside the conic is refused."""
+    from quintics.lsys import plane_points
+
+    f = PrimeField(p)
+    plane = plane_points(p)
+    lines = [ProjLine(f, q.key) for q in plane]
+    rng = SplitMix64(derive_seed(43, p))
+    coeffs = [tuple(rng.below(p) for _ in range(6)) for _ in range(12)]
+    coeffs += [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0)]
+    for key in coeffs:
+        if not any(key):
+            continue
+        conic = Conic(f, key)
+        for known in (q for q in plane if conic.contains(q)):
+            for line in (ln_ for ln_ in lines if incident(known, ln_)):
+                on_both = [q for q in plane if incident(q, line) and conic.contains(q)]
+                if len(on_both) == p + 1:
+                    with pytest.raises(InputError, match="component"):
+                        conic_line_second_point(conic, line, known)
+                    continue
+                others = [q for q in on_both if q != known]
+                want = others[0] if others else None
+                assert conic_line_second_point(conic, line, known) == want, (key, known, line)
+
+
 def test_conic_through_five_points():
     pts = _points_on_standard_conic([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)])
     conic = conic_through(pts)
