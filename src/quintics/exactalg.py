@@ -18,10 +18,15 @@ divided by its content, so no entry outgrows the minors of Bareiss's
 elimination and gcd-heavy Fraction arithmetic never runs; back-substitution
 stays on integers, and Fractions are made only when each row is finally
 divided by its pivot.
-Over ``GF(p)`` each row is packed into one int, its residues in fixed-width
+Over ``GF(p)`` each row is packed into one int, its entries in fixed-width
 slots wide enough that no slot overflows, so a row update is one big-int
 multiply-add; a slot is reduced mod p only when it is read, and rows are
-unpacked only when the reduced echelon form is returned.
+unpacked only when the reduced echelon form is returned.  The packer of
+plain rows, ``_fp_pack``, is apart from the core on packed rows,
+``_fp_forward`` and ``_fp_back``, so a caller that builds its rows packed
+(``lsys`` packs derivative rows straight from a point's monomial values,
+entries unreduced) hands them to the core as they are; ``_fp_kernel`` reads
+a kernel off such rows packed with their columns reversed.
 Every operation takes plain rows (ints or Fractions over QQ, residues over
 GF(p)) and returns an int or a ``SubspaceBasis``: ``rank_rows`` ranks them,
 ``_kernel_rows`` takes their null space, and ``intersect`` meets two
@@ -223,38 +228,69 @@ def _trusted_basis(field: Field, ambient_dim: int, basis: tuple) -> SubspaceBasi
 # elimination cores
 
 
-def _fp_forward(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
-    """Forward elimination mod p on packed rows; returns (packed rows, pivot
-    columns, slot width w).
+def _slot_width(p: int, n: int, top: int = 1) -> int:
+    """The slot width w of n packed rows mod p whose entries, as they are
+    packed, lie below top * p; residues need top = 1.  With k the bit length
+    of (2n + top) p^2, the bound below which ``_fp_forward`` and ``_fp_back``
+    keep every slot, w = 2k - bit_length(p) + 1: a slot of k bits times the
+    Barrett constant floor(2^k / p), below 2^(k - bit_length(p) + 1), still
+    fits in it."""
+    k = ((2 * n + top) * p * p).bit_length()
+    return 2 * k - p.bit_length() + 1
 
-    ``rows`` are n equal-length rows of residues in ``[0, p)``, left
-    unchanged.  Each is packed into one int holding entry j in the w-bit slot
-    at bit j*w, with w = bit_length((2n+1) p^2).  A row update is the single
-    big-int multiply-add ``ri += (p - f) * pr``, which clears slot c of row i
-    mod p when f is that slot mod p and ``pr`` is the pivot row of column c
-    with its pivot slot 1.  A slot is reduced mod p only when it is read: in
-    the pivot search and for the multiplier f.  A pivot row is reduced and
-    scaled to a leading 1 once, when it is chosen; its slots left of the
-    pivot are 0 mod p, so they are dropped.  Afterwards the first
-    ``len(pivots)`` packed rows are in row echelon form mod p, and the others
-    are 0 mod p.
 
-    No slot ever carries into the next.  An update adds (p - f) * b to each
-    slot, where 0 < p - f < p and b < p is a slot of a reduced pivot row, so
-    it adds less than p^2 and subtracts nothing.  A slot is below p when its
-    row is packed or reduced, and after that the row takes at most n - 1
-    updates here (one per pivot row above it) and at most n - 1 in
-    back-substitution (one per pivot row below it), fewer than 2n in all.
-    So every slot stays below p + 2n p^2 <= (2n+1) p^2 < 2^w.
+def _fp_pack(rows: Sequence[Sequence[int]], w: int, reverse: bool = False) -> list[int]:
+    """Each row as one int holding entry j in the w-bit slot at bit j*w, or,
+    with ``reverse``, at bit (m - 1 - j)*w for m-wide rows: the row with its
+    columns reversed, packed without reversing it."""
+    if not rows:
+        return []
+    m = len(rows[0])
+    shifts = range((m - 1) * w, -1, -w) if reverse else range(0, m * w, w)
+    return [sum(map(lshift, row, shifts)) for row in rows]
+
+
+def _fp_forward(p: int, packed: list[int], ncols: int, w: int) -> list[int]:
+    """Forward elimination mod p, in place, on n packed rows of ``ncols``
+    w-bit slots; returns the pivot columns.
+
+    A row update is the single big-int multiply-add ``ri += g * pr``, which
+    clears slot c of row i mod p when ``pr`` is the pivot row of column c,
+    with pivot slot l mod p, f is row i's slot mod p and g = (p - f)/l mod p.
+    A slot is reduced mod p only when it is read: in the pivot search and
+    for f.  A pivot row is reduced once, when it is chosen, all its slots at
+    once: its slots left of the pivot are 0 mod p and are dropped, and with
+    k = (w + bit_length(p) - 1)/2 and mu = floor(2^k / p) each slot s < 2^k
+    has q = floor(s mu / 2^k) equal to floor(s / p) or one less, so s - q p
+    lies in [0, 2p).  The products s mu lie below 2^(2k - bit_length(p) + 1)
+    = 2^w, each in its own slot, so one multiplication by mu, a shift by k
+    and a mask of the low w - k bits of every slot give every q, and one
+    multiply-subtract the reduced row.  Afterwards the first ``len(pivots)``
+    packed rows are in row echelon form mod p, their slots below 2p, and
+    the others are 0 mod p.
+
+    No slot ever carries into the next when every slot is packed below
+    top * p and w = ``_slot_width(p, n, top)``, so that 2^k > (2n + top) p^2.
+    An update adds g b to each slot, g < p and b < 2p a slot of a pivot row,
+    so less than 2p^2, and subtracts nothing.  Until its row is chosen as a
+    pivot row, or to the end if it never is, a slot takes at most n - 1
+    updates, one per pivot row above it, and stays below
+    top * p + 2(n - 1) p^2 < 2^k, as the reduction needs.  Reduced below 2p,
+    a pivot row takes at most n - 1 updates in ``_fp_back``, each below p^2,
+    and stays below 2p + (n - 1) p^2 < 2^k.  Rows of residues need top = 1;
+    derivative rows packed straight from a point's monomial values, whose
+    entries are e * v with e <= d and v < p, need top = d.
     """
-    n = len(rows)
-    if not n:
-        return [], [], 0
-    w = ((2 * n + 1) * p * p).bit_length()
-    mask = (1 << w) - 1
-    shifts = range(0, len(rows[0]) * w, w)
-    packed = [sum(map(lshift, row, shifts)) for row in rows]
+    n = len(packed)
     pivots: list[int] = []
+    if not n:
+        return pivots
+    mask = (1 << w) - 1
+    shifts = range(0, ncols * w, w)
+    k = (w + p.bit_length() - 1) // 2
+    mu = (1 << k) // p
+    # the low w - k bits of every slot: the repunit in base 2^w times them
+    quotients = ((1 << ncols * w) - 1) // mask * ((1 << w - k) - 1)
     for c, s in enumerate(shifts):
         r = len(pivots)
         for i in range(r, n):
@@ -263,49 +299,60 @@ def _fp_forward(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[int], list[
                 break
         else:
             continue
-        pr, packed[i] = packed[i], packed[r]
+        pr, packed[i] = packed[i] >> s << s, packed[r]
+        packed[r] = pr = pr - (pr * mu >> k & quotients) * p
         inv = pow(lead, -1, p)
-        packed[r] = pr = sum([(pr >> t & mask) * inv % p << t for t in shifts[c:]])
         for i in range(r + 1, n):
             ri = packed[i]
             f = (ri >> s & mask) % p
             if f:
-                packed[i] = ri + (p - f) * pr
+                packed[i] = ri + (p - f) * inv % p * pr
         pivots.append(c)
         if r + 1 == n:
             break
-    return packed, pivots, w
+    return pivots
+
+
+def _fp_back(p: int, packed: list[int], pivots: list[int], ncols: int, w: int) -> None:
+    """Back-substitution mod p, in place, on the packed rows that
+    ``_fp_forward`` left in echelon form: afterwards the first
+    ``len(pivots)`` rows are the reduced echelon form, every slot a residue.
+
+    Each pivot row, last first, is reduced and scaled to a leading 1 slot
+    by slot before it clears its pivot column from the rows above it.  Its
+    slots left of the pivot are exactly 0: the forward pass dropped them,
+    and every row below it that updated it is 0 there too.
+    """
+    mask = (1 << w) - 1
+    for k in range(len(pivots) - 1, -1, -1):
+        s = pivots[k] * w
+        pr = packed[k]
+        inv = pow((pr >> s & mask) % p, -1, p)
+        packed[k] = pr = sum([(pr >> t & mask) * inv % p << t for t in range(s, ncols * w, w)])
+        for i in range(k):
+            ri = packed[i]
+            f = (ri >> s & mask) % p
+            if f:
+                packed[i] = ri + (p - f) * pr
 
 
 def _fp_rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
-    """Reduced row echelon form mod p of n >= 1 rows of residues: the packed
-    forward pass, then back-substitution on the packed rows, unpacked once.
-
-    Each pivot row, last first, is reduced (which unpacks it into its final
-    row) and repacked before it clears its pivot column from the rows above
-    it; rows past the rank are zero.  With a pivot in every column the
-    reduced form is the identity followed by zero rows, so it is returned
-    without back-substitution.
+    """Reduced row echelon form mod p of n >= 1 rows of residues: the rows
+    packed, the forward pass and back-substitution on the packed rows, and
+    the reduced rows unpacked once; rows past the rank are zero.  With a
+    pivot in every column the reduced form is the identity followed by zero
+    rows, so it is returned without back-substitution.
     """
-    packed, pivots, w = _fp_forward(p, rows)
-    m = len(rows[0])
+    m, w = len(rows[0]), _slot_width(p, len(rows))
+    packed = _fp_pack(rows, w)
+    pivots = _fp_forward(p, packed, m, w)
     if len(pivots) == m:
         return [[int(i == j) for j in range(m)] for i in range(len(rows))], pivots
+    _fp_back(p, packed, pivots, m, w)
     mask = (1 << w) - 1
-    shifts = range(0, len(rows[0]) * w, w)
-    out = [[0] * len(shifts) for _ in rows]
-    for k in range(len(pivots) - 1, -1, -1):
-        pr = packed[k]
-        out[k] = row = [(pr >> t & mask) % p for t in shifts]
-        if k:
-            pr = sum(map(lshift, row, shifts))
-            s = shifts[pivots[k]]
-            for i in range(k):
-                ri = packed[i]
-                f = (ri >> s & mask) % p
-                if f:
-                    packed[i] = ri + (p - f) * pr
-    return out, pivots
+    shifts = range(0, m * w, w)
+    out = [[pr >> t & mask for t in shifts] for pr in packed[:len(pivots)]]
+    return out + [[0] * m for _ in rows[len(pivots):]], pivots
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -439,7 +486,10 @@ def rank_rows(field: Field, rows: Sequence[Sequence]) -> int:
     The rows are left unchanged.
     """
     if field.p is not None:
-        return len(_fp_forward(field.p, rows)[1])
+        if not rows:
+            return 0
+        w = _slot_width(field.p, len(rows))
+        return len(_fp_forward(field.p, _fp_pack(rows, w), len(rows[0]), w))
     return len(_qq_forward([_integer_row(row) if Fraction in map(type, row) else row
                             for row in rows]))
 
@@ -459,6 +509,35 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
     column, the vectors already are the reduced echelon basis.
     """
     reduced, pivots = _rref(field, [row[::-1] for row in rows])
+    return _null_basis(field, ncols, pivots, lambda fc: [row[fc] for row in reduced])
+
+
+def _fp_kernel(field: Field, packed: list[int], ncols: int, w: int) -> SubspaceBasis:
+    """``_kernel_rows`` of rows over GF(p) that are already packed with their
+    columns reversed (``_fp_pack`` with ``reverse``, or a builder of its
+    own) in w-bit slots that ``_fp_forward`` keeps free of carries; the
+    packed rows are consumed.  The same one forward pass and
+    back-substitution, but on the packed rows as they are, and the null
+    vectors read off their slots as ints: no row is unpacked.
+    """
+    p = field.p
+    pivots = _fp_forward(p, packed, ncols, w)
+    if len(pivots) == ncols:
+        return _trusted_basis(field, ncols, ())
+    _fp_back(p, packed, pivots, ncols, w)
+    mask = (1 << w) - 1
+    reduced = packed[:len(pivots)]
+    return _null_basis(field, ncols, pivots,
+                       lambda fc: [pr >> fc * w & mask for pr in reduced])
+
+
+def _null_basis(field: Field, ncols: int, pivots: list[int], column) -> SubspaceBasis:
+    """The reduced echelon basis of the null space, read off a reduced form
+    of the rows with their columns reversed, whose pivot columns are
+    ``pivots`` and whose free column fc holds ``column(fc)``, its entries in
+    the pivot rows, top down.  The vector of fc is 1 there and minus those
+    entries at the pivots before fc, in the original column order.
+    """
     last = ncols - 1
     pivot_set = set(pivots)
     vectors = []
@@ -467,10 +546,10 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
             continue
         vec = [field.zero()] * ncols
         vec[last - fc] = field.one()
-        for i, pc in enumerate(pivots):
+        for pc, v in zip(pivots, column(fc)):
             if pc > fc:
                 break
-            vec[last - pc] = field.coerce(-reduced[i][fc])
+            vec[last - pc] = field.coerce(-v)
         vectors.append(tuple(vec))
     return _trusted_basis(field, ncols, tuple(vectors))
 

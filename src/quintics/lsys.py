@@ -4,17 +4,18 @@ The dimension count at the center of the package works entirely in the
 coordinate space of degree-d forms in x, y, z: a configuration imposes three
 derivative rows per marked point, while a full line or conic component g
 forces divisibility by g^2, which is imposed by the rows of the remainder map
-f -> f mod g^2.  All of these rows are assembled once per configuration as
-plain int rows, so the space of degree-5 curves singular along the
-configuration is their kernel, computed exactly over the chosen field without
-building a matrix object.  The dimension is counted in a frame of the
-configuration's own points and lines: up to three points moved to the
-coordinate points, or one or two line components moved to coordinate lines.
+f -> f mod g^2.  All of these rows are assembled once per configuration, as
+plain int rows over QQ and as packed ints over GF(p), so the space of
+degree-5 curves singular along the configuration is their kernel, computed
+exactly over the chosen field without building a matrix object.  The
+dimension is counted in a frame of the configuration's own points and lines:
+up to three points moved to the coordinate points, or one or two line
+components moved to coordinate lines.
 There a point's derivative rows and a line's remainder rows are unit vectors,
 since x_i^2 divides a form exactly when its coefficients of x_i-degree at most
 1 vanish, so they delete columns instead of adding rows: at d = 5 three points
 delete 9 of the 21 columns, a line 11, two lines 18.  The other points' rows
-are built on the columns left.
+are built on the columns left, from their quartic monomial values.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .classifier import _classify_config, _typed_subsets
@@ -38,8 +40,12 @@ from .exactalg import (
     Field,
     PrimeField,
     SubspaceBasis,
+    _fp_forward,
+    _fp_kernel,
+    _fp_pack,
     _kernel_rows,
     _rref,
+    _slot_width,
     rank_rows,
 )
 from .projgeom import (
@@ -216,12 +222,21 @@ def random_poly(field: Field, degree: int, seed: int) -> HomogeneousPoly:
 
 @lru_cache(maxsize=None)
 def _derivative_table(d: int, columns: Optional[tuple]) -> tuple:
-    """Per variable, one (e, a, b, c) per column of degree-d forms in
-    ``columns``, every column when None: the monomial in that column, with
-    exponent e in that variable, differentiates to e x^a y^b z^c.  A
-    monomial free of the variable differentiates to 0 and gets
-    (0, 0, 0, 0), as does every column at d = 0."""
+    """Per variable, one (e, i) per column of degree-d forms in ``columns``,
+    every column when None: the monomial in that column, with exponent e in
+    that variable, differentiates to e times the monomial i of
+    ``monomial_basis(d - 1)``.  A monomial free of the variable
+    differentiates to 0 and gets (0, 0), as does every column at d = 0.
+
+    This is the Veronese view of differentiation: every partial of a
+    degree-d monomial is a multiple of one degree-(d - 1) monomial, so the
+    derivative rows at a point are the multipliers e spread over the values
+    of the degree-(d - 1) monomials there (the 15 quartic ones at d = 5).
+    ``_point_rows`` reads the table into plain rows and
+    ``_packed_derivatives`` into packed constants.
+    """
     basis = monomial_basis(d)
+    index = {exps: i for i, exps in enumerate(monomial_basis(d - 1))} if d else {}
     table = []
     for var in range(3):
         entries = []
@@ -230,31 +245,51 @@ def _derivative_table(d: int, columns: Optional[tuple]) -> tuple:
             e = exps[var]
             if e:
                 exps[var] = e - 1
-                entries.append((e, *exps))
+                entries.append((e, index[tuple(exps)]))
             else:
-                entries.append((0, 0, 0, 0))
+                entries.append((0, 0))
         table.append(tuple(entries))
     return tuple(table)
 
 
-def _powers(coords: Sequence, m: int, p: Optional[int]) -> list:
-    """Per coordinate, its powers 0..m, as residues mod p, or exactly when p
-    is None; only the 0th at m < 0."""
-    pows = []
-    for v in coords:
-        col = [1]
-        for _ in range(m):
-            col.append(col[-1] * v % p if p else col[-1] * v)
-        pows.append(col)
-    return pows
+@lru_cache(maxsize=None)
+def _packed_derivatives(d: int, columns: Optional[tuple], w: int, reverse: bool) -> tuple:
+    """The constants E_0, E_1, ... of ``_derivative_table(d, columns)``, one
+    per degree-(d - 1) monomial, for rows of L = ``len(columns)`` w-bit
+    slots: E_i holds, in the block of L slots of each variable (x lowest),
+    the multiplier e of the column whose partial in that variable is e
+    times the monomial i, in that column's slot (``exactalg._fp_pack``'s
+    order, reversed with ``reverse``).  Multiplying a monomial of degree
+    d - 1 by a variable gives one monomial of degree d, so each block of
+    E_i has at most one nonzero slot.
+    """
+    table = _derivative_table(d, columns)
+    ncols = len(table[0])
+    consts = [0] * (space_dim(d - 1) if d else 1)
+    for var, entries in enumerate(table):
+        for k, (e, i) in enumerate(entries):
+            if e:
+                consts[i] += e << (w * (var * ncols + (ncols - 1 - k if reverse else k)))
+    return tuple(consts)
 
 
 def _monomial_values(coords: Sequence, m: int, p: Optional[int]) -> list:
     """The degree-m monomials at ``coords`` in ``monomial_basis(m)`` order,
-    as residues mod p, or exactly when p is None."""
-    px, py, pz = _powers(coords, m, p)
-    vals = [px[a] * py[b] * pz[c] for a, b, c in monomial_basis(m)]
-    return [v % p for v in vals] if p else vals
+    as residues mod p, or exactly when p is None; [1] at m <= 0."""
+    x, y, z = coords
+    px, py, pz = [1], [1], [1]
+    for _ in range(m):
+        if p:
+            px.append(px[-1] * x % p)
+            py.append(py[-1] * y % p)
+            pz.append(pz[-1] * z % p)
+        else:
+            px.append(px[-1] * x)
+            py.append(py[-1] * y)
+            pz.append(pz[-1] * z)
+    if p:
+        return [px[a] * py[b] * pz[c] % p for a, b, c in monomial_basis(m)]
+    return [px[a] * py[b] * pz[c] for a, b, c in monomial_basis(m)]
 
 
 def _point_rows(coords: Sequence, d: int, p: Optional[int],
@@ -264,15 +299,40 @@ def _point_rows(coords: Sequence, d: int, p: Optional[int],
     indices into ``monomial_basis(d)``), every column when None.
 
     The entry of the row of a variable in a column is the partial in that
-    variable of the column's monomial at ``coords``, e x^a y^b z^c from
-    ``_derivative_table(d, columns)``, so a row is built on those columns
-    alone; at d = 0 every entry is 0.
+    variable of the column's monomial at ``coords``: by
+    ``_derivative_table(d, columns)`` that is e times the value of one
+    degree-(d - 1) monomial there.  So the values of those monomials are
+    taken once, and a row is built on the columns alone; at d = 0 every
+    entry is 0.
     """
-    px, py, pz = _powers(coords, d - 1, p)
+    vals = _monomial_values(coords, max(d - 1, 0), p)
     table = _derivative_table(d, columns)
     if p:
-        return [[e * px[a] * py[b] * pz[c] % p for e, a, b, c in entries] for entries in table]
-    return [[e * px[a] * py[b] * pz[c] for e, a, b, c in entries] for entries in table]
+        return [[e * vals[i] % p for e, i in entries] for entries in table]
+    return [[e * vals[i] for e, i in entries] for entries in table]
+
+
+def _packed_point_rows(points: Sequence, d: int, p: int, columns: Optional[tuple],
+                       w: int, reverse: bool) -> list:
+    """``_point_rows`` over GF(p) of every point in ``points``, three rows
+    after three, packed in w-bit slots as ``exactalg._fp_pack`` would pack
+    them (columns reversed with ``reverse``), but straight from the values
+    v_i of the degree-(d - 1) monomials at each point: sum_i v_i E_i, with
+    the constants E_i of ``_packed_derivatives``, holds the point's three
+    rows side by side, and they are cut apart.  The slots of each row are
+    distinct for distinct i, so a slot holds e * v_i unreduced, e <= d and
+    v_i < p: below d * p, which is the ``top`` of ``exactalg._slot_width``
+    for these rows.
+    """
+    consts = _packed_derivatives(d, columns, w, reverse)
+    block = (space_dim(d) if columns is None else len(columns)) * w
+    mask = (1 << block) - 1
+    m = max(d - 1, 0)
+    rows = []
+    for coords in points:
+        three = sum(map(mul, _monomial_values(coords, m, p), consts))
+        rows += (three & mask, three >> block & mask, three >> 2 * block)
+    return rows
 
 
 def singularity_rows(a: ProjPoint, d: int) -> list:
@@ -381,20 +441,16 @@ def _moved(p: Optional[int], vals: Sequence[int]) -> list:
     return [v // g for v in vals]
 
 
-def _system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple] = None) -> list:
-    """Rows whose kernel is the space of degree-d forms singular along
-    ``cfg``, in the coordinates of ``frame``, a ``projgeom._frame`` of its
-    points' and lines' keys, on the columns ``live``, every column when None.
+def _moved_keys(cfg: Config, frame: tuple) -> tuple[list, list]:
+    """The keys of ``cfg``'s points and components in the coordinates of
+    ``frame``, a ``projgeom._frame`` of its points' and lines' keys, less the
+    frame's corners that are configuration points and its axes that are
+    components (``linear_system_dim`` deletes their columns).
 
-    Every point, moved by the frame's adjugate, contributes its derivative
-    rows, built on ``live`` alone; each line or conic component, moved by
-    the frame's matrix M, contributes its remainder rows, cut down to
-    ``live``.  The frame's corners that are configuration points and its
-    axes that are components contribute no rows here (``linear_system_dim``
-    deletes their columns).  Over GF(p) the entries are residues; over QQ
-    they are ints, each moved point or component divided by its content.  A
-    key is one representative of the point, and the row span does not
-    depend on which.
+    Points move by the frame's adjugate, line and conic components by its
+    matrix M.  Over GF(p) the moved keys are residues; over QQ each is
+    divided by its content.  A key is one representative of the point, and
+    no row span built from it depends on which.
     """
     p = cfg.field.p
     corners, axes, cols, adj = frame
@@ -406,13 +462,49 @@ def _system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple] = None
              if n not in axes]
     m_rows = tuple(zip(*cols))
     comps += [_moved(p, _pullback(q.key, m_rows)) for q in cfg.conics]
+    return points, comps
+
+
+def _component_rows(comps: list, d: int, p: Optional[int], live: Optional[tuple]) -> list:
+    """The remainder rows of the moved components ``comps``, cut down to the
+    columns ``live``, every column when None."""
     rows: list = []
-    for key in points:
-        rows.extend(_point_rows(key, d, p, live))
     for key in comps:
         rem = _remainder_rows(key, d, p)
         rows.extend(rem if live is None else ([row[j] for j in live] for row in rem))
     return rows
+
+
+def _system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple] = None) -> list:
+    """Rows whose kernel is the space of degree-d forms singular along
+    ``cfg``, in the coordinates of ``frame``, on the columns ``live``, every
+    column when None: the derivative rows of every moved point, built on
+    ``live`` alone, then the remainder rows of every moved component
+    (``_moved_keys``).  Over GF(p) the entries are residues; over QQ they
+    are ints.
+    """
+    p = cfg.field.p
+    points, comps = _moved_keys(cfg, frame)
+    rows = [row for key in points for row in _point_rows(key, d, p, live)]
+    return rows + _component_rows(comps, d, p, live)
+
+
+def _packed_system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple],
+                        reverse: bool = False) -> tuple[list, int]:
+    """``_system_rows`` over GF(p), packed for ``exactalg``'s elimination
+    core, with their columns reversed when ``reverse``; returns the packed
+    rows and their slot width w.
+
+    Each point's three rows come straight from its degree-(d - 1) monomial
+    values (``_packed_point_rows``), their slots below d * p; the remainder
+    rows are residues, packed by ``exactalg._fp_pack``.  So w is
+    ``_slot_width`` with top = max(d, 1) for all of them.
+    """
+    p = cfg.field.p
+    points, comps = _moved_keys(cfg, frame)
+    rem = _component_rows(comps, d, p, live)
+    w = _slot_width(p, 3 * len(points) + len(rem), max(d, 1))
+    return _packed_point_rows(points, d, p, live, w, reverse) + _fp_pack(rem, w, reverse), w
 
 
 @lru_cache(maxsize=None)
@@ -481,13 +573,18 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     points, delete 18, 14 or 9 of the 21 columns at d = 5; collinear points
     delete 6, and a single point 3.  The dimension is the number of live
     columns minus the rank of the other rows on them.  Each other point's
-    derivative rows are built on the live columns alone (``_point_rows``
-    on ``_live_columns``'s tuple), and only a component off the frame's
-    axes has its remainder rows cut down to them.  The rows are ranked by
-    fraction-free elimination on primitive integer rows over QQ and by
-    elimination mod p over GF(p).  A configuration of conics only keeps its
-    coordinates.  The whole-plane configuration is the one case with no
-    matrix: only the zero form is singular everywhere.
+    derivative rows are built on the live columns alone, and only a
+    component off the frame's axes has its remainder rows cut down to them.
+    Every partial of a degree-d monomial is e times one monomial of degree
+    d - 1 (a quartic at d = 5), so a point's rows are its 15 quartic
+    (degree-4 Veronese) values spread by ``_derivative_table``.  Over QQ
+    they are plain rows (``_point_rows``), ranked by fraction-free
+    elimination on primitive integer rows.  Over GF(p) they are packed
+    straight from those values (``_packed_point_rows``), their slots left
+    unreduced below d * p, and handed with the packed remainder rows to the
+    elimination core ``exactalg._fp_forward`` as they are.  A configuration
+    of conics only keeps its coordinates.  The whole-plane configuration is
+    the one case with no matrix: only the zero form is singular everywhere.
     """
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
@@ -496,16 +593,33 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
                                          [ln.key for ln in cfg.lines])
     live = _live_columns(d, tuple(n is not None for n in corners),
                          tuple(n is not None for n in axes))
-    return len(live) - rank_rows(cfg.field, _system_rows(cfg, d, frame, live))
+    p = cfg.field.p
+    if p is None:
+        return len(live) - rank_rows(cfg.field, _system_rows(cfg, d, frame, live))
+    rows, w = _packed_system_rows(cfg, d, frame, live)
+    return len(live) - len(_fp_forward(p, rows, len(live), w))
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
     """Echelonized basis of the same space ``linear_system_dim`` measures, in
-    the frame of no points and no lines, the identity, which moves no key."""
+    the frame of no points and no lines, the identity, which moves no key.
+
+    The rows are ``linear_system_dim``'s on every column.  Over QQ their
+    kernel is ``_kernel_rows``'s.  Over GF(p) each point's three rows are
+    packed straight from its degree-(d - 1) Veronese values, as there, but
+    in reversed column order, and the remainder rows are packed in the same
+    order, so ``exactalg._fp_kernel`` reduces them as they are, with no
+    row reversed, and reads the null vectors off the slots as ints.
+    """
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
-    return _kernel_rows(cfg.field, _system_rows(cfg, d, _frame(cfg.field.p, ())), space_dim(d))
+    p = cfg.field.p
+    frame = _frame(p, ())
+    if p is None:
+        return _kernel_rows(cfg.field, _system_rows(cfg, d, frame), space_dim(d))
+    rows, w = _packed_system_rows(cfg, d, frame, None, reverse=True)
+    return _fp_kernel(cfg.field, rows, space_dim(d), w)
 
 
 # ---------------------------------------------------------------------------

@@ -113,31 +113,43 @@ def _chart_zeros(columns: list, p: int) -> list:
     three partials vanish; ``columns[v][k][y]`` is the residue coefficient
     of z^(m - k) in partial v on row y.
 
-    Two partials whose z^m coefficient is a nonzero constant run one Euclid
-    in lockstep over all rows, on the columns.  A row leaves the batch when
+    Each partial first drops its leading columns that vanish on every row.
+    The two longest partials that are left, u and the divisor v, run one
+    Euclid in lockstep, on the columns, over the rows where v's leading
+    coefficient is nonzero; the rows where it vanishes, at most its degree
+    in y, go to the per-row fold ``_row_zeros``.  So a form singular at
+    (0:0:1), whose partials all lose their z^m column, keeps its rows in
+    the batch.  Each remainder likewise drops its leading columns that
+    vanish on every row of the batch, and then a row leaves the batch when
     its remainder's leading coefficient vanishes.  A zero remainder makes
-    the divisor the gcd of the two.  A linear gcd is solved in closed form,
-    and the quadratic gcds of all rows leaving at one step together by
-    ``_quadratic_exits``; their roots are kept where the third partial
-    vanishes on them.  A larger gcd goes with the third partial to the
-    per-row fold ``_row_zeros``, and so does a nonzero remainder, with the
-    divisor: it has the gcd of the row's two partials, at a lower degree.
-    A row reaching a nonzero constant has no zero.  With fewer than two such
-    partials every row goes to the fold.
+    the divisor the gcd of the two.  A linear gcd is solved in closed form, and the quadratic gcds
+    of all rows leaving at one step together by ``_quadratic_exits``; their
+    roots are kept where the third partial vanishes on them.  A larger gcd
+    goes with the third partial to ``_row_zeros``, and so does a nonzero
+    remainder, with the divisor: it has the gcd of the row's two partials,
+    at a lower degree.  A row reaching a nonzero constant has no zero.
+    With fewer than two nonzero partials every row goes to the fold.
 
     The divisor's leading coefficient is nonzero on every row of the batch,
     so a division step that meets a zero leading coefficient in the
     dividend still leaves the unique remainder.
     """
-    full = [v for v, polys in enumerate(columns) if polys[0][0]]
-    if len(full) < 2:
+    stripped = [_drop_vanishing(polys) for polys in columns]
+    order = sorted((v for v in range(3) if stripped[v]), key=lambda v: -len(stripped[v]))
+    if len(order) < 2:
         return [_row_zeros([[col[y] for col in polys] for polys in columns], p)
                 for y in range(p)]
-    third = columns[3 - full[0] - full[1]]
-    inverse = _inverses(p)
+    u, v = stripped[order[0]], stripped[order[1]]
+    third = columns[3 - order[0] - order[1]]
     zeros: list = [()] * p
-    ys = range(p)
-    u, v = columns[full[0]], columns[full[1]]
+    ys = [y for y, t in enumerate(v[0]) if t]
+    if len(ys) < p:
+        for y, t in enumerate(v[0]):
+            if not t:
+                zeros[y] = _row_zeros([[col[y] for col in polys] for polys in columns], p)
+        u = [[uk[y] for y in ys] for uk in u]
+        v = [[vk[y] for y in ys] for vk in v]
+    inverse = _inverses(p)
     while ys and len(v) > 1:
         inv = [inverse[t] for t in v[0]]
         n = len(v)
@@ -145,19 +157,20 @@ def _chart_zeros(columns: list, p: int) -> list:
             q = [a * b % p for a, b in zip(u[0], inv)]
             u = [[(a - c * b) % p for a, b, c in zip(uk, vk, q)]
                  for uk, vk in zip(u[1:n], v[1:])] + u[n:]
-        left = [i for i, t in enumerate(u[0]) if not t]
+        u = _drop_vanishing(u)
+        left = [i for i, t in enumerate(u[0]) if not t] if u else list(range(len(ys)))
         if left:
-            # the rows and roots of the linear and quadratic gcds; after a
-            # linear divisor the remainder is the constant u[0], zero on
-            # every row that leaves
-            if n == 2:
-                at = [ys[i] for i in left]
-                roots = [-v[1][i] * inv[i] % p for i in left]
-            elif n == 3:
-                # the remainder is the constant u[1]: where it is nonzero
-                # the row has no zero
-                quadratic = [i for i in left if not u[1][i]]
-                at, roots = _quadratic_exits(v, inv, [ys[i] for i in quadratic], quadratic, p)
+            if n <= 3:
+                # the rows and roots of the linear and quadratic gcds: the
+                # remainder has at most two coefficients, so on a row that
+                # leaves it is the constant u[1], or zero when there is
+                # none; where that is nonzero the row has no zero
+                exits = [i for i in left if len(u) < 2 or not u[1][i]]
+                at = [ys[i] for i in exits]
+                if n == 2:
+                    roots = [-v[1][i] * inv[i] % p for i in exits]
+                else:
+                    at, roots = _quadratic_exits(v, inv, at, exits, p)
             else:
                 at = roots = ()
                 for i in left:
@@ -167,12 +180,21 @@ def _chart_zeros(columns: list, p: int) -> list:
             for y, z, t in zip(at, roots, _at_roots(third, at, roots)):
                 if not t % p:
                     zeros[y] += (z,)
-            kept = [i for i, t in enumerate(u[0]) if t]
+            kept = [i for i, t in enumerate(u[0]) if t] if u else []
             ys = [ys[i] for i in kept]
             u = [[uk[i] for i in kept] for uk in u]
             v = [[vk[i] for i in kept] for vk in v]
         u, v = v, u
     return zeros
+
+
+def _drop_vanishing(polys: list) -> list:
+    """Coefficient columns, highest power first, less the leading ones that
+    vanish on every row."""
+    k = 0
+    while k < len(polys) and not any(polys[k]):
+        k += 1
+    return polys[k:]
 
 
 def _quadratic_exits(v: list, inv: list, at: list, exits: list, p: int) -> tuple:

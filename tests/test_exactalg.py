@@ -9,13 +9,18 @@ from quintics.exactalg import (
     QQ,
     PrimeField,
     SubspaceBasis,
+    _fp_back,
+    _fp_forward,
+    _fp_kernel,
+    _fp_pack,
     _kernel_rows,
     _rref,
+    _slot_width,
     intersect,
     parse_field,
     rank_rows,
 )
-from quintics.rng import SplitMix64
+from quintics.rng import SplitMix64, derive_seed
 
 
 IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -428,6 +433,59 @@ def test_fp_elimination_matches_list_reference(p):
         assert _rref(fp, rows) == (want_rows, want_pivots), rows
         assert rows == before
         assert _kernel_rows(fp, rows, ncols).basis == _reference_kernel(rows, ncols, p), rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 65521, 2 ** 61 - 1,
+                               _largest_prime_below(_PRIME_BOUND)])
+def test_packed_core_keeps_worst_case_slots_apart(p):
+    """Entries packed as they are, at their largest: every one in
+    [(top - 1) p, top p), top = 7 as for the derivative rows of septics,
+    in the most rows that share a slot width, square and wide.  No slot
+    carries, so the core's rank, reduced form and kernel are the reference
+    ones of the entries mod p.  And a pivot row whose slots all sit at the
+    bound 2^k - 1 of the Barrett reduction comes out below 2p, slot for
+    slot the same mod p."""
+    top = 7
+    rng = SplitMix64(derive_seed(35, p))
+    for fewest in (1, 4, 12):
+        w = _slot_width(p, fewest, top)
+        n = fewest
+        while _slot_width(p, n + 1, top) == w:
+            n += 1
+        mask = (1 << w) - 1
+        k = (w + p.bit_length() - 1) // 2
+        # packed below top p, then n - 1 updates below 2p^2 before a
+        # reduction or n - 1 below p^2 after it; a k-bit slot times
+        # floor(2^k / p) fits in w bits
+        assert top * p + 2 * (n - 1) * p * p < 2 ** k
+        assert 2 * p + (n - 1) * p * p < 2 ** k
+        assert (2 ** k - 1) * (2 ** k // p) < 2 ** w
+        for ncols in (n, n + 3):
+            for _ in range(3):
+                residues = [[rng.below(p) for _ in range(ncols)] for _ in range(n)]
+                residues[-1] = [p - 1] * ncols
+                rows = [[(top - 1) * p + v for v in row] for row in residues]
+                want_rows, want_pivots = _reference_fp_rref(p, residues)
+                packed = _fp_pack(rows, w)
+                pivots = _fp_forward(p, packed, ncols, w)
+                assert pivots == want_pivots, (n, ncols)
+                _fp_back(p, packed, pivots, ncols, w)
+                assert [[pr >> (j * w) & mask for j in range(ncols)]
+                        for pr in packed[:len(pivots)]] == want_rows[:len(pivots)], (n, ncols)
+                kernel = _fp_kernel(PrimeField(p), _fp_pack(rows, w, reverse=True), ncols, w)
+                assert kernel.basis == _reference_kernel(residues, ncols, p), (n, ncols)
+        top_slot = 2 ** k - 1 if (2 ** k - 1) % p else 2 ** k - 2
+        packed = _fp_pack([[top_slot] * (n + 3)], w)
+        assert _fp_forward(p, packed, n + 3, w) == [0]
+        slots = [packed[0] >> (j * w) & mask for j in range(n + 3)]
+        assert all(v < 2 * p and (v - top_slot) % p == 0 for v in slots), slots
+
+
+def test_packing_reverses_columns_without_reversing_rows():
+    rows = [[1, 2, 3], [4, 5, 6]]
+    assert _fp_pack(rows, 8, reverse=True) == _fp_pack([row[::-1] for row in rows], 8)
+    assert _fp_pack(rows, 8) == [1 | 2 << 8 | 3 << 16, 4 | 5 << 8 | 6 << 16]
+    assert _fp_pack([], 8) == []
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])

@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 
 from quintics.classifier import _typed_subsets, classify_points
-from quintics.errors import InputError
+from quintics.errors import InputError, SamplingError
 from quintics.exactalg import (
     QQ,
     PrimeField,
     SubspaceBasis,
     _kernel_rows,
+    _slot_width,
     intersect,
     parse_field,
     rank_rows,
@@ -19,8 +20,10 @@ from quintics.exactalg import (
 from quintics.lsys import (
     _live_columns,
     _monomial_values,
+    _packed_point_rows,
     _point_rows,
     _remainder_rows,
+    _system_rows,
     HomogeneousPoly,
     SingularSet,
     check_conditions,
@@ -176,6 +179,86 @@ def test_point_rows_on_live_columns_are_the_sliced_full_rows(field):
                     assert _point_rows(coords, d, p, live) == \
                         [[row[j] for j in live] for row in full], (coords, d, corners, axes)
     assert _point_rows((2, 3, 4), 0, p) == [[0], [0], [0]]
+
+
+_PACKED_PRIMES = [5, 7, 101, 65521, 2 ** 61 - 1, 3317044064679887385961813]
+
+
+@pytest.mark.parametrize("p", _PACKED_PRIMES)
+def test_packed_point_rows_unpack_to_the_point_rows(p):
+    # every frame kind, 0 to 3 corners and 0 to 2 axes, and all columns, at
+    # d = 0..7, in both column orders: each slot holds the entry of
+    # _point_rows unreduced, below d * p, and nothing lies past the slots
+    rng = SplitMix64(derive_seed(35, p))
+    points = [(1, 0, 0), (0, 0, 1), (3, 0, 5), (p - 1, p - 1, p - 1)] + [
+        tuple(rng.below(p) for _ in range(3)) for _ in range(4)]
+    masks = [tuple(bool(m >> i & 1) for i in range(3)) for m in range(8)]
+    for d in range(8):
+        top = max(d, 1)
+        w = _slot_width(p, 3, top)
+        mask = (1 << w) - 1
+        tables = [None] + [_live_columns(d, corners, axes) for corners in masks for axes in masks
+                           if sum(axes) <= 2 and not (any(axes) and d < 2)]
+        for columns in tables:
+            ncols = space_dim(d) if columns is None else len(columns)
+            for coords in points:
+                want = _point_rows(coords, d, p, columns)
+                for reverse in (False, True):
+                    packed = _packed_point_rows([coords], d, p, columns, w, reverse)
+                    slots = [[row >> (j * w) & mask for j in range(ncols)] for row in packed]
+                    if reverse:
+                        slots = [row[::-1] for row in slots]
+                    assert [[v % p for v in row] for row in slots] == want, (coords, d, columns)
+                    assert all(v < top * p for row in slots for v in row), (coords, d)
+                    assert all(row >> (ncols * w) == 0 for row in packed), (coords, d)
+
+
+def _list_route_dim(cfg, d):
+    # the rows of linear_system_dim's frame as plain rows, ranked by rank_rows
+    p = cfg.field.p
+    corners, axes, _, _ = frame = _frame(p, [q.key for q in cfg.points],
+                                         [ln.key for ln in cfg.lines])
+    live = _live_columns(d, tuple(n is not None for n in corners),
+                         tuple(n is not None for n in axes))
+    return len(live) - rank_rows(cfg.field, _system_rows(cfg, d, frame, live))
+
+
+def _list_route_basis(cfg, d):
+    # the rows of linear_system_basis as plain rows, reduced by _kernel_rows
+    return _kernel_rows(cfg.field, _system_rows(cfg, d, _frame(cfg.field.p, ())), space_dim(d))
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", _PACKED_PRIMES)
+def test_packed_routes_match_the_list_routes(p):
+    # every type the field admits but 42, the whole plane, which has no
+    # rows, at seeds 1-3 and d = 2..7 but for multiples of p: the packed
+    # rows give the dimensions and bases of the plain rows, and refuse a
+    # conic component below degree 4 with the same message
+    field = PrimeField(p)
+    compared = 0
+    for type_id in range(1, 42):
+        for seed in (1, 2, 3):
+            try:
+                cfg = sample_generic(type_id, field, seed)
+            except (InputError, SamplingError):
+                continue
+            for d in range(2, 8):
+                if d % p == 0:
+                    continue
+                assert _outcome(linear_system_dim, cfg, d) == _outcome(_list_route_dim, cfg, d), \
+                    (type_id, seed, d)
+                assert _outcome(linear_system_basis, cfg, d) == \
+                    _outcome(_list_route_basis, cfg, d), (type_id, seed, d)
+                compared += 1
+    # GF(5) admits 27 of the types, GF(7) 38, the others all 41
+    assert compared == {5: 405, 7: 570}.get(p, 738)
 
 
 def test_vanishing_row_examples():
@@ -1125,6 +1208,60 @@ def test_quadratic_exits_are_solved_in_closed_form(p, monkeypatch):
         assert len(quadratic_exits) > p // 2, name
         if p == 11:
             assert pts == _reference_singular_points(f, p), name
+
+
+@pytest.mark.parametrize("p", [7, 101, 251])
+def test_chart_rows_stay_batched_when_a_column_vanishes_on_every_row(p, monkeypatch):
+    """A coefficient column that vanishes on every chart row drops out of
+    the batched Euclid instead of sending every row to the per-row fold.
+    At a singular (0:0:1) every partial's z^4 column vanishes:
+    x^2 (y - 3x)^2 (x + y + z), pinned as classify_apex_lines, and random
+    quintics with no z^5, x z^4 or y z^4 term.  When f_x and f_y agree in
+    their z^4 and z^3 coefficients, as when f has a (x + y) z^4 +
+    c (x + y)^2 z^3 for its terms of z-degree 3 and 4, the first
+    remainder's leading column vanishes.  At most four rows are folded,
+    where a leading coefficient of low degree in y vanishes or a gcd of
+    degree >= 3 is left."""
+    from quintics import sieve
+    from quintics.formats import load_poly
+
+    chart, fold = sieve._chart_zeros, sieve._row_zeros
+    inside, folds = [], []
+
+    def in_chart(columns, q):
+        inside.append(True)
+        try:
+            return chart(columns, q)
+        finally:
+            inside.pop()
+
+    def in_fold(polys, q):
+        if inside:
+            folds.append(polys)
+        return fold(polys, q)
+
+    monkeypatch.setattr(sieve, "_chart_zeros", in_chart)
+    monkeypatch.setattr(sieve, "_row_zeros", in_fold)
+    field = PrimeField(p)
+    apex = load_poly(str(Path(__file__).resolve().parent / "data" / "classify_apex_lines.json"))
+    forms = [apex.reduce_to(field)]
+    for seed in range(6):
+        terms = dict(random_poly(field, 5, derive_seed(35, seed)).terms)
+        for e in ((0, 0, 5), (1, 0, 4), (0, 1, 4)):
+            terms.pop(e, None)
+        forms.append(HomogeneousPoly(field, 5, terms))
+    for seed in range(6):
+        terms = dict(random_poly(field, 5, derive_seed(36, seed)).terms)
+        a, c = 1 + seed, 2 + seed
+        terms.update({(1, 0, 4): a, (0, 1, 4): a, (2, 0, 3): c, (1, 1, 3): 2 * c, (0, 2, 3): c})
+        forms.append(HomogeneousPoly(field, 5, terms))
+    for f in forms:
+        folds.clear()
+        pts = singular_points_bruteforce(f, p)
+        assert len(folds) <= 4, (f.terms, len(folds))
+        if p == 7:
+            assert pts == _reference_singular_points(f, p)
+    assert all((0, 0, 1) in [q.key for q in singular_points_bruteforce(f, p)] for f in forms[:7])
 
 
 def _reference_line_peel(keys, p):
