@@ -29,9 +29,10 @@ entries unreduced) hands them to the core as they are; ``_fp_kernel`` reads
 a kernel off such rows packed with their columns reversed.
 Every operation takes plain rows (ints or Fractions over QQ, residues over
 GF(p)) and returns an int or a ``SubspaceBasis``: ``rank_rows`` ranks them,
-``_kernel_rows`` takes their null space, and ``intersect`` meets two
-subspaces through kernels.  All routines are deterministic: identical inputs
-give bit-identical outputs, so echelon bases are usable in regression tests.
+``_row_basis`` and ``_kernel_rows`` take their row and null spaces, and
+``intersect`` meets two subspaces through kernels.  All routines are
+deterministic: identical inputs give bit-identical outputs, so echelon bases
+are usable in regression tests.
 """
 
 from __future__ import annotations
@@ -510,6 +511,13 @@ def _kernel_rows(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace
     """
     reduced, pivots = _rref(field, [row[::-1] for row in rows])
     return _null_basis(field, ncols, pivots, lambda fc: [row[fc] for row in reduced])
+
+
+def _row_basis(field: Field, rows: Sequence[Sequence], ncols: int) -> SubspaceBasis:
+    """Echelonized basis of the row space of ``ncols``-wide rows, entries as
+    ``_kernel_rows`` takes them: their reduced form less its zero rows."""
+    reduced, pivots = _rref(field, rows)
+    return _trusted_basis(field, ncols, tuple(map(tuple, reduced[:len(pivots)])))
 
 
 def _fp_kernel(field: Field, packed: list[int], ncols: int, w: int) -> SubspaceBasis:

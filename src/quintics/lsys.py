@@ -1,21 +1,19 @@
 """Linear systems of plane curves with prescribed singularities.
 
 The dimension count at the center of the package works entirely in the
-coordinate space of degree-d forms in x, y, z: a configuration imposes three
-derivative rows per marked point, while a full line or conic component g
-forces divisibility by g^2, which is imposed by the rows of the remainder map
-f -> f mod g^2.  All of these rows are assembled once per configuration, as
-plain int rows over QQ and as packed ints over GF(p), so the space of
-degree-5 curves singular along the configuration is their kernel, computed
-exactly over the chosen field without building a matrix object.  The
-dimension is counted in a frame of the configuration's own points and lines:
-up to three points moved to the coordinate points, or one or two line
-components moved to coordinate lines.
-There a point's derivative rows and a line's remainder rows are unit vectors,
-since x_i^2 divides a form exactly when its coefficients of x_i-degree at most
-1 vanish, so they delete columns instead of adding rows: at d = 5 three points
-delete 9 of the 21 columns, a line 11, two lines 18.  The other points' rows
-are built on the columns left, from their quartic monomial values.
+coordinate space of forms in x, y, z.  A full line or conic component g asks
+for divisibility by g^2, so the forms of degree d singular along a
+configuration are L^2 h, L the product of its distinct components and h a
+form of degree e = d - 2 deg L singular at the marked points off them.  Only
+that point system is ever assembled: three derivative rows per point, and
+the point's value row where the characteristic divides e, as plain int rows
+over QQ and as packed ints over GF(p), so its space is their kernel,
+computed exactly over the chosen field without building a matrix object.
+The dimension is counted in a frame of the points: up to three of them moved
+to the coordinate points, where their rows are unit vectors and delete
+columns instead of adding rows (9 of the 21 at e = 5).  The other points'
+rows are built on the columns left, from their degree-(e - 1) monomial
+values.  The basis is L^2 times the basis of the point system, reduced once.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
@@ -28,8 +26,7 @@ typing entry points, ``classify`` of a configuration or singular set and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -44,7 +41,7 @@ from .exactalg import (
     _fp_kernel,
     _fp_pack,
     _kernel_rows,
-    _rref,
+    _row_basis,
     _slot_width,
     rank_rows,
 )
@@ -54,10 +51,9 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
-    _IDENTITY,
     _frame,
     _from_key,
-    _pullback,
+    _pairing,
 )
 from .rng import SplitMix64, derive_seed
 from .sieve import _peel_conic_component, _peel_line_components, _singular_keys
@@ -345,13 +341,39 @@ def singularity_rows(a: ProjPoint, d: int) -> list:
     return _point_rows(a.coords, d, a.field.p)
 
 
-def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
-    """Basis of the forms of degree d divisible by g^m.
+def _products(g: HomogeneousPoly, m: int, rest: int,
+              vectors: Optional[Sequence] = None) -> SubspaceBasis:
+    """The reduced echelon basis of the forms g^m h of degree
+    rest + m deg g, h in the span of the coefficient vectors ``vectors`` of
+    degree-rest forms, every degree-rest form when None.
 
-    The rows g^m * mono, one per monomial of degree d - m deg g, are
-    independent because multiplication by g^m is injective, so their reduced
-    echelon form has no zero rows and is the basis itself.
+    g^m times a monomial is the terms of g^m shifted by the monomial's
+    exponents, and g^m h is the sum of those shifts scaled by the
+    coefficients of h.  Multiplication by g^m is injective, so the products
+    of independent vectors are independent, and their reduced echelon form
+    has no zero rows.
     """
+    f = g.field
+    power = g ** m
+    index = {e: j for j, e in enumerate(monomial_basis(rest + power.degree))}
+    shifts = [[(index[x + a, y + b, z + c], v) for (x, y, z), v in power.terms.items()]
+              for a, b, c in monomial_basis(rest)]
+    if vectors is None:
+        vectors = [[int(i == j) for j in range(len(shifts))] for i in range(len(shifts))]
+    rows = []
+    for vec in vectors:
+        row = [0] * len(index)
+        for c, shift in zip(vec, shifts):
+            if c:
+                for j, v in shift:
+                    row[j] += c * v
+        rows.append([v % f.p for v in row] if f.p else row)
+    return _row_basis(f, rows, len(index))
+
+
+def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
+    """Basis of the forms of degree d divisible by g^m: ``_products`` of g^m
+    with every form of degree d - m deg g."""
     if m < 0:
         raise InputError("multiplicity must be nonnegative")
     rest = d - m * g.degree
@@ -359,77 +381,45 @@ def divisibility_subspace(g: HomogeneousPoly, m: int, d: int) -> SubspaceBasis:
         raise InputError("multiplicity times degree exceeds the ambient degree")
     if g.is_zero():
         raise InputError("cannot divide by the zero form")
-    power = g ** m
-    rows = []
-    f = g.field
-    for exps in monomial_basis(rest):
-        mono = HomogeneousPoly(f, rest, {exps: f.one()})
-        rows.append((power * mono).to_vector())
-    return SubspaceBasis(f, space_dim(d), tuple(map(tuple, _rref(f, rows)[0])))
+    return _products(g, m, rest)
 
 
-def _remainder_rows(key: Sequence[int], d: int, p: Optional[int]) -> list:
-    """Integer rows whose kernel is the space of degree-d forms divisible by
-    g^2 over GF(p), or over QQ when ``p`` is None, g the line with the three
-    coefficients ``key`` or the conic with the six.
+def _division(cfg: Config, d: int) -> tuple[tuple, int, list]:
+    """The distinct components of ``cfg``, lines then conics, the degree
+    e = d - 2 deg L of the quotient by the square of their product L, and
+    the keys of the configuration points off every component.
 
-    They are the rows of the remainder map f -> f mod g^2 in graded-lex
-    order, one per monomial not divisible by the leading monomial L of
-    G = g^2.  {G} is a Groebner basis of the ideal it generates, so a form
-    is divisible by G exactly when its remainder is zero, in every
-    characteristic.  The remainder of each monomial is found in one sweep in
-    increasing order: a monomial q * L reduces to the remainder of
-    q * (L - G / c), where c is the leading coefficient, whose monomials are
-    all smaller and already reduced.
-
-    G is squared from ``key``, any integer representative of g.  Over GF(p)
-    the entries are residues and G is made monic.  Over QQ the remainder of
-    a monomial reached after h reductions is kept as c^h times itself, so no
-    fraction appears; the rows are then scaled by c^H, H the largest h.
+    A repeated component counts once.  Distinct lines and nondegenerate
+    conics are pairwise coprime, so L is their least common multiple and a
+    form is divisible by every square exactly when L^2 divides it.  A
+    degenerate conic component, which may share a line with another
+    component, is refused, and over GF(2), where degeneracy is not decided,
+    every conic component is.  A line at d < 2 or a conic at d < 4 is
+    refused too; several components may still leave e < 0.
     """
-    mons = CONIC_MONOMIALS if len(key) == 6 else monomial_basis(1)
-    if d < 2 * sum(mons[0]):
+    lines = tuple(dict.fromkeys(cfg.lines))
+    conics = tuple(dict.fromkeys(cfg.conics))
+    if any(q.is_degenerate() for q in conics):
+        raise InputError("a conic component must be nondegenerate")
+    if lines and d < 2 or conics and d < 4:
         raise InputError("multiplicity times degree exceeds the ambient degree")
-    square: dict = {}
-    for (e, a), (f, b) in product(zip(mons, key), repeat=2):
-        m = (e[0] + f[0], e[1] + f[1], e[2] + f[2])
-        square[m] = square.get(m, 0) + a * b
-    square = {e: v for e, v in square.items() if (v % p if p else v)}
-    lead = max(square)
-    c = square.pop(lead)
-    if p:
-        inv = pow(c, -1, p)
-        tail = [(e, -v * inv % p) for e, v in square.items()]
-        c = 1
-    else:
-        tail = [(e, -v) for e, v in square.items()]
-    basis = monomial_basis(d)
-    index = {e: j for j, e in enumerate(basis)}
-    n = len(basis)
-    std = [j for j, e in enumerate(basis)
-           if e[0] < lead[0] or e[1] < lead[1] or e[2] < lead[2]]
-    reduced: list = [None] * n
-    depth = [0] * n
-    for i, j in enumerate(std):
-        unit = [0] * len(std)
-        unit[i] = 1
-        reduced[j] = unit
-    for j in range(n - 1, -1, -1):
-        if reduced[j] is not None:
-            continue
-        q = tuple(a - b for a, b in zip(basis[j], lead))
-        parts = [(v, index[(q[0] + e[0], q[1] + e[1], q[2] + e[2])]) for e, v in tail]
-        h = 1 + max((depth[k] for _, k in parts), default=0)
-        acc = [0] * len(std)
-        for v, k in parts:
-            s = v * c ** (h - 1 - depth[k])
-            acc = [a + s * b for a, b in zip(acc, reduced[k])]
-        reduced[j] = [a % p for a in acc] if p else acc
-        depth[j] = h
-    if c != 1:
-        top = max(depth)
-        reduced = [[v * c ** (top - h) for v in col] for col, h in zip(reduced, depth)]
-    return [list(row) for row in zip(*reduced)]
+    p = cfg.field.p
+    keys = [pt.key for pt in cfg.points
+            if all(_pairing(p, ln.key, pt.key) for ln in lines)
+            and not any(q.contains(pt) for q in conics)]
+    return lines + conics, d - 2 * len(lines) - 4 * len(conics), keys
+
+
+def _value_rows(points: Sequence, e: int, p: Optional[int], live: Optional[tuple]) -> list:
+    """The rows h(P) = 0 at the keys ``points`` on the columns ``live`` of
+    degree-e forms, every column when None, over GF(p) where p divides e,
+    and none elsewhere: there Euler's relation x h_x + y h_y + z h_z = e h
+    makes them follow from the derivative rows.  (Both routes settle e = 0
+    before they build rows.)"""
+    if not p or e % p:
+        return []
+    rows = (_monomial_values(key, e, p) for key in points)
+    return list(rows) if live is None else [[row[j] for j in live] for row in rows]
 
 
 def _moved(p: Optional[int], vals: Sequence[int]) -> list:
@@ -441,97 +431,48 @@ def _moved(p: Optional[int], vals: Sequence[int]) -> list:
     return [v // g for v in vals]
 
 
-def _moved_keys(cfg: Config, frame: tuple) -> tuple[list, list]:
-    """The keys of ``cfg``'s points and components in the coordinates of
-    ``frame``, a ``projgeom._frame`` of its points' and lines' keys, less the
-    frame's corners that are configuration points and its axes that are
-    components (``linear_system_dim`` deletes their columns).
-
-    Points move by the frame's adjugate, line and conic components by its
-    matrix M.  Over GF(p) the moved keys are residues; over QQ each is
-    divided by its content.  A key is one representative of the point, and
-    no row span built from it depends on which.
+def _system_rows(points: Sequence, e: int, p: Optional[int], live: Optional[tuple] = None) -> list:
+    """Rows whose kernel is the space of degree-e forms singular at the
+    points with keys ``points``, on the columns ``live``, every column when
+    None: three derivative rows per point, then ``_value_rows``.  Over GF(p)
+    the entries are residues; over QQ (``p`` None) they are ints.
     """
-    p = cfg.field.p
-    corners, axes, cols, adj = frame
-    points = [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
-              for n, (x, y, z) in enumerate(pt.key for pt in cfg.points)
-              if n not in corners]
-    comps = [_moved(p, [l0 * x + l1 * y + l2 * z for x, y, z in cols])
-             for n, (l0, l1, l2) in enumerate(ln.key for ln in cfg.lines)
-             if n not in axes]
-    m_rows = tuple(zip(*cols))
-    comps += [_moved(p, _pullback(q.key, m_rows)) for q in cfg.conics]
-    return points, comps
+    rows = [row for key in points for row in _point_rows(key, e, p, live)]
+    return rows + _value_rows(points, e, p, live)
 
 
-def _component_rows(comps: list, d: int, p: Optional[int], live: Optional[tuple]) -> list:
-    """The remainder rows of the moved components ``comps``, cut down to the
-    columns ``live``, every column when None."""
-    rows: list = []
-    for key in comps:
-        rem = _remainder_rows(key, d, p)
-        rows.extend(rem if live is None else ([row[j] for j in live] for row in rem))
-    return rows
-
-
-def _system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple] = None) -> list:
-    """Rows whose kernel is the space of degree-d forms singular along
-    ``cfg``, in the coordinates of ``frame``, on the columns ``live``, every
-    column when None: the derivative rows of every moved point, built on
-    ``live`` alone, then the remainder rows of every moved component
-    (``_moved_keys``).  Over GF(p) the entries are residues; over QQ they
-    are ints.
-    """
-    p = cfg.field.p
-    points, comps = _moved_keys(cfg, frame)
-    rows = [row for key in points for row in _point_rows(key, d, p, live)]
-    return rows + _component_rows(comps, d, p, live)
-
-
-def _packed_system_rows(cfg: Config, d: int, frame: tuple, live: Optional[tuple],
+def _packed_system_rows(points: Sequence, e: int, p: int, live: Optional[tuple],
                         reverse: bool = False) -> tuple[list, int]:
     """``_system_rows`` over GF(p), packed for ``exactalg``'s elimination
     core, with their columns reversed when ``reverse``; returns the packed
     rows and their slot width w.
 
-    Each point's three rows come straight from its degree-(d - 1) monomial
-    values (``_packed_point_rows``), their slots below d * p; the remainder
-    rows are residues, packed by ``exactalg._fp_pack``.  So w is
-    ``_slot_width`` with top = max(d, 1) for all of them.
+    Each point's three rows come straight from its degree-(e - 1) monomial
+    values (``_packed_point_rows``), their slots below e * p; the value rows
+    are residues, packed by ``exactalg._fp_pack``.  So w is ``_slot_width``
+    with top = max(e, 1) for all of them.
     """
-    p = cfg.field.p
-    points, comps = _moved_keys(cfg, frame)
-    rem = _component_rows(comps, d, p, live)
-    w = _slot_width(p, 3 * len(points) + len(rem), max(d, 1))
-    return _packed_point_rows(points, d, p, live, w, reverse) + _fp_pack(rem, w, reverse), w
+    values = _value_rows(points, e, p, live)
+    w = _slot_width(p, 3 * len(points) + len(values), max(e, 1))
+    return _packed_point_rows(points, e, p, live, w, reverse) + _fp_pack(values, w, reverse), w
 
 
 @lru_cache(maxsize=None)
-def _live_columns(d: int, points: tuple, axes: tuple) -> tuple:
-    """The columns of degree-d forms that a frame leaves free, when
-    ``points[i]`` says whether the coordinate point e_i is a configuration
-    point and ``axes[i]`` whether the coordinate line x_i = 0 is a
-    component.
+def _live_columns(d: int, points: tuple) -> tuple:
+    """The columns of degree-d forms, d >= 1, that a frame leaves free,
+    when ``points[i]`` says whether the coordinate point e_i is a
+    configuration point: the monomials of x_i-degree below d - 1 for every
+    such i.
 
-    The deleted columns are read off the row builders.  The derivative rows
-    at (1:0:0) are nonzero only at x^d, where the entry is d, and at
-    x^(d-1) y and x^(d-1) z, where it is 1; likewise at (0:1:0) and
-    (0:0:1).  The remainder rows of x_i^2 are the unit vectors of the
-    monomials of x_i-degree at most 1, since x_i^2 divides a form exactly
-    when all their coefficients vanish, in every characteristic.  So every
-    such row is zero or has one nonzero entry, and a form meets all those
-    conditions exactly when its coefficients vanish at their nonzero
-    positions.  For a coordinate point this needs the characteristic not to
-    divide d, which ``_euler_relation`` ensures; a coordinate line's entries
-    are all 1 and need nothing.  A point deletes 3 columns at d >= 1 and
-    none at d = 0; a line 2d + 1.  A line at d < 2 raises ``InputError``
-    from ``_remainder_rows``, as the row route does.
+    At (1:0:0) a form's partials are d a_(d,0,0), a_(d-1,1,0) and
+    a_(d-1,0,1), and its value is a_(d,0,0); likewise at (0:1:0) and
+    (0:0:1).  Each of those rows has one nonzero entry, so a form meets
+    them exactly when those coefficients vanish: the x^d column needs the
+    value row where the characteristic divides d, and ``_value_rows`` adds
+    it exactly there.  A point deletes 3 columns, all of them at d = 1.
     """
-    rows = [row for e, on in zip(_IDENTITY, points) if on for row in _point_rows(e, d, None)]
-    rows += [row for e, on in zip(_IDENTITY, axes) if on for row in _remainder_rows(e, d, None)]
-    dead = {j for row in rows for j, v in enumerate(row) if v}
-    return tuple(j for j in range(space_dim(d)) if j not in dead)
+    return tuple(j for j, exps in enumerate(monomial_basis(d))
+                 if not any(on and exps[i] >= d - 1 for i, on in enumerate(points)))
 
 
 def _euler_relation(field: Field, d: int) -> None:
@@ -547,79 +488,97 @@ def _euler_relation(field: Field, d: int) -> None:
 def linear_system_dim(cfg: Config, d: int = 5) -> int:
     """Dimension of the space of degree-d forms singular along ``cfg``.
 
-    Marked points contribute their three derivative rows; a full line or
-    conic component g contributes the rows of the remainder map modulo g^2,
-    whose kernel is the forms divisible by g^2.
+    A full line or conic component g asks for forms divisible by g^2, so
+    every form of the system is L^2 h, L the product of the distinct
+    components (``_division``) and h of degree e = d - 2 deg L.  Take a
+    marked point P off every component, so L(P) != 0.  Euler's relation
+    holds at degree d, so grad f(P) = 0 gives f(P) = L(P)^2 h(P) = 0, and
+    f = L^2 h is singular at P exactly when
+    grad f(P) = L(P)^2 grad h(P) + h(P) grad(L^2)(P) vanishes, that is,
+    exactly when h(P) = 0 and grad h(P) = 0.  Where the characteristic does
+    not divide e, Euler's relation at degree e makes h(P) = 0 follow from
+    grad h(P) = 0; where it divides e >= 1, the value row is added
+    (``_value_rows``).  At e = 0, h is a constant, which vanishes at a point
+    only when it is 0: the count is 0 with a point off the components and 1
+    without.  A marked point on a component adds nothing, since every L^2 h
+    is singular along L.  So the dimension is that of the degree-e system
+    of the points off the components, and 0 when e < 0.  With no component
+    the system is the point system itself, e = d.
 
-    The count runs in a frame of the configuration's own points and lines
+    That point system is counted in a frame of its own points
     (``projgeom._frame``).  Three points A, B, C, not all on one line, move
     to the coordinate points by the adjugate of M = [A B C], every point P
-    to adj P, and every component g to g(M Y).  f -> f(M Y) is a linear
-    isomorphism of the degree-d forms that carries the system onto the
-    system of the moved configuration, so the dimension does not change.
-    The frame puts up to three configuration points on coordinate points,
-    or one or two line components on coordinate lines, and there their
-    conditions are unit rows, which delete columns (``_live_columns``)
-    instead of adding rows.  At (1:0:0) the partials of a form are
-    d a_(d,0,0), a_(d-1,1,0) and a_(d-1,0,1), and likewise at (0:1:0) and
-    (0:0:1): when the characteristic does not divide d, a form is singular
-    there exactly when those coefficients vanish, 3 columns.  A
-    characteristic dividing d would tie no condition to the x^d column; it
-    raises ``InputError`` here, as it must anyway, since the Euler relation
-    then fails.  x_i^2 divides a form exactly when every coefficient of
-    x_i-degree at most 1 vanishes, in every characteristic, so a line on
-    the coordinate line x_i = 0 deletes those 2d + 1 columns and needs no
-    such condition.  Two lines, or one line and a point off it, or three
-    points, delete 18, 14 or 9 of the 21 columns at d = 5; collinear points
-    delete 6, and a single point 3.  The dimension is the number of live
-    columns minus the rank of the other rows on them.  Each other point's
-    derivative rows are built on the live columns alone, and only a
-    component off the frame's axes has its remainder rows cut down to them.
-    Every partial of a degree-d monomial is e times one monomial of degree
-    d - 1 (a quartic at d = 5), so a point's rows are its 15 quartic
-    (degree-4 Veronese) values spread by ``_derivative_table``.  Over QQ
-    they are plain rows (``_point_rows``), ranked by fraction-free
+    to adj P.  f -> f(M Y) is a linear isomorphism of the degree-e forms
+    that carries the system onto the system of the moved points, so the
+    dimension does not change.  The frame puts up to three points on
+    coordinate points, and there their conditions are unit rows, which
+    delete columns (``_live_columns``) instead of adding rows: 3 at e >= 2,
+    so three points delete 9 of the 21 columns at e = 5, collinear points
+    6 and a single point 3.  The dimension is the number of live columns
+    minus the rank of the other points' rows, built on the live columns
+    alone.  Every partial of a degree-e monomial is a multiple of one
+    monomial of degree e - 1 (a quartic at e = 5), so a point's rows are
+    its degree-(e - 1) Veronese values spread by ``_derivative_table``.
+    Over QQ they are plain rows (``_point_rows``), ranked by fraction-free
     elimination on primitive integer rows.  Over GF(p) they are packed
     straight from those values (``_packed_point_rows``), their slots left
-    unreduced below d * p, and handed with the packed remainder rows to the
-    elimination core ``exactalg._fp_forward`` as they are.  A configuration
-    of conics only keeps its coordinates.  The whole-plane configuration is
-    the one case with no matrix: only the zero form is singular everywhere.
+    unreduced below e * p, and handed with the packed value rows to the
+    elimination core ``exactalg._fp_forward`` as they are.  The
+    whole-plane configuration is the one case with no matrix: only the zero
+    form is singular everywhere.  A characteristic dividing d raises
+    ``InputError``, since the Euler relation then fails.
     """
     _euler_relation(cfg.field, d)
     if cfg.whole_plane:
         return 0
-    corners, axes, _, _ = frame = _frame(cfg.field.p, [pt.key for pt in cfg.points],
-                                         [ln.key for ln in cfg.lines])
-    live = _live_columns(d, tuple(n is not None for n in corners),
-                         tuple(n is not None for n in axes))
+    comps, e, keys = _division(cfg, d)
+    if e <= 0:
+        return int(e == 0 and not (comps and keys))
     p = cfg.field.p
+    corners, adj = _frame(p, keys)
+    live = _live_columns(e, tuple(n is not None for n in corners))
+    points = [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
+              for n, (x, y, z) in enumerate(keys) if n not in corners]
     if p is None:
-        return len(live) - rank_rows(cfg.field, _system_rows(cfg, d, frame, live))
-    rows, w = _packed_system_rows(cfg, d, frame, live)
+        return len(live) - rank_rows(cfg.field, _system_rows(points, e, None, live))
+    rows, w = _packed_system_rows(points, e, p, live)
     return len(live) - len(_fp_forward(p, rows, len(live), w))
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
-    """Echelonized basis of the same space ``linear_system_dim`` measures, in
-    the frame of no points and no lines, the identity, which moves no key.
+    """Echelonized basis of the same space ``linear_system_dim`` measures:
+    the reduced rows of L^2 times the basis of the degree-e point system,
+    which is counted in the identity frame, on every column.
 
-    The rows are ``linear_system_dim``'s on every column.  Over QQ their
-    kernel is ``_kernel_rows``'s.  Over GF(p) each point's three rows are
-    packed straight from its degree-(d - 1) Veronese values, as there, but
-    in reversed column order, and the remainder rows are packed in the same
-    order, so ``exactalg._fp_kernel`` reduces them as they are, with no
-    row reversed, and reads the null vectors off the slots as ints.
+    Multiplication by L^2 is injective, so the products of a basis are a
+    basis.  ``_products`` multiplies, as it does for
+    ``divisibility_subspace``; with no point off the components the
+    point system is every degree-e form, and the result is the forms
+    divisible by L^2.
+    The point system's kernel over QQ is ``_kernel_rows``'s.  Over GF(p)
+    each point's three rows are packed straight from its degree-(e - 1)
+    Veronese values, as in ``linear_system_dim``, but in reversed column
+    order, and the value rows are packed in the same order, so
+    ``exactalg._fp_kernel`` reduces them as they are, with no row
+    reversed, and reads the null vectors off the slots as ints.
     """
     _euler_relation(cfg.field, d)
+    field = cfg.field
     if cfg.whole_plane:
-        return SubspaceBasis(cfg.field, space_dim(d), ())
-    p = cfg.field.p
-    frame = _frame(p, ())
+        return SubspaceBasis(field, space_dim(d), ())
+    comps, e, keys = _division(cfg, d)
+    if e < 0 or e == 0 and comps and keys:
+        return SubspaceBasis(field, space_dim(d), ())
+    p = field.p
     if p is None:
-        return _kernel_rows(cfg.field, _system_rows(cfg, d, frame), space_dim(d))
-    rows, w = _packed_system_rows(cfg, d, frame, None, reverse=True)
-    return _fp_kernel(cfg.field, rows, space_dim(d), w)
+        quotient = _kernel_rows(field, _system_rows(keys, e, None), space_dim(e))
+    else:
+        rows, w = _packed_system_rows(keys, e, p, None, reverse=True)
+        quotient = _fp_kernel(field, rows, space_dim(e), w)
+    if not comps:
+        return quotient
+    lcm = reduce(mul, (line_poly(g) if isinstance(g, ProjLine) else conic_poly(g) for g in comps))
+    return _products(lcm, 2, e, quotient.basis if keys else None)
 
 
 # ---------------------------------------------------------------------------

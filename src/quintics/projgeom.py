@@ -16,13 +16,12 @@ applied to it; the sampler normalizes its draws with it too.
 :func:`_groups_of`, which groups the keys of a point set
 by the keys of the lines through their pairs (:func:`_index_groups` on the
 points themselves), is the one place that decides which points of a set are
-collinear.  :func:`_frame` picks a frame of a configuration's own points and
-lines and the change of coordinates that moves it to the coordinate points,
-so that up to three of its points become coordinate points, or one or two of
-its lines coordinate lines; :func:`_framed_conditions` finds the conics
-through a point set in the frame of three of its points, in closed form,
-without elimination, and ``lsys.linear_system_dim`` counts a linear system in
-the frame of a whole configuration.  :func:`hausdorff` is the exact metric on
+collinear.  :func:`_frame` picks a frame of a point set and the change of
+coordinates that moves it to the coordinate points, so that up to three of
+its points become coordinate points; :func:`_framed_conditions` finds the
+conics through a point set in the frame of three of its points, in closed
+form, without elimination, and ``lsys.linear_system_dim`` counts a point
+system in the frame of its points.  :func:`hausdorff` is the exact metric on
 finite point sets used by the metric axiom tests.
 """
 
@@ -440,8 +439,7 @@ def _reduced(p: Optional[int], vals: tuple) -> tuple:
     return a % p, b % p, c % p
 
 
-# The coordinate points (1:0:0), (0:1:0), (0:0:1), and the keys of the
-# coordinate lines x = 0, y = 0, z = 0.
+# The coordinate points (1:0:0), (0:1:0), (0:0:1).
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -452,25 +450,17 @@ def _pairing(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> int:
     return dot % p if p else dot
 
 
-def _frame(p: Optional[int], keys: Sequence[tuple], lines: Sequence[tuple] = ()) -> tuple:
-    """A frame A, B, C for the points with keys ``keys`` and the lines with
-    keys ``lines`` over GF(p), or over QQ when ``p`` is None, and the change
-    of coordinates that moves it to the coordinate points.
+def _frame(p: Optional[int], keys: Sequence[tuple]) -> tuple:
+    """A frame A, B, C for the points with keys ``keys`` over GF(p), or over
+    QQ when ``p`` is None, and the change of coordinates that moves it to
+    the coordinate points.
 
-    The frame is chosen so that as many of the configuration's own points
-    and lines as possible become coordinate points and coordinate lines:
-    - two distinct lines L1 (the first) and L2 (the first other one): A
-      their meet, B a point of L1 off L2 and C a point of L2 off L1, each a
-      vector of :func:`_line_basis`; L1 becomes z = 0 and L2 becomes y = 0;
-    - one line L: A and B its :func:`_line_basis`, which span it, and C the
-      first point off it, or when there is none the coordinate point e_f
-      with l_f the last nonzero entry of L; L becomes z = 0;
-    - points only: A the first point, B the first point other than A, and
-      C the first point off the line AB, or when the points lie on one line
-      the first coordinate point off AB; a single point A takes for B and
-      C the two coordinate points other than e_k, a_k its leading entry, so
-      that det M = +-a_k is not zero;
-    - nothing but conics, or nothing at all: the identity.
+    The frame is chosen so that as many of the points as possible become
+    coordinate points: A the first point, B the first point other than A,
+    and C the first point off the line AB, or when the points lie on one
+    line the first coordinate point off AB; a single point A takes for B
+    and C the two coordinate points other than e_k, a_k its leading entry,
+    so that det M = +-a_k is not zero; no points at all take the identity.
 
     The adjugate of the matrix M with columns A, B, C has the rows
     r0 = B x C, r1 = C x A and r2 = A x B (:func:`_adjugate`):
@@ -479,58 +469,34 @@ def _frame(p: Optional[int], keys: Sequence[tuple], lines: Sequence[tuple] = ())
     that moves A, B, C to the coordinate points (1:0:0), (0:1:0) and
     (0:0:1), with inverse Y -> M Y.  A form f becomes f'(Y) = f(M Y), and
     f'(adj X) = f((det M) X), so f' vanishes, or is singular, at adj P
-    exactly when f is at P; a line l becomes l M, the triple
-    (l . A, l . B, l . C), and a conic its pull-back along M
-    (:func:`_pullback` with the rows of M).  A line through two frame
-    points becomes the coordinate line through the two coordinate points.
+    exactly when f is at P.
 
-    Returns ``(corners, axes, cols, adj)``: ``corners[i]`` is the index in
-    ``keys`` of the point moved to the i-th coordinate point, or None when
-    that frame point is not one of them; ``axes[i]`` is the index in
-    ``lines`` of the line moved to x_i = 0, or None; ``cols`` are A, B, C
-    and ``adj`` the adjugate rows, as residues over GF(p) and ints over QQ.
+    Returns ``(corners, adj)``: ``corners[i]`` is the index in ``keys`` of
+    the point moved to the i-th coordinate point, or None when that frame
+    point is not one of them; ``adj`` are the adjugate rows, as residues
+    over GF(p) and ints over QQ.
     """
-    corners = axes = (None, None, None)
-    if lines:
-        l1 = lines[0]
-        n2 = next((n for n, ln in enumerate(lines) if ln != l1), None)
-        if n2 is not None:
-            l2 = lines[n2]
-            a = _reduced(p, _cross(l1, l2))
-            b = next(u for u in _line_basis(l1) if _pairing(p, l2, u))
-            c = next(v for v in _line_basis(l2) if _pairing(p, l1, v))
-            axes = (None, n2, 0)
-        else:
-            a, b = _line_basis(l1)
-            n = next((n for n, key in enumerate(keys) if _pairing(p, l1, key)), None)
-            if n is None:
-                c = _IDENTITY[2 if l1[2] else 1 if l1[1] else 0]
-            else:
-                c = keys[n]
-                corners = (None, None, n)
-            axes = (None, None, 0)
-    elif keys:
-        a = keys[0]
-        j = next((j for j, key in enumerate(keys) if key != a), None)
-        if j is None:
-            lead = next(k for k, v in enumerate(a) if v)
-            b, c = (e for k, e in enumerate(_IDENTITY) if k != lead)
-            corners = (0, None, None)
-        else:
-            b = keys[j]
-            ab = _cross(a, b)
-            for i in range(j + 1, len(keys)):
-                c = keys[i]
-                if _pairing(p, ab, c):
-                    corners = (0, j, i)
-                    break
-            else:
-                c = next(e for e in _IDENTITY if _pairing(p, ab, e))
-                corners = (0, j, None)
+    if not keys:
+        return (None, None, None), _IDENTITY
+    a = keys[0]
+    j = next((j for j, key in enumerate(keys) if key != a), None)
+    if j is None:
+        lead = next(k for k, v in enumerate(a) if v)
+        b, c = (e for k, e in enumerate(_IDENTITY) if k != lead)
+        corners = (0, None, None)
     else:
-        return corners, axes, _IDENTITY, _IDENTITY
+        b = keys[j]
+        ab = _cross(a, b)
+        for i in range(j + 1, len(keys)):
+            c = keys[i]
+            if _pairing(p, ab, c):
+                corners = (0, j, i)
+                break
+        else:
+            c = next(e for e in _IDENTITY if _pairing(p, ab, e))
+            corners = (0, j, None)
     adj = _reduced(p, _cross(b, c)), _reduced(p, _cross(c, a)), _reduced(p, _cross(a, b))
-    return corners, axes, (a, b, c), adj
+    return corners, adj
 
 
 def _framed_conditions(p: Optional[int], keys: Sequence[tuple]) -> Optional[tuple]:
@@ -551,7 +517,7 @@ def _framed_conditions(p: Optional[int], keys: Sequence[tuple]) -> Optional[tupl
     the frame in order (only a repeated frame point gives a zero one), as
     residues over GF(p) and ints over QQ.
     """
-    (_, j, i), _, _, adj = _frame(p, keys)
+    (_, j, i), adj = _frame(p, keys)
     if i is None:
         return None
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = adj

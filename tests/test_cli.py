@@ -400,15 +400,21 @@ def test_classify_line_pair_at_p7_matches_stored(name, capsys, monkeypatch):
     assert out == (DATA / f"classify_{name}_p7.expected.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("field,seeds,name", [
-    ("qq", "1", "dims_all_qq_seeds1"),
-    ("qq", "3", "dims_all_qq_seeds3"),
-    ("fp:101", "2", "dims_all_fp101_seeds2"),
-    ("fp:65521", "2", "dims_all_fp65521_seeds2"),
-    ("fp:11", "3", "dims_all_fp11_seeds3"),
-])
-def test_dims_report_matches_stored(field, seeds, name, capsys):
-    code, out, _ = run(capsys, "dims", "--type", "all", "--field", field, "--seeds", seeds)
+_DIMS_PINS = [
+    ("all", "qq", "1", "dims_all_qq_seeds1"),
+    ("all", "qq", "3", "dims_all_qq_seeds3"),
+    ("all", "fp:101", "2", "dims_all_fp101_seeds2"),
+    ("all", "fp:65521", "2", "dims_all_fp65521_seeds2"),
+    ("all", "fp:11", "3", "dims_all_fp11_seeds3"),
+    # a line with three points off it: over GF(3) the quotient has degree 3
+    ("41", "fp:3", "3", "dims_type41_fp3_seeds3"),
+]
+
+
+@pytest.mark.parametrize("type_id,field,seeds,name", _DIMS_PINS,
+                         ids=["-".join(pin[1:]) for pin in _DIMS_PINS])
+def test_dims_report_matches_stored(type_id, field, seeds, name, capsys):
+    code, out, _ = run(capsys, "dims", "--type", type_id, "--field", field, "--seeds", seeds)
     assert code == 0
     assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")
 

@@ -372,11 +372,10 @@ def test_qq_forward_pass_pivot_choice_and_zero_rows():
 
 def test_qq_rank_of_every_type_matches_fraction_gauss_jordan():
     from quintics.lsys import _system_rows
-    from quintics.projgeom import _frame
     from quintics.sampling import sample_generic
 
     for type_id in range(1, 42):
-        rows = _system_rows(sample_generic(type_id, QQ, 11), 5, _frame(None, ()))
+        rows = _system_rows([q.key for q in sample_generic(type_id, QQ, 11).points], 5, None)
         assert rank_rows(QQ, rows) == len(_reference_rref(rows)[1]), type_id
 
 

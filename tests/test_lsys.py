@@ -18,12 +18,14 @@ from quintics.exactalg import (
     rank_rows,
 )
 from quintics.lsys import (
+    _division,
     _live_columns,
     _monomial_values,
     _packed_point_rows,
     _point_rows,
-    _remainder_rows,
+    _products,
     _system_rows,
+    _value_rows,
     HomogeneousPoly,
     SingularSet,
     check_conditions,
@@ -156,10 +158,10 @@ def test_singularity_rows_agree_with_differentiation_oracle():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), FP], ids=["qq", "fp7", "fp65521"])
 def test_point_rows_on_live_columns_are_the_sliced_full_rows(field):
-    # every frame kind, 0 to 3 corners and 0 to 2 axes, at d = 0..7; the
-    # full rows are the partials of each monomial (HomogeneousPoly.partial)
-    # at the point, and at d = 0, where there are no degree -1 monomials,
-    # they are zero
+    # every frame kind, 0 to 3 corners, at d = 1..7 and all columns at
+    # d = 0; the full rows are the partials of each monomial
+    # (HomogeneousPoly.partial) at the point, and at d = 0, where there are
+    # no degree -1 monomials, they are zero
     p = field.p
     rng = SplitMix64(derive_seed(71, p or 0))
     points = [(1, 0, 0), (0, 0, 1), (3, 0, 5)] + [
@@ -171,13 +173,10 @@ def test_point_rows_on_live_columns_are_the_sliced_full_rows(field):
             full = _point_rows(coords, d, p)
             assert full == [[m.partial(v).evaluate(coords) for m in monomials]
                             for v in range(3)], (coords, d)
-            for corners in masks:
-                for axes in masks:
-                    if sum(axes) > 2 or (any(axes) and d < 2):
-                        continue
-                    live = _live_columns(d, corners, axes)
-                    assert _point_rows(coords, d, p, live) == \
-                        [[row[j] for j in live] for row in full], (coords, d, corners, axes)
+            for corners in masks if d else ():
+                live = _live_columns(d, corners)
+                assert _point_rows(coords, d, p, live) == \
+                    [[row[j] for j in live] for row in full], (coords, d, corners)
     assert _point_rows((2, 3, 4), 0, p) == [[0], [0], [0]]
 
 
@@ -186,9 +185,10 @@ _PACKED_PRIMES = [5, 7, 101, 65521, 2 ** 61 - 1, 3317044064679887385961813]
 
 @pytest.mark.parametrize("p", _PACKED_PRIMES)
 def test_packed_point_rows_unpack_to_the_point_rows(p):
-    # every frame kind, 0 to 3 corners and 0 to 2 axes, and all columns, at
-    # d = 0..7, in both column orders: each slot holds the entry of
-    # _point_rows unreduced, below d * p, and nothing lies past the slots
+    # every frame kind, 0 to 3 corners, and all columns, at d = 0..7 (all
+    # columns only at d = 0), in both column orders: each slot holds the
+    # entry of _point_rows unreduced, below d * p, and nothing lies past
+    # the slots
     rng = SplitMix64(derive_seed(35, p))
     points = [(1, 0, 0), (0, 0, 1), (3, 0, 5), (p - 1, p - 1, p - 1)] + [
         tuple(rng.below(p) for _ in range(3)) for _ in range(4)]
@@ -197,8 +197,7 @@ def test_packed_point_rows_unpack_to_the_point_rows(p):
         top = max(d, 1)
         w = _slot_width(p, 3, top)
         mask = (1 << w) - 1
-        tables = [None] + [_live_columns(d, corners, axes) for corners in masks for axes in masks
-                           if sum(axes) <= 2 and not (any(axes) and d < 2)]
+        tables = [None] + [_live_columns(d, corners) for corners in masks if d]
         for columns in tables:
             ncols = space_dim(d) if columns is None else len(columns)
             for coords in points:
@@ -213,19 +212,23 @@ def test_packed_point_rows_unpack_to_the_point_rows(p):
                     assert all(row >> (ncols * w) == 0 for row in packed), (coords, d)
 
 
-def _list_route_dim(cfg, d):
-    # the rows of linear_system_dim's frame as plain rows, ranked by rank_rows
-    p = cfg.field.p
-    corners, axes, _, _ = frame = _frame(p, [q.key for q in cfg.points],
-                                         [ln.key for ln in cfg.lines])
-    live = _live_columns(d, tuple(n is not None for n in corners),
-                         tuple(n is not None for n in axes))
-    return len(live) - rank_rows(cfg.field, _system_rows(cfg, d, frame, live))
-
-
 def _list_route_basis(cfg, d):
-    # the rows of linear_system_basis as plain rows, reduced by _kernel_rows
-    return _kernel_rows(cfg.field, _system_rows(cfg, d, _frame(cfg.field.p, ())), space_dim(d))
+    # the point system of the division as plain rows in the identity frame,
+    # reduced by _kernel_rows and multiplied by the squared components
+    comps, e, keys = _division(cfg, d)
+    if e < 0 or e == 0 and comps and keys:
+        return SubspaceBasis(cfg.field, space_dim(d), ())
+    quotient = _kernel_rows(cfg.field, _system_rows(keys, e, cfg.field.p), space_dim(e))
+    if not comps:
+        return quotient
+    lcm = HomogeneousPoly(cfg.field, 0, {(0, 0, 0): 1})
+    for g in comps:
+        lcm = lcm * (line_poly(g) if isinstance(g, ProjLine) else conic_poly(g))
+    return _products(lcm, 2, e, quotient.basis)
+
+
+def _list_route_dim(cfg, d):
+    return _list_route_basis(cfg, d).dim
 
 
 def _outcome(route, *args):
@@ -239,8 +242,9 @@ def _outcome(route, *args):
 def test_packed_routes_match_the_list_routes(p):
     # every type the field admits but 42, the whole plane, which has no
     # rows, at seeds 1-3 and d = 2..7 but for multiples of p: the packed
-    # rows give the dimensions and bases of the plain rows, and refuse a
-    # conic component below degree 4 with the same message
+    # rows, in the frame and in the identity, give the dimensions and bases
+    # of the plain rows in the identity frame, and refuse a conic component
+    # below degree 4 with the same message
     field = PrimeField(p)
     compared = 0
     for type_id in range(1, 42):
@@ -376,33 +380,84 @@ def test_point_on_forced_component_adds_nothing():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["qq", "fp101"])
 def test_dim_component_edge_cases(field):
-    # configurations a user JSON file may describe; each squared component
-    # is imposed separately, so repeated and overlapping components are exact
+    # configurations a user JSON file may describe: a repeated component
+    # counts once, and a degenerate conic component, which may share a line
+    # with another one, is refused by both routes
     x, y = ProjLine(field, (1, 0, 0)), ProjLine(field, (0, 1, 0))
     z = ProjLine(field, (0, 0, 1))
     line = ProjLine(field, (1, 2, 3))
     conic = Conic(field, (1, 1, -1, 0, 0, 0))
     xy = Conic(field, (0, 0, 0, 1, 0, 0))
-    assert linear_system_dim(Config(field, lines=(x, y, z))) == 0
-    assert linear_system_dim(Config(field, lines=(line, line))) == 10
-    assert linear_system_dim(Config(field, lines=(x,), conics=(xy,))) == 3
-    assert linear_system_dim(Config(field, lines=(line,), conics=(conic,))) == 0
-    with pytest.raises(InputError):
-        linear_system_dim(Config(field, lines=(line,)), 1)
-    with pytest.raises(InputError):
-        linear_system_dim(Config(field, conics=(conic,)), 3)
+    for route in (linear_system_dim, lambda cfg, d=5: linear_system_basis(cfg, d).dim):
+        assert route(Config(field, lines=(x, y, z))) == 0
+        assert route(Config(field, lines=(line, line))) == 10
+        assert route(Config(field, lines=(line,), conics=(conic,))) == 0
+        with pytest.raises(InputError, match="conic component must be nondegenerate"):
+            route(Config(field, lines=(x,), conics=(xy,)))
+        # e < 0: two lines below degree 4 leave only the zero form
+        assert route(Config(field, lines=(x, y)), 2) == route(Config(field, lines=(x, y)), 3) == 0
+        with pytest.raises(InputError, match="multiplicity times degree exceeds the ambient"):
+            route(Config(field, lines=(line,)), 1)
+        with pytest.raises(InputError, match="multiplicity times degree exceeds the ambient"):
+            route(Config(field, conics=(conic,)), 3)
+
+
+def test_conic_components_over_gf2_are_refused():
+    # GF(2) does not decide degeneracy, so no conic component is divided out
+    fp2 = PrimeField(2)
+    cfg = Config(fp2, conics=(Conic(fp2, (0, 1, 0, 0, 1, 0)),))
+    for route in (linear_system_dim, linear_system_basis):
+        with pytest.raises(InputError, match="characteristic 2"):
+            route(cfg)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)], ids=["qq", "fp3", "fp7"])
+def test_value_rows_exactly_where_the_characteristic_divides_the_degree(field):
+    # Euler's relation gives h(P) = 0 from the derivative rows unless the
+    # characteristic divides e, and only there is the value row added
+    p = field.p
+    keys = [(1, 2, 3), (0, 1, 4)]
+    for e in range(1, 8):
+        rows = _value_rows(keys, e, p, None)
+        want = [_monomial_values(key, e, p) for key in keys] if p and e % p == 0 else []
+        assert rows == want, e
+        assert _system_rows(keys, e, p)[6:] == want, e
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["qq", "fp7"])
+def test_quotient_of_degree_zero(field):
+    # d = 4 with a conic, or d = 2 with a line, leaves h a constant: 1 with
+    # no point off the component, 0 with one, and a point on it adds nothing
+    conic = Conic(field, (1, 1, -1, 0, 0, 0))
+    line = ProjLine(field, (1, 2, 3))
+    on_conic, on_line, off = (ProjPoint(field, c) for c in ((1, 0, 1), (3, 0, -1), (1, 2, 5)))
+    for comps, d, on in ((dict(conics=(conic,)), 4, on_conic), (dict(lines=(line,)), 2, on_line)):
+        for points, want in (((), 1), ((on,), 1), ((off,), 0), ((on, off), 0)):
+            cfg = Config(field, points=points, **comps)
+            assert linear_system_dim(cfg, d) == linear_system_basis(cfg, d).dim == want, cfg
+            assert linear_system_basis(cfg, d) == _reference_basis(cfg, d), cfg
+
+
+def _reference_divisible(g, d):
+    # the degree-d forms divisible by g^2: the products g * g * mono, made
+    # by HomogeneousPoly's multiplication, as the null space of their
+    # annihilator, so no code of the route's division is shared
+    rest = d - 2 * g.degree
+    rows = [(g * g * HomogeneousPoly(g.field, rest, {e: 1})).to_vector()
+            for e in monomial_basis(rest)]
+    return _kernel_rows(g.field, _kernel_rows(g.field, rows, space_dim(d)).basis, space_dim(d))
 
 
 def _reference_basis(cfg, d=5):
     # kernel of the point rows, then one annihilator intersection per
-    # squared component; the remainder rows it checks are never used
+    # squared component, whatever the components are
     if cfg.whole_plane:
         return SubspaceBasis(cfg.field, space_dim(d), ())
     space = _kernel_rows(cfg.field, _stacked_point_rows(cfg, d), space_dim(d))
     for ln in cfg.lines:
-        space = intersect(space, divisibility_subspace(line_poly(ln), 2, d))
+        space = intersect(space, _reference_divisible(line_poly(ln), d))
     for qc in cfg.conics:
-        space = intersect(space, divisibility_subspace(conic_poly(qc), 2, d))
+        space = intersect(space, _reference_divisible(conic_poly(qc), d))
     return space
 
 
@@ -416,10 +471,18 @@ def test_linear_system_basis_matches_reference_construction(field):
 
 
 def _assert_frame_route_matches_reference(cfg, degrees):
-    """``linear_system_dim`` against the reference construction and the
-    plain rows of ``linear_system_basis`` at each degree the field admits;
-    below twice a component's degree all three refuse the configuration."""
+    """``linear_system_dim`` against the reference construction and
+    ``linear_system_basis`` at each degree the field admits; below twice a
+    component's degree all three refuse the configuration, and both routes
+    refuse a degenerate conic component.  Returns whether they did."""
     p = cfg.field.p
+    if any(q.is_degenerate() for q in cfg.conics):
+        for d in degrees:
+            if not (p and d % p == 0):
+                for route in (linear_system_dim, linear_system_basis):
+                    with pytest.raises(InputError):
+                        route(cfg, d)
+        return True
     for d in degrees:
         if p and d % p == 0:
             continue
@@ -433,6 +496,7 @@ def _assert_frame_route_matches_reference(cfg, degrees):
         else:
             want = _reference_basis(cfg, d).dim
         assert linear_system_dim(cfg, d) == want == linear_system_basis(cfg, d).dim, (cfg, d)
+    return False
 
 
 def test_frame_route_on_every_small_point_set_of_pg23():
@@ -524,18 +588,36 @@ def _frame_sweep_configs(field, seed):
     return configs
 
 
-@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(11), PrimeField(65521), QQ],
-                         ids=["fp7", "fp11", "fp65521", "qq"])
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(7), PrimeField(11),
+                                   PrimeField(65521), QQ],
+                         ids=["fp5", "fp7", "fp11", "fp65521", "qq"])
 def test_frame_route_matches_reference_on_random_configurations(field):
+    # the draws hold 5, 4 and 3 degenerate conics over GF(5), GF(7) and
+    # GF(11), which both routes refuse
+    refused = 0
     for seed in range(4):
         for cfg in _frame_sweep_configs(field, derive_seed(27, seed)):
-            _assert_frame_route_matches_reference(cfg, range(8))
+            refused += _assert_frame_route_matches_reference(cfg, range(8))
+    assert refused == {5: 5, 7: 4, 11: 3}.get(field.p, 0)
+
+
+def test_division_where_the_characteristic_divides_the_quotient_degree():
+    # over GF(3) the one-line types 11, 17, 22, 29 and 41 leave e = 3 at
+    # d = 5, and e = 0 at d = 2, where each point off the line adds its
+    # value row; without it types 17, 22, 29 and 41 would read 8, 6, 5 and
+    # 4 at d = 5
+    fp3 = PrimeField(3)
+    for type_id in (11, 17, 22, 29, 31, 33, 41):
+        for seed in (1, 2, 3):
+            cfg = sample_generic(type_id, fp3, seed)
+            assert not _assert_frame_route_matches_reference(cfg, (2, 4, 5, 7))
+            assert linear_system_dim(cfg) == GOLDEN_DIMS[type_id], (type_id, seed)
 
 
 @pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["fp7", "qq"])
-def test_frame_moves_corners_and_axes_onto_coordinates(field):
-    # corner i goes to e_i and axis i to x_i = 0, by a nonsingular change
-    # of coordinates; only points and lines of the configuration are named
+def test_frame_moves_corners_onto_coordinates(field):
+    # corner i goes to e_i by a nonsingular change of coordinates; only
+    # points of the configuration are named
     p = field.p
 
     def proportional(u, e):
@@ -545,39 +627,33 @@ def test_frame_moves_corners_and_axes_onto_coordinates(field):
     for seed in range(4):
         for cfg in _frame_sweep_configs(field, derive_seed(29, seed)):
             keys = [q.key for q in cfg.points]
-            lines = [ln.key for ln in cfg.lines]
-            corners, axes, cols, adj = _frame(p, keys, lines)
-            det = sum(r * c for r, c in zip(adj[0], cols[0]))
+            corners, adj = _frame(p, keys)
+            (a, b, c), (d, e, f), (g, h, i) = adj
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
             assert (det % p if p else det), cfg
-            for e, n in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), corners):
+            for unit, n in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), corners):
                 if n is not None:
                     moved = [sum(r * x for r, x in zip(row, keys[n])) for row in adj]
-                    assert proportional(moved, e), cfg
-            for e, n in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), axes):
-                if n is not None:
-                    moved = [sum(a * x for a, x in zip(lines[n], col)) for col in cols]
-                    assert proportional(moved, e), cfg
-            assert any(n is not None for n in corners + axes) == bool(keys or lines)
+                    assert proportional(moved, unit), cfg
+            assert any(n is not None for n in corners) == bool(keys)
 
 
 def test_coordinate_conditions_are_unit_rows():
     # the rows the frame route deletes instead of adding: a coordinate
-    # point's derivative rows and a coordinate line's remainder rows each
-    # have at most one nonzero entry, so their kernel is read off columns
-    none = (False, False, False)
-    for d in range(8):
+    # point's derivative rows and its value row each have at most one
+    # nonzero entry, and together they are nonzero exactly off the live
+    # columns, so their kernel is read off columns
+    for d in range(1, 8):
         for i, e in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
             mask = tuple(k == i for k in range(3))
-            rows = _point_rows(e, d, None) + (_remainder_rows(e, d, None) if d >= 2 else [])
+            rows = _point_rows(e, d, None) + [_monomial_values(e, d, None)]
             assert all(sum(1 for v in row if v) <= 1 for row in rows), (e, d)
-            assert len(_live_columns(d, mask, none)) == space_dim(d) - (3 if d else 0)
-            if d >= 2:
-                assert len(_live_columns(d, none, mask)) == space_dim(d) - 2 * d - 1
-        if d >= 2:
-            assert len(_live_columns(d, none, (False, True, True))) == space_dim(d) - 4 * d + 2
-        else:
-            with pytest.raises(InputError):
-                _live_columns(d, none, (False, False, True))
+            dead = {j for row in rows for j, v in enumerate(row) if v}
+            live = _live_columns(d, mask)
+            assert sorted(dead) == [j for j in range(space_dim(d)) if j not in live], (e, d)
+            assert len(live) == space_dim(d) - 3
+        assert _live_columns(d, (True, True, True)) == \
+            tuple(j for j, exps in enumerate(monomial_basis(d)) if max(exps) < d - 1)
 
 
 def test_lines_and_few_points_on_every_case_of_pg23():
@@ -597,7 +673,7 @@ def test_lines_and_few_points_on_every_case_of_pg23():
               for k in (0, 1) for sub in combinations(plane, k)]
     assert len(cases) == 13 * 92 + 78 * 14
     for d in (2, 4, 5, 7):
-        div = {ln: divisibility_subspace(line_poly(ln), 2, d) for ln in lines}
+        div = {ln: _reference_divisible(line_poly(ln), d) for ln in lines}
         base = {(ln,): div[ln] for ln in lines}
         base.update({pair: intersect(div[pair[0]], div[pair[1]])
                      for pair in combinations(lines, 2)})
@@ -618,14 +694,16 @@ def test_lines_and_few_points_on_every_case_of_pg23():
 
 
 def _component_cases(field):
-    # lines with zero leading coefficients, a nondegenerate conic (xz - y^2,
-    # no x^2 term), and the degenerate conics xy, x^2 and the line pair
-    # (x + y + z)(x + 2y + 3z), which passes through no coordinate point
+    # lines with zero leading coefficients, the nondegenerate conics
+    # xz - y^2, with no x^2 term, and x^2 + y^2 - z^2, and the degenerate
+    # conics xy, x^2 and the line pair (x + y + z)(x + 2y + 3z), which
+    # passes through no coordinate point
     return [
         ProjLine(field, (0, 1, 3)),
         ProjLine(field, (0, 0, 1)),
         ProjLine(field, (1, 2, 3)),
         Conic(field, (0, -1, 0, 0, 1, 0)),
+        Conic(field, (1, 1, -1, 0, 0, 0)),
         Conic(field, (0, 0, 0, 1, 0, 0)),
         Conic(field, (1, 0, 0, 0, 0, 0)),
         Conic(field, (1, 2, 3, 3, 4, 5)),
@@ -634,18 +712,26 @@ def _component_cases(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)],
                          ids=["qq", "fp7", "fp101"])
-def test_remainder_rows_cut_out_divisibility_subspace(field):
+def test_lone_component_basis_is_the_divisibility_subspace(field):
+    # a lone line or nondegenerate conic gives the forms divisible by its
+    # square, which the rows g^2 * mono span; a degenerate conic is refused
     for comp in _component_cases(field):
-        g = line_poly(comp) if isinstance(comp, ProjLine) else conic_poly(comp)
-        for d in range(2 * g.degree, 7):
-            rows = _remainder_rows(comp.key, d, field.p)
-            assert len(rows) == space_dim(d) - space_dim(d - 2 * g.degree), (comp, d)
-            got = _kernel_rows(field, rows, space_dim(d))
-            assert got == divisibility_subspace(g, 2, d), (comp, d)
-    with pytest.raises(InputError):
-        _remainder_rows(_component_cases(field)[0].key, 1, field.p)
-    with pytest.raises(InputError):
-        _remainder_rows(_component_cases(field)[3].key, 3, field.p)
+        if isinstance(comp, ProjLine):
+            g, cfg = line_poly(comp), Config(field, lines=(comp,))
+        else:
+            g, cfg = conic_poly(comp), Config(field, conics=(comp,))
+        for d in range(2 * g.degree, 8):
+            if field.p and d % field.p == 0:
+                continue
+            if isinstance(comp, Conic) and comp.is_degenerate():
+                with pytest.raises(InputError, match="nondegenerate"):
+                    linear_system_basis(cfg, d)
+                continue
+            got = linear_system_basis(cfg, d)
+            assert got == divisibility_subspace(g, 2, d) == _reference_divisible(g, d), (comp, d)
+            assert got.dim == linear_system_dim(cfg, d) == space_dim(d - 2 * g.degree), (comp, d)
+    assert [isinstance(c, Conic) and c.is_degenerate() for c in _component_cases(field)] == \
+        [False] * 5 + [True] * 3
 
 
 def test_integer_clearing_over_qq_with_large_coordinates():
