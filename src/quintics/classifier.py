@@ -1,14 +1,13 @@
 """Every typing of a configuration against the 42-type taxonomy.
 
+Every decision reads a point set as its field and the keys of its points.
 :func:`_classify_config` types a configuration: the whole plane, a lone
 conic, one or two line components, or a point set, which goes to the one
 size rule :func:`_classify_keys` that the subset walk :func:`_typed_subsets`
-uses too.  :func:`_classify_grouped` is the decision tree for 3 to 10
-distinct points of one field, given their collinear groups (the point indices
-on each line through three or more of them, from ``projgeom._index_groups``
-or ``projgeom._groups_of``); it returns the type in ``taxonomy`` whose
-pattern they match, or None.  The groups answer every collinearity question;
-conics are found in closed form by ``projgeom._unique_conic``.
+uses too.  :func:`_classify_grouped` is the decision tree for the keys of 3
+to 10 distinct points, given their ``projgeom._groups_of``; it returns the
+type in ``taxonomy`` whose pattern they match, or None.  The groups answer
+every collinearity question, and ``projgeom._conic_key`` every conic one.
 ``lsys.classify`` and ``lsys.check_conditions`` are the entry points.
 """
 
@@ -23,12 +22,13 @@ from .projgeom import (
     Config,
     ProjPoint,
     _conic_key,
+    _conic_value,
+    _degenerate,
+    _det3,
     _groups_of,
-    _index_groups,
+    _pairing,
+    _same_field,
     _second_point_key,
-    _unique_conic,
-    collinear,
-    incident,
 )
 
 
@@ -44,13 +44,13 @@ def _pencil_partner(field: Field, base: Sequence[tuple], line: tuple, pt: tuple)
         return None
 
 
-def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
+def _classify_pencil_quadruple(field: Field, keys: Sequence[tuple], key: tuple,
+                               on_line: set) -> Optional[int]:
     """Type 38: the four points off the line with key ``key`` are the base
     points of a pencil whose conics cut the line in the pairs of ``on_line``."""
     # No test for three collinear base points: a partner then falls off the set.
-    field = pts[0].field
-    base = [q.key for i, q in enumerate(pts) if i not in on_line]
-    line_pts = [q.key for i, q in enumerate(pts) if i in on_line]
+    base = [q for i, q in enumerate(keys) if i not in on_line]
+    line_pts = [q for i, q in enumerate(keys) if i in on_line]
     partner = {}
     for pt in line_pts:
         mate = _pencil_partner(field, base, key, pt)
@@ -63,7 +63,7 @@ def _classify_pencil_quadruple(pts, key: tuple, on_line: set) -> Optional[int]:
     return None
 
 
-def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
+def _classify_triangle_conic(field: Field, keys: Sequence[tuple], sized: dict) -> Optional[int]:
     sides = [on for on in sized.values() if len(on) == 4]
     if len(sides) != 3 or any(len(on) > 4 for on in sized.values()):
         return None
@@ -73,8 +73,8 @@ def _classify_triangle_conic(pts, sized: dict) -> Optional[int]:
     a, b, c = sides
     vertices = (a & b) | (a & c) | (b & c)
     # A vertex on the conic would put three points of a side on it: no test.
-    six = [q for i, q in enumerate(pts) if i not in vertices]
-    return None if _unique_conic(six) is None else 39
+    six = [q for i, q in enumerate(keys) if i not in vertices]
+    return None if _conic_key(field, six) is None else 39
 
 
 def _classify_five_lines(sized: dict) -> Optional[int]:
@@ -86,10 +86,10 @@ def _classify_five_lines(sized: dict) -> Optional[int]:
     return 40
 
 
-def _classify_grouped(pts: tuple, groups: dict) -> Optional[int]:
-    """:func:`classify_points` on 3 to 10 distinct points of one field,
-    given their ``projgeom._index_groups``."""
-    k = len(pts)
+def _classify_grouped(field: Field, keys: Sequence[tuple], groups: dict) -> Optional[int]:
+    """The type of 3 to 10 distinct points with keys ``keys`` over ``field``,
+    given their ``projgeom._groups_of``; None when no pattern fits."""
+    k = len(keys)
     if k == 3:
         return 3
     sized = {key: set(on) for key, on in groups.items() if len(on) >= 3}
@@ -112,16 +112,16 @@ def _classify_grouped(pts: tuple, groups: dict) -> Optional[int]:
         # passes through them: two conics meeting in more than four points
         # share a line L, and the points off L lie on both residual lines,
         # which have one common point, so five points would lie on L.
-        through = _unique_conic(pts)
+        through = _conic_key(field, keys)
         if through is None:
             return 26
-        return None if through.is_degenerate() else 24
+        return None if _degenerate(field, through) else 24
     if k == 7:
-        return _classify_seven(pts, sized, m)
+        return _classify_seven(field, keys, sized, m)
     if k == 8:
-        return _classify_eight(pts, sized, m)
+        return _classify_eight(field, keys, sized, m)
     if k == 9:
-        return _classify_triangle_conic(pts, sized)
+        return _classify_triangle_conic(field, keys, sized)
     return _classify_five_lines(sized)
 
 
@@ -136,7 +136,7 @@ def _on_one_line(sized: dict, idx: set) -> bool:
     return any(idx <= on for on in sized.values())
 
 
-def _classify_seven(pts, sized, m) -> Optional[int]:
+def _classify_seven(field: Field, keys: Sequence[tuple], sized: dict, m: int) -> Optional[int]:
     if m == 6:
         return 15
     if m == 5:
@@ -154,18 +154,19 @@ def _classify_seven(pts, sized, m) -> Optional[int]:
     # m <= 3.  Seven points on a nondegenerate conic have no three on a line,
     # so that conic is the only one through them.
     # Seven points with no collinear triple lie on no line pair: no test.
-    if not sized and _unique_conic(pts) is not None:
+    if not sized and _conic_key(field, keys) is not None:
         return 32
     if _disjoint_trios(sized):
         return 35
     for skip in range(7):
-        six = _unique_conic([q for i, q in enumerate(pts) if i != skip])
-        if six is not None and not six.is_degenerate() and not six.contains(pts[skip]):
+        six = _conic_key(field, [q for i, q in enumerate(keys) if i != skip])
+        if six is not None and not _degenerate(field, six) \
+                and not field.is_zero(_conic_value(six, keys[skip])):
             return 36
     return None
 
 
-def _classify_eight(pts, sized, m) -> Optional[int]:
+def _classify_eight(field: Field, keys: Sequence[tuple], sized: dict, m: int) -> Optional[int]:
     if m == 7:
         return 16
     if m == 6:
@@ -183,7 +184,7 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
             return 37 if s1 & s2 else 30
         if len(four) == 1:
             (key, on_line), = four.items()
-            return _classify_pencil_quadruple(pts, key, on_line)
+            return _classify_pencil_quadruple(field, keys, key, on_line)
         return None
     return None
 
@@ -191,15 +192,15 @@ def _classify_eight(pts, sized, m) -> Optional[int]:
 def _classify_config(cfg: Config) -> Optional[int]:
     """The type of ``cfg``, or None when no pattern fits: full components
     first, then the points.  A conic over GF(2) raises ``InputError``, as
-    ``is_degenerate`` does."""
+    ``projgeom._degenerate`` does."""
     if cfg.whole_plane:
         return 42
     if cfg.conics:
         lone = len(cfg.conics) == 1 and not cfg.lines and not cfg.points
-        return 33 if lone and not cfg.conics[0].is_degenerate() else None
+        return 33 if lone and not _degenerate(cfg.field, cfg.conics[0].key) else None
     if cfg.lines:
         return _classify_with_lines(cfg)
-    return _classify_keys(cfg.points, cfg.field.p, [q.key for q in cfg.points])
+    return _classify_keys(cfg.field, [q.key for q in cfg.points])
 
 
 def _classify_with_lines(cfg: Config) -> Optional[int]:
@@ -207,45 +208,50 @@ def _classify_with_lines(cfg: Config) -> Optional[int]:
         return 31 if cfg.lines[0] != cfg.lines[1] else None
     if len(cfg.lines) != 1:
         return None
-    comp = cfg.lines[0]
-    pts = cfg.points
-    if any(incident(q, comp) for q in pts):
+    field = cfg.field
+    comp = cfg.lines[0].key
+    keys = [q.key for q in cfg.points]
+    if not all(_pairing(field.p, comp, q) for q in keys):
         return None
-    n = len(pts)
+    n = len(keys)
     if n <= 2:
         return (11, 17, 22)[n]
     if n == 3:
         # the points are off the component, so their line meets it off the set
-        return 29 if collinear(*pts) else 41
+        return 29 if field.is_zero(_det3(keys)) else 41
     return None
 
 
-def _classify_keys(pts: Sequence[ProjPoint], p: Optional[int], keys: Sequence) -> Optional[int]:
-    """The type of the distinct points ``pts`` over GF(p), or QQ when ``p``
-    is None, with keys ``keys``: at most three are typed by their count, 4
-    to 10 by the decision tree on ``projgeom._groups_of`` of the keys, and
-    more than ten get none."""
-    k = len(pts)
+def _classify_keys(field: Field, keys: Sequence[tuple]) -> Optional[int]:
+    """The type of the distinct points with keys ``keys`` over ``field``: at
+    most three are typed by their count, 4 to 10 by the decision tree on
+    ``projgeom._groups_of`` of the keys, and more than ten get none."""
+    k = len(keys)
     if k <= 3:
         return k or None
-    return _classify_grouped(pts, _groups_of(p, keys)) if k <= 10 else None
+    return _classify_grouped(field, keys, _groups_of(field.p, keys)) if k <= 10 else None
 
 
 def classify_points(points: Sequence[ProjPoint]) -> Optional[int]:
     """Classify a finite point set against the taxonomy; None when no type fits.
 
-    Every collinearity fact comes from one :func:`projgeom._index_groups`
-    call, kept as the set of point indices on each line through three or
-    more of the points.  Repeated points raise ``InputError`` and points over
-    different fields ``FieldMismatchError``, at every size.
+    The points are read once, as their field and keys, and typed by
+    :func:`_classify_grouped` on one ``projgeom._groups_of`` call.  Points
+    over different fields raise ``FieldMismatchError`` and repeated points
+    ``InputError``, at every size.
     """
     pts = tuple(points)
+    if not pts:
+        return None
+    field = pts[0].field
+    for q in pts[1:]:
+        _same_field(field, q.field)
     k = len(pts)
-    if 3 <= k <= 10:
-        return _classify_grouped(pts, _index_groups(pts))
-    if pts:
-        Config(pts[0].field, points=pts)  # one field, no repeated point
-    return k if 1 <= k <= 2 else None
+    if not 3 <= k <= 10:
+        Config(field, points=pts)  # no repeated point
+        return k if k <= 2 else None
+    keys = [q.key for q in pts]
+    return _classify_grouped(field, keys, _groups_of(field.p, keys))
 
 
 def _typed_subsets(cfg: Config):
@@ -253,9 +259,9 @@ def _typed_subsets(cfg: Config):
     for each proper nonempty subset of them by size, each size in
     combinations order, typed by :func:`_classify_keys` on keys read once."""
     pts = cfg.points
-    p = cfg.field.p
+    field = cfg.field
     reps = [q.key for q in pts]
-    yield pts, _classify_keys(pts, p, reps)
+    yield pts, _classify_keys(field, reps)
     for r in range(1, len(pts)):
         for sub_reps, sub in zip(combinations(reps, r), combinations(pts, r)):
-            yield sub, _classify_keys(sub, p, sub_reps)
+            yield sub, _classify_keys(field, sub_reps)

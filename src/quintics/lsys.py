@@ -728,7 +728,8 @@ def check_conditions(samples: Iterable[Config]) -> ConditionReport:
     (the patterns are mutually exclusive and exhaustive on their strata), and
     every proper subset that matches any type at all must match one with a
     strictly smaller index.  The types come from ``classifier._typed_subsets``,
-    which gives what ``classifier.classify_points`` gives.
+    which reads the sample's keys once and types every subset on its keys, as
+    ``classifier.classify_points`` types its points.
     """
     checked = 0
     subset_checks = 0

@@ -13,10 +13,10 @@ for writers and for callers that need the values themselves.
 The line through two points has the key :func:`_join_key` gives the cross
 product of theirs: :func:`_int_key`, the one normalizer of an int triple,
 applied to it; the sampler normalizes its draws with it too.
-:func:`_groups_of`, which groups the keys of a point set
-by the keys of the lines through their pairs (:func:`_index_groups` on the
-points themselves), is the one place that decides which points of a set are
-collinear.  :func:`_frame` picks a frame of a point set and the change of
+:func:`_groups_of`, which groups the keys of a point set by the keys of the
+lines through their pairs, is the one place that decides which points of a
+set are collinear, and :func:`_conic_key` the one place that finds the conic
+through them.  :func:`_frame` picks a frame of a point set and the change of
 coordinates that moves it to the coordinate points, so that up to three of
 its points become coordinate points; :func:`_framed_conditions` finds the
 conics through a point set in the frame of three of its points, in closed
@@ -282,23 +282,10 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     return _from_key(ProjLine, f, key)
 
 
-def _index_groups(points: Sequence[ProjPoint]) -> dict:
-    """Map the key of each line through at least two of the points to the
-    indices of the points on it, as :func:`_groups_of` gives it for their
-    keys.  Points over different fields raise :class:`FieldMismatchError`.
-    """
-    pts = tuple(points)
-    if not pts:
-        return {}
-    f = pts[0].field
-    for q in pts[1:]:
-        _same_field(f, q.field)
-    return _groups_of(f.p, [q.key for q in pts])
-
-
 def _groups_of(p: Optional[int], reps: Sequence) -> dict:
-    """:func:`_index_groups` on the keys ``reps`` of points over GF(p), or
-    over QQ when ``p`` is None.
+    """Map the key of each line through at least two of the points with keys
+    ``reps`` over GF(p), or over QQ when ``p`` is None, to the indices of the
+    points on it.
 
     The indices of each line are increasing, and the lines come in the order
     their first pair is met.  Only the key of each pair's join is computed,
@@ -425,9 +412,11 @@ def conic_through(pts: Sequence[ProjPoint]) -> Conic | None:
     pts = tuple(pts)
     if len(pts) != 5 or len(set(pts)) != 5:
         raise InputError("conic_through takes five distinct points")
+    field = pts[0].field
     for p in pts[1:]:
-        _same_field(pts[0].field, p.field)
-    return _unique_conic(pts)
+        _same_field(field, p.field)
+    key = _conic_key(field, [q.key for q in pts])
+    return None if key is None else _from_key(Conic, field, key)
 
 
 def _reduced(p: Optional[int], vals: tuple) -> tuple:
@@ -530,14 +519,6 @@ def _framed_conditions(p: Optional[int], keys: Sequence[tuple]) -> Optional[tupl
         if any(row):
             conditions.append(row)
     return adj, conditions
-
-
-def _unique_conic(pts: Sequence[ProjPoint]) -> Conic | None:
-    """The conic through points of one field when it exists and is unique:
-    :func:`_conic_key` on their keys."""
-    field = pts[0].field
-    key = _conic_key(field, [q.key for q in pts])
-    return None if key is None else _from_key(Conic, field, key)
 
 
 def _conic_key(field: Field, keys: Sequence[tuple]) -> Optional[tuple]:

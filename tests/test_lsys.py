@@ -50,7 +50,7 @@ from quintics.projgeom import (
     ProjPoint,
     _frame,
     _from_key,
-    _index_groups,
+    _groups_of,
     _int_key,
     _line_basis,
     collinear,
@@ -95,8 +95,9 @@ def _stacked_point_rows(cfg, d=5):
 def _line_groups(points):
     # the index grouping read back with one ProjLine per line key
     pts = tuple(points)
-    return {_from_key(ProjLine, pts[0].field, key): tuple(pts[i] for i in on)
-            for key, on in _index_groups(pts).items()}
+    field = pts[0].field
+    return {_from_key(ProjLine, field, key): tuple(pts[i] for i in on)
+            for key, on in _groups_of(field.p, [q.key for q in pts]).items()}
 
 
 # --- monomials ---------------------------------------------------------------
@@ -1592,7 +1593,7 @@ def test_check_conditions_reports_skips_and_refuses(monkeypatch):
     # A classifier that gives every set of four or more points the sample's
     # own type: each such proper subset is a violation, in walk order.
     cfg = sample_generic(19, FP, 1)
-    monkeypatch.setattr(classifier, "_classify_grouped", lambda pts, groups: cfg.type_id)
+    monkeypatch.setattr(classifier, "_classify_grouped", lambda field, keys, groups: cfg.type_id)
     report = check_conditions([cfg])
     subsets = [sub for r in (4, 5) for sub in combinations(cfg.points, r)]
     assert (report.checked, report.subset_checks) == (1, 2 ** 6 - 2)
@@ -1611,9 +1612,9 @@ def test_classify_points_groups_the_points_once(monkeypatch):
 
     calls = {"groups": 0, "lines": 0}
 
-    def counting_groups(points):
+    def counting_groups(p, reps):
         calls["groups"] += 1
-        return projgeom._index_groups(points)
+        return projgeom._groups_of(p, reps)
 
     # without _from_key every line the classifier builds passes __post_init__
     assert not hasattr(classifier, "_from_key")
@@ -1626,13 +1627,17 @@ def test_classify_points_groups_the_points_once(monkeypatch):
     def regrouped(*args):
         raise AssertionError("the classifier asked a second collinearity question")
 
-    monkeypatch.setattr(classifier, "_index_groups", counting_groups)
+    monkeypatch.setattr(classifier, "_groups_of", counting_groups)
     monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
     for name in ("_only_allowed_collinear", "conic_through"):
         assert not hasattr(lsys, name) and not hasattr(classifier, name)
         monkeypatch.setattr(projgeom, name, regrouped)
+    # grouping, conic finding and incidence are asked on keys, through projgeom's one copy
+    assert not hasattr(projgeom, "_index_groups") and not hasattr(projgeom, "_unique_conic")
+    for name in ("_index_groups", "_unique_conic", "collinear", "incident"):
+        assert not hasattr(classifier, name), name
     # every typing decision is in classifier: lsys groups and tests nothing
-    for name in ("_classify_grouped", "_groups_of", "_index_groups", "collinear", "incident"):
+    for name in ("_classify_grouped", "_groups_of", "collinear", "incident"):
         assert not hasattr(lsys, name), name
     for field in (FP, QQ):
         for t, k in K_POINTS.items():
@@ -1641,6 +1646,26 @@ def test_classify_points_groups_the_points_once(monkeypatch):
                 calls.update(groups=0, lines=0)
                 assert classify_points(points) == t
                 assert calls == {"groups": 1, "lines": 0}, t
+
+
+@pytest.mark.parametrize("name", ["qq", "fp:65521", "fp:101"])
+def test_typing_builds_no_geometric_object(monkeypatch, name):
+    # classify and check_conditions read a sample as its field and keys: no
+    # point, line or conic is built while they type it or its subsets
+    from quintics import projgeom
+
+    field = parse_field(name)
+    samples = [sample_generic(t, field, 1) for t in range(1, 43)]
+
+    def built(*args):
+        raise AssertionError("typing built a geometric object")
+
+    monkeypatch.setattr(projgeom, "_from_key", built)
+    monkeypatch.setattr(projgeom._Keyed, "__post_init__", built)
+    for cfg in samples:
+        assert classify(cfg) == cfg.type_id
+        if cfg.is_finite():
+            assert check_conditions([cfg]).ok, cfg.type_id
 
 
 # --- classification of every subset, against stored results --------------------
@@ -1730,7 +1755,7 @@ def test_check_conditions_never_joins_over_fp(monkeypatch):
         assert report == lsys.ConditionReport(1, 2 ** len(cfg.points) - 2, [])
     assert joins == []
     # the counter sees the QQ joins: one per pair of seven points
-    _index_groups(rational)
+    _groups_of(None, [q.key for q in rational])
     assert len(joins) == 21
 
 

@@ -20,9 +20,11 @@ from quintics.projgeom import (
     ProjLine,
     ProjPoint,
     _adjugate,
+    _conic_key,
     _conic_value,
+    _degenerate,
     _from_key,
-    _index_groups,
+    _groups_of,
     _join_key,
     _normalize,
     _only_allowed_collinear,
@@ -281,13 +283,11 @@ def _matches_kernel(pts) -> tuple:
     """Check the closed-form conic predicates on distinct points of one field
     against the kernel of their Veronese rows; returns the kernel dimension
     and whether the unique conic is degenerate (None when there is none)."""
-    from quintics.projgeom import _unique_conic
-
     pts = tuple(pts)
     field = pts[0].field
     basis = _kernel_rows(field, [veronese(q) for q in pts], 6).basis
     expected = Conic(field, basis[0]) if len(basis) == 1 else None
-    assert _unique_conic(pts) == expected, pts
+    assert _conic_key(field, [q.key for q in pts]) == (None if expected is None else expected.key), pts
     if len(pts) == 5:
         assert conic_through(pts) == expected, pts
     if len(pts) == 6:
@@ -411,7 +411,6 @@ def test_samples_realize_exactly_their_declared_structure(name):
     # the lines through three or more points of a sample and the largest sets
     # of six or more of its points on one nondegenerate conic are the lines
     # and conics its type declares, and it carries the declared components
-    from quintics.projgeom import _unique_conic
     from quintics.taxonomy import TYPE_TABLE
 
     field = parse_field(name)
@@ -423,13 +422,15 @@ def test_samples_realize_exactly_their_declared_structure(name):
             assert (len(pts), cfg.whole_plane) == (s.points, s.whole_plane)
             assert (len(cfg.lines), len(cfg.conics)) == (
                 (0, s.components) if s.conics else (s.components, 0))
-            rich = {frozenset(on) for on in _index_groups(pts).values() if len(on) >= 3}
+            keys = [q.key for q in pts]
+            rich = {frozenset(on) for on in _groups_of(field.p, keys).values() if len(on) >= 3}
             assert rich == {frozenset(on) for on in s.lines if on}, (rec.type_id, seed)
             on_conics = set()
-            for six in combinations(pts, 6):
-                conic = _unique_conic(six)
-                if conic is not None and not conic.is_degenerate():
-                    on_conics.add(frozenset(i for i, q in enumerate(pts) if conic.contains(q)))
+            for six in combinations(keys, 6):
+                conic = _conic_key(field, six)
+                if conic is not None and not _degenerate(field, conic):
+                    on_conics.add(frozenset(
+                        i for i, q in enumerate(keys) if field.is_zero(_conic_value(conic, q))))
             assert on_conics == {frozenset(on) for on in s.conics if on}, (rec.type_id, seed)
 
 
@@ -695,12 +696,13 @@ def test_no_point_set_of_pg23_qualifies_for_a_refused_type():
     from quintics.classifier import _classify_grouped
     from quintics.lsys import plane_points
 
-    plane = plane_points(3)
+    field = PrimeField(3)
+    plane = [q.key for q in plane_points(3)]
     typed = 0
     for k in range(4, 11):
         for sub in combinations(plane, k):
-            groups = _index_groups(sub)
-            type_id = _classify_grouped(sub, groups)
+            groups = _groups_of(3, sub)
+            type_id = _classify_grouped(field, sub, groups)
             if type_id in GF3_REFUSED_LINES:
                 typed += 1
                 rich = sum(len(on) >= 3 for on in groups.values())
@@ -886,7 +888,7 @@ def test_points_on_drawn_lines_put_three_on_no_other_line():
     for type_id, n_lines in ((4, 1), (5, 1), (6, 1), (23, 2), (25, 2), (27, 2), (28, 2), (30, 2)):
         for seed in range(3):
             pts = sample_generic(type_id, f, seed).points
-            rich = [set(on) for on in _index_groups(pts).values() if len(on) >= 3]
+            rich = [set(on) for on in _groups_of(5, [q.key for q in pts]).values() if len(on) >= 3]
             assert len(rich) == n_lines and set().union(*rich) == set(range(len(pts)))
 
 
@@ -1057,8 +1059,9 @@ def test_hausdorff_zero_iff_equal(k, l):
 def _line_groups(points):
     # the index grouping read back with one ProjLine per line key
     pts = tuple(points)
-    return {_from_key(ProjLine, pts[0].field, key): tuple(pts[i] for i in on)
-            for key, on in _index_groups(pts).items()}
+    field = pts[0].field
+    return {_from_key(ProjLine, field, key): tuple(pts[i] for i in on)
+            for key, on in _groups_of(field.p, [q.key for q in pts]).items()}
 
 
 def _reference_line_groups(points):
@@ -1179,8 +1182,8 @@ def test_line_groups_refuse_coincident_points_and_mixed_fields():
                 _line_groups(points)
             with pytest.raises(InputError, match="coincident"):
                 _allowed_only(points, ())
-    with pytest.raises(FieldMismatchError):
-        _line_groups([pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7))])
+    # classify_points refuses mixed fields before grouping, at every size
+    # (test_lsys.test_classify_points_refuses_repeats_and_mixed_fields_at_every_size)
     with pytest.raises(FieldMismatchError):
         line_through(pt(1, 2, 3), pt(1, 0, 5, field=PrimeField(7)))
 
