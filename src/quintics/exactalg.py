@@ -37,12 +37,12 @@ are usable in regression tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import lshift
 from typing import Sequence, Union
 
+from ._value import _setattr, _Value
 from .errors import FieldMismatchError, InputError
 
 RawValue = Union[Fraction, int]
@@ -175,8 +175,7 @@ def parse_field(spec: str) -> Field:
     raise InputError(f"bad field spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(_Value):
     """A linear subspace given by a reduced-echelon basis of row vectors.
 
     Pivots strictly increase row by row, every pivot entry is 1, every other
@@ -185,18 +184,16 @@ class SubspaceBasis:
     that breaks any of these raises ``InputError``.
     """
 
-    field: Field
-    ambient_dim: int
-    basis: tuple
+    __slots__ = ("field", "ambient_dim", "basis")
 
-    def __post_init__(self):
-        p = self.field.p
+    def __init__(self, field: Field, ambient_dim: int, basis: tuple):
+        p = field.p
         pivots: list[int] = []
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
+        for row in basis:
+            if len(row) != ambient_dim:
                 raise InputError("basis vector of wrong length")
             if p is not None and not all(type(v) is int and 0 <= v < p for v in row):
-                raise InputError(f"basis entries over {self.field} must be residues in [0, {p})")
+                raise InputError(f"basis entries over {field} must be residues in [0, {p})")
             piv = next((j for j, v in enumerate(row) if v), None)
             if piv is None:
                 raise InputError("zero vector in basis")
@@ -206,8 +203,11 @@ class SubspaceBasis:
                 raise InputError("pivot entries must equal 1")
             pivots.append(piv)
         for c in pivots:
-            if sum(1 for row in self.basis if row[c]) != 1:
+            if sum(1 for row in basis if row[c]) != 1:
                 raise InputError("basis is not reduced: a pivot column has another nonzero entry")
+        _setattr(self, "field", field)
+        _setattr(self, "ambient_dim", ambient_dim)
+        _setattr(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -216,12 +216,12 @@ class SubspaceBasis:
 
 def _trusted_basis(field: Field, ambient_dim: int, basis: tuple) -> SubspaceBasis:
     """The ``SubspaceBasis`` of rows this module has just put in reduced
-    echelon form, built without a second pass through ``__post_init__``'s
+    echelon form, built without a second pass through the constructor's
     checks, which every basis from outside the module still takes."""
     obj = object.__new__(SubspaceBasis)
-    object.__setattr__(obj, "field", field)
-    object.__setattr__(obj, "ambient_dim", ambient_dim)
-    object.__setattr__(obj, "basis", basis)
+    _setattr(obj, "field", field)
+    _setattr(obj, "ambient_dim", ambient_dim)
+    _setattr(obj, "basis", basis)
     return obj
 
 

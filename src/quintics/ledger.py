@@ -15,10 +15,10 @@ Everything here is exact integer arithmetic; there are no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ._value import _Value
 from .errors import InputError
 from .poincare import PoincarePoly, format_one_plus_powers, product_of_cyclotomic_like
 from .taxonomy import GOLDEN_DIMS, K_POINTS
@@ -26,11 +26,13 @@ from .taxonomy import GOLDEN_DIMS, K_POINTS
 AMBIENT_DIM = 21  # complex dimension of the space of quintic forms
 
 
-@dataclass(frozen=True)
-class E1Table:
+class E1Table(_Value):
     """A sparse first-quadrant table (p, q) -> positive dimension."""
 
-    entries: tuple = ()
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple = ()):
+        self._set(entries)
 
     @classmethod
     def from_dict(cls, data: Mapping[Tuple[int, int], int]) -> "E1Table":
@@ -54,38 +56,35 @@ class E1Table:
         return not self.entries
 
 
-@dataclass(frozen=True)
-class DifferentialDecl:
+class DifferentialDecl(_Value):
     """A declared differential of known rank on page r: (p,q) -> (p-r, q+r-1)."""
 
-    page: int
-    source: Tuple[int, int]
-    declared_rank: int
+    __slots__ = ("page", "source", "declared_rank")
+
+    def __init__(self, page: int, source: Tuple[int, int], declared_rank: int):
+        if page < 1:
+            raise InputError("differentials live on pages r >= 1")
+        if declared_rank < 0:
+            raise InputError("declared rank must be nonnegative")
+        self._set(page, source, declared_rank)
 
     @property
     def target(self) -> Tuple[int, int]:
         p, q = self.source
         return (p - self.page, q + self.page - 1)
 
-    def __post_init__(self):
-        if self.page < 1:
-            raise InputError("differentials live on pages r >= 1")
-        if self.declared_rank < 0:
-            raise InputError("declared rank must be nonnegative")
 
-
-@dataclass(frozen=True)
-class ColumnSpec:
+class ColumnSpec(_Value):
     """Data of one filtration column: the type index, whose point count and
     fiber dimension are those of the taxonomy table, and the sign-twisted base
     polynomial (None when the value is not stored)."""
 
-    index: int
-    base_poly: Optional[PoincarePoly]
+    __slots__ = ("index", "base_poly")
 
-    def __post_init__(self):
-        if self.index not in GOLDEN_DIMS:
-            raise InputError(f"column {self.index} is not a type of the taxonomy table")
+    def __init__(self, index: int, base_poly: Optional[PoincarePoly]):
+        if index not in GOLDEN_DIMS:
+            raise InputError(f"column {index} is not a type of the taxonomy table")
+        self._set(index, base_poly)
 
 
 def column_contribution(spec: ColumnSpec) -> PoincarePoly:
@@ -183,17 +182,15 @@ def unordered_points_bm_sign(k: int, n: int) -> PoincarePoly:
 # the quintic dataset
 
 
-@dataclass(frozen=True)
-class AuxTable:
-    name: str
-    table: E1Table
-    differentials: tuple
-    expected_total: PoincarePoly
-    note: str
+class AuxTable(_Value):
+    __slots__ = ("name", "table", "differentials", "expected_total", "note")
+
+    def __init__(self, name: str, table: E1Table, differentials: tuple,
+                 expected_total: PoincarePoly, note: str):
+        self._set(name, table, differentials, expected_total, note)
 
 
-@dataclass(frozen=True)
-class QuinticDataset:
+class QuinticDataset(_Value):
     """All stored inputs of the quintic sweep.
 
     ``e1`` is the main first page (it degenerates: no differentials), placed
@@ -204,13 +201,13 @@ class QuinticDataset:
     polynomials consumed as inputs.
     """
 
-    e1: E1Table
-    differentials: tuple
-    columns: tuple
-    aux_tables: tuple
-    twisted_values: dict
-    expected_factors: tuple
-    big_d: int = AMBIENT_DIM
+    __slots__ = ("e1", "differentials", "columns", "aux_tables", "twisted_values",
+                 "expected_factors", "big_d")
+
+    def __init__(self, e1: E1Table, differentials: tuple, columns: tuple, aux_tables: tuple,
+                 twisted_values: dict, expected_factors: tuple, big_d: int = AMBIENT_DIM):
+        self._set(e1, differentials, columns, aux_tables, twisted_values, expected_factors,
+                  big_d)
 
     def expected_poincare(self) -> PoincarePoly:
         return product_of_cyclotomic_like(self.expected_factors)

@@ -25,12 +25,12 @@ typing entry points, ``classify`` of a configuration or singular set and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
+from ._value import _setattr, _Value
 from .classifier import _classify_config, _typed_subsets
 from .errors import FieldMismatchError, InputError
 from .exactalg import (
@@ -585,15 +585,19 @@ def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:
 # brute-force singular sets over a prime field
 
 
-@dataclass(frozen=True)
-class SingularSet:
+class SingularSet(_Value):
     """The singular locus of a form: isolated points plus full components."""
 
-    field: Field
-    isolated_points: tuple = ()
-    line_components: tuple = ()
-    conic_components: tuple = ()
-    whole_plane: bool = False
+    __slots__ = ("field", "isolated_points", "line_components", "conic_components",
+                 "whole_plane")
+
+    def __init__(self, field: Field, isolated_points: tuple = (), line_components: tuple = (),
+                 conic_components: tuple = (), whole_plane: bool = False):
+        _setattr(self, "field", field)
+        _setattr(self, "isolated_points", isolated_points)
+        _setattr(self, "line_components", line_components)
+        _setattr(self, "conic_components", conic_components)
+        _setattr(self, "whole_plane", whole_plane)
 
     def is_empty(self) -> bool:
         return not (self.isolated_points or self.line_components
@@ -710,11 +714,19 @@ def classify(obj: Union[Config, SingularSet]) -> Optional[int]:
 # structural condition checks on sampled taxonomies
 
 
-@dataclass
-class ConditionReport:
-    checked: int
-    subset_checks: int
-    violations: list
+class ConditionReport(_Value):
+    """The counts of one ``check_conditions`` run and its violations; unlike
+    the other value classes it can be changed, and so is unhashable."""
+
+    __slots__ = ("checked", "subset_checks", "violations")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, checked: int, subset_checks: int, violations: list):
+        self.checked = checked
+        self.subset_checks = subset_checks
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -8,15 +8,17 @@ degree-reversing duality transform of an oriented 2n-manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
+from ._value import _setattr, _Value
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class PoincarePoly:
-    coeffs: tuple = ()
+class PoincarePoly(_Value):
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple = ()):
+        _setattr(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[int, int]) -> "PoincarePoly":

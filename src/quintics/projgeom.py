@@ -27,12 +27,12 @@ finite point sets used by the metric axiom tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
+from ._value import _setattr, _Value
 from .errors import FieldMismatchError, InputError
 from .exactalg import QQ, Field, _integer_row
 
@@ -102,31 +102,31 @@ def _join_key(p: Optional[int], u: Sequence[int], v: Sequence[int]) -> Optional[
 
 def _from_key(cls, field: Field, key: tuple):
     """The ``cls`` object with key ``key``, built without a second pass
-    through ``__post_init__``."""
+    through the constructor's normalization."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, "field", field)
-    object.__setattr__(obj, "key", key)
-    object.__setattr__(obj, "_hash", hash((field.name, key)))
+    _setattr(obj, "field", field)
+    _setattr(obj, "key", key)
+    _setattr(obj, "_hash", hash((field.name, key)))
     return obj
 
 
 # A projective object hashes its (field, key) pair once, when built: the
-# value the dataclass hash would compute on every lookup.  A Field hashes as
-# its name, so hashing (field.name, key) gives that value without a call to
-# Field.__hash__, which a line made once and hashed once would notice.
-@dataclass(frozen=True)
-class _Keyed:
+# value the field-tuple hash would compute on every lookup.  A Field hashes
+# as its name, so hashing (field.name, key) gives that value without a call
+# to Field.__hash__, which a line made once and hashed once would notice.
+class _Keyed(_Value):
     """A point, line or conic, stored by its key; the subclass fixes the
     key's length."""
 
-    field: Field
-    key: tuple
+    __slots__ = ("field", "key", "_hash")
 
-    def __post_init__(self):
-        if len(self.key) != self._length:
+    def __init__(self, field: Field, key: tuple):
+        if len(key) != self._length:
             raise InputError(self._wrong_length)
-        object.__setattr__(self, "key", _normalize(self.field, self.key))
-        object.__setattr__(self, "_hash", hash((self.field.name, self.key)))
+        key = _normalize(field, key)
+        _setattr(self, "field", field)
+        _setattr(self, "key", key)
+        _setattr(self, "_hash", hash((field.name, key)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,6 +144,7 @@ class ProjPoint(_Keyed):
     """A point of the projective plane, built from any nonzero homogeneous
     coordinates; ``coords`` are the normalized ones."""
 
+    __slots__ = ()
     _length, _wrong_length = 3, "a projective point needs 3 coordinates"
     coords = _Keyed._normalized
 
@@ -152,6 +153,7 @@ class ProjLine(_Keyed):
     """A line, built from any nonzero coefficient triple; ``coeffs`` are the
     normalized coefficients."""
 
+    __slots__ = ()
     _length, _wrong_length = 3, "a line needs 3 coefficients"
     coeffs = _Keyed._normalized
 
@@ -190,6 +192,7 @@ class Conic(_Keyed):
     """A conic, built from any nonzero coefficients ordered
     (x^2, y^2, z^2, xy, xz, yz); ``coeffs`` are the normalized ones."""
 
+    __slots__ = ()
     _length, _wrong_length = 6, "a conic needs 6 coefficients"
     coeffs = _Keyed._normalized
 
@@ -210,25 +213,24 @@ def _degenerate(field: Field, coeffs: Sequence) -> bool:
     return field.is_zero(_det3(((2 * a, d, e), (d, 2 * b, g), (e, g, 2 * c))))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(_Value):
     """A typed configuration: finite points plus full line/conic components."""
 
-    field: Field
-    points: tuple = ()
-    lines: tuple = ()
-    conics: tuple = ()
-    type_id: int | str = "untyped"
-    whole_plane: bool = False
+    __slots__ = ("field", "points", "lines", "conics", "type_id", "whole_plane")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "lines", tuple(self.lines))
-        object.__setattr__(self, "conics", tuple(self.conics))
-        for obj in self.points + self.lines + self.conics:
-            _same_field(self.field, obj.field)
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, field: Field, points: tuple = (), lines: tuple = (), conics: tuple = (),
+                 type_id: int | str = "untyped", whole_plane: bool = False):
+        points, lines, conics = tuple(points), tuple(lines), tuple(conics)
+        for obj in points + lines + conics:
+            _same_field(field, obj.field)
+        if len(set(points)) != len(points):
             raise InputError("configuration points must be pairwise distinct")
+        _setattr(self, "field", field)
+        _setattr(self, "points", points)
+        _setattr(self, "lines", lines)
+        _setattr(self, "conics", conics)
+        _setattr(self, "type_id", type_id)
+        _setattr(self, "whole_plane", whole_plane)
 
     def is_finite(self) -> bool:
         return not (self.lines or self.conics or self.whole_plane)

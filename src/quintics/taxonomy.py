@@ -12,33 +12,32 @@ dimensions from this table, and the sampler its constructions and refusals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
 
+from ._value import _Value
 from .errors import TaxonomyError
 
 
-@dataclass(frozen=True)
-class _Structure:
+class _Structure(_Value):
     """``points`` marked points; ``lines`` and ``conics`` hold the indices of
     the points on each declared line and nondegenerate conic, in the order
     the sampler's construction returns the points.  The first ``components``
     lines, or the conic, are full components, with no indices."""
 
-    points: int = 0
-    lines: tuple = ()
-    conics: tuple = ()
-    components: int = 0
-    whole_plane: bool = False
+    __slots__ = ("points", "lines", "conics", "components", "whole_plane")
+
+    def __init__(self, points: int = 0, lines: tuple = (), conics: tuple = (),
+                 components: int = 0, whole_plane: bool = False):
+        self._set(points, lines, conics, components, whole_plane)
 
 
-@dataclass(frozen=True)
-class ConfigTypeRecord:
-    type_id: int
-    expected_dim: int
-    description: str
-    structure: _Structure
+class ConfigTypeRecord(_Value):
+    __slots__ = ("type_id", "expected_dim", "description", "structure")
+
+    def __init__(self, type_id: int, expected_dim: int, description: str,
+                 structure: _Structure):
+        self._set(type_id, expected_dim, description, structure)
 
     @property
     def k_points(self) -> Union[int, str]:  # the point count, or "nondiscrete"

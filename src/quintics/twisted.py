@@ -22,10 +22,10 @@ Induced maps on homology take one reduction per degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._value import _Value
 from .errors import InputError
 from .exactalg import QQ, _kernel_rows, _rref, rank_rows
 from .poincare import PoincarePoly
@@ -124,28 +124,25 @@ def poincare_dual(p: PoincarePoly, complex_dim: int) -> PoincarePoly:
     return p.dual(complex_dim)
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(_Value):
     """A chain map given by one rational matrix per dimension."""
 
-    source: ChainComplex
-    target: ChainComplex
-    blocks: tuple
+    __slots__ = ("source", "target", "blocks")
 
-    def __post_init__(self):
-        if len(self.blocks) != self.source.top + 1:
+    def __init__(self, source: ChainComplex, target: ChainComplex, blocks: tuple):
+        if len(blocks) != source.top + 1:
             raise InputError("need one matrix per dimension of the source")
         clean = []
-        for k, rows in enumerate(self.blocks):
+        for k, rows in enumerate(blocks):
             grid = tuple(tuple(QQ.coerce(v) for v in row) for row in rows)
-            tdim = self.target.dims[k] if k <= self.target.top else 0
+            tdim = target.dims[k] if k <= target.top else 0
             if len(grid) != tdim:
                 raise InputError(f"map block {k} has the wrong shape")
             for row in grid:
-                if len(row) != self.source.dims[k]:
+                if len(row) != source.dims[k]:
                     raise InputError(f"map block {k} has the wrong shape")
             clean.append(grid)
-        object.__setattr__(self, "blocks", tuple(clean))
+        self._set(source, target, tuple(clean))
         self._check_commutes()
 
     def _check_commutes(self) -> None:

@@ -1554,16 +1554,17 @@ def test_taxonomy_table_shape():
 
 
 def test_taxonomy_table_refusals(monkeypatch):
-    from dataclasses import replace
-
     from quintics import taxonomy
     from quintics.errors import TaxonomyError
+
+    def with_dim(rec, dim):
+        return taxonomy.ConfigTypeRecord(rec.type_id, dim, rec.description, rec.structure)
 
     table = list(TYPE_TABLE)
     broken = {
         "42 entries": table[:-1],
-        "endpoints": table[:-1] + [replace(table[-1], expected_dim=1)],
-        "nonincreasing": table[:2] + [replace(table[2], expected_dim=16)] + table[3:],
+        "endpoints": table[:-1] + [with_dim(table[-1], 1)],
+        "nonincreasing": table[:2] + [with_dim(table[2], 16)] + table[3:],
     }
     for message, records in broken.items():
         monkeypatch.setattr(taxonomy, "TYPE_TABLE", tuple(records))
@@ -1616,19 +1617,19 @@ def test_classify_points_groups_the_points_once(monkeypatch):
         calls["groups"] += 1
         return projgeom._groups_of(p, reps)
 
-    # without _from_key every line the classifier builds passes __post_init__
+    # without _from_key every line the classifier builds passes its constructor
     assert not hasattr(classifier, "_from_key")
-    post_init = ProjLine.__post_init__
+    init = ProjLine.__init__
 
-    def counting_post_init(self):
+    def counting_init(self, *args):
         calls["lines"] += 1
-        post_init(self)
+        init(self, *args)
 
     def regrouped(*args):
         raise AssertionError("the classifier asked a second collinearity question")
 
     monkeypatch.setattr(classifier, "_groups_of", counting_groups)
-    monkeypatch.setattr(ProjLine, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ProjLine, "__init__", counting_init)
     for name in ("_only_allowed_collinear", "conic_through"):
         assert not hasattr(lsys, name) and not hasattr(classifier, name)
         monkeypatch.setattr(projgeom, name, regrouped)
@@ -1661,7 +1662,7 @@ def test_typing_builds_no_geometric_object(monkeypatch, name):
         raise AssertionError("typing built a geometric object")
 
     monkeypatch.setattr(projgeom, "_from_key", built)
-    monkeypatch.setattr(projgeom._Keyed, "__post_init__", built)
+    monkeypatch.setattr(projgeom._Keyed, "__init__", built)
     for cfg in samples:
         assert classify(cfg) == cfg.type_id
         if cfg.is_finite():

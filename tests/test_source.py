@@ -1,6 +1,9 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +112,36 @@ def test_private_helper_check_sees_orphans():
     assert _unreferenced_private_defs(sources) == [
         ("a.py", 3, "_orphan"), ("a.py", 5, "_recursive"), ("a.py", 7, "_Orphan"),
         ("a.py", 13, "_ORPHAN")]
+
+
+def _imported_modules(source: str) -> set:
+    """The top-level names of the modules a source imports, relative imports
+    left out."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # the package's value classes derive from _value._Value instead
+    assert "dataclasses" not in _imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_imported_module_scan_sees_every_form():
+    source = ("import os.path, json as j\nfrom dataclasses import field\n"
+              "from . import lsys\nfrom .errors import InputError\n"
+              "def f():\n    import dataclasses\n")
+    assert _imported_modules(source) == {"os", "json", "dataclasses"}
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import quintics, sys; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "False\n"
