@@ -3,7 +3,8 @@
 Every command prints one machine-readable JSON report (stable key order, no
 timestamps) to stdout or ``--out``, plus a short human summary on stderr.
 Exit codes: 0 when every check passes, 1 when a computed value disagrees with
-its expected value, 2 on malformed input.
+its expected value, 2 on malformed input.  The file formats are imported by
+the two commands that read a file, so ``dims`` and ``ledger`` never load them.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .errors import InputError, SamplingError
 from .exactalg import PrimeField, parse_field
-from .formats import config_to_json, load_model, load_poly
 from .ledger import (
     AMBIENT_DIM,
     apply_differentials,
@@ -86,6 +87,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .formats import config_to_json, load_poly
+
     poly = load_poly(args.poly)
     p = args.prime
     field = PrimeField(p)
@@ -181,6 +184,8 @@ def cmd_homology(args) -> int:
     if args.model in BUILTIN_MODELS:
         complex_, chain_map, cdim = BUILTIN_MODELS[args.model]()
     else:
+        from .formats import load_model
+
         complex_, chain_map, cdim = load_model(args.model)
     betti = homology(complex_)
     poly = betti_poly(complex_)
@@ -216,7 +221,10 @@ def cmd_homology(args) -> int:
     return _finish(report, args.out)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` leaves
+    it unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="quintics",
         description="Exact verification runs for the plane-quintic "

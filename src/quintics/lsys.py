@@ -17,7 +17,8 @@ values.  The basis is L^2 times the basis of the point system, reduced once.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
-itself is in ``sieve``) and grouping of full line/conic components.  Its two
+itself is in ``sieve``, imported on the first call, so a run that only counts
+dimensions never loads it) and grouping of full line/conic components.  Its two
 typing entry points, ``classify`` of a configuration or singular set and
 ``check_conditions`` over every subset of a sample, hand every decision to
 ``classifier``; the table of the 42 types is in ``taxonomy``.
@@ -56,7 +57,6 @@ from .projgeom import (
     _pairing,
 )
 from .rng import SplitMix64, derive_seed
-from .sieve import _peel_conic_component, _peel_line_components, _singular_keys
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +654,8 @@ def singular_points_bruteforce(f: HomogeneousPoly, p: int) -> list:
     field = _bruteforce_field(f, p)
     if f.is_zero():
         return list(plane_points(p))
+    from .sieve import _singular_keys
+
     return [_from_key(ProjPoint, field, key) for key in _singular_keys(f, p)]
 
 
@@ -681,6 +683,8 @@ def singular_set_bruteforce(f: HomogeneousPoly, p: int) -> SingularSet:
     field = _bruteforce_field(f, p)
     if f.is_zero():
         return SingularSet(field, whole_plane=True)
+    from .sieve import _peel_conic_component, _peel_line_components, _singular_keys
+
     keys = _singular_keys(f, p)
     lines: list = []
     rest = keys

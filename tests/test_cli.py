@@ -435,6 +435,27 @@ def test_ledger_and_homology_reports_match_stored(argv, name, capsys):
     assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8")
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    # main builds the parser once per process; a rejected argv in between
+    # must not change what the next calls parse
+    from quintics.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "ledger", "--dataset", "col39-aux")
+    assert code == 0
+    assert out == (DATA / "ledger_col39_aux.expected.json").read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["ledger", "--dataset", "col39-aux", "--emit", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    for argv, name in [(("homology", "--model", "pairs-a1"), "homology_pairs_a1"),
+                       (("ledger", "--dataset", "quintic5", "--emit", "tables"),
+                        "ledger_quintic5_tables")]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (DATA / f"{name}.expected.json").read_text(encoding="utf-8"), name
+
+
 @pytest.mark.parametrize("name", ["torus", "gap"])
 def test_homology_model_file_matches_stored(name, capsys, monkeypatch):
     # torus: two loops, a 2-cell with zero boundary and the loop swap (betti

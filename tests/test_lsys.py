@@ -1120,8 +1120,10 @@ def test_conic_peel_finds_no_conic_among_the_crossings_of_seven_lines(monkeypatc
     # Seven lines over GF(11), no three through one point: their product has
     # 21 singular points, enough for the conic peel to look (12 > 2 (7 - 2)),
     # but a nondegenerate conic meets each line twice at most, so it passes
-    # through at most 7 of the crossings, never its 12 points.
-    from quintics import lsys
+    # through at most 7 of the crossings, never its 12 points.  The peel is
+    # patched in ``sieve``, which ``singular_set_bruteforce`` imports from
+    # when it is called.
+    from quintics import sieve
 
     fp = PrimeField(11)
     lines = [ProjLine(fp, c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
@@ -1131,14 +1133,14 @@ def test_conic_peel_finds_no_conic_among_the_crossings_of_seven_lines(monkeypatc
     f = line_poly(lines[0])
     for ln in lines[1:]:
         f = f * line_poly(ln)
-    peel = lsys._peel_conic_component
+    peel = sieve._peel_conic_component
     peeled = []
 
     def recording_peel(*args):
         peeled.append(peel(*args))
         return peeled[-1]
 
-    monkeypatch.setattr(lsys, "_peel_conic_component", recording_peel)
+    monkeypatch.setattr(sieve, "_peel_conic_component", recording_peel)
     got = singular_set_bruteforce(f, 11)
     assert [conics for conics, _ in peeled] == [[]]
     assert set(got.isolated_points) == meets and len(got.isolated_points) == 21

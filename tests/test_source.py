@@ -145,3 +145,29 @@ def test_importing_the_package_loads_no_dataclasses():
         [sys.executable, "-c", "import quintics, sys; print('dataclasses' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out == "False\n"
+
+
+_FOOTPRINT = """\
+import sys
+import quintics, quintics.cli
+from quintics import HomogeneousPoly, PrimeField, singular_set_bruteforce
+print(sorted(m for m in ("quintics.sieve", "quintics.formats") if m in sys.modules))
+xyz = HomogeneousPoly(PrimeField(7), 3, {(1, 1, 1): 1})
+sing = singular_set_bruteforce(xyz, 7)
+print("quintics.sieve" in sys.modules, "quintics.formats" in sys.modules)
+print(sorted(pt.coords for pt in sing.isolated_points),
+      sing.line_components, sing.conic_components, sing.whole_plane)
+"""
+
+
+def test_importing_the_cli_loads_neither_the_sieve_nor_the_formats():
+    # the sieve loads on the first brute-force call and the formats on the
+    # first file read or write; xyz is singular at the three coordinate points
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines() == [
+        "[]",
+        "True False",
+        "[(0, 0, 1), (0, 1, 0), (1, 0, 0)] () () False",
+    ]
