@@ -13,7 +13,11 @@ The dimension is counted in a frame of the points: up to three of them moved
 to the coordinate points, where their rows are unit vectors and delete
 columns instead of adding rows (9 of the 21 at e = 5).  The other points'
 rows are built on the columns left, from their degree-(e - 1) monomial
-values.  The basis is L^2 times the basis of the point system, reduced once.
+values.  Over QQ the count of a configuration labelled with a type is first
+certified without elimination, when the peel bound of the type's structure
+(``taxonomy._peel_bound``) meets the GF(65521) count of its points reduced
+mod 65521; only where they differ is the integer system eliminated.  The
+basis is L^2 times the basis of the point system, reduced once.
 
 The module also provides the inverse direction used as an oracle: exhaustive
 enumeration of singular points of a form over a small prime field (the sieve
@@ -35,6 +39,7 @@ from ._value import _setattr, _Value
 from .classifier import _classify_config, _typed_subsets
 from .errors import FieldMismatchError, InputError
 from .exactalg import (
+    QQ,
     Field,
     PrimeField,
     SubspaceBasis,
@@ -52,11 +57,16 @@ from .projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _conic_key,
+    _conic_value,
+    _det3,
     _frame,
     _from_key,
+    _int_key,
     _pairing,
 )
 from .rng import SplitMix64, derive_seed
+from .taxonomy import TYPE_TABLE, _peel_bound
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +495,80 @@ def _euler_relation(field: Field, d: int) -> None:
                          "the Euler relation degenerates")
 
 
+def _framed_system(p: Optional[int], keys: Sequence[tuple], e: int) -> tuple[tuple, list]:
+    """The live columns of the degree-e system of the points with keys
+    ``keys`` over GF(p), or over QQ when ``p`` is None, in the frame of its
+    own points (``projgeom._frame``), and the moved points off the frame."""
+    corners, adj = _frame(p, keys)
+    live = _live_columns(e, tuple(n is not None for n in corners))
+    return live, [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
+                  for n, (x, y, z) in enumerate(keys) if n not in corners]
+
+
+def _fp_point_dim(p: int, keys: Sequence[tuple], e: int) -> int:
+    """The dimension of the degree-e forms over GF(p), e >= 1, singular at
+    the points with keys ``keys``: the live columns of the frame less the
+    rank of the other points' packed rows (``_packed_system_rows``)."""
+    live, points = _framed_system(p, keys, e)
+    rows, w = _packed_system_rows(points, e, p, live)
+    return len(live) - len(_fp_forward(p, rows, len(live), w))
+
+
+# The prime of the upper bound in ``_certified_dim``.
+_CERTIFICATE_PRIME = 65521
+
+
+@lru_cache(maxsize=None)
+def _declared(type_id, d: int) -> Optional[tuple]:
+    """The structure of the type labelled ``type_id`` and its peel bound at
+    degree d (``taxonomy._peel_bound``); None for a label that is no type,
+    and for a type with a full component or the whole plane."""
+    s = next((rec.structure for rec in TYPE_TABLE if rec.type_id == type_id), None)
+    if s is None or s.components or s.whole_plane:
+        return None
+    return s, _peel_bound(s, d)
+
+
+def _certified_dim(type_id, keys: Sequence[tuple], d: int) -> Optional[int]:
+    """The dimension of the degree-d forms over QQ singular at the points
+    with keys ``keys``, a configuration labelled ``type_id`` with no
+    component, when two bounds meet; None when they do not.
+
+    From below: when the points lie on the lines and conics the label's
+    structure declares, checked exactly on the integer keys (``_det3`` for
+    each line, ``_conic_key`` and ``_conic_value`` for each conic), the
+    product of the curves the structure's Bezout peel takes off times its
+    last system lies in the system, so the dimension is at least
+    ``taxonomy._peel_bound``.  An accidental incidence only adds forms.
+    From above: the rows of the system at the primitive integer keys are
+    integer polynomials in them, and reducing an integer matrix mod p can
+    only lower its rank (a minor that is nonzero mod p is a nonzero
+    integer), so the dimension is at most that of the system of the keys reduced mod
+    p, counted by ``_fp_point_dim``; a primitive key never vanishes mod p,
+    and keys that collide mod p only raise that count.  When the two are
+    equal, that is the dimension.  A failed incidence, an unlucky prime or
+    an accidental incidence leave them apart, and the caller counts exactly.
+    """
+    declared = _declared(type_id, d)
+    if declared is None:
+        return None
+    s, bound = declared
+    if len(keys) != s.points:
+        return None
+    for on in s.lines:
+        a, b = keys[on[0]], keys[on[1]]
+        if any(_det3((a, b, keys[i])) for i in on[2:]):
+            return None
+    for on in s.conics:
+        conic = _conic_key(QQ, [keys[i] for i in on[:5]])
+        if conic is None or any(_conic_value(conic, keys[i]) for i in on[5:]):
+            return None
+    p = _CERTIFICATE_PRIME
+    if _fp_point_dim(p, [_int_key(p, key) for key in keys], d) != bound:
+        return None
+    return bound
+
+
 def linear_system_dim(cfg: Config, d: int = 5) -> int:
     """Dimension of the space of degree-d forms singular along ``cfg``.
 
@@ -519,11 +603,16 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     alone.  Every partial of a degree-e monomial is a multiple of one
     monomial of degree e - 1 (a quartic at e = 5), so a point's rows are
     its degree-(e - 1) Veronese values spread by ``_derivative_table``.
-    Over QQ they are plain rows (``_point_rows``), ranked by fraction-free
-    elimination on primitive integer rows.  Over GF(p) they are packed
-    straight from those values (``_packed_point_rows``), their slots left
-    unreduced below e * p, and handed with the packed value rows to the
-    elimination core ``exactalg._fp_forward`` as they are.  The
+    Over GF(p) they are packed straight from those values
+    (``_packed_point_rows``), their slots left unreduced below e * p, and
+    handed with the packed value rows to the elimination core
+    ``exactalg._fp_forward`` as they are (``_fp_point_dim``).  Over QQ a
+    configuration with no component, labelled with a type, is first
+    certified: the peel bound of the type's structure from below and that
+    GF(p) count of its points mod 65521 from above (``_certified_dim``).
+    Where the two differ, and for every other configuration, the rows are
+    plain (``_point_rows``), ranked by fraction-free elimination on
+    primitive integer rows.  The
     whole-plane configuration is the one case with no matrix: only the zero
     form is singular everywhere.  A characteristic dividing d raises
     ``InputError``, since the Euler relation then fails.
@@ -535,14 +624,13 @@ def linear_system_dim(cfg: Config, d: int = 5) -> int:
     if e <= 0:
         return int(e == 0 and not (comps and keys))
     p = cfg.field.p
-    corners, adj = _frame(p, keys)
-    live = _live_columns(e, tuple(n is not None for n in corners))
-    points = [_moved(p, [r0 * x + r1 * y + r2 * z for r0, r1, r2 in adj])
-              for n, (x, y, z) in enumerate(keys) if n not in corners]
-    if p is None:
-        return len(live) - rank_rows(cfg.field, _system_rows(points, e, None, live))
-    rows, w = _packed_system_rows(points, e, p, live)
-    return len(live) - len(_fp_forward(p, rows, len(live), w))
+    if p is not None:
+        return _fp_point_dim(p, keys, e)
+    certified = None if comps else _certified_dim(cfg.type_id, keys, e)
+    if certified is not None:
+        return certified
+    live, points = _framed_system(None, keys, e)
+    return len(live) - rank_rows(cfg.field, _system_rows(points, e, None, live))
 
 
 def linear_system_basis(cfg: Config, d: int = 5) -> SubspaceBasis:

@@ -101,6 +101,45 @@ TYPE_TABLE: tuple = tuple(ConfigTypeRecord(*row) for row in (
     (42, 0, "the whole plane", _Structure(whole_plane=True)),
 ))
 
+
+def _peel_bound(s: _Structure, d: int = 5) -> int:
+    """A lower bound on the dimension of the degree-d forms singular along
+    any configuration of structure ``s`` whose points lie on its declared
+    lines and conics: the Bezout peel of the structure alone.
+
+    The state is a degree e, d less twice the degree of the full components
+    (a form singular along a component is divisible by its square), and an
+    order m = 2 at each marked point.  Rule L: a declared line whose points'
+    orders sum to more than e is peeled, e -= 1, and each order on it drops
+    by one.  Rule C: the same for a declared conic, against 2e, and e -= 2.
+    The product of the peeled curves times any degree-e form of order m at
+    each point is singular along the configuration, since each curve passes
+    through its declared points.  That containment holds on every such
+    configuration, so the system has dimension at least C(e + 2, 2) less
+    the m(m + 1)/2 conditions of each point, and at least 0; e < 0 gives 0.
+    By Bezout each step is also an equivalence: a form of degree e meeting
+    a line, or a nondegenerate conic, in more than e, or 2e, points counted
+    with their orders contains it.  So on the declared structure nothing is
+    lost, and for every type at d = 5 the bound is the golden dimension
+    (``verify_taxonomy_table``).
+    """
+    if s.whole_plane:
+        return 0
+    e = d - 2 * sum(1 for ln in s.lines if not ln) - 4 * sum(1 for q in s.conics if not q)
+    orders = [2] * s.points
+    curves = [(1, ln) for ln in s.lines if ln] + [(2, q) for q in s.conics if q]
+    while e >= 0:
+        hit = next((c for c in curves if sum(orders[i] for i in c[1]) > c[0] * e), None)
+        if hit is None:
+            break
+        e -= hit[0]
+        for i in hit[1]:
+            orders[i] = max(orders[i] - 1, 0)
+    if e < 0:
+        return 0
+    return max((e + 1) * (e + 2) // 2 - sum(m * (m + 1) // 2 for m in orders), 0)
+
+
 GOLDEN_DIMS = {rec.type_id: rec.expected_dim for rec in TYPE_TABLE}
 K_POINTS = {rec.type_id: rec.k_points for rec in TYPE_TABLE}
 
@@ -114,3 +153,7 @@ def verify_taxonomy_table() -> None:
         raise TaxonomyError("taxonomy table endpoints are wrong")
     if any(a < b for a, b in zip(dims, dims[1:])):
         raise TaxonomyError("expected dimensions must be nonincreasing")
+    for rec in TYPE_TABLE:
+        if _peel_bound(rec.structure) != rec.expected_dim:
+            raise TaxonomyError(f"type {rec.type_id}: the peel bound of its structure "
+                                f"is not its expected dimension")

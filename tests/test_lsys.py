@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from fractions import Fraction
 from itertools import chain, combinations
@@ -17,8 +18,10 @@ from quintics.exactalg import (
     parse_field,
     rank_rows,
 )
+from quintics import lsys
 from quintics.lsys import (
     _division,
+    _fp_point_dim,
     _live_columns,
     _monomial_values,
     _packed_point_rows,
@@ -48,6 +51,7 @@ from quintics.projgeom import (
     Conic,
     ProjLine,
     ProjPoint,
+    _det3,
     _frame,
     _from_key,
     _groups_of,
@@ -73,7 +77,13 @@ from quintics.sieve import (
     _peel_line_components,
     _singular_keys,
 )
-from quintics.taxonomy import GOLDEN_DIMS, K_POINTS, TYPE_TABLE, verify_taxonomy_table
+from quintics.taxonomy import (
+    GOLDEN_DIMS,
+    K_POINTS,
+    TYPE_TABLE,
+    _peel_bound,
+    verify_taxonomy_table,
+)
 
 FP = PrimeField(65521)
 
@@ -1563,15 +1573,115 @@ def test_taxonomy_table_refusals(monkeypatch):
         return taxonomy.ConfigTypeRecord(rec.type_id, dim, rec.description, rec.structure)
 
     table = list(TYPE_TABLE)
+    six_on_a_conic = taxonomy.ConfigTypeRecord(26, 3, table[25].description,
+                                               table[23].structure)
     broken = {
         "42 entries": table[:-1],
         "endpoints": table[:-1] + [with_dim(table[-1], 1)],
         "nonincreasing": table[:2] + [with_dim(table[2], 16)] + table[3:],
+        "type 2: the peel bound": table[:1] + [with_dim(table[1], 14)] + table[2:],
+        "type 26: the peel bound": table[:25] + [six_on_a_conic] + table[26:],
     }
     for message, records in broken.items():
         monkeypatch.setattr(taxonomy, "TYPE_TABLE", tuple(records))
         with pytest.raises(TaxonomyError, match=message):
             verify_taxonomy_table()
+
+
+def _benchmark_golden_dims():
+    # the benchmark's own copy of the golden table, kept apart from the package
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_expected", Path(__file__).resolve().parents[1] / "perfbench" / "expected.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GOLDEN_DIMS
+
+
+def test_peel_bound_of_every_structure_is_the_golden_dimension():
+    independent = _benchmark_golden_dims()
+    assert sorted(independent) == list(range(1, 43))
+    for rec in TYPE_TABLE:
+        bound = _peel_bound(rec.structure)
+        assert bound == GOLDEN_DIMS[rec.type_id] == independent[rec.type_id], rec.type_id
+    # other degrees: at d = 3 a full line leaves the lines, e = 1, and four
+    # points ask for 12 conditions of the 10 cubics, so the bound is 0; at
+    # d = 6 type 20 peels its line once, e = 5, and its five points on it
+    # keep one condition each, the two off it three
+    assert _peel_bound(TYPE_TABLE[11 - 1].structure, 3) == 3
+    assert _peel_bound(TYPE_TABLE[12 - 1].structure, 3) == 0
+    assert _peel_bound(TYPE_TABLE[20 - 1].structure, 6) == 21 - 5 - 6
+
+
+def _qq_dims_inputs(seeds):
+    # the samples of ``quintics dims --type all --field qq --seeds N`` at its
+    # default base seed 0
+    return [(t, sample_generic(t, QQ, derive_seed(0, t, i)))
+            for t in range(1, 43) for i in range(seeds)]
+
+
+def test_certificate_serves_every_typed_sample_of_the_qq_dims_pin(monkeypatch):
+    # no Bareiss count: every typed sample with points and no component is
+    # settled by the peel bound meeting the GF(65521) count
+    def refuse(*args):
+        raise AssertionError("the QQ count fell back to elimination")
+
+    monkeypatch.setattr(lsys, "rank_rows", refuse)
+    served = 0
+    for t, cfg in _qq_dims_inputs(3):
+        if cfg.is_finite() and cfg.points:
+            assert linear_system_dim(cfg) == GOLDEN_DIMS[t], t
+            served += 1
+    assert served == 34 * 3
+
+
+def _counted_ranks(monkeypatch):
+    calls = []
+
+    def counted(field, rows):
+        calls.append(len(rows))
+        return rank_rows(field, rows)
+
+    monkeypatch.setattr(lsys, "rank_rows", counted)
+    return calls
+
+
+# (1:1:65521) and (1:2:196563), 196563 = 3 * 65521: no three of the four
+# points are collinear over QQ, but all four lie on z = 0 mod 65521
+_ON_A_LINE_MOD_P = ((1, 0, 0), (0, 1, 0), (1, 1, 65521), (1, 2, 196563))
+
+
+@pytest.mark.parametrize("type_id,peel_bound,dim", [
+    # an unlucky prime: the certificate's GF(65521) count reads 11
+    (12, 9, 9),
+    # a line declared but not there over QQ: the count of 11 mod p equals
+    # type 4's bound, so only the exact incidence check refuses it
+    (4, 11, 9),
+    ("untyped", None, 9),
+], ids=["type12-unlucky-prime", "type4-false-line", "untyped"])
+def test_certificate_falls_back_to_the_exact_count(monkeypatch, type_id, peel_bound, dim):
+    points = tuple(ProjPoint(QQ, c) for c in _ON_A_LINE_MOD_P)
+    keys = [q.key for q in points]
+    assert all(_det3(three) for three in combinations(keys, 3))
+    reduced = [_int_key(65521, key) for key in keys]
+    assert all(key[2] == 0 for key in reduced) and _fp_point_dim(65521, reduced, 5) == 11
+    declared = lsys._declared(type_id, 5)
+    assert (declared and declared[1]) == peel_bound
+    cfg = Config(QQ, points=points, type_id=type_id)
+    calls = _counted_ranks(monkeypatch)
+    assert linear_system_dim(cfg) == linear_system_basis(cfg).dim == dim
+    assert len(calls) == 1
+
+
+def test_certificate_falls_back_on_an_accidental_incidence(monkeypatch):
+    # six points on a conic labelled type 26: the peel bound 3 is a lower
+    # bound, the GF(65521) count 4 an upper one, and Bareiss gives 4
+    assert lsys._declared(26, 5)[1] == 3
+    calls = _counted_ranks(monkeypatch)
+    for seed in (1, 2, 3):
+        on_a_conic = sample_generic(24, QQ, seed)
+        cfg = Config(QQ, points=on_a_conic.points, type_id=26)
+        assert linear_system_dim(cfg) == linear_system_basis(cfg).dim == 4
+    assert len(calls) == 3
 
 
 def test_check_conditions_small_types():
